@@ -25,6 +25,7 @@ from .geometry import (  # noqa: F401
     GeometryError,
     MetricSpec,
     NumericsConfig,
+    PointGeometry,
     SignatureError,
     SingularMetricError,
     TensorSample,

@@ -115,8 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: Sequence[str]) -> list[str]:
+    """Fold ``--values V`` into ``--values=V``.
+
+    argparse reads a separate value that starts with a minus sign, such as
+    ``-0.5,-0.25``, as an option and rejects it.
+    """
+    args = list(argv)
+    if "--values" in args[:-1]:
+        i = args.index("--values")
+        args[i : i + 2] = [f"--values={args[i + 1]}"]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "catalog":
             return _cmd_catalog(args)

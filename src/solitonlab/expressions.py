@@ -26,6 +26,7 @@ __all__ = [
     "EvalDomainError",
     "FUNCTIONS",
     "parse",
+    "coerce_expr",
     "evaluate",
     "differentiate",
     "to_source",
@@ -262,6 +263,15 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text, coords).parse()
+
+
+def coerce_expr(value: Expr | str | float, coords: Sequence[str]) -> Expr:
+    """An expression as given, parsed from text, or a constant from a number."""
+    if isinstance(value, Expr):
+        return value
+    if isinstance(value, str):
+        return parse(value, coords)
+    return Const(float(value))
 
 
 # -- evaluation ---------------------------------------------------------

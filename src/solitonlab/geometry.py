@@ -10,9 +10,17 @@ the constant-curvature anchors in the test suite hold:
 * Ricci contraction over the first slot, S(X,Y) = sum_i eps_i g(R(e_i,X)Y, e_i),
   i.e. S_ab = R^l_bla in coordinates.
 
-See docs/conventions.md for the full sign table.  Every operation is a pure
-function of (metric, point, config); nothing here mutates shared state, so
-concurrent evaluation over points is safe.
+See docs/conventions.md for the full sign table.
+
+Every quantity is read from a PointGeometry, one per (metric, point,
+numerics).  It computes the metric, its inverse and derivatives, the
+connection and the curvature lazily.  The stencil neighbours it reaches
+share one lattice keyed by their exact float coordinates, and each quantity
+is computed at most once per lattice coordinate, so a coordinate's metric
+components are evaluated once however many identities need them.  The
+lattice lives as long as the objects that reach it and is not locked: each
+PointGeometry belongs to one point and one thread.  Nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +36,9 @@ from .expressions import (
     Const,
     EvalDomainError,
     Expr,
+    coerce_expr,
     compile_expr,
     differentiate,
-    parse,
     variables,
 )
 
@@ -46,21 +54,18 @@ __all__ = [
     "ChristoffelSample",
     "VectorFieldSpec",
     "FramePack",
+    "PointGeometry",
     "metric_at",
-    "inverse_metric",
     "christoffel",
     "riemann",
     "ricci",
-    "scalar_curvature",
     "einstein_tensor",
     "cov_deriv_vector",
     "lie_derivative_metric",
-    "gradient_scalar",
     "hessian_scalar",
     "divergence_vector",
     "laplacian_routes",
     "laplacian_scalar",
-    "orthonormal_frame",
     "frame_from_matrix",
     "div_tensor11",
     "cov_deriv_tensor11",
@@ -138,7 +143,7 @@ class TensorSample:
             raise ValueError(f"unknown tensor kind {self.kind!r}")
         if comp.ndim != rank[self.kind]:
             raise ValueError(f"{self.kind} sample must have rank {rank[self.kind]}, got shape {comp.shape}")
-        if self.symmetric and comp.ndim == 2 and max_abs(comp - comp.T) != 0.0:
+        if self.symmetric and comp.ndim == 2 and not np.array_equal(comp, comp.T, equal_nan=True):
             raise ValueError("sample flagged symmetric but storage is not")
 
 
@@ -162,14 +167,6 @@ class FramePack:
     vectors: np.ndarray  # vectors[i] = components of e_i
     signs: tuple[int, ...]
     point: tuple[float, ...]
-
-
-def _coerce_expr(value: Expr | str | float, coords: Sequence[str]) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return parse(value, coords)
-    return Const(float(value))
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class MetricSpec:
         coords: Sequence[str],
         signature: str = "lorentzian",
     ) -> "MetricSpec":
-        comps = tuple(tuple(_coerce_expr(v, coords) for v in row) for row in grid)
+        comps = tuple(tuple(coerce_expr(v, coords) for v in row) for row in grid)
         return cls(tuple(coords), comps, signature)
 
     @classmethod
@@ -222,7 +219,7 @@ class MetricSpec:
         n = len(entries)
         grid = [[Const(0.0)] * n for _ in range(n)]
         for i, e in enumerate(entries):
-            grid[i][i] = _coerce_expr(e, coords)
+            grid[i][i] = coerce_expr(e, coords)
         return cls(tuple(coords), tuple(tuple(row) for row in grid), signature)
 
     @cached_property
@@ -239,108 +236,38 @@ class MetricSpec:
         src = f"lambda {', '.join(names.values())}: ({', '.join(rows)},)"
         return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
 
-    def matrix(self, point: Sequence[float]) -> np.ndarray:
-        """Raw component matrix g_ij(P); no degeneracy check."""
-        p = _as_point(self, point)
+    def matrix(self, point: tuple[float, ...]) -> np.ndarray:
+        """Raw component matrix g_ij(P) at a tuple of ``dim`` floats; no degeneracy check."""
         try:
-            vals = self._matrix_fn(*p)
+            vals = self._matrix_fn(*point)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalDomainError(f"metric components undefined at {tuple(p)}: {exc}") from None
+            raise EvalDomainError(f"metric components undefined at {tuple(point)}: {exc}") from None
         return np.asarray(vals, dtype=float)
 
 
-def _as_point(m: MetricSpec, point: Sequence[float]) -> tuple[float, ...]:
-    p = tuple(float(v) for v in point)
-    if len(p) != m.dim:
-        raise ValueError(f"point has {len(p)} coordinates, metric has {m.dim}")
-    return p
+# -- the per-point geometry ------------------------------------------------
 
 
-def _g(m: MetricSpec, point: Sequence[float], cfg: NumericsConfig) -> np.ndarray:
-    g = m.matrix(point)
-    spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
-    if spectrum[-1] == 0.0 or spectrum[0] <= cfg.degeneracy_threshold * spectrum[-1]:
-        raise SingularMetricError(
-            f"metric degenerate at {tuple(point)} (eigenvalue ratio "
-            f"{spectrum[0]:.3e} / {spectrum[-1]:.3e})"
-        )
-    return g
+class _PerCoordinate:
+    """A PointGeometry attribute computed at most once per lattice coordinate.
 
+    The value is stored in the coordinate's entry of the shared lattice, so
+    every object at those coordinates sees it.  A computation that raises
+    stores nothing.
+    """
 
-def _ginv(m: MetricSpec, point: Sequence[float], cfg: NumericsConfig) -> np.ndarray:
-    return np.linalg.inv(_g(m, point, cfg))
+    def __init__(self, fn: Callable[["PointGeometry"], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
 
-
-# -- finite differences --------------------------------------------------
-
-
-def _shift(point: Sequence[float], axis: int, delta: float) -> np.ndarray:
-    q = np.array(point, dtype=float)
-    q[axis] += delta
-    return q
-
-
-def _d1(fn: Callable[[np.ndarray], np.ndarray | float], point, axis: int, cfg: NumericsConfig):
-    """Central first derivative along one axis, Richardson-extrapolated."""
-    h = cfg.h
-    d = (np.asarray(fn(_shift(point, axis, h))) - np.asarray(fn(_shift(point, axis, -h)))) / (2 * h)
-    if cfg.richardson:
-        d2 = (np.asarray(fn(_shift(point, axis, h / 2))) - np.asarray(fn(_shift(point, axis, -h / 2)))) / h
-        d = (4.0 * d2 - d) / 3.0
-    return d
-
-
-def _grad_all(fn, point, cfg: NumericsConfig) -> np.ndarray:
-    """Stack of _d1 over every axis; leading axis is the derivative index."""
-    return np.stack([np.asarray(_d1(fn, point, k, cfg), dtype=float) for k in range(len(point))])
-
-
-def _d2_same(fn: Callable[[np.ndarray], float], point, axis: int, cfg: NumericsConfig) -> float:
-    f0 = fn(np.array(point, dtype=float))
-
-    def stencil(h: float) -> float:
-        return (fn(_shift(point, axis, h)) - 2.0 * f0 + fn(_shift(point, axis, -h))) / (h * h)
-
-    d = stencil(cfg.h)
-    if cfg.richardson:
-        d = (4.0 * stencil(cfg.h / 2) - d) / 3.0
-    return d
-
-
-def _d2_cross(fn: Callable[[np.ndarray], float], point, ax1: int, ax2: int, cfg: NumericsConfig) -> float:
-    def stencil(h: float) -> float:
-        pp = fn(_shift(_shift(point, ax1, h), ax2, h))
-        pm = fn(_shift(_shift(point, ax1, h), ax2, -h))
-        mp = fn(_shift(_shift(point, ax1, -h), ax2, h))
-        mm = fn(_shift(_shift(point, ax1, -h), ax2, -h))
-        return (pp - pm - mp + mm) / (4.0 * h * h)
-
-    d = stencil(cfg.h)
-    if cfg.richardson:
-        d = (4.0 * stencil(cfg.h / 2) - d) / 3.0
-    return d
-
-
-# -- metric-level operations ---------------------------------------------
-
-
-def metric_at(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
-    """Symmetric matrix g_ij(P); errors if the matrix is degenerate."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor02", _g(m, p, cfg), p, symmetric=True)
-
-
-def inverse_metric(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
-    """Contravariant inverse; g . g^-1 stays within 1e-12 of identity."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor02", _ginv(m, p, cfg), p, symmetric=False)
-
-
-def _dmetric(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    """dg[k,i,j] = d_k g_ij by central differences."""
-    return _grad_all(lambda q: _g(m, q, cfg), point, cfg)
+    def __get__(self, geo: "PointGeometry | None", owner: type | None = None) -> Any:
+        if geo is None:
+            return self
+        cache = geo._cache
+        if self.name not in cache:
+            cache[self.name] = self.fn(geo)
+        return cache[self.name]
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -348,77 +275,157 @@ def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.einsum("kl,lij->kij", g_inv, lowered)
 
 
+class PointGeometry:
+    """Geometry of one metric at one point, evaluated lazily on a stencil lattice.
+
+    ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
+    ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are each
+    computed at most once per coordinate of the lattice.  ``shifted`` gives
+    a stencil neighbour on the same lattice and ``grad`` differentiates any
+    quantity of the neighbours.  Not thread-safe: one object, one thread.
+    """
+
+    __slots__ = ("metric", "point", "numerics", "_lattice", "_cache")
+
+    def __init__(
+        self,
+        metric: MetricSpec,
+        point: Sequence[float],
+        numerics: NumericsConfig = DEFAULT_NUMERICS,
+    ) -> None:
+        p = tuple(float(v) for v in point)
+        if len(p) != metric.dim:
+            raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
+        self._bind(metric, p, numerics, {})
+
+    def _bind(self, metric: MetricSpec, point: tuple[float, ...], numerics: NumericsConfig, lattice: dict) -> None:
+        self.metric = metric
+        self.point = point
+        self.numerics = numerics
+        self._lattice = lattice
+        self._cache = lattice.setdefault(point, {})
+
+    def shifted(self, axis: int, delta: float) -> "PointGeometry":
+        """The neighbour at this point moved by ``delta`` along coordinate ``axis``."""
+        p = self.point
+        neighbour = object.__new__(PointGeometry)
+        neighbour._bind(self.metric, p[:axis] + (p[axis] + delta,) + p[axis + 1 :], self.numerics, self._lattice)
+        return neighbour
+
+    def grad(self, fn: Callable[["PointGeometry"], np.ndarray | float]) -> np.ndarray:
+        """Central first derivatives of ``fn(neighbour)``, Richardson-extrapolated.
+
+        The leading axis of the result is the derivative index.
+        """
+        h = self.numerics.h
+        rows = []
+        for axis in range(len(self.point)):
+            d = (np.asarray(fn(self.shifted(axis, h))) - np.asarray(fn(self.shifted(axis, -h)))) / (2 * h)
+            if self.numerics.richardson:
+                d2 = (np.asarray(fn(self.shifted(axis, h / 2))) - np.asarray(fn(self.shifted(axis, -h / 2)))) / h
+                d = (4.0 * d2 - d) / 3.0
+            rows.append(np.asarray(d, dtype=float))
+        return np.stack(rows)
+
+    @_PerCoordinate
+    def g(self) -> np.ndarray:
+        """Symmetric matrix g_ij; errors if the matrix is degenerate."""
+        g = self.metric.matrix(self.point)
+        spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
+        if spectrum[-1] == 0.0 or spectrum[0] <= self.numerics.degeneracy_threshold * spectrum[-1]:
+            raise SingularMetricError(
+                f"metric degenerate at {self.point} (eigenvalue ratio "
+                f"{spectrum[0]:.3e} / {spectrum[-1]:.3e})"
+            )
+        return g
+
+    @_PerCoordinate
+    def g_inv(self) -> np.ndarray:
+        """Contravariant inverse; g . g^-1 stays within 1e-12 of identity."""
+        return np.linalg.inv(self.g)
+
+    @_PerCoordinate
+    def dg(self) -> np.ndarray:
+        """dg[k,i,j] = d_k g_ij by central differences."""
+        return self.grad(lambda n: n.g)
+
+    @_PerCoordinate
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita coefficients gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction."""
+        return _christoffel_from_dg(self.g_inv, self.dg)
+
+    @_PerCoordinate
+    def riemann(self) -> np.ndarray:
+        """Curvature components R[l,k,i,j] = R^l_kij (see module docstring)."""
+        # derivative of the assembled Gamma rather than third metric derivatives;
+        # dG[a,b,c,d] = d_a Gamma^b_cd
+        gamma = self.gamma
+        dgamma = self.grad(lambda n: n.gamma)
+        return (
+            np.einsum("iljk->lkij", dgamma)
+            - np.einsum("jlik->lkij", dgamma)
+            + np.einsum("lim,mjk->lkij", gamma, gamma)
+            - np.einsum("ljm,mik->lkij", gamma, gamma)
+        )
+
+    @_PerCoordinate
+    def _ricci_raw(self) -> np.ndarray:
+        return np.einsum("lbla->ab", self.riemann)
+
+    @_PerCoordinate
+    def ricci(self) -> np.ndarray:
+        """Ricci tensor, symmetrised."""
+        raw = self._ricci_raw
+        return 0.5 * (raw + raw.T)
+
+    @_PerCoordinate
+    def ricci_asymmetry(self) -> float:
+        """Largest asymmetry of the raw Ricci contraction, a stencil-noise diagnostic."""
+        raw = self._ricci_raw
+        return max_abs(raw - raw.T)
+
+    @_PerCoordinate
+    def scalar(self) -> float:
+        """r = g^ij S_ij."""
+        return float(np.einsum("ij,ij->", self.g_inv, self.ricci))
+
+    @_PerCoordinate
+    def einstein(self) -> np.ndarray:
+        """G_ij = S_ij - (r/2) g_ij."""
+        return self.ricci - 0.5 * self.scalar * self.g
+
+
+# -- views for callers holding (metric, point, numerics) ----------------------
+
+
+def metric_at(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
+    """Symmetric matrix g_ij(P); errors if the matrix is degenerate."""
+    geo = PointGeometry(m, point, cfg or DEFAULT_NUMERICS)
+    return TensorSample("tensor02", geo.g, geo.point, symmetric=True)
+
+
 def christoffel(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> ChristoffelSample:
     """Levi-Civita coefficients Gamma^k_ij; symmetric in (i,j) by construction."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    gamma = _christoffel_from_dg(_ginv(m, p, cfg), _dmetric(m, p, cfg))
-    return ChristoffelSample(gamma, p)
-
-
-def _gamma(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    return _christoffel_from_dg(_ginv(m, point, cfg), _dmetric(m, point, cfg))
-
-
-def _riemann(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    # derivative of the assembled Gamma rather than third metric derivatives;
-    # dG[a,b,c,d] = d_a Gamma^b_cd
-    gamma = _gamma(m, point, cfg)
-    dgamma = _grad_all(lambda q: _gamma(m, q, cfg), point, cfg)
-    r = (
-        np.einsum("iljk->lkij", dgamma)
-        - np.einsum("jlik->lkij", dgamma)
-        + np.einsum("lim,mjk->lkij", gamma, gamma)
-        - np.einsum("ljm,mik->lkij", gamma, gamma)
-    )
-    return r
+    geo = PointGeometry(m, point, cfg or DEFAULT_NUMERICS)
+    return ChristoffelSample(geo.gamma, geo.point)
 
 
 def riemann(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
     """Curvature components R[l,k,i,j] = R^l_kij (see module docstring)."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor13", _riemann(m, p, cfg), p)
-
-
-def _ricci_raw(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    return np.einsum("lbla->ab", _riemann(m, point, cfg))
+    geo = PointGeometry(m, point, cfg or DEFAULT_NUMERICS)
+    return TensorSample("tensor13", geo.riemann, geo.point)
 
 
 def ricci(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
     """Ricci tensor, symmetrised; the raw asymmetry is kept as a diagnostic."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    raw = _ricci_raw(m, p, cfg)
-    defect = max_abs(raw - raw.T)
-    sym = 0.5 * (raw + raw.T)
-    return TensorSample("tensor02", sym, p, symmetric=True, symmetry_defect=defect)
-
-
-def _ricci(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    raw = _ricci_raw(m, point, cfg)
-    return 0.5 * (raw + raw.T)
-
-
-def scalar_curvature(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float:
-    """r = g^ij S_ij."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return float(np.einsum("ij,ij->", _ginv(m, p, cfg), _ricci(m, p, cfg)))
-
-
-def _einstein(m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
-    g = _g(m, point, cfg)
-    s = _ricci(m, point, cfg)
-    r = float(np.einsum("ij,ij->", np.linalg.inv(g), s))
-    return s - 0.5 * r * g
+    geo = PointGeometry(m, point, cfg or DEFAULT_NUMERICS)
+    return TensorSample("tensor02", geo.ricci, geo.point, symmetric=True, symmetry_defect=geo.ricci_asymmetry)
 
 
 def einstein_tensor(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
     """G_ij = S_ij - (r/2) g_ij."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor02", _einstein(m, p, cfg), p, symmetric=True)
+    geo = PointGeometry(m, point, cfg or DEFAULT_NUMERICS)
+    return TensorSample("tensor02", geo.einstein, geo.point, symmetric=True)
 
 
 # -- vector fields --------------------------------------------------------
@@ -440,11 +447,11 @@ class VectorFieldSpec:
 
     @classmethod
     def from_components(cls, entries: Sequence[Expr | str | float], coords: Sequence[str]) -> "VectorFieldSpec":
-        return cls(tuple(coords), components=tuple(_coerce_expr(e, coords) for e in entries))
+        return cls(tuple(coords), components=tuple(coerce_expr(e, coords) for e in entries))
 
     @classmethod
     def gradient_of(cls, potential: Expr | str, coords: Sequence[str]) -> "VectorFieldSpec":
-        return cls(tuple(coords), potential=_coerce_expr(potential, coords))
+        return cls(tuple(coords), potential=coerce_expr(potential, coords))
 
     @property
     def is_gradient(self) -> bool:
@@ -462,98 +469,97 @@ class VectorFieldSpec:
             return None
         return compile_expr(self.potential, self.coords)
 
-    def value(self, m: MetricSpec, point, cfg: NumericsConfig) -> np.ndarray:
+    def value(self, geo: PointGeometry) -> np.ndarray:
         """Contravariant components at one point (raised df for gradients)."""
-        p = np.asarray(point, dtype=float)
         if self._component_fns is not None:
+            p = np.asarray(geo.point, dtype=float)
             return np.array([fn(*p) for fn in self._component_fns])
-        partials = _grad_all(lambda q: self._potential_fn(*q), p, cfg)
-        return _ginv(m, p, cfg) @ partials
+        partials = geo.grad(_scalar_field(self._potential_fn))
+        return geo.g_inv @ partials
 
 
-def _field_fn(m: MetricSpec, v: VectorFieldSpec, cfg: NumericsConfig) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda q: v.value(m, q, cfg)
+def _scalar_field(fn: Callable[..., float]) -> Callable[[PointGeometry], float]:
+    """A compiled coordinate function as a function of lattice points.
+
+    It sees numpy scalars, as field components do in ``VectorFieldSpec.value``.
+    """
+    return lambda n: fn(*np.asarray(n.point, dtype=float))
 
 
-def cov_deriv_vector(m: MetricSpec, v: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
+def cov_deriv_vector(geo: PointGeometry, v: VectorFieldSpec) -> TensorSample:
     """nab[k,j] = (nabla_j V)^k = d_j V^k + Gamma^k_jm V^m."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor11", _cov_deriv_vector(m, v, p, cfg), p)
+    dv = geo.grad(v.value)  # dv[j,k] = d_j V^k
+    gamma = geo.gamma
+    vv = v.value(geo)
+    return TensorSample("tensor11", dv.T + np.einsum("kjm,m->kj", gamma, vv), geo.point)
 
 
-def _cov_deriv_vector(m, v, point, cfg) -> np.ndarray:
-    dv = _grad_all(_field_fn(m, v, cfg), point, cfg)  # dv[j,k] = d_j V^k
-    gamma = _gamma(m, point, cfg)
-    vv = v.value(m, point, cfg)
-    return dv.T + np.einsum("kjm,m->kj", gamma, vv)
-
-
-def lie_derivative_metric(m: MetricSpec, v: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> TensorSample:
+def lie_derivative_metric(geo: PointGeometry, v: VectorFieldSpec) -> TensorSample:
     """(Lie_V g)_ij = g(nabla_i V, e_j) + g(nabla_j V, e_i)."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return TensorSample("tensor02", _lie_metric(m, v, p, cfg), p, symmetric=True)
+    a = geo.g @ cov_deriv_vector(geo, v).components  # a[i,j] = (nabla_j V)_i
+    return TensorSample("tensor02", a + a.T, geo.point, symmetric=True)
 
 
-def _lie_metric(m, v, point, cfg) -> np.ndarray:
-    a = _g(m, point, cfg) @ _cov_deriv_vector(m, v, point, cfg)  # a[i,j] = (nabla_j V)_i
-    return a + a.T
+def _d2_same(fn: Callable[[PointGeometry], float], geo: PointGeometry, axis: int) -> float:
+    f0 = fn(geo)
+
+    def stencil(h: float) -> float:
+        return (fn(geo.shifted(axis, h)) - 2.0 * f0 + fn(geo.shifted(axis, -h))) / (h * h)
+
+    d = stencil(geo.numerics.h)
+    if geo.numerics.richardson:
+        d = (4.0 * stencil(geo.numerics.h / 2) - d) / 3.0
+    return d
 
 
-def gradient_scalar(m: MetricSpec, f: Expr, point, cfg: NumericsConfig | None = None) -> TensorSample:
-    """(grad f)^i = g^ij d_j f."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    fn = compile_expr(f, m.coords)
-    partials = _grad_all(lambda q: fn(*q), p, cfg)
-    return TensorSample("vector", _ginv(m, p, cfg) @ partials, p)
+def _d2_cross(fn: Callable[[PointGeometry], float], geo: PointGeometry, ax1: int, ax2: int) -> float:
+    def stencil(h: float) -> float:
+        pp = fn(geo.shifted(ax1, h).shifted(ax2, h))
+        pm = fn(geo.shifted(ax1, h).shifted(ax2, -h))
+        mp = fn(geo.shifted(ax1, -h).shifted(ax2, h))
+        mm = fn(geo.shifted(ax1, -h).shifted(ax2, -h))
+        return (pp - pm - mp + mm) / (4.0 * h * h)
+
+    d = stencil(geo.numerics.h)
+    if geo.numerics.richardson:
+        d = (4.0 * stencil(geo.numerics.h / 2) - d) / 3.0
+    return d
 
 
-def hessian_scalar(m: MetricSpec, f: Expr, point, cfg: NumericsConfig | None = None) -> TensorSample:
+def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
     """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    fn = compile_expr(f, m.coords)
-    scalar = lambda q: fn(*q)  # noqa: E731
-    n = m.dim
-    d2 = np.empty((n, n))
-    for i in range(n):
-        d2[i, i] = _d2_same(scalar, p, i, cfg)
+    scalar = _scalar_field(compile_expr(f, geo.metric.coords))
+    dim = len(geo.point)
+    d2 = np.empty((dim, dim))
+    for i in range(dim):
+        d2[i, i] = _d2_same(scalar, geo, i)
         for j in range(i):
-            d2[i, j] = d2[j, i] = _d2_cross(scalar, p, i, j, cfg)
-    partials = _grad_all(scalar, p, cfg)
-    hess = d2 - np.einsum("kij,k->ij", _gamma(m, p, cfg), partials)
+            d2[i, j] = d2[j, i] = _d2_cross(scalar, geo, i, j)
+    partials = geo.grad(scalar)
+    hess = d2 - np.einsum("kij,k->ij", geo.gamma, partials)
     hess = 0.5 * (hess + hess.T)
-    return TensorSample("tensor02", hess, p, symmetric=True)
+    return TensorSample("tensor02", hess, geo.point, symmetric=True)
 
 
-def divergence_vector(m: MetricSpec, v: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> float:
+def divergence_vector(geo: PointGeometry, v: VectorFieldSpec) -> float:
     """div V = (nabla_k V)^k."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    return float(np.trace(_cov_deriv_vector(m, v, p, cfg)))
+    return float(np.trace(cov_deriv_vector(geo, v).components))
 
 
-def laplacian_routes(m: MetricSpec, f: Expr, point, cfg: NumericsConfig | None = None) -> tuple[float, float]:
+def laplacian_routes(geo: PointGeometry, f: Expr) -> tuple[float, float]:
     """(div grad f, trace of Hess f) -- two independent Laplacian routes."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    grad_field = VectorFieldSpec.gradient_of(f, m.coords)
-    div_route = divergence_vector(m, grad_field, p, cfg)
-    trace_route = float(
-        np.einsum("ij,ij->", _ginv(m, p, cfg), hessian_scalar(m, f, p, cfg).components)
-    )
+    grad_field = VectorFieldSpec.gradient_of(f, geo.metric.coords)
+    div_route = divergence_vector(geo, grad_field)
+    trace_route = float(np.einsum("ij,ij->", geo.g_inv, hessian_scalar(geo, f).components))
     return div_route, trace_route
 
 
-def laplacian_scalar(m: MetricSpec, f: Expr, point, cfg: NumericsConfig | None = None) -> float:
+def laplacian_scalar(geo: PointGeometry, f: Expr) -> float:
     """Laplace-Beltrami of f; errors if the two routes disagree."""
-    cfg = cfg or DEFAULT_NUMERICS
-    div_route, trace_route = laplacian_routes(m, f, point, cfg)
-    if abs(div_route - trace_route) > cfg.two_route_tol:
+    div_route, trace_route = laplacian_routes(geo, f)
+    if abs(div_route - trace_route) > geo.numerics.two_route_tol:
         raise TwoRouteMismatch(
-            f"laplacian routes differ by {abs(div_route - trace_route):.3e} at {tuple(point)}"
+            f"laplacian routes differ by {abs(div_route - trace_route):.3e} at {geo.point}"
         )
     return trace_route
 
@@ -599,90 +605,57 @@ def frame_from_matrix(
     return FramePack(np.array([vectors[i] for i in order]), tuple(signs[i] for i in order), tuple(point))
 
 
-def orthonormal_frame(
-    m: MetricSpec,
-    point,
-    timelike_hint: np.ndarray | Sequence[float] | None = None,
-    cfg: NumericsConfig | None = None,
-) -> FramePack:
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    hint = None if timelike_hint is None else np.asarray(timelike_hint, dtype=float)
-    return frame_from_matrix(_g(m, p, cfg), hint, p)
-
-
 # -- (1,1) tensor fields ----------------------------------------------------
 
 
-def cov_deriv_tensor11(
-    m: MetricSpec,
-    f_field: Callable[[np.ndarray], np.ndarray],
-    point,
-    cfg: NumericsConfig | None = None,
-) -> np.ndarray:
+def cov_deriv_tensor11(geo: PointGeometry, f_field: Callable[[PointGeometry], np.ndarray]) -> np.ndarray:
     """covF[i,k,j] = (nabla_i F)^k_j for a componentwise (1,1) field."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    df = _grad_all(f_field, p, cfg)  # df[i,k,j] = d_i F^k_j
-    gamma = _gamma(m, p, cfg)
-    f0 = np.asarray(f_field(np.asarray(p)), dtype=float)
+    df = geo.grad(f_field)  # df[i,k,j] = d_i F^k_j
+    gamma = geo.gamma
+    f0 = np.asarray(f_field(geo), dtype=float)
     return df + np.einsum("kim,mj->ikj", gamma, f0) - np.einsum("mij,km->ikj", gamma, f0)
 
 
-def div_tensor11(
-    m: MetricSpec,
-    f_field: Callable[[np.ndarray], np.ndarray],
-    point,
-    cfg: NumericsConfig | None = None,
-) -> TensorSample:
+def div_tensor11(geo: PointGeometry, f_field: Callable[[PointGeometry], np.ndarray]) -> TensorSample:
     """(div F)_j = (nabla_k F)^k_j, the frame-trace of the covariant derivative."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    cov = cov_deriv_tensor11(m, f_field, p, cfg)
-    return TensorSample("oneform", np.einsum("kkj->j", cov), p)
+    return TensorSample("oneform", np.einsum("kkj->j", cov_deriv_tensor11(geo, f_field)), geo.point)
 
 
 # -- health checks -----------------------------------------------------------
 
 
-def riemann_antisymmetry_residual(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float:
+def riemann_antisymmetry_residual(geo: PointGeometry) -> float:
     """max |R^l_kij + R^l_kji|."""
-    r = riemann(m, point, cfg).components
+    r = geo.riemann
     return max_abs(r + np.einsum("lkij->lkji", r))
 
 
-def bianchi_first_residual(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float:
+def bianchi_first_residual(geo: PointGeometry) -> float:
     """Cyclic sum over the lowered last three slots of the curvature."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    low = np.einsum("lm,mkij->lkij", _g(m, p, cfg), _riemann(m, p, cfg))
+    low = np.einsum("lm,mkij->lkij", geo.g, geo.riemann)
     cyc = low + np.einsum("lkij->lijk", low) + np.einsum("lkij->ljki", low)
     return max_abs(cyc)
 
 
-def contracted_bianchi_residual(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float:
+def contracted_bianchi_residual(geo: PointGeometry) -> float:
     """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    dg_field = _grad_all(lambda q: _einstein(m, q, cfg), p, cfg)  # [k,i,j] = d_k G_ij
-    gamma = _gamma(m, p, cfg)
-    g0 = _einstein(m, p, cfg)
+    dg_field = geo.grad(lambda n: n.einstein)  # [k,i,j] = d_k G_ij
+    gamma = geo.gamma
+    g0 = geo.einstein
     cov = (
         dg_field
         - np.einsum("mki,mj->kij", gamma, g0)
         - np.einsum("mkj,im->kij", gamma, g0)
     )
-    div = np.einsum("ki,kij->j", _ginv(m, p, cfg), cov)
+    div = np.einsum("ki,kij->j", geo.g_inv, cov)
     return max_abs(div)
 
 
-def metric_compatibility_residual(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float:
+def metric_compatibility_residual(geo: PointGeometry) -> float:
     """max |nabla_k g_ij| with the same stencils that built Gamma."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    dg = _dmetric(m, p, cfg)
-    gamma = _christoffel_from_dg(_ginv(m, p, cfg), dg)
-    g0 = _g(m, p, cfg)
+    dg = geo.dg
+    gamma = geo.gamma
+    g0 = geo.g
     cov = dg - np.einsum("mki,mj->kij", gamma, g0) - np.einsum("mkj,im->kij", gamma, g0)
     return max_abs(cov)
 
@@ -701,20 +674,19 @@ def _christoffel_exact(m: MetricSpec, point) -> np.ndarray:
     return _christoffel_from_dg(np.linalg.inv(g), dg)
 
 
-def fd_convergence_ratio(m: MetricSpec, point, cfg: NumericsConfig | None = None) -> float | None:
+def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     """Error ratio of plain second-order stencils when h is halved.
 
     Measured on the connection coefficients against the symbolic-derivative
     oracle with Richardson off; ~4 for healthy second-order stencils.  None
     when the error is at roundoff level (flat metrics).
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    exact = _christoffel_exact(m, p)
+    cfg = geo.numerics
+    exact = _christoffel_exact(geo.metric, geo.point)
     errs = []
     for h in (cfg.h, cfg.h / 2):
         plain = NumericsConfig(h=h, richardson=False, degeneracy_threshold=cfg.degeneracy_threshold)
-        errs.append(max_abs(_gamma(m, p, plain) - exact))
+        errs.append(max_abs(PointGeometry(geo.metric, geo.point, plain).gamma - exact))
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):
         return None
     return errs[0] / errs[1]

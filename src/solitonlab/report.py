@@ -28,6 +28,7 @@ from . import __version__
 from .expressions import EvalDomainError
 from .geometry import (
     GeometryError,
+    PointGeometry,
     bianchi_first_residual,
     contracted_bianchi_residual,
     fd_convergence_ratio,
@@ -35,7 +36,6 @@ from .geometry import (
     max_abs,
     metric_at,
     metric_compatibility_residual,
-    ricci,
     riemann_antisymmetry_residual,
 )
 from .scenario import Scenario
@@ -335,26 +335,24 @@ def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float |
 
 def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bool) -> _PointRecord:
     rec = _PointRecord(coordinates=tuple(float(v) for v in point))
-    m = scenario.metric
-    cfg = scenario.numerics
     coords = scenario.coords
     v = scenario.vector_field
 
-    g_sample = metric_at(m, point, cfg)
-    g = g_sample.components
-    g_inv = np.linalg.inv(g)
-    s_sample = ricci(m, point, cfg)
-    s = s_sample.components
-    r = float(np.einsum("ij,ij->", g_inv, s))
+    # one lattice for every identity at this point, dropped when it returns
+    geo = PointGeometry(scenario.metric, point, scenario.numerics)
+    g = geo.g
+    g_inv = geo.g_inv
+    s = geo.ricci
+    r = geo.scalar
     rec.derived["scalar_curvature"] = r
-    rec.derived["ricci_asymmetry"] = s_sample.symmetry_defect or 0.0
+    rec.derived["ricci_asymmetry"] = geo.ricci_asymmetry
 
-    rec.add("riemann_antisymmetry", riemann_antisymmetry_residual(m, point, cfg), tols["riemann_antisymmetry"], True)
-    rec.add("bianchi_first", bianchi_first_residual(m, point, cfg), tols["bianchi_first"], True)
-    rec.add("bianchi_contracted", contracted_bianchi_residual(m, point, cfg), tols["bianchi_contracted"], True)
-    rec.add("metric_compatibility", metric_compatibility_residual(m, point, cfg), tols["metric_compatibility"], True)
+    rec.add("riemann_antisymmetry", riemann_antisymmetry_residual(geo), tols["riemann_antisymmetry"], True)
+    rec.add("bianchi_first", bianchi_first_residual(geo), tols["bianchi_first"], True)
+    rec.add("bianchi_contracted", contracted_bianchi_residual(geo), tols["bianchi_contracted"], True)
+    rec.add("metric_compatibility", metric_compatibility_residual(geo), tols["metric_compatibility"], True)
 
-    v_val = v.value(m, point, cfg) if v is not None else None
+    v_val = v.value(geo) if v is not None else None
     unit_timelike = False
     if v_val is not None:
         unit_timelike = abs(float(v_val @ g @ v_val) + 1.0) <= tols["unit_timelike"]
@@ -391,11 +389,11 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
             fluid_state = scenario.fluid
             if scenario.fluid_fit_requested:
                 fluid_state = FluidState(fluid_values.sigma, fluid_values.rho, fluid_values.kappa, fluid_values.lam)
-            efe = efe_residual(m, fluid_state, v, point, cfg)
+            efe = efe_residual(geo, fluid_state, v)
             efe_norm = max_abs(efe.components)
             efe_ok = efe_norm <= tols["applicability"]
             rec.add("efe_residual", efe_norm, tols["efe_residual"], scenario.assert_field_equation)
-            eig = einstein_eigen_check(m, fluid_state, v, point, cfg, tols["applicability"])
+            eig = einstein_eigen_check(geo, fluid_state, v, tols["applicability"])
             rec.add(
                 "einstein_eigen_multiset",
                 eig.max_deviation,
@@ -406,28 +404,28 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
 
     # vector-field block: unconditional decomposition and skewness
     if v is not None:
-        rec.add("nabla_decomposition", nabla_decomposition_check(m, v, point, cfg), tols["nabla_decomposition"], True)
-        pack = two_form_pack(m, v, point, cfg)
+        rec.add("nabla_decomposition", nabla_decomposition_check(geo, v), tols["nabla_decomposition"], True)
+        pack = two_form_pack(geo, v)
         rec.add("f_skew_adjoint", pack.skew_defect, tols["f_skew_adjoint"], True)
 
         torse_asserted = "torse" in scenario.assertions and unit_timelike
-        rec.add("torse_forming", torse_forming_residual(m, v, point, cfg), tols["torse_forming"], torse_asserted, applicable=unit_timelike)
-        tc = torse_consequence_residuals(m, v, point, cfg)
+        rec.add("torse_forming", torse_forming_residual(geo, v), tols["torse_forming"], torse_asserted, applicable=unit_timelike)
+        tc = torse_consequence_residuals(geo, v)
         rec.add("torse_geodesic_flow", tc.geodesic_flow, tols["torse_geodesic_flow"], torse_asserted, applicable=tc.unit_timelike)
         rec.add("torse_eta_derivative", tc.eta_derivative, tols["torse_eta_derivative"], torse_asserted, applicable=tc.unit_timelike)
         rec.add("torse_curvature_action", tc.curvature_action, tols["torse_curvature_action"], torse_asserted, applicable=tc.unit_timelike)
         rec.add("torse_eta_curvature", tc.eta_curvature, tols["torse_eta_curvature"], torse_asserted, applicable=tc.unit_timelike)
-        rec.add("torse_lie_form", torse_lie_residual(m, v, point, cfg), tols["torse_lie_form"], torse_asserted, applicable=unit_timelike)
+        rec.add("torse_lie_form", torse_lie_residual(geo, v), tols["torse_lie_form"], torse_asserted, applicable=unit_timelike)
 
         if v.is_gradient:
-            div_route, trace_route = laplacian_routes(m, v.potential, point, cfg)
+            div_route, trace_route = laplacian_routes(geo, v.potential)
             rec.derived["laplacian"] = trace_route
             rec.add("laplacian_two_route", abs(div_route - trace_route), tols["laplacian_two_route"], True)
 
     # soliton block
     params = scenario.soliton
     if solve and params is not None and v is not None:
-        samples = PointSamples.from_geometry(m, v, point, cfg)
+        samples = PointSamples.from_geometry(geo, v)
         lie_xi_xi = abs(float(v_val @ samples.lie_vg @ v_val)) if v_val is not None else None
         projection_valid = unit_timelike and lie_xi_xi is not None and lie_xi_xi <= tols["applicability"]
 
@@ -477,7 +475,7 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
         lam_eff, mu_eff = _effective_constants(scenario, rec)
         if params.family == "gradient_ricci_yamabe":
             if v.is_gradient and lam_eff is not None:
-                res = gradient_soliton_residual(m, v.potential, dataclasses.replace(params, lam=lam_eff), point, cfg)
+                res = gradient_soliton_residual(geo, v.potential, dataclasses.replace(params, lam=lam_eff))
                 rec.add(
                     "soliton_residual",
                     max_abs(res.components),
@@ -492,9 +490,7 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
             # (non-eta) soliton equation; the vertical term changes the
             # covariant-derivative split, so they do not carry over
             if fluid_values is not None and params.family not in ETA_FAMILIES:
-                ident = potential_field_identities(
-                    m, v, fluid_values, eff, point, cfg, applicability_tol=tols["applicability"]
-                )
+                ident = potential_field_identities(geo, v, fluid_values, eff, applicability_tol=tols["applicability"])
                 rec.add(
                     "potential_curvature_identity",
                     ident.curvature_identity,
@@ -523,9 +519,7 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
             and fluid_values is not None
         ):
             try:
-                lap_res = laplacian_identity_check(
-                    m, v.potential, fluid_values, params.alpha, params.beta, point, cfg, mu=None
-                )
+                lap_res = laplacian_identity_check(geo, v.potential, fluid_values, params.alpha, params.beta, mu=None)
                 rec.add("laplacian_identity", abs(lap_res), tols["laplacian_identity"], True)
             except UnitNormError:
                 rec.add("laplacian_identity", None, tols["laplacian_identity"], False, applicable=False)
@@ -629,7 +623,7 @@ def _summarize(scenario: Scenario, records: list[_PointRecord], tols: dict[str, 
         if rec.error is None:
             try:
                 health["fd_convergence_ratio"] = fd_convergence_ratio(
-                    scenario.metric, rec.coordinates, scenario.numerics
+                    PointGeometry(scenario.metric, rec.coordinates, scenario.numerics)
                 )
             except (EvalDomainError, GeometryError):
                 health["fd_convergence_ratio"] = None

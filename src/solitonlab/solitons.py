@@ -16,7 +16,7 @@ the tag is carried in the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,22 +26,16 @@ from .geometry import (
     GeometryError,
     MetricSpec,
     NumericsConfig,
+    PointGeometry,
     TensorSample,
     VectorFieldSpec,
-    _as_point,
-    _cov_deriv_vector,
-    _g,
-    _gamma,
-    _ginv,
-    _grad_all,
-    _lie_metric,
-    _ricci,
-    _riemann,
     cov_deriv_tensor11,
+    cov_deriv_vector,
     div_tensor11,
     divergence_vector,
     hessian_scalar,
     laplacian_routes,
+    lie_derivative_metric,
     max_abs,
 )
 from .spacetimes import FluidValues, UnitNormError, ricci_from_fluid
@@ -154,38 +148,32 @@ class PointSamples:
     @classmethod
     def from_geometry(
         cls,
-        m: MetricSpec,
+        geo: PointGeometry,
         v: VectorFieldSpec,
-        point,
-        cfg: NumericsConfig | None = None,
         xi: VectorFieldSpec | None = None,
     ) -> "PointSamples":
-        """Samples from the chart: Lie derivative along ``v``, curvature of ``m``.
+        """Samples from the chart: Lie derivative along ``v``, curvature of the metric.
 
         ``xi`` is the reference timelike field for projections; it defaults
         to ``v`` itself (the usual case where the potential field is the
         fluid velocity).
         """
-        cfg = cfg or DEFAULT_NUMERICS
-        p = _as_point(m, point)
-        g = _g(m, p, cfg)
-        g_inv = np.linalg.inv(g)
-        lie = _lie_metric(m, v, p, cfg)
-        s = _ricci(m, p, cfg)
-        r = float(np.einsum("ij,ij->", g_inv, s))
+        g = geo.g
+        lie = lie_derivative_metric(geo, v).components
+        s = geo.ricci
         xi_field = xi if xi is not None else v
-        xi_val = xi_field.value(m, p, cfg)
+        xi_val = xi_field.value(geo)
         return cls(
             g=g,
-            g_inv=g_inv,
+            g_inv=geo.g_inv,
             lie_vg=lie,
             ricci=s,
-            scalar=r,
+            scalar=geo.scalar,
             xi=xi_val,
             eta=g @ xi_val,
-            div_xi=divergence_vector(m, xi_field, p, cfg),
-            point=p,
-            coords=m.coords,
+            div_xi=divergence_vector(geo, xi_field),
+            point=geo.point,
+            coords=geo.metric.coords,
         )
 
     @classmethod
@@ -259,24 +247,15 @@ def soliton_residual(samples: PointSamples, params: SolitonParams) -> TensorSamp
     return TensorSample("tensor02", res, samples.point or (), symmetric=True)
 
 
-def gradient_soliton_residual(
-    m: MetricSpec,
-    f: Expr,
-    params: SolitonParams,
-    point,
-    cfg: NumericsConfig | None = None,
-) -> TensorSample:
+def gradient_soliton_residual(geo: PointGeometry, f: Expr, params: SolitonParams) -> TensorSample:
     """Hess f + alpha S - [lam - beta r / 2] g for the gradient family."""
-    cfg = cfg or DEFAULT_NUMERICS
     if params.lam is None:
         raise ValueError("gradient soliton residual needs lam")
-    p = _as_point(m, point)
-    hess = hessian_scalar(m, f, p, cfg).components
-    g = _g(m, p, cfg)
-    s = _ricci(m, p, cfg)
-    r = float(np.einsum("ij,ij->", np.linalg.inv(g), s))
-    res = hess + params.alpha * s - (params.lam - 0.5 * params.beta * r) * g
-    return TensorSample("tensor02", res, p, symmetric=True)
+    hess = hessian_scalar(geo, f).components
+    g = geo.g
+    s = geo.ricci
+    res = hess + params.alpha * s - (params.lam - 0.5 * params.beta * geo.scalar) * g
+    return TensorSample("tensor02", res, geo.point, symmetric=True)
 
 
 # -- projections and closed forms ---------------------------------------------
@@ -380,19 +359,17 @@ def ckv_fit(
     theta_residuals: list[float] = []
     r0: float | None = None
     for point in points:
-        p = _as_point(m, point)
-        g = _g(m, p, cfg)
-        g_inv = np.linalg.inv(g)
-        lie = _lie_metric(m, v, p, cfg)
-        phi = float(np.einsum("ij,ij->", g_inv, lie)) / (2.0 * n)
+        geo = PointGeometry(m, point, cfg)
+        g = geo.g
+        lie = lie_derivative_metric(geo, v).components
+        phi = float(np.einsum("ij,ij->", geo.g_inv, lie)) / (2.0 * n)
         phis.append(phi)
         residuals.append(max_abs(lie - 2.0 * phi * g))
-        s = _ricci(m, p, cfg)
-        theta, theta_res = einstein_fit_point(s, g)
+        theta, theta_res = einstein_fit_point(geo.ricci, g)
         thetas.append(theta)
         theta_residuals.append(theta_res)
         if r0 is None:
-            r0 = float(np.einsum("ij,ij->", g_inv, s))
+            r0 = geo.scalar
     residual = max(residuals)
     if residual > tolerance:
         category = "not_ckv"
@@ -432,8 +409,8 @@ def einstein_fit(m: MetricSpec, points: Sequence[Sequence[float]], cfg: Numerics
     cfg = cfg or DEFAULT_NUMERICS
     thetas, residuals = [], []
     for point in points:
-        p = _as_point(m, point)
-        theta, res = einstein_fit_point(_ricci(m, p, cfg), _g(m, p, cfg))
+        geo = PointGeometry(m, point, cfg)
+        theta, res = einstein_fit_point(geo.ricci, geo.g)
         thetas.append(theta)
         residuals.append(res)
     return EinsteinFit(tuple(thetas), tuple(residuals))
@@ -463,48 +440,43 @@ class TwoFormPack:
     point: tuple[float, ...]
 
 
-def _omega_field(m: MetricSpec, v: VectorFieldSpec, cfg: NumericsConfig) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda q: _g(m, q, cfg) @ v.value(m, q, cfg)
+def _omega(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
+    return geo.g @ v.value(geo)
 
 
-def two_form_pack(m: MetricSpec, v: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> TwoFormPack:
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    omega = _omega_field(m, v, cfg)(np.asarray(p))
-    domega_raw = _grad_all(_omega_field(m, v, cfg), p, cfg)  # [i,j] = d_i omega_j
-    d_omega = 0.5 * (domega_raw - domega_raw.T)
-    f_mixed = _ginv(m, p, cfg) @ d_omega
-    gf = _g(m, p, cfg) @ f_mixed
+def _d_omega(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
+    domega_raw = geo.grad(lambda n: _omega(n, v))  # [i,j] = d_i omega_j
+    return 0.5 * (domega_raw - domega_raw.T)
+
+
+def two_form_pack(geo: PointGeometry, v: VectorFieldSpec) -> TwoFormPack:
+    omega = _omega(geo, v)
+    d_omega = _d_omega(geo, v)
+    f_mixed = geo.g_inv @ d_omega
+    gf = geo.g @ f_mixed
     skew_defect = max_abs(gf + gf.T)
     if skew_defect > 1e-9 * max(1.0, max_abs(gf)):
         raise GeometryError(f"rotation map is not skew self-adjoint (defect {skew_defect:.3e})")
-    return TwoFormPack(omega, d_omega, f_mixed, skew_defect, p)
+    return TwoFormPack(omega, d_omega, f_mixed, skew_defect, geo.point)
 
 
-def f_field_of(m: MetricSpec, v: VectorFieldSpec, cfg: NumericsConfig | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """The (1,1) rotation field of V as a componentwise function of the point."""
-    cfg = cfg or DEFAULT_NUMERICS
-
-    def field(q: np.ndarray) -> np.ndarray:
-        domega_raw = _grad_all(_omega_field(m, v, cfg), q, cfg)
-        return _ginv(m, q, cfg) @ (0.5 * (domega_raw - domega_raw.T))
-
-    return field
+def f_field_of(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
+    """Components of the (1,1) rotation field of V at one point."""
+    d_omega = _d_omega(geo, v)
+    return geo.g_inv @ d_omega
 
 
-def nabla_decomposition_check(m: MetricSpec, v: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> float:
+def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
     """Residual of g(nabla_X V, Y) = (Lie_V g)(X,Y)/2 - g(FX, Y).
 
     This split into symmetric and antisymmetric parts is unconditional; the
     residual is pure stencil noise for every field.
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    g = _g(m, p, cfg)
-    nabla = _cov_deriv_vector(m, v, p, cfg)  # [k,j] = (nabla_j V)^k
+    g = geo.g
+    nabla = cov_deriv_vector(geo, v).components  # [k,j] = (nabla_j V)^k
     a = (g @ nabla).T  # a[i,j] = (nabla_i V)_j
-    lie = _lie_metric(m, v, p, cfg)
-    pack = two_form_pack(m, v, p, cfg)
+    lie = lie_derivative_metric(geo, v).components
+    pack = two_form_pack(geo, v)
     gf = g @ pack.f_mixed
     return max_abs(a - 0.5 * lie + gf.T)
 
@@ -524,12 +496,10 @@ class PotentialIdentityResult:
 
 
 def potential_field_identities(
-    m: MetricSpec,
+    geo: PointGeometry,
     v: VectorFieldSpec,
     values: FluidValues,
     params: SolitonParams,
-    point,
-    cfg: NumericsConfig | None = None,
     xi: VectorFieldSpec | None = None,
     applicability_tol: float = 1e-6,
 ) -> PotentialIdentityResult:
@@ -544,23 +514,21 @@ def potential_field_identities(
     The residuals are always reported; asserting them without the
     hypotheses would be meaningless.
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    n = m.dim
-    g = _g(m, p, cfg)
-    riem = _riemann(m, p, cfg)
-    vv = v.value(m, p, cfg)
+    n = geo.metric.dim
+    g = geo.g
+    riem = geo.riemann
+    vv = v.value(geo)
     omega = g @ vv
     xi_field = xi if xi is not None else v
-    xi_val = xi_field.value(m, p, cfg)
+    xi_val = xi_field.value(geo)
     eta = g @ xi_val
     coeff = params.alpha * values.kappa * (values.sigma + values.rho)
     if abs(coeff) > 0.0:
         norm = float(xi_val @ g @ xi_val)
         if abs(norm + 1.0) > 1e-6:
             raise UnitNormError(f"identity terms need a unit timelike field, g(xi,xi) = {norm!r}")
-    f_field = f_field_of(m, v, cfg)
-    cov_f = cov_deriv_tensor11(m, f_field, p, cfg)  # [a,k,j] = (nabla_a F)^k_j
+    f_field = lambda q: f_field_of(q, v)  # noqa: E731
+    cov_f = cov_deriv_tensor11(geo, f_field)  # [a,k,j] = (nabla_a F)^k_j
     eye = np.eye(n)
 
     # curvature acting on V vs the antisymmetrised derivative of F
@@ -573,7 +541,7 @@ def potential_field_identities(
     curvature_res = max_abs(lhs - rhs)
 
     # divergence of F against the fluid terms
-    div_f = div_tensor11(m, f_field, p, cfg).components
+    div_f = div_tensor11(geo, f_field).components
     eta_v = float(eta @ vv)
     rhs_div = (
         -values.kappa * (values.sigma + values.rho) * (3.0 * params.alpha + eta_v) * eta
@@ -582,23 +550,23 @@ def potential_field_identities(
     divergence_res = max_abs(div_f - rhs_div)
 
     # gradient of |V|^2 against the Lie derivative and rotation terms
-    norm_fn = lambda q: float(v.value(m, q, cfg) @ _g(m, q, cfg) @ v.value(m, q, cfg))  # noqa: E731
-    dnorm = _grad_all(norm_fn, p, cfg)
-    f0 = f_field(np.asarray(p))
-    lie = _lie_metric(m, v, p, cfg)
+    norm_fn = lambda q: float(v.value(q) @ q.g @ v.value(q))  # noqa: E731
+    dnorm = geo.grad(norm_fn)
+    f0 = f_field(geo)
+    lie = lie_derivative_metric(geo, v).components
     norm_res = max_abs(dnorm + 2.0 * (f0.T @ omega) - lie @ vv)
 
-    fluid_gap = max_abs(_ricci(m, p, cfg) - ricci_from_fluid(values, g, eta))
+    fluid_gap = max_abs(geo.ricci - ricci_from_fluid(values, g, eta))
     scale = 1.0 + abs(values.lam) + abs(coeff)
     torse_res: float | None = None
     torse_ok = True
     if abs(coeff) > 0.0:
-        torse_res = torse_forming_residual(m, xi_field, p, cfg)
+        torse_res = torse_forming_residual(geo, xi_field)
         torse_ok = torse_res <= applicability_tol
     soliton_norm: float | None = None
     applicable = False
     if params.lam is not None and (params.family not in ETA_FAMILIES or params.mu is not None):
-        samples = PointSamples.from_geometry(m, v, p, cfg, xi=xi_field)
+        samples = PointSamples.from_geometry(geo, v, xi=xi_field)
         soliton_norm = max_abs(soliton_residual(samples, params).components)
         applicable = (
             soliton_norm <= applicability_tol
@@ -634,8 +602,9 @@ def eta_projection_solve(
     """Solve for (lam, mu) from the frame trace and xi-xi projections.
 
     Both projection equations are built from the actual numerical samples
-    (trace weighted by the frame signs equals the g-trace); the linear
-    system has constant determinant 3, which is asserted.
+    (trace weighted by the frame signs equals the g-trace).  For a unit
+    timelike reference field the linear system has determinant 3 in
+    magnitude; any other value raises GeometryError.
     """
     if samples.xi is None or samples.eta is None:
         raise ValueError("eta projections need the reference timelike field")
@@ -651,7 +620,8 @@ def eta_projection_solve(
     b = -proj(0.0, 0.0)
     a = np.column_stack([proj(1.0, 0.0) + b, proj(0.0, 1.0) + b])
     det = float(np.linalg.det(a))
-    assert abs(abs(det) - 3.0) < 1e-9, f"projection system determinant {det!r}, expected |det| = 3"
+    if not abs(abs(det) - 3.0) < 1e-9:
+        raise GeometryError(f"projection system determinant {det!r}, expected |det| = 3 (unit timelike xi)")
     lam, mu = np.linalg.solve(a, b)
     back = max_abs(proj(float(lam), float(mu)))
     return EtaSolitonSolve(
@@ -687,13 +657,11 @@ def eta_closed_forms(
 
 
 def laplacian_identity_check(
-    m: MetricSpec,
+    geo: PointGeometry,
     f: Expr,
     fluid_values: FluidValues,
     alpha: float,
     beta: float,
-    point,
-    cfg: NumericsConfig | None = None,
     mu: float | None = None,
 ) -> float:
     """Laplacian of the potential against the closed-form prediction.
@@ -702,16 +670,14 @@ def laplacian_identity_check(
     supplied it is taken from the closed forms with the divergence of
     grad f computed geometrically (two Laplacian routes must agree).
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    grad_field = VectorFieldSpec.gradient_of(f, m.coords)
-    g = _g(m, p, cfg)
-    grad = grad_field.value(m, p, cfg)
+    grad_field = VectorFieldSpec.gradient_of(f, geo.metric.coords)
+    g = geo.g
+    grad = grad_field.value(geo)
     norm = float(grad @ g @ grad)
     if abs(norm + 1.0) > 1e-6:
         raise UnitNormError(f"g(grad f, grad f) = {norm!r}, expected -1")
-    div_route, trace_route = laplacian_routes(m, f, p, cfg)
-    if abs(div_route - trace_route) > cfg.two_route_tol:
+    div_route, trace_route = laplacian_routes(geo, f)
+    if abs(div_route - trace_route) > geo.numerics.two_route_tol:
         raise GeometryError(
             f"laplacian routes disagree by {abs(div_route - trace_route):.3e}"
         )
@@ -735,36 +701,29 @@ class TorseResiduals:
     unit_timelike: bool
 
 
-def torse_forming_residual(m: MetricSpec, xi: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> float:
+def torse_forming_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
     """Worst-direction residual of nabla_X xi = X + eta(X) xi."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    nabla = _cov_deriv_vector(m, xi, p, cfg)  # [k,j]
-    xi_val = xi.value(m, p, cfg)
-    eta = _g(m, p, cfg) @ xi_val
-    expected = np.eye(m.dim) + np.outer(xi_val, eta)  # [k,j] = delta^k_j + eta_j xi^k
+    nabla = cov_deriv_vector(geo, xi).components  # [k,j]
+    xi_val = xi.value(geo)
+    eta = geo.g @ xi_val
+    expected = np.eye(geo.metric.dim) + np.outer(xi_val, eta)  # [k,j] = delta^k_j + eta_j xi^k
     return max_abs(nabla - expected)
 
 
-def torse_consequence_residuals(
-    m: MetricSpec, xi: VectorFieldSpec, point, cfg: NumericsConfig | None = None
-) -> TorseResiduals:
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    g = _g(m, p, cfg)
-    xi_val = xi.value(m, p, cfg)
+def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> TorseResiduals:
+    g = geo.g
+    xi_val = xi.value(geo)
     eta = g @ xi_val
     unit = abs(float(xi_val @ g @ xi_val) + 1.0) <= 1e-6
-    nabla = _cov_deriv_vector(m, xi, p, cfg)
+    nabla = cov_deriv_vector(geo, xi).components
     geodesic = max_abs(nabla @ xi_val)
 
-    eta_field = _omega_field(m, xi, cfg)
-    deta = _grad_all(eta_field, p, cfg)  # [i,j] = d_i eta_j
-    cov_eta = deta - np.einsum("kij,k->ij", _gamma(m, p, cfg), eta)
+    deta = geo.grad(lambda n: _omega(n, xi))  # [i,j] = d_i eta_j
+    cov_eta = deta - np.einsum("kij,k->ij", geo.gamma, eta)
     eta_res = max_abs(cov_eta - g - np.outer(eta, eta))
 
-    riem = _riemann(m, p, cfg)
-    eye = np.eye(m.dim)
+    riem = geo.riemann
+    eye = np.eye(geo.metric.dim)
     curv = np.einsum("lkij,k->lij", riem, xi_val) - (
         np.einsum("j,li->lij", eta, eye) - np.einsum("i,lj->lij", eta, eye)
     )
@@ -777,10 +736,8 @@ def torse_consequence_residuals(
     return TorseResiduals(geodesic, eta_res, curv_res, eta_curv_res, unit)
 
 
-def torse_lie_residual(m: MetricSpec, xi: VectorFieldSpec, point, cfg: NumericsConfig | None = None) -> float:
+def torse_lie_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
     """Residual of (Lie_xi g) = 2 [g + eta (x) eta], the torse-forming Lie form."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    g = _g(m, p, cfg)
-    eta = g @ xi.value(m, p, cfg)
-    return max_abs(_lie_metric(m, xi, p, cfg) - 2.0 * (g + np.outer(eta, eta)))
+    g = geo.g
+    eta = g @ xi.value(geo)
+    return max_abs(lie_derivative_metric(geo, xi).components - 2.0 * (g + np.outer(eta, eta)))

@@ -18,21 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import Binary, Const, Expr, Unary, Var, evaluate, variables
+from .expressions import Binary, Const, Expr, Unary, Var, coerce_expr, evaluate, variables
 from .geometry import (
-    DEFAULT_NUMERICS,
     GeometryError,
     MetricSpec,
-    NumericsConfig,
+    PointGeometry,
     TensorSample,
     VectorFieldSpec,
-    _as_point,
-    _coerce_expr,
-    _g,
-    _ricci,
     frame_from_matrix,
     max_abs,
-    scalar_curvature,
 )
 
 __all__ = [
@@ -149,7 +143,7 @@ def catalog_metric(
     elif name == "grw_flat":
         if scale_factor is None:
             raise ValueError("grw_flat requires a scale_factor expression")
-        q = _coerce_expr(scale_factor, coords)
+        q = coerce_expr(scale_factor, coords)
         extra = variables(q) - {tname}
         if extra:
             raise ValueError(f"scale factor may depend on {tname!r} only, found {sorted(extra)}")
@@ -201,25 +195,16 @@ def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.
     return coeff * g + values.kappa * (values.sigma + values.rho) * np.outer(eta, eta)
 
 
-def efe_residual(
-    m: MetricSpec,
-    fluid: FluidState,
-    xi: VectorFieldSpec,
-    point,
-    cfg: NumericsConfig | None = None,
-) -> TensorSample:
+def efe_residual(geo: PointGeometry, fluid: FluidState, xi: VectorFieldSpec) -> TensorSample:
     """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    g = _g(m, p, cfg)
-    xival = xi.value(m, p, cfg)
+    g = geo.g
+    xival = xi.value(geo)
     _check_unit_timelike(g, xival)
-    values = fluid.at(p, m.coords)
-    s = _ricci(m, p, cfg)
-    r = float(np.einsum("ij,ij->", np.linalg.inv(g), s))
+    values = fluid.at(geo.point, geo.metric.coords)
+    s = geo.ricci
     t = energy_momentum(values, g, g @ xival)
-    res = s + (values.lam - r / 2.0) * g - values.kappa * t
-    return TensorSample("tensor02", res, p, symmetric=True)
+    res = s + (values.lam - geo.scalar / 2.0) * g - values.kappa * t
+    return TensorSample("tensor02", res, geo.point, symmetric=True)
 
 
 def fluid_from_ricci(
@@ -261,18 +246,10 @@ def fluid_from_ricci(
     return FluidValues(sigma, rho, float(kappa), float(lam)), fit
 
 
-def scalar_curvature_identity(
-    m: MetricSpec,
-    fluid: FluidState,
-    point,
-    cfg: NumericsConfig | None = None,
-) -> float:
+def scalar_curvature_identity(geo: PointGeometry, fluid: FluidState) -> float:
     """r_computed - [4 lam + kappa (sigma - 3 rho)]; near zero for a matching fluid."""
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    values = fluid.at(p, m.coords)
-    r = scalar_curvature(m, p, cfg)
-    return r - (4.0 * values.lam + values.kappa * (values.sigma - 3.0 * values.rho))
+    values = fluid.at(geo.point, geo.metric.coords)
+    return geo.scalar - (4.0 * values.lam + values.kappa * (values.sigma - 3.0 * values.rho))
 
 
 def ricci_operator(s: np.ndarray, g_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -281,11 +258,9 @@ def ricci_operator(s: np.ndarray, g_inv: np.ndarray, x: np.ndarray) -> np.ndarra
 
 
 def einstein_eigen_check(
-    m: MetricSpec,
+    geo: PointGeometry,
     fluid: FluidState,
     xi: VectorFieldSpec,
-    point,
-    cfg: NumericsConfig | None = None,
     efe_tolerance: float = 1e-6,
 ) -> EigenCheckResult:
     """Eigenvalues of the mixed (S - r/2 g + lam g)^i_j against {-k sigma, k rho x3}.
@@ -294,21 +269,18 @@ def einstein_eigen_check(
     solves the field equation at the point, so the residual gates an
     ``applicable`` flag rather than raising.
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    p = _as_point(m, point)
-    g = _g(m, p, cfg)
-    g_inv = np.linalg.inv(g)
-    s = _ricci(m, p, cfg)
-    r = float(np.einsum("ij,ij->", g_inv, s))
-    values = fluid.at(p, m.coords)
-    mixed = g_inv @ (s - 0.5 * r * g + values.lam * g)
+    g = geo.g
+    g_inv = geo.g_inv
+    s = geo.ricci
+    values = fluid.at(geo.point, geo.metric.coords)
+    mixed = g_inv @ (s - 0.5 * geo.scalar * g + values.lam * g)
     eig = np.linalg.eigvals(mixed)
     eig_sorted = np.sort_complex(eig)
     expected = np.sort(
         np.array([-values.kappa * values.sigma] + [values.kappa * values.rho] * 3)
     )
     deviation = float(np.max(np.abs(eig_sorted - expected)))
-    res = efe_residual(m, fluid, xi, p, cfg)
+    res = efe_residual(geo, fluid, xi)
     efe_norm = max_abs(res.components)
     return EigenCheckResult(
         eigenvalues=tuple(float(v.real) for v in eig_sorted),

@@ -13,6 +13,7 @@ import pytest
 from solitonlab.cli import main
 from solitonlab.expressions import parse
 from solitonlab.geometry import (
+    PointGeometry,
     VectorFieldSpec,
     christoffel,
     contracted_bianchi_residual,
@@ -22,7 +23,6 @@ from solitonlab.geometry import (
     metric_at,
     ricci,
     riemann,
-    scalar_curvature,
 )
 from solitonlab.solitons import (
     PointSamples,
@@ -86,7 +86,7 @@ def test_criterion_01_curvature_oracle(de_sitter, minkowski):
         p = (t, 0.0, 0.0, 0.0)
         g = metric_at(de_sitter, p).components
         worst_ricci = max(worst_ricci, max_abs(ricci(de_sitter, p).components - 3.0 * g))
-        worst_scalar = max(worst_scalar, abs(scalar_curvature(de_sitter, p) - 12.0))
+        worst_scalar = max(worst_scalar, abs(PointGeometry(de_sitter, p).scalar - 12.0))
     flat = 0.0
     for p in random_points(3, seed=101):
         flat = max(
@@ -94,7 +94,7 @@ def test_criterion_01_curvature_oracle(de_sitter, minkowski):
             max_abs(christoffel(minkowski, p).components),
             max_abs(riemann(minkowski, p).components),
             max_abs(ricci(minkowski, p).components),
-            abs(scalar_curvature(minkowski, p)),
+            abs(PointGeometry(minkowski, p).scalar),
         )
     _report(
         1,
@@ -106,18 +106,19 @@ def test_criterion_01_curvature_oracle(de_sitter, minkowski):
 def test_criterion_02_torse_forming_anchor(de_sitter, fields):
     worst = 0.0
     for p in random_points(5, seed=102):
-        tc = torse_consequence_residuals(de_sitter, fields["time"], p)
+        geo = PointGeometry(de_sitter, p)
+        tc = torse_consequence_residuals(geo, fields["time"])
         worst = max(
             worst,
-            torse_forming_residual(de_sitter, fields["time"], p),
+            torse_forming_residual(geo, fields["time"]),
             tc.geodesic_flow,
             tc.eta_derivative,
             tc.curvature_action,
             tc.eta_curvature,
-            torse_lie_residual(de_sitter, fields["time"], p),
+            torse_lie_residual(geo, fields["time"]),
         )
     steep = catalog_metric("de_sitter", hubble=2.0)
-    miss = torse_forming_residual(steep, fields["time"], random_points(1, seed=103)[0])
+    miss = torse_forming_residual(PointGeometry(steep, random_points(1, seed=103)[0]), fields["time"])
     _report(
         2,
         worst <= 1e-5 and abs(miss - 1.0) <= 1e-3,
@@ -156,8 +157,9 @@ def test_criterion_03_closed_form_equivalence_sweep():
 def test_criterion_04_laplacian_identity(de_sitter):
     p = (0.5, 0.1, -0.2, 0.3)
     f = parse("t", COORDS)
-    div_route, trace_route = laplacian_routes(de_sitter, f, p)
-    identity = abs(laplacian_identity_check(de_sitter, f, DS_FLUID, 1.0, 0.0, p))
+    geo = PointGeometry(de_sitter, p)
+    div_route, trace_route = laplacian_routes(geo, f)
+    identity = abs(laplacian_identity_check(geo, f, DS_FLUID, 1.0, 0.0))
     ok = (
         abs(trace_route + 3.0) <= 1e-5
         and identity <= 1e-5
@@ -173,7 +175,7 @@ def test_criterion_04_laplacian_identity(de_sitter):
 
 def test_criterion_05_eta_soliton_worked_case(de_sitter):
     grad_t = VectorFieldSpec.gradient_of("t", COORDS)
-    samples = PointSamples.from_geometry(de_sitter, grad_t, (0.5, 0.1, -0.2, 0.3))
+    samples = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0.1, -0.2, 0.3)), grad_t)
     sol = eta_projection_solve(samples, 1.0, 0.0, -0.5)
     ok = (
         abs(sol.lam - (-2.0)) <= 1e-6
@@ -203,10 +205,9 @@ def test_criterion_06_radiation_reduction(frw_sqrt, fields):
     s = ricci(frw_sqrt, point).components
     g = metric_at(frw_sqrt, point).components
     vals, fit = fluid_from_ricci(s, g, np.array([1.0, 0, 0, 0]), kappa=1.0, lam=0.0)
-    r = scalar_curvature(frw_sqrt, point)
-    eig = einstein_eigen_check(
-        frw_sqrt, FluidState(vals.sigma, vals.rho, 1.0, 0.0), fields["time"], point
-    )
+    geo = PointGeometry(frw_sqrt, point)
+    r = geo.scalar
+    eig = einstein_eigen_check(geo, FluidState(vals.sigma, vals.rho, 1.0, 0.0), fields["time"])
     ok = (
         worst_cf <= 1e-12
         and abs(vals.sigma - 3.0 * vals.rho) <= 1e-5
@@ -250,9 +251,10 @@ def test_criterion_08_potential_identity_suite(minkowski, catalog, fields):
     worst_soliton = worst_identity = 0.0
     applicable = True
     for p in random_points(3, seed=108):
-        samples = PointSamples.from_geometry(minkowski, fields["euler"], p)
+        geo = PointGeometry(minkowski, p)
+        samples = PointSamples.from_geometry(geo, fields["euler"])
         worst_soliton = max(worst_soliton, max_abs(soliton_residual(samples, params).components))
-        res = potential_field_identities(minkowski, fields["euler"], VACUUM, params, p)
+        res = potential_field_identities(geo, fields["euler"], VACUUM, params)
         applicable = applicable and res.applicable
         worst_identity = max(
             worst_identity, res.curvature_identity, res.divergence_identity, res.norm_gradient_identity
@@ -261,7 +263,7 @@ def test_criterion_08_potential_identity_suite(minkowski, catalog, fields):
     for m in catalog:
         for v in fields.values():
             for p in random_points(2, seed=109):
-                worst_skew = max(worst_skew, two_form_pack(m, v, p).skew_defect)
+                worst_skew = max(worst_skew, two_form_pack(PointGeometry(m, p), v).skew_defect)
     ok = applicable and worst_soliton <= 1e-9 and worst_identity <= 1e-5 and worst_skew <= 1e-9
     _report(
         8,
@@ -276,7 +278,7 @@ def test_criterion_09_unconditional_decomposition(catalog, fields):
     for m in catalog:
         for v in fields.values():
             for p in random_points(5, seed=110):
-                worst = max(worst, nabla_decomposition_check(m, v, p))
+                worst = max(worst, nabla_decomposition_check(PointGeometry(m, p), v))
     _report(9, worst <= 1e-5, f"unconditional derivative decomposition (worst={worst:.2e})")
 
 
@@ -284,8 +286,8 @@ def test_criterion_10_numerics_health(catalog, de_sitter):
     worst_bianchi = 0.0
     for m in catalog:
         for p in random_points(3, seed=111):
-            worst_bianchi = max(worst_bianchi, contracted_bianchi_residual(m, p))
-    ratio = fd_convergence_ratio(de_sitter, (0.5, 0.0, 0.0, 0.0))
+            worst_bianchi = max(worst_bianchi, contracted_bianchi_residual(PointGeometry(m, p)))
+    ratio = fd_convergence_ratio(PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0)))
     ok = worst_bianchi <= 1e-4 and ratio is not None and 3.5 <= ratio <= 4.5
     _report(
         10,

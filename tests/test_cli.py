@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,15 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         for name in ("minkowski", "de_sitter", "grw_flat"):
             assert name in out
+
+    def test_runs_as_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "solitonlab", "catalog"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert "de_sitter" in done.stdout
 
 
 class TestAnalyzeCommand:
@@ -121,6 +134,24 @@ class TestSweepCommand:
         assert lams[0] == pytest.approx(0.0, abs=1e-6)
         assert lams[1] == pytest.approx(-3.0, abs=1e-6)
         assert lams[2] == pytest.approx(-6.0, abs=1e-6)
+
+    def test_negative_values_as_separate_argument(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        code = main(
+            [
+                "sweep",
+                fixture("de-sitter-soliton.json"),
+                "--param",
+                "soliton.p",
+                "--values",
+                "-0.5,-0.25",
+                "--out",
+                str(out),
+                "--no-timestamp",
+            ]
+        )
+        assert code == 0
+        assert [d["value"] for d in json.loads(out.read_text())] == [-0.5, -0.25]
 
     def test_unknown_param_path(self, capsys):
         assert (

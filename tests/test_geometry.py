@@ -7,6 +7,7 @@ from solitonlab.expressions import parse
 from solitonlab.geometry import (
     MetricSpec,
     NumericsConfig,
+    PointGeometry,
     SignatureError,
     SingularMetricError,
     TensorSample,
@@ -20,20 +21,16 @@ from solitonlab.geometry import (
     einstein_tensor,
     fd_convergence_ratio,
     frame_from_matrix,
-    gradient_scalar,
     hessian_scalar,
-    inverse_metric,
     laplacian_routes,
     laplacian_scalar,
     lie_derivative_metric,
     max_abs,
     metric_at,
     metric_compatibility_residual,
-    orthonormal_frame,
     ricci,
     riemann,
     riemann_antisymmetry_residual,
-    scalar_curvature,
 )
 from solitonlab.spacetimes import catalog_metric
 
@@ -54,7 +51,7 @@ class TestMetric:
     def test_minkowski_everywhere(self, minkowski):
         for p in random_points(3, seed=1):
             assert np.array_equal(metric_at(minkowski, p).components, MINK)
-            assert np.array_equal(inverse_metric(minkowski, p).components, MINK)
+            assert np.array_equal(PointGeometry(minkowski, p).g_inv, MINK)
 
     def test_de_sitter_at_origin(self, de_sitter):
         assert np.allclose(metric_at(de_sitter, (0, 0, 0, 0)).components, MINK)
@@ -62,7 +59,7 @@ class TestMetric:
     def test_de_sitter_at_one(self, de_sitter):
         g = metric_at(de_sitter, (1, 0, 0, 0)).components
         assert np.allclose(g, np.diag([-1.0, math.e**2, math.e**2, math.e**2]), atol=1e-14)
-        ginv = inverse_metric(de_sitter, (1, 0, 0, 0)).components
+        ginv = PointGeometry(de_sitter, (1, 0, 0, 0)).g_inv
         assert np.allclose(ginv, np.diag([-1.0, math.e**-2, math.e**-2, math.e**-2]), atol=1e-14)
 
     def test_degenerate_metric_rejected(self):
@@ -83,7 +80,7 @@ class TestMetric:
     def test_inverse_is_inverse(self, frw_sqrt):
         for p in random_points(3, seed=2):
             g = metric_at(frw_sqrt, p).components
-            ginv = inverse_metric(frw_sqrt, p).components
+            ginv = PointGeometry(frw_sqrt, p).g_inv
             assert max_abs(g @ ginv - np.eye(4)) < 1e-12
 
     def test_asymmetric_grid_rejected(self):
@@ -111,10 +108,8 @@ class TestChristoffel:
         assert max_abs(gam - np.transpose(gam, (0, 2, 1))) == 0.0
 
     def test_metric_derivative_stencils_symmetric(self, de_sitter, frw_sqrt):
-        from solitonlab.geometry import DEFAULT_NUMERICS, _dmetric
-
         for m in (de_sitter, frw_sqrt):
-            dg = _dmetric(m, (0.8, 0.1, 0.2, 0.3), DEFAULT_NUMERICS)
+            dg = PointGeometry(m, (0.8, 0.1, 0.2, 0.3)).dg
             assert max_abs(dg - np.transpose(dg, (0, 2, 1))) == 0.0
 
 
@@ -123,7 +118,7 @@ class TestCurvature:
         for p in random_points(2, seed=3):
             assert max_abs(riemann(minkowski, p).components) == 0.0
             assert max_abs(ricci(minkowski, p).components) == 0.0
-            assert scalar_curvature(minkowski, p) == 0.0
+            assert PointGeometry(minkowski, p).scalar == 0.0
             assert max_abs(einstein_tensor(minkowski, p).components) == 0.0
 
     def test_de_sitter_constant_curvature_form(self, de_sitter):
@@ -141,13 +136,13 @@ class TestCurvature:
             s = ricci(de_sitter, p)
             assert max_abs(s.components - 3.0 * g) < 1e-5
             assert s.symmetry_defect < 1e-9
-            assert scalar_curvature(de_sitter, p) == pytest.approx(12.0, abs=1e-5)
+            assert PointGeometry(de_sitter, p).scalar == pytest.approx(12.0, abs=1e-5)
 
     def test_frw_sqrt_ricci(self, frw_sqrt):
         # S_tt = -3 q''/q = 3/4 at t=1 for q = sqrt(t); curvature scalar vanishes
         s = ricci(frw_sqrt, (1.0, 0, 0, 0)).components
         assert s[0, 0] == pytest.approx(0.75, abs=1e-8)
-        assert scalar_curvature(frw_sqrt, (1.0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-8)
+        assert PointGeometry(frw_sqrt, (1.0, 0, 0, 0)).scalar == pytest.approx(0.0, abs=1e-8)
 
     def test_de_sitter_einstein_tensor(self, de_sitter):
         p = (0.5, 0, 0, 0)
@@ -177,7 +172,7 @@ class TestOffDiagonalCharts:
             assert max_abs(christoffel(shear, p).components) > 0.01
             assert max_abs(riemann(shear, p).components) < 1e-9
             assert max_abs(ricci(shear, p).components) < 1e-9
-            assert contracted_bianchi_residual(shear, p) < 1e-8
+            assert contracted_bianchi_residual(PointGeometry(shear, p)) < 1e-8
 
     def test_vacuum_infall_chart_is_ricci_flat(self):
         # off-diagonal chart of a vacuum solution (unit horizon radius):
@@ -195,8 +190,8 @@ class TestOffDiagonalCharts:
             assert max_abs(riemann(m, q).components) > 0.01
             s = ricci(m, q)
             assert max_abs(s.components) < 1e-6
-            assert abs(scalar_curvature(m, q)) < 1e-6
-            assert contracted_bianchi_residual(m, q) < 1e-4
+            assert abs(PointGeometry(m, q).scalar) < 1e-6
+            assert contracted_bianchi_residual(PointGeometry(m, q)) < 1e-4
         # the radial infall field is unit timelike and sees a vacuum fluid
         import numpy as _np
 
@@ -213,81 +208,84 @@ class TestOffDiagonalCharts:
 
 class TestDerivativeOperators:
     def test_cov_deriv_flat(self, minkowski, coordinate_time):
-        assert max_abs(cov_deriv_vector(minkowski, coordinate_time, (0, 1, 2, 3)).components) == 0.0
+        geo = PointGeometry(minkowski, (0, 1, 2, 3))
+        assert max_abs(cov_deriv_vector(geo, coordinate_time).components) == 0.0
 
     def test_cov_deriv_de_sitter(self, de_sitter, coordinate_time):
-        nab = cov_deriv_vector(de_sitter, coordinate_time, (0.3, 0, 0, 0)).components
+        nab = cov_deriv_vector(PointGeometry(de_sitter, (0.3, 0, 0, 0)), coordinate_time).components
         assert nab[1, 1] == pytest.approx(1.0, abs=1e-9)
         assert nab[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cov_deriv_steeper_warp(self, coordinate_time):
         m = catalog_metric("de_sitter", hubble=2.0)
-        nab = cov_deriv_vector(m, coordinate_time, (0.3, 0, 0, 0)).components
+        nab = cov_deriv_vector(PointGeometry(m, (0.3, 0, 0, 0)), coordinate_time).components
         assert nab[1, 1] == pytest.approx(2.0, abs=1e-8)
 
     def test_lie_killing_flat(self, minkowski, coordinate_time):
-        assert max_abs(lie_derivative_metric(minkowski, coordinate_time, (0.3, 1, 2, 3)).components) == 0.0
+        geo = PointGeometry(minkowski, (0.3, 1, 2, 3))
+        assert max_abs(lie_derivative_metric(geo, coordinate_time).components) == 0.0
 
     def test_lie_de_sitter_form(self, de_sitter, coordinate_time):
         p = (0.8, 0.1, 0.2, 0.3)
         g = metric_at(de_sitter, p).components
         eta = g @ np.array([1.0, 0, 0, 0])
-        lie = lie_derivative_metric(de_sitter, coordinate_time, p).components
+        lie = lie_derivative_metric(PointGeometry(de_sitter, p), coordinate_time).components
         assert max_abs(lie - 2.0 * (g + np.outer(eta, eta))) < 1e-9
         assert lie[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert lie[1, 1] == pytest.approx(2.0 * math.exp(2 * 0.8), rel=1e-9)
 
     def test_lie_euler_homothety(self, minkowski, euler_field):
-        lie = lie_derivative_metric(minkowski, euler_field, (1.0, 0.5, -0.5, 0.2)).components
+        lie = lie_derivative_metric(PointGeometry(minkowski, (1.0, 0.5, -0.5, 0.2)), euler_field).components
         assert max_abs(lie - 2.0 * MINK) < 1e-12
 
     def test_gradient(self, minkowski, de_sitter):
         f_t = parse("t", COORDS)
         for m in (minkowski, de_sitter):
             p = (0.6, 0.1, 0.2, 0.3)
-            grad = gradient_scalar(m, f_t, p).components
+            grad = VectorFieldSpec.gradient_of(f_t, COORDS).value(PointGeometry(m, p))
             assert np.allclose(grad, [-1.0, 0, 0, 0], atol=1e-10)
             g = metric_at(m, p).components
             assert grad @ g @ grad == pytest.approx(-1.0, abs=1e-10)
-        assert np.allclose(gradient_scalar(minkowski, parse("x", COORDS), p).components, [0, 1, 0, 0], atol=1e-12)
+        grad_x = VectorFieldSpec.gradient_of(parse("x", COORDS), COORDS).value(PointGeometry(minkowski, p))
+        assert np.allclose(grad_x, [0, 1, 0, 0], atol=1e-12)
 
     def test_hessian(self, minkowski, de_sitter):
         p = (0.4, 0.1, -0.3, 0.2)
-        assert max_abs(hessian_scalar(minkowski, parse("t", COORDS), p).components) < 1e-12
-        h = hessian_scalar(de_sitter, parse("t", COORDS), p).components
+        assert max_abs(hessian_scalar(PointGeometry(minkowski, p), parse("t", COORDS)).components) < 1e-12
+        h = hessian_scalar(PointGeometry(de_sitter, p), parse("t", COORDS)).components
         assert h[1, 1] == pytest.approx(-math.exp(2 * 0.4), rel=1e-8)
-        hx = hessian_scalar(minkowski, parse("x^2", COORDS), p).components
+        hx = hessian_scalar(PointGeometry(minkowski, p), parse("x^2", COORDS)).components
         assert hx[1, 1] == pytest.approx(2.0, abs=1e-8)
 
     def test_divergence(self, minkowski, de_sitter, coordinate_time):
         p = (0.2, 0.4, 0.1, -0.5)
-        assert divergence_vector(minkowski, coordinate_time, p) == pytest.approx(0.0, abs=1e-12)
-        assert divergence_vector(de_sitter, coordinate_time, p) == pytest.approx(3.0, abs=1e-9)
+        assert divergence_vector(PointGeometry(minkowski, p), coordinate_time) == pytest.approx(0.0, abs=1e-12)
+        assert divergence_vector(PointGeometry(de_sitter, p), coordinate_time) == pytest.approx(3.0, abs=1e-9)
         grad_t = VectorFieldSpec.gradient_of("t", COORDS)
-        assert divergence_vector(de_sitter, grad_t, p) == pytest.approx(-3.0, abs=1e-9)
+        assert divergence_vector(PointGeometry(de_sitter, p), grad_t) == pytest.approx(-3.0, abs=1e-9)
 
     def test_laplacian(self, minkowski, de_sitter):
         p = (0.2, 0.4, 0.1, -0.5)
-        assert laplacian_scalar(minkowski, parse("t", COORDS), p) == pytest.approx(0.0, abs=1e-10)
-        assert laplacian_scalar(de_sitter, parse("t", COORDS), p) == pytest.approx(-3.0, abs=1e-9)
-        assert laplacian_scalar(minkowski, parse("x^2+y^2", COORDS), p) == pytest.approx(4.0, abs=1e-8)
+        assert laplacian_scalar(PointGeometry(minkowski, p), parse("t", COORDS)) == pytest.approx(0.0, abs=1e-10)
+        assert laplacian_scalar(PointGeometry(de_sitter, p), parse("t", COORDS)) == pytest.approx(-3.0, abs=1e-9)
+        assert laplacian_scalar(PointGeometry(minkowski, p), parse("x^2+y^2", COORDS)) == pytest.approx(4.0, abs=1e-8)
 
     def test_laplacian_route_disagreement_raises(self, de_sitter):
         from solitonlab.geometry import TwoRouteMismatch
 
         coarse = NumericsConfig(h=0.5, richardson=False)
         with pytest.raises(TwoRouteMismatch):
-            laplacian_scalar(de_sitter, parse("exp(t)*x^2", COORDS), (0.5, 0.4, 0.1, 0.2), coarse)
+            laplacian_scalar(PointGeometry(de_sitter, (0.5, 0.4, 0.1, 0.2), coarse), parse("exp(t)*x^2", COORDS))
 
 
 class TestFrames:
     def test_minkowski_coordinate_basis(self, minkowski):
-        pack = orthonormal_frame(minkowski, (0, 0, 0, 0))
+        pack = frame_from_matrix(PointGeometry(minkowski, (0, 0, 0, 0)).g)
         assert pack.signs == (-1, 1, 1, 1)
         assert np.allclose(pack.vectors, np.eye(4))
 
     def test_de_sitter_normalisation(self, de_sitter):
-        pack = orthonormal_frame(de_sitter, (1.0, 0, 0, 0))
+        pack = frame_from_matrix(PointGeometry(de_sitter, (1.0, 0, 0, 0)).g)
         assert pack.signs == (-1, 1, 1, 1)
         assert np.allclose(pack.vectors[1:], np.eye(4)[1:] / math.e, atol=1e-12)
 
@@ -310,19 +308,19 @@ class TestFrames:
 class TestDivTensor11:
     def test_zero_field(self, de_sitter):
         zero = lambda q: np.zeros((4, 4))  # noqa: E731
-        assert max_abs(div_tensor11(de_sitter, zero, (0.5, 0, 0, 0)).components) == 0.0
+        assert max_abs(div_tensor11(PointGeometry(de_sitter, (0.5, 0, 0, 0)), zero).components) == 0.0
 
     def test_identity_field_flat(self, minkowski):
         ident = lambda q: np.eye(4)  # noqa: E731
-        assert max_abs(div_tensor11(minkowski, ident, (0.5, 1, 2, 3)).components) == 0.0
+        assert max_abs(div_tensor11(PointGeometry(minkowski, (0.5, 1, 2, 3)), ident).components) == 0.0
 
     def test_linear_component(self, minkowski):
         def field(q):
             f = np.zeros((4, 4))
-            f[1, 2] = q[1]  # F^x_y = x
+            f[1, 2] = q.point[1]  # F^x_y = x
             return f
 
-        div = div_tensor11(minkowski, field, (0.0, 0.5, 0.5, 0.5)).components
+        div = div_tensor11(PointGeometry(minkowski, (0.0, 0.5, 0.5, 0.5)), field).components
         assert np.allclose(div, [0, 0, 1, 0], atol=1e-10)
 
 
@@ -330,36 +328,36 @@ class TestInvariants:
     def test_metric_compatibility(self):
         for m in catalog_all():
             for p in random_points(3, seed=11):
-                assert metric_compatibility_residual(m, p) < 1e-5
+                assert metric_compatibility_residual(PointGeometry(m, p)) < 1e-5
 
     def test_riemann_antisymmetry(self):
         for m in catalog_all():
             for p in random_points(3, seed=12):
-                assert riemann_antisymmetry_residual(m, p) < 1e-6
+                assert riemann_antisymmetry_residual(PointGeometry(m, p)) < 1e-6
 
     def test_first_bianchi(self):
         for m in catalog_all():
             for p in random_points(3, seed=13):
-                assert bianchi_first_residual(m, p) < 1e-5
+                assert bianchi_first_residual(PointGeometry(m, p)) < 1e-5
 
     def test_contracted_bianchi(self):
         for m in catalog_all():
             for p in random_points(2, seed=14):
-                assert contracted_bianchi_residual(m, p) < 1e-4
+                assert contracted_bianchi_residual(PointGeometry(m, p)) < 1e-4
 
     def test_two_route_laplacian(self, de_sitter, frw_sqrt):
         f = parse("t^2+x*t", COORDS)
         for m in (de_sitter, frw_sqrt):
             for p in random_points(3, seed=15):
-                a, b = laplacian_routes(m, f, p)
+                a, b = laplacian_routes(PointGeometry(m, p), f)
                 assert abs(a - b) < 1e-6
 
     def test_fd_convergence_second_order(self, de_sitter):
-        ratio = fd_convergence_ratio(de_sitter, (0.5, 0, 0, 0))
+        ratio = fd_convergence_ratio(PointGeometry(de_sitter, (0.5, 0, 0, 0)))
         assert 3.5 <= ratio <= 4.5
 
     def test_fd_convergence_flat_is_none(self, minkowski):
-        assert fd_convergence_ratio(minkowski, (0.5, 0, 0, 0)) is None
+        assert fd_convergence_ratio(PointGeometry(minkowski, (0.5, 0, 0, 0))) is None
 
     def test_ricci_frame_contraction_agrees(self, de_sitter, frw_sqrt):
         # trace over an orthonormal frame weighted by the signs reproduces
@@ -370,7 +368,7 @@ class TestInvariants:
             r = riemann(m, p).components
             s = ricci(m, p).components
             g = metric_at(m, p).components
-            pack = orthonormal_frame(m, p)
+            pack = frame_from_matrix(PointGeometry(m, p).g)
             for _ in range(5):
                 xv = rng.uniform(-1, 1, 4)
                 yv = rng.uniform(-1, 1, 4)
@@ -404,3 +402,36 @@ class TestTensorSample:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             TensorSample("vector", np.zeros((4, 4)), (0.0,))
+
+
+class TestPointGeometry:
+    def test_dimension_checked(self, minkowski):
+        with pytest.raises(ValueError):
+            PointGeometry(minkowski, (0.0, 0.0, 0.0))
+
+    def test_neighbours_share_the_lattice(self, de_sitter):
+        geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
+        there = geo.shifted(0, 1e-3)
+        assert there.point == (0.5 + 1e-3, 0.0, 0.0, 0.0)
+        assert geo.shifted(0, 1e-3).g is there.g
+        assert there.shifted(0, -1e-3).point == (0.5 + 1e-3 - 1e-3, 0.0, 0.0, 0.0)
+
+    def test_each_plan_point_evaluates_every_coordinate_once(self, monkeypatch):
+        from solitonlab import report
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        scenario = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json")
+        (point,) = [p for p in scenario.points if p[0] == 0.0]
+        seen = []
+        matrix = MetricSpec.matrix
+
+        def counted(self, q):
+            seen.append(tuple(q))
+            return matrix(self, q)
+
+        monkeypatch.setattr(MetricSpec, "matrix", counted)
+        report._evaluate_point(scenario, point, report.resolve_tolerances(scenario.tolerances), solve=True)
+        assert seen
+        assert len(seen) == len(set(seen))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab.expressions import parse
-from solitonlab.geometry import VectorFieldSpec, max_abs
+from solitonlab.geometry import GeometryError, PointGeometry, VectorFieldSpec, max_abs
 from solitonlab.solitons import (
     PointSamples,
     SolitonParams,
@@ -44,34 +44,35 @@ def _params(**kw):
 class TestTorseForming:
     def test_unit_expansion_is_torse_forming(self, de_sitter, coordinate_time):
         for p in random_points(5, seed=31):
-            assert torse_forming_residual(de_sitter, coordinate_time, p) < 1e-5
+            assert torse_forming_residual(PointGeometry(de_sitter, p), coordinate_time) < 1e-5
 
     def test_steeper_warp_misses_by_one(self, coordinate_time):
         m = catalog_metric("de_sitter", hubble=2.0)
-        res = torse_forming_residual(m, coordinate_time, (0.4, 0.1, 0.2, 0.3))
+        res = torse_forming_residual(PointGeometry(m, (0.4, 0.1, 0.2, 0.3)), coordinate_time)
         assert res == pytest.approx(1.0, abs=1e-3)
 
     def test_flat_parallel_field_misses_by_one(self, minkowski, coordinate_time):
-        assert torse_forming_residual(minkowski, coordinate_time, (0, 0, 0, 0)) == pytest.approx(1.0, abs=1e-12)
+        geo = PointGeometry(minkowski, (0, 0, 0, 0))
+        assert torse_forming_residual(geo, coordinate_time) == pytest.approx(1.0, abs=1e-12)
 
     def test_consequences_hold_on_expansion(self, de_sitter, coordinate_time):
         for p in random_points(5, seed=32):
-            tc = torse_consequence_residuals(de_sitter, coordinate_time, p)
+            tc = torse_consequence_residuals(PointGeometry(de_sitter, p), coordinate_time)
             assert tc.unit_timelike
             assert tc.geodesic_flow < 1e-5
             assert tc.eta_derivative < 1e-5
             assert tc.curvature_action < 1e-5
             assert tc.eta_curvature < 1e-5
-            assert torse_lie_residual(de_sitter, coordinate_time, p) < 1e-5
+            assert torse_lie_residual(PointGeometry(de_sitter, p), coordinate_time) < 1e-5
 
     def test_flat_consequences_split(self, minkowski, coordinate_time):
-        tc = torse_consequence_residuals(minkowski, coordinate_time, (0, 1, 2, 3))
+        tc = torse_consequence_residuals(PointGeometry(minkowski, (0, 1, 2, 3)), coordinate_time)
         assert tc.geodesic_flow == 0.0
         assert tc.eta_derivative == pytest.approx(1.0, abs=1e-12)  # nabla eta = 0, not g + eta x eta
 
     def test_spacelike_field_flagged(self, de_sitter):
         dx = VectorFieldSpec.from_components([0, 1, 0, 0], COORDS)
-        tc = torse_consequence_residuals(de_sitter, dx, (0.4, 0, 0, 0))
+        tc = torse_consequence_residuals(PointGeometry(de_sitter, (0.4, 0, 0, 0)), dx)
         assert not tc.unit_timelike
 
 
@@ -80,14 +81,14 @@ class TestSolitonResidual:
         # the position field scales flat space by 2; the constant -1 closes it
         for alpha, beta in [(1.0, 0.0), (0.3, 1.7), (2.0, -1.0)]:
             params = _params(alpha=alpha, beta=beta, p=-0.5, lam=-1.0)
-            s = PointSamples.from_geometry(minkowski, euler_field, (1.0, 0.4, 0.2, -0.3))
+            s = PointSamples.from_geometry(PointGeometry(minkowski, (1.0, 0.4, 0.2, -0.3)), euler_field)
             assert max_abs(soliton_residual(s, params).components) < 1e-9
 
     def test_expansion_projection_vs_full_tensor(self, de_sitter, coordinate_time):
         # the xi-xi component closes at lam = -3 but the spatial block does not
         t = 0.6
         params = _params(alpha=1.0, beta=0.0, p=-0.5, lam=-3.0)
-        s = PointSamples.from_geometry(de_sitter, coordinate_time, (t, 0, 0, 0))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (t, 0, 0, 0)), coordinate_time)
         res = soliton_residual(s, params).components
         xi = np.array([1.0, 0, 0, 0])
         assert abs(xi @ res @ xi) < 1e-8
@@ -96,19 +97,19 @@ class TestSolitonResidual:
     def test_zero_scenario(self, minkowski):
         zero = VectorFieldSpec.from_components([0, 0, 0, 0], COORDS)
         params = _params(alpha=1.0, beta=0.0, p=-0.5, lam=0.0)
-        s = PointSamples.from_geometry(minkowski, zero, (0.3, 1, 2, 3))
+        s = PointSamples.from_geometry(PointGeometry(minkowski, (0.3, 1, 2, 3)), zero)
         assert max_abs(soliton_residual(s, params).components) == 0.0
 
     def test_yamabe_signed_form(self, minkowski, euler_field):
         # own display: Lie/2 = (r - lam) g, so flat space needs lam = -1
-        s = PointSamples.from_geometry(minkowski, euler_field, (1.0, 0.4, 0.2, -0.3))
+        s = PointSamples.from_geometry(PointGeometry(minkowski, (1.0, 0.4, 0.2, -0.3)), euler_field)
         good = SolitonParams("yamabe", lam=-1.0)
         assert max_abs(soliton_residual(s, good).components) < 1e-12
         bad = SolitonParams("yamabe", lam=1.0)
         assert max_abs(soliton_residual(s, bad).components) == pytest.approx(2.0, abs=1e-12)
 
     def test_eta_family_needs_mu(self, de_sitter, coordinate_time):
-        s = PointSamples.from_geometry(de_sitter, coordinate_time, (0.2, 0, 0, 0))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.2, 0, 0, 0)), coordinate_time)
         with pytest.raises(ValueError):
             soliton_residual(s, SolitonParams("conformal_eta_ricci_yamabe", lam=0.0))
 
@@ -116,7 +117,7 @@ class TestSolitonResidual:
         # grad of the time function closes the eta equation with (-2, 1)
         grad_t = VectorFieldSpec.gradient_of("t", COORDS)
         params = SolitonParams("conformal_eta_ricci_yamabe", alpha=1.0, beta=0.0, p=-0.5, lam=-2.0, mu=1.0)
-        s = PointSamples.from_geometry(de_sitter, grad_t, (0.8, 0.2, 0.1, -0.4))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.8, 0.2, 0.1, -0.4)), grad_t)
         assert max_abs(soliton_residual(s, params).components) < 1e-9
 
     def test_mu_rejected_outside_eta_families(self):
@@ -155,31 +156,31 @@ class TestGradientSoliton:
         f = parse("(x^2+y^2+z^2-t^2)/2", COORDS)
         for alpha, beta in [(0.5, 0.0), (3.0, 1.0)]:
             params = SolitonParams("gradient_ricci_yamabe", alpha=alpha, beta=beta, lam=1.0)
-            res = gradient_soliton_residual(minkowski, f, params, (0.5, 0.1, -0.7, 0.2))
+            res = gradient_soliton_residual(PointGeometry(minkowski, (0.5, 0.1, -0.7, 0.2)), f, params)
             assert max_abs(res.components) < 1e-8
 
     def test_zero_potential(self, minkowski):
         params = SolitonParams("gradient_ricci_yamabe", lam=0.0, beta=0.0)
-        res = gradient_soliton_residual(minkowski, parse("0", COORDS), params, (0, 0, 0, 0))
+        res = gradient_soliton_residual(PointGeometry(minkowski, (0, 0, 0, 0)), parse("0", COORDS), params)
         assert max_abs(res.components) == 0.0
 
     def test_nontrivial_hessian_remains(self, de_sitter):
         params = SolitonParams("gradient_ricci_yamabe", alpha=0.0, beta=0.0, lam=0.0)
-        res = gradient_soliton_residual(de_sitter, parse("t", COORDS), params, (0.5, 0, 0, 0))
+        res = gradient_soliton_residual(PointGeometry(de_sitter, (0.5, 0, 0, 0)), parse("t", COORDS), params)
         assert res.components[1, 1] == pytest.approx(-math.exp(1.0), rel=1e-7)
 
 
 class TestLambdaProjection:
     def test_expansion_anchor(self, de_sitter, coordinate_time):
         params = _params(alpha=1.0, beta=0.0, p=-0.5)
-        s = PointSamples.from_geometry(de_sitter, coordinate_time, (0.5, 0.1, 0.2, 0.3))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0.1, 0.2, 0.3)), coordinate_time)
         lam = lambda_from_projection(s, params)
         assert lam == pytest.approx(-3.0, abs=1e-8)
         assert lambda_closed_form(DS_FLUID, 1.0, 0.0, -0.5) == -3.0
 
     def test_trivial_parameters(self, de_sitter, coordinate_time):
         params = _params(alpha=0.0, beta=0.0, p=-0.5)
-        s = PointSamples.from_geometry(de_sitter, coordinate_time, (0.5, 0, 0, 0))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0, 0, 0)), coordinate_time)
         assert lambda_from_projection(s, params) == pytest.approx(0.0, abs=1e-9)
 
     def test_closed_form_examples(self):
@@ -336,12 +337,12 @@ class TestPhiClosedForm:
 
 class TestTwoForm:
     def test_euler_field_is_exact(self, minkowski, euler_field):
-        pack = two_form_pack(minkowski, euler_field, (1.0, 0.5, -0.5, 0.2))
+        pack = two_form_pack(PointGeometry(minkowski, (1.0, 0.5, -0.5, 0.2)), euler_field)
         assert max_abs(pack.d_omega) < 1e-12
         assert max_abs(pack.f_mixed) < 1e-12
 
     def test_rotation_block(self, minkowski, rotation_field):
-        pack = two_form_pack(minkowski, rotation_field, (0.0, 0.7, -0.4, 0.3))
+        pack = two_form_pack(PointGeometry(minkowski, (0.0, 0.7, -0.4, 0.3)), rotation_field)
         expected = np.zeros((4, 4))
         expected[1, 2] = 1.0
         expected[2, 1] = -1.0
@@ -350,7 +351,7 @@ class TestTwoForm:
 
     def test_zero_field(self, minkowski):
         zero = VectorFieldSpec.from_components([0, 0, 0, 0], COORDS)
-        pack = two_form_pack(minkowski, zero, (0, 0, 0, 0))
+        pack = two_form_pack(PointGeometry(minkowski, (0, 0, 0, 0)), zero)
         assert max_abs(pack.omega) == 0.0
         assert max_abs(pack.f_mixed) == 0.0
 
@@ -358,26 +359,27 @@ class TestTwoForm:
         for m in (de_sitter, frw_sqrt):
             for v in (coordinate_time, euler_field, rotation_field):
                 for p in random_points(2, seed=61):
-                    assert two_form_pack(m, v, p).skew_defect < 1e-9
+                    assert two_form_pack(PointGeometry(m, p), v).skew_defect < 1e-9
 
 
 class TestNablaDecomposition:
     def test_flat_cases_exact(self, minkowski, euler_field, rotation_field):
-        assert nabla_decomposition_check(minkowski, euler_field, (1.0, 0.5, 0.3, -0.2)) < 1e-9
-        assert nabla_decomposition_check(minkowski, rotation_field, (1.0, 0.5, 0.3, -0.2)) < 1e-9
+        geo = PointGeometry(minkowski, (1.0, 0.5, 0.3, -0.2))
+        assert nabla_decomposition_check(geo, euler_field) < 1e-9
+        assert nabla_decomposition_check(geo, rotation_field) < 1e-9
 
     def test_unconditional_on_catalog(self, de_sitter, frw_sqrt, coordinate_time, euler_field, rotation_field):
         for m in (de_sitter, frw_sqrt):
             for v in (coordinate_time, euler_field, rotation_field):
                 for p in random_points(3, seed=62):
-                    assert nabla_decomposition_check(m, v, p) < 1e-5
+                    assert nabla_decomposition_check(PointGeometry(m, p), v) < 1e-5
 
 
 class TestPotentialIdentities:
     def test_flat_exact_soliton(self, minkowski, euler_field):
         params = _params(alpha=1.4, beta=0.0, p=-0.5, lam=-1.0)
         for p in random_points(3, seed=71):
-            res = potential_field_identities(minkowski, euler_field, VACUUM, params, p)
+            res = potential_field_identities(PointGeometry(minkowski, p), euler_field, VACUUM, params)
             assert res.applicable
             assert res.soliton_residual < 1e-9
             assert res.curvature_identity < 1e-5
@@ -387,7 +389,7 @@ class TestPotentialIdentities:
     def test_zero_field_trivial(self, minkowski):
         zero = VectorFieldSpec.from_components([0, 0, 0, 0], COORDS)
         params = _params(alpha=1.0, beta=0.0, p=-0.5, lam=0.0)
-        res = potential_field_identities(minkowski, zero, VACUUM, params, (0.3, 1, 2, 3))
+        res = potential_field_identities(PointGeometry(minkowski, (0.3, 1, 2, 3)), zero, VACUUM, params)
         assert res.applicable
         assert res.curvature_identity == 0.0
         assert res.divergence_identity == 0.0
@@ -396,10 +398,10 @@ class TestPotentialIdentities:
     def test_projection_only_constant_is_flagged(self, de_sitter, coordinate_time):
         # the projected constant does not close the full equation, so the
         # consequences are reported but not applicable
-        s = PointSamples.from_geometry(de_sitter, coordinate_time, (0.5, 0, 0, 0))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0, 0, 0)), coordinate_time)
         lam = lambda_from_projection(s, _params(alpha=1.0, beta=0.0, p=-0.5))
         params = _params(alpha=1.0, beta=0.0, p=-0.5, lam=lam)
-        res = potential_field_identities(de_sitter, coordinate_time, DS_FLUID, params, (0.5, 0, 0, 0))
+        res = potential_field_identities(PointGeometry(de_sitter, (0.5, 0, 0, 0)), coordinate_time, DS_FLUID, params)
         assert not res.applicable
         assert res.soliton_residual > 1.0
 
@@ -408,14 +410,14 @@ class TestPotentialIdentities:
         for m in (de_sitter, frw_sqrt):
             for v in (coordinate_time, euler_field):
                 for p in random_points(2, seed=72):
-                    res = potential_field_identities(m, v, VACUUM, params, p)
+                    res = potential_field_identities(PointGeometry(m, p), v, VACUUM, params)
                     assert res.norm_gradient_identity < 1e-5
 
 
 class TestEtaSystem:
     def test_expansion_gradient_anchor(self, de_sitter):
         grad_t = VectorFieldSpec.gradient_of("t", COORDS)
-        s = PointSamples.from_geometry(de_sitter, grad_t, (0.5, 0.2, -0.1, 0.3))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0.2, -0.1, 0.3)), grad_t)
         sol = eta_projection_solve(s, 1.0, 0.0, -0.5)
         assert sol.div_xi == pytest.approx(-3.0, abs=1e-8)
         assert sol.lam == pytest.approx(-2.0, abs=1e-6)
@@ -424,7 +426,7 @@ class TestEtaSystem:
 
     def test_trivial_parameters_give_unit_constants(self, de_sitter):
         grad_t = VectorFieldSpec.gradient_of("t", COORDS)
-        s = PointSamples.from_geometry(de_sitter, grad_t, (0.5, 0, 0, 0))
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0, 0, 0)), grad_t)
         sol = eta_projection_solve(s, 0.0, 0.0, -0.5)
         # system reduces to 4 lam - mu = 3, lam - mu = 0
         assert sol.lam == pytest.approx(1.0, abs=1e-6)
@@ -471,22 +473,34 @@ class TestEtaSystem:
 
     def test_unit_requirement(self, de_sitter):
         dx = VectorFieldSpec.from_components([0, 1, 0, 0], COORDS)
-        s = PointSamples.from_geometry(de_sitter, dx, (0.5, 0, 0, 0))
-        with pytest.raises(Exception):
+        s = PointSamples.from_geometry(PointGeometry(de_sitter, (0.5, 0, 0, 0)), dx)
+        with pytest.raises(GeometryError):
             # projections degenerate for a spacelike reference field
-            sol = eta_projection_solve(s, 1.0, 0.0, -0.5)
-            raise AssertionError(f"unexpected solve {sol}")
+            eta_projection_solve(s, 1.0, 0.0, -0.5)
+
+    def test_non_unit_timelike_field_rejected(self):
+        # g(xi, xi) = -4 scales the projection determinant to 48; the solve
+        # must refuse it even when assertions are stripped (python -O)
+        g = np.diag([-1.0, 1.0, 1.0, 1.0])
+        xi = np.array([2.0, 0.0, 0.0, 0.0])
+        s = PointSamples(
+            g=g, g_inv=np.linalg.inv(g), lie_vg=np.zeros((4, 4)), ricci=np.zeros((4, 4)), scalar=0.0, xi=xi, eta=g @ xi
+        )
+        with pytest.raises(GeometryError, match="determinant"):
+            eta_projection_solve(s, 1.0, 0.0, -0.5)
 
 
 class TestLaplacianIdentity:
     def test_expansion_anchor(self, de_sitter):
-        res = laplacian_identity_check(de_sitter, parse("t", COORDS), DS_FLUID, 1.0, 0.0, (0.5, 0.1, 0.2, 0.3))
+        geo = PointGeometry(de_sitter, (0.5, 0.1, 0.2, 0.3))
+        res = laplacian_identity_check(geo, parse("t", COORDS), DS_FLUID, 1.0, 0.0)
         assert abs(res) < 1e-5
 
     def test_flat_trivial(self, minkowski):
-        res = laplacian_identity_check(minkowski, parse("t", COORDS), VACUUM, 1.0, 0.0, (0, 0, 0, 0), mu=0.0)
+        geo = PointGeometry(minkowski, (0, 0, 0, 0))
+        res = laplacian_identity_check(geo, parse("t", COORDS), VACUUM, 1.0, 0.0, mu=0.0)
         assert abs(res) < 1e-10
 
     def test_spacelike_gradient_rejected(self, de_sitter):
         with pytest.raises(UnitNormError):
-            laplacian_identity_check(de_sitter, parse("x", COORDS), DS_FLUID, 1.0, 0.0, (0.5, 0, 0, 0))
+            laplacian_identity_check(PointGeometry(de_sitter, (0.5, 0, 0, 0)), parse("x", COORDS), DS_FLUID, 1.0, 0.0)

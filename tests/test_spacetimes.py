@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab.expressions import ParseError
-from solitonlab.geometry import max_abs, metric_at, ricci
+from solitonlab.geometry import PointGeometry, max_abs, metric_at, ricci
 from solitonlab.spacetimes import (
     FluidState,
     FluidValues,
@@ -116,28 +116,28 @@ class TestFieldEquation:
     def test_de_sitter_exact(self, de_sitter, coordinate_time):
         fluid = FluidState(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
         for p in random_points(3, seed=21):
-            res = efe_residual(de_sitter, fluid, coordinate_time, p)
+            res = efe_residual(PointGeometry(de_sitter, p), fluid, coordinate_time)
             assert max_abs(res.components) < 1e-5
 
     def test_minkowski_vacuum(self, minkowski, coordinate_time):
         fluid = FluidState(0.0, 0.0, kappa=1.0, lam=0.0)
-        res = efe_residual(minkowski, fluid, coordinate_time, (0, 0, 0, 0))
+        res = efe_residual(PointGeometry(minkowski, (0, 0, 0, 0)), fluid, coordinate_time)
         assert max_abs(res.components) == 0.0
 
     def test_minkowski_mismatch_equals_metric(self, minkowski, coordinate_time):
         fluid = FluidState(0.0, 0.0, kappa=1.0, lam=1.0)
-        res = efe_residual(minkowski, fluid, coordinate_time, (0, 0, 0, 0))
+        res = efe_residual(PointGeometry(minkowski, (0, 0, 0, 0)), fluid, coordinate_time)
         assert max_abs(res.components - MINK) < 1e-12
 
     def test_scalar_curvature_identity(self, de_sitter, minkowski, frw_sqrt):
         assert scalar_curvature_identity(
-            de_sitter, FluidState(0.0, 0.0, 8 * math.pi, 3.0), (0.5, 0, 0, 0)
+            PointGeometry(de_sitter, (0.5, 0, 0, 0)), FluidState(0.0, 0.0, 8 * math.pi, 3.0)
         ) == pytest.approx(0.0, abs=1e-6)
         # a radiation fluid forces the curvature scalar to 4 lam
         rad = FluidState.radiation(rho=0.25, kappa=1.0, lam=0.0)
-        assert scalar_curvature_identity(frw_sqrt, rad, (1.0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-6)
+        assert scalar_curvature_identity(PointGeometry(frw_sqrt, (1.0, 0, 0, 0)), rad) == pytest.approx(0.0, abs=1e-6)
         assert scalar_curvature_identity(
-            minkowski, FluidState(0.0, 0.0, 1.0, 1.0), (0, 0, 0, 0)
+            PointGeometry(minkowski, (0, 0, 0, 0)), FluidState(0.0, 0.0, 1.0, 1.0)
         ) == pytest.approx(-4.0, abs=1e-12)
 
 
@@ -230,25 +230,27 @@ class TestRicciOperator:
 
 class TestEigenCheck:
     def test_minkowski_zero_spectrum(self, minkowski, coordinate_time):
-        res = einstein_eigen_check(minkowski, FluidState(0.0, 0.0, 1.0, 0.0), coordinate_time, (0, 0, 0, 0))
+        geo = PointGeometry(minkowski, (0, 0, 0, 0))
+        res = einstein_eigen_check(geo, FluidState(0.0, 0.0, 1.0, 0.0), coordinate_time)
         assert res.eigenvalues == (0.0, 0.0, 0.0, 0.0)
         assert res.applicable and res.max_deviation == 0.0
 
     def test_frw_radiation_multiset(self, frw_sqrt, coordinate_time):
         fluid = FluidState(0.75, 0.25, kappa=1.0, lam=0.0)
-        res = einstein_eigen_check(frw_sqrt, fluid, coordinate_time, (1.0, 0, 0, 0))
+        res = einstein_eigen_check(PointGeometry(frw_sqrt, (1.0, 0, 0, 0)), fluid, coordinate_time)
         assert np.allclose(res.expected, [-0.75, 0.25, 0.25, 0.25])
         assert res.max_deviation < 1e-5
         assert res.applicable
 
     def test_de_sitter_vacuum(self, de_sitter, coordinate_time):
         fluid = FluidState(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
-        res = einstein_eigen_check(de_sitter, fluid, coordinate_time, (0.5, 0.1, 0.2, 0.3))
+        res = einstein_eigen_check(PointGeometry(de_sitter, (0.5, 0.1, 0.2, 0.3)), fluid, coordinate_time)
         assert res.max_deviation < 1e-5
         assert res.applicable
 
     def test_mismatch_flagged_inapplicable(self, minkowski, coordinate_time):
-        res = einstein_eigen_check(minkowski, FluidState(0.0, 0.0, 1.0, 1.0), coordinate_time, (0, 0, 0, 0))
+        geo = PointGeometry(minkowski, (0, 0, 0, 0))
+        res = einstein_eigen_check(geo, FluidState(0.0, 0.0, 1.0, 1.0), coordinate_time)
         assert not res.applicable
 
 
