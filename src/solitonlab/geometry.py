@@ -17,10 +17,19 @@ numerics).  It computes the metric, its inverse and derivatives, the
 connection and the curvature lazily.  The stencil neighbours it reaches
 share one lattice keyed by their exact float coordinates, and each quantity
 is computed at most once per lattice coordinate, so a coordinate's metric
-components are evaluated once however many identities need them.  The
-lattice lives as long as the objects that reach it and is not locked: each
-PointGeometry belongs to one point and one thread.  Nothing is cached at
-module level.
+components are evaluated once however many identities need them.
+
+Vector fields live on the same lattice: ``geo.field(spec)`` is a
+FieldGeometry whose quantities (V, the dual one-form gV and its
+derivatives, nabla V, Lie_V g, the rotation map F = g^-1 d(gV), |V|^2, and
+for a gradient its potential and the potential's derivatives) are cached in the coordinate's entry under
+the VectorFieldSpec itself.  Specs are keyed by value, so two equal specs
+(say two ``gradient_of(f)`` built from one potential) share every entry,
+and a field's components are evaluated at most once per coordinate.
+
+The lattice lives as long as the objects that reach it and is not locked:
+each PointGeometry belongs to one point and one thread.  Nothing is cached
+at module level.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ __all__ = [
     "GeometryError",
     "SingularMetricError",
     "SignatureError",
-    "TwoRouteMismatch",
     "NumericsConfig",
     "DEFAULT_NUMERICS",
     "MetricSpec",
@@ -55,24 +63,22 @@ __all__ = [
     "VectorFieldSpec",
     "FramePack",
     "PointGeometry",
+    "FieldGeometry",
     "metric_at",
     "christoffel",
     "riemann",
     "ricci",
     "einstein_tensor",
-    "cov_deriv_vector",
-    "lie_derivative_metric",
     "hessian_scalar",
     "divergence_vector",
     "laplacian_routes",
-    "laplacian_scalar",
     "frame_from_matrix",
-    "div_tensor11",
     "cov_deriv_tensor11",
     "riemann_antisymmetry_residual",
     "bianchi_first_residual",
     "contracted_bianchi_residual",
     "metric_compatibility_residual",
+    "christoffel_exact",
     "fd_convergence_ratio",
     "max_abs",
 ]
@@ -88,10 +94,6 @@ class SingularMetricError(GeometryError):
 
 class SignatureError(GeometryError):
     """Diagonalised metric does not have Lorentzian signature (-,+,+,+)."""
-
-
-class TwoRouteMismatch(GeometryError):
-    """Two independent routes to the same quantity disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -249,19 +251,19 @@ class MetricSpec:
 
 
 class _PerCoordinate:
-    """A PointGeometry attribute computed at most once per lattice coordinate.
+    """A PointGeometry or FieldGeometry attribute computed at most once per lattice coordinate.
 
-    The value is stored in the coordinate's entry of the shared lattice, so
-    every object at those coordinates sees it.  A computation that raises
-    stores nothing.
+    The value is stored in the coordinate's entry of the shared lattice (a
+    field's own sub-entry for a FieldGeometry), so every object at those
+    coordinates sees it.  A computation that raises stores nothing.
     """
 
-    def __init__(self, fn: Callable[["PointGeometry"], Any]) -> None:
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
         self.name = fn.__name__
         self.__doc__ = fn.__doc__
 
-    def __get__(self, geo: "PointGeometry | None", owner: type | None = None) -> Any:
+    def __get__(self, geo: Any, owner: type | None = None) -> Any:
         if geo is None:
             return self
         cache = geo._cache
@@ -281,8 +283,9 @@ class PointGeometry:
     ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
     ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are each
     computed at most once per coordinate of the lattice.  ``shifted`` gives
-    a stencil neighbour on the same lattice and ``grad`` differentiates any
-    quantity of the neighbours.  Not thread-safe: one object, one thread.
+    a stencil neighbour on the same lattice, ``grad`` differentiates any
+    quantity of the neighbours and ``field`` gives a vector field's cached
+    quantities here.  Not thread-safe: one object, one thread.
     """
 
     __slots__ = ("metric", "point", "numerics", "_lattice", "_cache")
@@ -326,6 +329,10 @@ class PointGeometry:
                 d = (4.0 * d2 - d) / 3.0
             rows.append(np.asarray(d, dtype=float))
         return np.stack(rows)
+
+    def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
+        """The quantities of the vector field ``spec`` at this point."""
+        return FieldGeometry(self, spec)
 
     @_PerCoordinate
     def g(self) -> np.ndarray:
@@ -469,35 +476,94 @@ class VectorFieldSpec:
             return None
         return compile_expr(self.potential, self.coords)
 
+    def components_at(self, point: tuple[float, ...]) -> np.ndarray:
+        """Raw contravariant components at a tuple of ``dim`` floats; component fields only."""
+        try:
+            return np.array([fn(*point) for fn in self._component_fns])
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"vector field components undefined at {point}: {exc}") from None
+
+    def potential_at(self, point: tuple[float, ...]) -> float:
+        """Raw value of the potential at a tuple of ``dim`` floats; gradient fields only."""
+        try:
+            return self._potential_fn(*point)
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"gradient potential undefined at {point}: {exc}") from None
+
     def value(self, geo: PointGeometry) -> np.ndarray:
         """Contravariant components at one point (raised df for gradients)."""
-        if self._component_fns is not None:
-            p = np.asarray(geo.point, dtype=float)
-            return np.array([fn(*p) for fn in self._component_fns])
-        partials = geo.grad(_scalar_field(self._potential_fn))
-        return geo.g_inv @ partials
+        return geo.field(self).value
 
 
-def _scalar_field(fn: Callable[..., float]) -> Callable[[PointGeometry], float]:
-    """A compiled coordinate function as a function of lattice points.
+class FieldGeometry:
+    """One vector field at one point of a PointGeometry's lattice.
 
-    It sees numpy scalars, as field components do in ``VectorFieldSpec.value``.
+    Each quantity is computed at most once per (lattice coordinate, field),
+    in the coordinate's entry under the spec.  Components and potentials are
+    evaluated on the coordinates' Python floats, so a domain violation
+    raises EvalDomainError naming the coordinate instead of giving inf/NaN.
     """
-    return lambda n: fn(*np.asarray(n.point, dtype=float))
 
+    __slots__ = ("geo", "spec", "_cache")
 
-def cov_deriv_vector(geo: PointGeometry, v: VectorFieldSpec) -> TensorSample:
-    """nab[k,j] = (nabla_j V)^k = d_j V^k + Gamma^k_jm V^m."""
-    dv = geo.grad(v.value)  # dv[j,k] = d_j V^k
-    gamma = geo.gamma
-    vv = v.value(geo)
-    return TensorSample("tensor11", dv.T + np.einsum("kjm,m->kj", gamma, vv), geo.point)
+    def __init__(self, geo: PointGeometry, spec: VectorFieldSpec) -> None:
+        self.geo = geo
+        self.spec = spec
+        self._cache = geo._cache.setdefault(spec, {})
 
+    @_PerCoordinate
+    def potential(self) -> float:
+        """f, for a gradient field."""
+        return self.spec.potential_at(self.geo.point)
 
-def lie_derivative_metric(geo: PointGeometry, v: VectorFieldSpec) -> TensorSample:
-    """(Lie_V g)_ij = g(nabla_i V, e_j) + g(nabla_j V, e_i)."""
-    a = geo.g @ cov_deriv_vector(geo, v).components  # a[i,j] = (nabla_j V)_i
-    return TensorSample("tensor02", a + a.T, geo.point, symmetric=True)
+    @_PerCoordinate
+    def dpotential(self) -> np.ndarray:
+        """d_k f, for a gradient field."""
+        return self.geo.grad(lambda n: n.field(self.spec).potential)
+
+    @_PerCoordinate
+    def value(self) -> np.ndarray:
+        """V^k; the raised df for a gradient field."""
+        if self.spec.is_gradient:
+            return self.geo.g_inv @ self.dpotential
+        return self.spec.components_at(self.geo.point)
+
+    @_PerCoordinate
+    def omega(self) -> np.ndarray:
+        """The metric dual one-form omega_i = g_ij V^j."""
+        return self.geo.g @ self.value
+
+    @_PerCoordinate
+    def nabla(self) -> np.ndarray:
+        """nabla[k,j] = (nabla_j V)^k = d_j V^k + Gamma^k_jm V^m."""
+        dv = self.geo.grad(lambda n: n.field(self.spec).value)  # dv[j,k] = d_j V^k
+        return dv.T + np.einsum("kjm,m->kj", self.geo.gamma, self.value)
+
+    @_PerCoordinate
+    def lie(self) -> np.ndarray:
+        """(Lie_V g)_ij = g(nabla_i V, e_j) + g(nabla_j V, e_i)."""
+        a = self.geo.g @ self.nabla  # a[i,j] = (nabla_j V)_i
+        return a + a.T
+
+    @_PerCoordinate
+    def omega_grad(self) -> np.ndarray:
+        """omega_grad[i,j] = d_i omega_j, plain coordinate derivatives."""
+        return self.geo.grad(lambda n: n.field(self.spec).omega)
+
+    @_PerCoordinate
+    def d_omega(self) -> np.ndarray:
+        """(d omega)_ij = (d_i omega_j - d_j omega_i) / 2."""
+        return 0.5 * (self.omega_grad - self.omega_grad.T)
+
+    @_PerCoordinate
+    def f_mixed(self) -> np.ndarray:
+        """The (1,1) rotation field F = g^-1 d omega."""
+        return self.geo.g_inv @ self.d_omega
+
+    @_PerCoordinate
+    def norm_sq(self) -> float:
+        """g(V, V)."""
+        return float(self.value @ self.geo.g @ self.value)
 
 
 def _d2_same(fn: Callable[[PointGeometry], float], geo: PointGeometry, axis: int) -> float:
@@ -528,22 +594,22 @@ def _d2_cross(fn: Callable[[PointGeometry], float], geo: PointGeometry, ax1: int
 
 def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
     """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    scalar = _scalar_field(compile_expr(f, geo.metric.coords))
+    spec = VectorFieldSpec.gradient_of(f, geo.metric.coords)
+    scalar = lambda n: n.field(spec).potential  # noqa: E731
     dim = len(geo.point)
     d2 = np.empty((dim, dim))
     for i in range(dim):
         d2[i, i] = _d2_same(scalar, geo, i)
         for j in range(i):
             d2[i, j] = d2[j, i] = _d2_cross(scalar, geo, i, j)
-    partials = geo.grad(scalar)
-    hess = d2 - np.einsum("kij,k->ij", geo.gamma, partials)
+    hess = d2 - np.einsum("kij,k->ij", geo.gamma, geo.field(spec).dpotential)
     hess = 0.5 * (hess + hess.T)
     return TensorSample("tensor02", hess, geo.point, symmetric=True)
 
 
 def divergence_vector(geo: PointGeometry, v: VectorFieldSpec) -> float:
     """div V = (nabla_k V)^k."""
-    return float(np.trace(cov_deriv_vector(geo, v).components))
+    return float(np.trace(geo.field(v).nabla))
 
 
 def laplacian_routes(geo: PointGeometry, f: Expr) -> tuple[float, float]:
@@ -552,16 +618,6 @@ def laplacian_routes(geo: PointGeometry, f: Expr) -> tuple[float, float]:
     div_route = divergence_vector(geo, grad_field)
     trace_route = float(np.einsum("ij,ij->", geo.g_inv, hessian_scalar(geo, f).components))
     return div_route, trace_route
-
-
-def laplacian_scalar(geo: PointGeometry, f: Expr) -> float:
-    """Laplace-Beltrami of f; errors if the two routes disagree."""
-    div_route, trace_route = laplacian_routes(geo, f)
-    if abs(div_route - trace_route) > geo.numerics.two_route_tol:
-        raise TwoRouteMismatch(
-            f"laplacian routes differ by {abs(div_route - trace_route):.3e} at {geo.point}"
-        )
-    return trace_route
 
 
 # -- frames ----------------------------------------------------------------
@@ -616,11 +672,6 @@ def cov_deriv_tensor11(geo: PointGeometry, f_field: Callable[[PointGeometry], np
     return df + np.einsum("kim,mj->ikj", gamma, f0) - np.einsum("mij,km->ikj", gamma, f0)
 
 
-def div_tensor11(geo: PointGeometry, f_field: Callable[[PointGeometry], np.ndarray]) -> TensorSample:
-    """(div F)_j = (nabla_k F)^k_j, the frame-trace of the covariant derivative."""
-    return TensorSample("oneform", np.einsum("kkj->j", cov_deriv_tensor11(geo, f_field)), geo.point)
-
-
 # -- health checks -----------------------------------------------------------
 
 
@@ -660,18 +711,22 @@ def metric_compatibility_residual(geo: PointGeometry) -> float:
     return max_abs(cov)
 
 
-def _christoffel_exact(m: MetricSpec, point) -> np.ndarray:
-    """Gamma from symbolic component derivatives; oracle for the stencils."""
+def christoffel_exact(geo: PointGeometry) -> np.ndarray:
+    """Gamma from symbolic component derivatives; oracle for the stencils.
+
+    Only g itself comes from the lattice; every derivative is the compiled
+    symbolic derivative of a metric component, so it shares no stencil with
+    the engine it checks.
+    """
+    m = geo.metric
     n = m.dim
-    p = tuple(float(v) for v in point)
     dg = np.empty((n, n, n))
     for k, name in enumerate(m.coords):
         for i in range(n):
             for j in range(i, n):
                 fn = compile_expr(differentiate(m.components[i][j], name), m.coords)
-                dg[k, i, j] = dg[k, j, i] = fn(*p)
-    g = m.matrix(p)
-    return _christoffel_from_dg(np.linalg.inv(g), dg)
+                dg[k, i, j] = dg[k, j, i] = fn(*geo.point)
+    return _christoffel_from_dg(geo.g_inv, dg)
 
 
 def fd_convergence_ratio(geo: PointGeometry) -> float | None:
@@ -679,14 +734,16 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
 
     Measured on the connection coefficients against the symbolic-derivative
     oracle with Richardson off; ~4 for healthy second-order stencils.  None
-    when the error is at roundoff level (flat metrics).
+    when the error is at roundoff level (flat metrics).  The plain stencils
+    read the metric at the same +-h and +-h/2 neighbours as ``geo.grad``.
     """
-    cfg = geo.numerics
-    exact = _christoffel_exact(geo.metric, geo.point)
+    exact = christoffel_exact(geo)
     errs = []
-    for h in (cfg.h, cfg.h / 2):
-        plain = NumericsConfig(h=h, richardson=False, degeneracy_threshold=cfg.degeneracy_threshold)
-        errs.append(max_abs(PointGeometry(geo.metric, geo.point, plain).gamma - exact))
+    for h in (geo.numerics.h, geo.numerics.h / 2):
+        dg = np.stack(
+            [(geo.shifted(axis, h).g - geo.shifted(axis, -h).g) / (2 * h) for axis in range(len(geo.point))]
+        )
+        errs.append(max_abs(_christoffel_from_dg(geo.g_inv, dg) - exact))
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):
         return None
     return errs[0] / errs[1]

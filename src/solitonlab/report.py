@@ -34,7 +34,6 @@ from .geometry import (
     fd_convergence_ratio,
     laplacian_routes,
     max_abs,
-    metric_at,
     metric_compatibility_residual,
     riemann_antisymmetry_residual,
 )
@@ -310,16 +309,6 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def _plan_warnings(scenario: Scenario) -> list[str]:
-    warnings = []
-    for i, point in enumerate(scenario.points):
-        try:
-            metric_at(scenario.metric, point, scenario.numerics)
-        except (EvalDomainError, GeometryError) as exc:
-            warnings.append(f"plan point {i} {list(point)}: metric not evaluable there ({exc})")
-    return warnings
-
-
 def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float | None, float | None]:
     params = scenario.soliton
     if params is None:
@@ -333,13 +322,15 @@ def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float |
     return lam, mu
 
 
-def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bool) -> _PointRecord:
-    rec = _PointRecord(coordinates=tuple(float(v) for v in point))
+def _evaluate_point(
+    scenario: Scenario, geo: PointGeometry, tols: dict[str, float], solve: bool
+) -> tuple[_PointRecord, PointSamples | None]:
+    """The record of one plan point, and its samples for the conformal fit when solving with a field."""
+    point = geo.point
+    rec = _PointRecord(coordinates=point)
     coords = scenario.coords
     v = scenario.vector_field
 
-    # one lattice for every identity at this point, dropped when it returns
-    geo = PointGeometry(scenario.metric, point, scenario.numerics)
     g = geo.g
     g_inv = geo.g_inv
     s = geo.ricci
@@ -353,9 +344,7 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
     rec.add("metric_compatibility", metric_compatibility_residual(geo), tols["metric_compatibility"], True)
 
     v_val = v.value(geo) if v is not None else None
-    unit_timelike = False
-    if v_val is not None:
-        unit_timelike = abs(float(v_val @ g @ v_val) + 1.0) <= tols["unit_timelike"]
+    unit_timelike = v is not None and abs(geo.field(v).norm_sq + 1.0) <= tols["unit_timelike"]
 
     # fluid block
     fluid_values: FluidValues | None = None
@@ -422,10 +411,11 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
             rec.derived["laplacian"] = trace_route
             rec.add("laplacian_two_route", abs(div_route - trace_route), tols["laplacian_two_route"], True)
 
+    samples = PointSamples.from_geometry(geo, v) if solve and v is not None else None
+
     # soliton block
     params = scenario.soliton
-    if solve and params is not None and v is not None:
-        samples = PointSamples.from_geometry(geo, v)
+    if samples is not None and params is not None:
         lie_xi_xi = abs(float(v_val @ samples.lie_vg @ v_val)) if v_val is not None else None
         projection_valid = unit_timelike and lie_xi_xi is not None and lie_xi_xi <= tols["applicability"]
 
@@ -523,31 +513,57 @@ def _evaluate_point(scenario: Scenario, point, tols: dict[str, float], solve: bo
                 rec.add("laplacian_identity", abs(lap_res), tols["laplacian_identity"], True)
             except UnitNormError:
                 rec.add("laplacian_identity", None, tols["laplacian_identity"], False, applicable=False)
-    return rec
+    return rec, samples
 
 
 def run_suite(scenario: Scenario, solve: bool = True) -> IdentityReport:
     """Evaluate every applicable identity at every plan point.
 
     Per-point numerical failures are recorded in the report rather than
-    raised; the suite only fails outright when no point is evaluable.
+    raised; the suite only fails outright when no point is evaluable.  No
+    lattice outlives its point: the numerics health is measured on the
+    first good point before its lattice is dropped, and the conformal fit
+    reads the points' small PointSamples.
     """
     tols = resolve_tolerances(scenario.tolerances)
-    warnings = _plan_warnings(scenario)
+    warnings: list[str] = []
     records: list[_PointRecord] = []
-    for point in scenario.points:
+    samples: list[PointSamples] = []
+    fd_health: dict[str, float | None] = {}
+    for i, point in enumerate(scenario.points):
+        geo = PointGeometry(scenario.metric, point, scenario.numerics)
         try:
-            records.append(_evaluate_point(scenario, point, tols, solve))
+            geo.g
+        except (EvalDomainError, GeometryError) as exc:
+            warnings.append(f"plan point {i} {list(point)}: metric not evaluable there ({exc})")
+            records.append(_PointRecord(geo.point, error=str(exc)))
+            continue
+        try:
+            rec, sample = _evaluate_point(scenario, geo, tols, solve)
         except (EvalDomainError, GeometryError, UnitNormError, ValueError) as exc:
-            rec = _PointRecord(coordinates=tuple(float(x) for x in point))
-            rec.error = str(exc)
-            records.append(rec)
+            records.append(_PointRecord(geo.point, error=str(exc)))
+            continue
+        records.append(rec)
+        if sample is not None:
+            samples.append(sample)
+        if not fd_health:
+            try:
+                fd_health["fd_convergence_ratio"] = fd_convergence_ratio(geo)
+            except (EvalDomainError, GeometryError):
+                fd_health["fd_convergence_ratio"] = None
 
-    summary = _summarize(scenario, records, tols, solve)
+    summary = _summarize(scenario, records, samples, fd_health, tols, solve)
     return IdentityReport(scenario, tols, records, summary, warnings)
 
 
-def _summarize(scenario: Scenario, records: list[_PointRecord], tols: dict[str, float], solve: bool) -> dict:
+def _summarize(
+    scenario: Scenario,
+    records: list[_PointRecord],
+    samples: list[PointSamples],
+    fd_health: dict[str, float | None],
+    tols: dict[str, float],
+    solve: bool,
+) -> dict:
     derived: dict[str, dict] = {}
     keys = sorted({k for rec in records for k in rec.derived})
     for key in keys:
@@ -594,17 +610,9 @@ def _summarize(scenario: Scenario, records: list[_PointRecord], tols: dict[str, 
             }
 
     ckv_summary = None
-    good_points = [rec.coordinates for rec in records if rec.error is None]
-    if solve and scenario.vector_field is not None and len(good_points) >= 2:
+    if len(samples) >= 2:
         try:
-            analysis = ckv_fit(
-                scenario.metric,
-                scenario.vector_field,
-                good_points,
-                scenario.numerics,
-                tolerance=tols["ckv_fit"],
-                params=scenario.soliton,
-            )
+            analysis = ckv_fit(samples, tolerance=tols["ckv_fit"], params=scenario.soliton)
             ckv_summary = {
                 "category": analysis.category,
                 "phis": list(analysis.phis),
@@ -612,22 +620,14 @@ def _summarize(scenario: Scenario, records: list[_PointRecord], tols: dict[str, 
                 "theta": analysis.theta,
                 "psi": analysis.psi,
             }
-        except (EvalDomainError, GeometryError, UnitNormError):
+        except EvalDomainError:  # a pressure scalar undefined at the first point
             ckv_summary = None
 
     health: dict[str, Any] = {}
     asym = [rec.derived.get("ricci_asymmetry") for rec in records if "ricci_asymmetry" in rec.derived]
     if asym:
         health["ricci_asymmetry_max"] = float(max(asym))
-    for rec in records:
-        if rec.error is None:
-            try:
-                health["fd_convergence_ratio"] = fd_convergence_ratio(
-                    PointGeometry(scenario.metric, rec.coordinates, scenario.numerics)
-                )
-            except (EvalDomainError, GeometryError):
-                health["fd_convergence_ratio"] = None
-            break
+    health.update(fd_health)
 
     verdict = "fail" if (failures or all_failed) else "pass"
     return {

@@ -22,20 +22,14 @@ import numpy as np
 
 from .expressions import Expr, evaluate
 from .geometry import (
-    DEFAULT_NUMERICS,
     GeometryError,
-    MetricSpec,
-    NumericsConfig,
     PointGeometry,
     TensorSample,
     VectorFieldSpec,
     cov_deriv_tensor11,
-    cov_deriv_vector,
-    div_tensor11,
     divergence_vector,
     hessian_scalar,
     laplacian_routes,
-    lie_derivative_metric,
     max_abs,
 )
 from .spacetimes import FluidValues, UnitNormError, ricci_from_fluid
@@ -48,7 +42,6 @@ __all__ = [
     "PointSamples",
     "ClassificationResult",
     "CKVAnalysis",
-    "EinsteinFit",
     "TwoFormPack",
     "EtaSolitonSolve",
     "TorseResiduals",
@@ -60,11 +53,9 @@ __all__ = [
     "phi_closed_form",
     "classify",
     "ckv_fit",
-    "einstein_fit",
     "einstein_fit_point",
     "einstein_conformal_factor",
     "two_form_pack",
-    "f_field_of",
     "nabla_decomposition_check",
     "potential_field_identities",
     "eta_projection_solve",
@@ -158,20 +149,17 @@ class PointSamples:
         to ``v`` itself (the usual case where the potential field is the
         fluid velocity).
         """
-        g = geo.g
-        lie = lie_derivative_metric(geo, v).components
-        s = geo.ricci
-        xi_field = xi if xi is not None else v
-        xi_val = xi_field.value(geo)
+        xi_spec = xi if xi is not None else v
+        xi_field = geo.field(xi_spec)
         return cls(
-            g=g,
+            g=geo.g,
             g_inv=geo.g_inv,
-            lie_vg=lie,
-            ricci=s,
+            lie_vg=geo.field(v).lie,
+            ricci=geo.ricci,
             scalar=geo.scalar,
-            xi=xi_val,
-            eta=g @ xi_val,
-            div_xi=divergence_vector(geo, xi_field),
+            xi=xi_field.value,
+            eta=xi_field.omega,
+            div_xi=divergence_vector(geo, xi_spec),
             point=geo.point,
             coords=geo.metric.coords,
         )
@@ -335,41 +323,33 @@ class CKVAnalysis:
 
 
 def ckv_fit(
-    m: MetricSpec,
-    v: VectorFieldSpec,
-    points: Sequence[Sequence[float]],
-    cfg: NumericsConfig | None = None,
+    samples: Sequence[PointSamples],
     tolerance: float = 1e-6,
     params: SolitonParams | None = None,
 ) -> CKVAnalysis:
-    """Fit Lie_V g = 2 Phi g over a point set and categorise the field.
+    """Fit Lie_V g = 2 Phi g over the samples of a point set and categorise the field.
 
     not_ckv if the fit residual exceeds tolerance anywhere; killing if the
     factor vanishes everywhere; homothetic if it is constant; proper
     otherwise.  When soliton params with a constant are supplied and the
     spacetime fits the Einstein form, the predicted factor psi is attached.
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    if len(points) < 2:
+    if len(samples) < 2:
         raise ValueError("conformal fit needs at least two sample points")
-    n = m.dim
+    first = samples[0]
+    n = first.g.shape[0]
     phis: list[float] = []
     residuals: list[float] = []
     thetas: list[float] = []
     theta_residuals: list[float] = []
-    r0: float | None = None
-    for point in points:
-        geo = PointGeometry(m, point, cfg)
-        g = geo.g
-        lie = lie_derivative_metric(geo, v).components
-        phi = float(np.einsum("ij,ij->", geo.g_inv, lie)) / (2.0 * n)
+    for sample in samples:
+        g, lie = sample.g, sample.lie_vg
+        phi = float(np.einsum("ij,ij->", sample.g_inv, lie)) / (2.0 * n)
         phis.append(phi)
         residuals.append(max_abs(lie - 2.0 * phi * g))
-        theta, theta_res = einstein_fit_point(geo.ricci, g)
+        theta, theta_res = einstein_fit_point(sample.ricci, g)
         thetas.append(theta)
         theta_residuals.append(theta_res)
-        if r0 is None:
-            r0 = geo.scalar
     residual = max(residuals)
     if residual > tolerance:
         category = "not_ckv"
@@ -383,19 +363,9 @@ def ckv_fit(
     if max(theta_residuals) <= tolerance:
         theta = float(np.mean(thetas))
         if params is not None and params.lam is not None:
-            p_val = params.p_at(tuple(points[0]), m.coords) if params.family in CONFORMAL_FAMILIES else 0.0
-            psi = einstein_conformal_factor(theta, r0, params.alpha, params.beta, p_val, params.lam)
+            p_val = params.p_at(first.point, first.coords) if params.family in CONFORMAL_FAMILIES else 0.0
+            psi = einstein_conformal_factor(theta, first.scalar, params.alpha, params.beta, p_val, params.lam)
     return CKVAnalysis(tuple(phis), residual, category, tolerance, theta, psi)
-
-
-@dataclass(frozen=True)
-class EinsteinFit:
-    thetas: tuple[float, ...]
-    residuals: tuple[float, ...]
-
-    @property
-    def residual(self) -> float:
-        return max(self.residuals)
 
 
 def einstein_fit_point(s: np.ndarray, g: np.ndarray) -> tuple[float, float]:
@@ -403,17 +373,6 @@ def einstein_fit_point(s: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     n = g.shape[0]
     theta = float(np.einsum("ij,ij->", np.linalg.inv(g), s)) / n
     return theta, max_abs(s - theta * g)
-
-
-def einstein_fit(m: MetricSpec, points: Sequence[Sequence[float]], cfg: NumericsConfig | None = None) -> EinsteinFit:
-    cfg = cfg or DEFAULT_NUMERICS
-    thetas, residuals = [], []
-    for point in points:
-        geo = PointGeometry(m, point, cfg)
-        theta, res = einstein_fit_point(geo.ricci, geo.g)
-        thetas.append(theta)
-        residuals.append(res)
-    return EinsteinFit(tuple(thetas), tuple(residuals))
 
 
 def einstein_conformal_factor(theta: float, r: float, alpha: float, beta: float, p: float, lam: float) -> float:
@@ -440,30 +399,13 @@ class TwoFormPack:
     point: tuple[float, ...]
 
 
-def _omega(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
-    return geo.g @ v.value(geo)
-
-
-def _d_omega(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
-    domega_raw = geo.grad(lambda n: _omega(n, v))  # [i,j] = d_i omega_j
-    return 0.5 * (domega_raw - domega_raw.T)
-
-
 def two_form_pack(geo: PointGeometry, v: VectorFieldSpec) -> TwoFormPack:
-    omega = _omega(geo, v)
-    d_omega = _d_omega(geo, v)
-    f_mixed = geo.g_inv @ d_omega
-    gf = geo.g @ f_mixed
+    field = geo.field(v)
+    gf = geo.g @ field.f_mixed
     skew_defect = max_abs(gf + gf.T)
     if skew_defect > 1e-9 * max(1.0, max_abs(gf)):
         raise GeometryError(f"rotation map is not skew self-adjoint (defect {skew_defect:.3e})")
-    return TwoFormPack(omega, d_omega, f_mixed, skew_defect, geo.point)
-
-
-def f_field_of(geo: PointGeometry, v: VectorFieldSpec) -> np.ndarray:
-    """Components of the (1,1) rotation field of V at one point."""
-    d_omega = _d_omega(geo, v)
-    return geo.g_inv @ d_omega
+    return TwoFormPack(field.omega, field.d_omega, field.f_mixed, skew_defect, geo.point)
 
 
 def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
@@ -473,12 +415,10 @@ def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
     residual is pure stencil noise for every field.
     """
     g = geo.g
-    nabla = cov_deriv_vector(geo, v).components  # [k,j] = (nabla_j V)^k
-    a = (g @ nabla).T  # a[i,j] = (nabla_i V)_j
-    lie = lie_derivative_metric(geo, v).components
-    pack = two_form_pack(geo, v)
-    gf = g @ pack.f_mixed
-    return max_abs(a - 0.5 * lie + gf.T)
+    field = geo.field(v)
+    a = (g @ field.nabla).T  # a[i,j] = (nabla_i V)_j
+    gf = g @ two_form_pack(geo, v).f_mixed
+    return max_abs(a - 0.5 * field.lie + gf.T)
 
 
 @dataclass(frozen=True)
@@ -517,18 +457,18 @@ def potential_field_identities(
     n = geo.metric.dim
     g = geo.g
     riem = geo.riemann
-    vv = v.value(geo)
-    omega = g @ vv
+    field = geo.field(v)
+    vv = field.value
+    omega = field.omega
     xi_field = xi if xi is not None else v
-    xi_val = xi_field.value(geo)
-    eta = g @ xi_val
+    xi_at = geo.field(xi_field)
+    eta = xi_at.omega
     coeff = params.alpha * values.kappa * (values.sigma + values.rho)
     if abs(coeff) > 0.0:
-        norm = float(xi_val @ g @ xi_val)
+        norm = xi_at.norm_sq
         if abs(norm + 1.0) > 1e-6:
             raise UnitNormError(f"identity terms need a unit timelike field, g(xi,xi) = {norm!r}")
-    f_field = lambda q: f_field_of(q, v)  # noqa: E731
-    cov_f = cov_deriv_tensor11(geo, f_field)  # [a,k,j] = (nabla_a F)^k_j
+    cov_f = cov_deriv_tensor11(geo, lambda q: q.field(v).f_mixed)  # [a,k,j] = (nabla_a F)^k_j
     eye = np.eye(n)
 
     # curvature acting on V vs the antisymmetrised derivative of F
@@ -540,8 +480,8 @@ def potential_field_identities(
     )
     curvature_res = max_abs(lhs - rhs)
 
-    # divergence of F against the fluid terms
-    div_f = div_tensor11(geo, f_field).components
+    # divergence of F, (nabla_k F)^k_j, against the fluid terms
+    div_f = np.einsum("kkj->j", cov_f)
     eta_v = float(eta @ vv)
     rhs_div = (
         -values.kappa * (values.sigma + values.rho) * (3.0 * params.alpha + eta_v) * eta
@@ -550,11 +490,8 @@ def potential_field_identities(
     divergence_res = max_abs(div_f - rhs_div)
 
     # gradient of |V|^2 against the Lie derivative and rotation terms
-    norm_fn = lambda q: float(v.value(q) @ q.g @ v.value(q))  # noqa: E731
-    dnorm = geo.grad(norm_fn)
-    f0 = f_field(geo)
-    lie = lie_derivative_metric(geo, v).components
-    norm_res = max_abs(dnorm + 2.0 * (f0.T @ omega) - lie @ vv)
+    dnorm = geo.grad(lambda q: q.field(v).norm_sq)
+    norm_res = max_abs(dnorm + 2.0 * (field.f_mixed.T @ omega) - field.lie @ vv)
 
     fluid_gap = max_abs(geo.ricci - ricci_from_fluid(values, g, eta))
     scale = 1.0 + abs(values.lam) + abs(coeff)
@@ -670,10 +607,7 @@ def laplacian_identity_check(
     supplied it is taken from the closed forms with the divergence of
     grad f computed geometrically (two Laplacian routes must agree).
     """
-    grad_field = VectorFieldSpec.gradient_of(f, geo.metric.coords)
-    g = geo.g
-    grad = grad_field.value(geo)
-    norm = float(grad @ g @ grad)
+    norm = geo.field(VectorFieldSpec.gradient_of(f, geo.metric.coords)).norm_sq
     if abs(norm + 1.0) > 1e-6:
         raise UnitNormError(f"g(grad f, grad f) = {norm!r}, expected -1")
     div_route, trace_route = laplacian_routes(geo, f)
@@ -703,23 +637,20 @@ class TorseResiduals:
 
 def torse_forming_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
     """Worst-direction residual of nabla_X xi = X + eta(X) xi."""
-    nabla = cov_deriv_vector(geo, xi).components  # [k,j]
-    xi_val = xi.value(geo)
-    eta = geo.g @ xi_val
-    expected = np.eye(geo.metric.dim) + np.outer(xi_val, eta)  # [k,j] = delta^k_j + eta_j xi^k
-    return max_abs(nabla - expected)
+    field = geo.field(xi)
+    expected = np.eye(geo.metric.dim) + np.outer(field.value, field.omega)  # [k,j] = delta^k_j + eta_j xi^k
+    return max_abs(field.nabla - expected)
 
 
 def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> TorseResiduals:
     g = geo.g
-    xi_val = xi.value(geo)
-    eta = g @ xi_val
-    unit = abs(float(xi_val @ g @ xi_val) + 1.0) <= 1e-6
-    nabla = cov_deriv_vector(geo, xi).components
-    geodesic = max_abs(nabla @ xi_val)
+    field = geo.field(xi)
+    xi_val = field.value
+    eta = field.omega
+    unit = abs(field.norm_sq + 1.0) <= 1e-6
+    geodesic = max_abs(field.nabla @ xi_val)
 
-    deta = geo.grad(lambda n: _omega(n, xi))  # [i,j] = d_i eta_j
-    cov_eta = deta - np.einsum("kij,k->ij", geo.gamma, eta)
+    cov_eta = field.omega_grad - np.einsum("kij,k->ij", geo.gamma, eta)  # [i,j] = (nabla_i eta)_j
     eta_res = max_abs(cov_eta - g - np.outer(eta, eta))
 
     riem = geo.riemann
@@ -738,6 +669,6 @@ def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> Tors
 
 def torse_lie_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
     """Residual of (Lie_xi g) = 2 [g + eta (x) eta], the torse-forming Lie form."""
-    g = geo.g
-    eta = g @ xi.value(geo)
-    return max_abs(lie_derivative_metric(geo, xi).components - 2.0 * (g + np.outer(eta, eta)))
+    field = geo.field(xi)
+    eta = field.omega
+    return max_abs(field.lie - 2.0 * (geo.g + np.outer(eta, eta)))

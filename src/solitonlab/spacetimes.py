@@ -41,8 +41,6 @@ __all__ = [
     "efe_residual",
     "ricci_from_fluid",
     "fluid_from_ricci",
-    "scalar_curvature_identity",
-    "ricci_operator",
     "einstein_eigen_check",
 ]
 
@@ -244,17 +242,6 @@ def fluid_from_ricci(
         tolerance=tolerance,
     )
     return FluidValues(sigma, rho, float(kappa), float(lam)), fit
-
-
-def scalar_curvature_identity(geo: PointGeometry, fluid: FluidState) -> float:
-    """r_computed - [4 lam + kappa (sigma - 3 rho)]; near zero for a matching fluid."""
-    values = fluid.at(geo.point, geo.metric.coords)
-    return geo.scalar - (4.0 * values.lam + values.kappa * (values.sigma - 3.0 * values.rho))
-
-
-def ricci_operator(s: np.ndarray, g_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(QX)^i = g^ik S_kj X^j, the raised Ricci applied to a vector."""
-    return np.asarray(g_inv, dtype=float) @ np.asarray(s, dtype=float) @ np.asarray(x, dtype=float)
 
 
 def einstein_eigen_check(

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab.geometry import VectorFieldSpec
+from solitonlab.geometry import PointGeometry, VectorFieldSpec
+from solitonlab.solitons import PointSamples
 from solitonlab.spacetimes import catalog_metric
 
 COORDS = ("t", "x", "y", "z")
@@ -46,6 +47,11 @@ def random_points(n: int, seed: int, t_range=(0.4, 1.4), space_range=(-1.0, 1.0)
     ts = rng.uniform(*t_range, size=n)
     xyz = rng.uniform(*space_range, size=(n, 3))
     return [(float(ts[i]), *(float(v) for v in xyz[i])) for i in range(n)]
+
+
+def field_samples(metric, field, points):
+    """PointSamples of ``field`` at each point, as ``ckv_fit`` takes them."""
+    return [PointSamples.from_geometry(PointGeometry(metric, p), field) for p in points]
 
 
 def random_lorentzian(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

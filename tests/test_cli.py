@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,25 @@ class TestReportShape:
         assert derived["values"][0] == pytest.approx(-3.0, abs=1e-6)
         assert derived["values"][1] == pytest.approx(-2.0, abs=1e-6)
         assert derived["spread"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_field_domain_error_is_a_point_error(self, tmp_path):
+        # the nested stencil of the potential reaches x = 0: a numerical
+        # failure recorded on the point, never NaN residuals read as failures
+        doc = json.loads(Path(fixture("de-sitter-eta-gradient.json")).read_text())
+        doc["vector_field"] = {"gradient": "t + 1/x"}
+        del doc["grid"]
+        doc["points"] = [[0.0, 0.002, 0.0, 0.0]]
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            main(["analyze", str(src), "--out", str(out), "--no-timestamp"])
+        report = json.loads(out.read_text())
+        (point,) = report["points"]
+        assert "(0.0, 0.0, 0.0, 0.0)" in point["error"]
+        assert report["summary"]["failures"] == []
+        assert report["summary"]["errors"] == [{"point": 0, "message": point["error"]}]
 
     def test_singular_plan_point_warns_not_fatal(self, tmp_path):
         doc = {

@@ -15,16 +15,13 @@ from solitonlab.geometry import (
     bianchi_first_residual,
     christoffel,
     contracted_bianchi_residual,
-    cov_deriv_vector,
-    div_tensor11,
+    cov_deriv_tensor11,
     divergence_vector,
     einstein_tensor,
     fd_convergence_ratio,
     frame_from_matrix,
     hessian_scalar,
     laplacian_routes,
-    laplacian_scalar,
-    lie_derivative_metric,
     max_abs,
     metric_at,
     metric_compatibility_residual,
@@ -209,33 +206,33 @@ class TestOffDiagonalCharts:
 class TestDerivativeOperators:
     def test_cov_deriv_flat(self, minkowski, coordinate_time):
         geo = PointGeometry(minkowski, (0, 1, 2, 3))
-        assert max_abs(cov_deriv_vector(geo, coordinate_time).components) == 0.0
+        assert max_abs(geo.field(coordinate_time).nabla) == 0.0
 
     def test_cov_deriv_de_sitter(self, de_sitter, coordinate_time):
-        nab = cov_deriv_vector(PointGeometry(de_sitter, (0.3, 0, 0, 0)), coordinate_time).components
+        nab = PointGeometry(de_sitter, (0.3, 0, 0, 0)).field(coordinate_time).nabla
         assert nab[1, 1] == pytest.approx(1.0, abs=1e-9)
         assert nab[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cov_deriv_steeper_warp(self, coordinate_time):
         m = catalog_metric("de_sitter", hubble=2.0)
-        nab = cov_deriv_vector(PointGeometry(m, (0.3, 0, 0, 0)), coordinate_time).components
+        nab = PointGeometry(m, (0.3, 0, 0, 0)).field(coordinate_time).nabla
         assert nab[1, 1] == pytest.approx(2.0, abs=1e-8)
 
     def test_lie_killing_flat(self, minkowski, coordinate_time):
         geo = PointGeometry(minkowski, (0.3, 1, 2, 3))
-        assert max_abs(lie_derivative_metric(geo, coordinate_time).components) == 0.0
+        assert max_abs(geo.field(coordinate_time).lie) == 0.0
 
     def test_lie_de_sitter_form(self, de_sitter, coordinate_time):
         p = (0.8, 0.1, 0.2, 0.3)
         g = metric_at(de_sitter, p).components
         eta = g @ np.array([1.0, 0, 0, 0])
-        lie = lie_derivative_metric(PointGeometry(de_sitter, p), coordinate_time).components
+        lie = PointGeometry(de_sitter, p).field(coordinate_time).lie
         assert max_abs(lie - 2.0 * (g + np.outer(eta, eta))) < 1e-9
         assert lie[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert lie[1, 1] == pytest.approx(2.0 * math.exp(2 * 0.8), rel=1e-9)
 
     def test_lie_euler_homothety(self, minkowski, euler_field):
-        lie = lie_derivative_metric(PointGeometry(minkowski, (1.0, 0.5, -0.5, 0.2)), euler_field).components
+        lie = PointGeometry(minkowski, (1.0, 0.5, -0.5, 0.2)).field(euler_field).lie
         assert max_abs(lie - 2.0 * MINK) < 1e-12
 
     def test_gradient(self, minkowski, de_sitter):
@@ -265,17 +262,21 @@ class TestDerivativeOperators:
         assert divergence_vector(PointGeometry(de_sitter, p), grad_t) == pytest.approx(-3.0, abs=1e-9)
 
     def test_laplacian(self, minkowski, de_sitter):
+        def laplacian(geo, f):
+            div_route, trace_route = laplacian_routes(geo, f)
+            assert abs(div_route - trace_route) <= geo.numerics.two_route_tol
+            return trace_route
+
         p = (0.2, 0.4, 0.1, -0.5)
-        assert laplacian_scalar(PointGeometry(minkowski, p), parse("t", COORDS)) == pytest.approx(0.0, abs=1e-10)
-        assert laplacian_scalar(PointGeometry(de_sitter, p), parse("t", COORDS)) == pytest.approx(-3.0, abs=1e-9)
-        assert laplacian_scalar(PointGeometry(minkowski, p), parse("x^2+y^2", COORDS)) == pytest.approx(4.0, abs=1e-8)
+        assert laplacian(PointGeometry(minkowski, p), parse("t", COORDS)) == pytest.approx(0.0, abs=1e-10)
+        assert laplacian(PointGeometry(de_sitter, p), parse("t", COORDS)) == pytest.approx(-3.0, abs=1e-9)
+        assert laplacian(PointGeometry(minkowski, p), parse("x^2+y^2", COORDS)) == pytest.approx(4.0, abs=1e-8)
 
-    def test_laplacian_route_disagreement_raises(self, de_sitter):
-        from solitonlab.geometry import TwoRouteMismatch
-
+    def test_laplacian_routes_disagree_on_coarse_stencils(self, de_sitter):
         coarse = NumericsConfig(h=0.5, richardson=False)
-        with pytest.raises(TwoRouteMismatch):
-            laplacian_scalar(PointGeometry(de_sitter, (0.5, 0.4, 0.1, 0.2), coarse), parse("exp(t)*x^2", COORDS))
+        geo = PointGeometry(de_sitter, (0.5, 0.4, 0.1, 0.2), coarse)
+        div_route, trace_route = laplacian_routes(geo, parse("exp(t)*x^2", COORDS))
+        assert abs(div_route - trace_route) > coarse.two_route_tol
 
 
 class TestFrames:
@@ -305,14 +306,19 @@ class TestFrames:
             assert pack.signs == (-1, 1, 1, 1)
 
 
+def div_tensor11(geo, f_field):
+    """(div F)_j = (nabla_k F)^k_j, the trace of the covariant derivative."""
+    return np.einsum("kkj->j", cov_deriv_tensor11(geo, f_field))
+
+
 class TestDivTensor11:
     def test_zero_field(self, de_sitter):
         zero = lambda q: np.zeros((4, 4))  # noqa: E731
-        assert max_abs(div_tensor11(PointGeometry(de_sitter, (0.5, 0, 0, 0)), zero).components) == 0.0
+        assert max_abs(div_tensor11(PointGeometry(de_sitter, (0.5, 0, 0, 0)), zero)) == 0.0
 
     def test_identity_field_flat(self, minkowski):
         ident = lambda q: np.eye(4)  # noqa: E731
-        assert max_abs(div_tensor11(PointGeometry(minkowski, (0.5, 1, 2, 3)), ident).components) == 0.0
+        assert max_abs(div_tensor11(PointGeometry(minkowski, (0.5, 1, 2, 3)), ident)) == 0.0
 
     def test_linear_component(self, minkowski):
         def field(q):
@@ -320,7 +326,7 @@ class TestDivTensor11:
             f[1, 2] = q.point[1]  # F^x_y = x
             return f
 
-        div = div_tensor11(PointGeometry(minkowski, (0.0, 0.5, 0.5, 0.5)), field).components
+        div = div_tensor11(PointGeometry(minkowski, (0.0, 0.5, 0.5, 0.5)), field)
         assert np.allclose(div, [0, 0, 1, 0], atol=1e-10)
 
 
@@ -417,21 +423,31 @@ class TestPointGeometry:
         assert there.shifted(0, -1e-3).point == (0.5 + 1e-3 - 1e-3, 0.0, 0.0, 0.0)
 
     def test_each_plan_point_evaluates_every_coordinate_once(self, monkeypatch):
-        from solitonlab import report
+        # a whole run, summary included: the metric once per coordinate, and
+        # each field's components (or potential) once per coordinate
+        from solitonlab.report import run_suite
         from solitonlab.scenario import load_scenario
 
         from conftest import SCENARIO_DIR
 
-        scenario = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json")
-        (point,) = [p for p in scenario.points if p[0] == 0.0]
-        seen = []
-        matrix = MetricSpec.matrix
+        metric_seen, field_seen = [], []
 
-        def counted(self, q):
-            seen.append(tuple(q))
-            return matrix(self, q)
+        def counted(method, seen, keyed):
+            def wrapper(self, q):
+                seen.append((self, tuple(q)) if keyed else tuple(q))
+                return method(self, q)
 
-        monkeypatch.setattr(MetricSpec, "matrix", counted)
-        report._evaluate_point(scenario, point, report.resolve_tolerances(scenario.tolerances), solve=True)
-        assert seen
-        assert len(seen) == len(set(seen))
+            return wrapper
+
+        monkeypatch.setattr(MetricSpec, "matrix", counted(MetricSpec.matrix, metric_seen, False))
+        for name in ("components_at", "potential_at"):
+            monkeypatch.setattr(VectorFieldSpec, name, counted(getattr(VectorFieldSpec, name), field_seen, True))
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            scenario = load_scenario(path)
+            metric_seen.clear()
+            field_seen.clear()
+            run_suite(scenario)
+            assert metric_seen, path.name
+            assert len(metric_seen) == len(set(metric_seen)), path.name
+            assert len(field_seen) == len(set(field_seen)), path.name
+            assert bool(field_seen) == (scenario.vector_field is not None), path.name

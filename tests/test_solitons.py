@@ -12,7 +12,7 @@ from solitonlab.solitons import (
     SolitonParams,
     ckv_fit,
     classify,
-    einstein_fit,
+    einstein_fit_point,
     eta_closed_forms,
     eta_projection_solve,
     gradient_soliton_residual,
@@ -30,7 +30,7 @@ from solitonlab.solitons import (
 )
 from solitonlab.spacetimes import FluidValues, UnitNormError, catalog_metric
 
-from conftest import COORDS, random_lorentzian, random_points
+from conftest import COORDS, field_samples, random_lorentzian, random_points
 
 VACUUM = FluidValues(0.0, 0.0, 1.0, 0.0)
 DS_FLUID = FluidValues(0.0, 0.0, 8 * math.pi, 3.0)
@@ -260,17 +260,17 @@ class TestClassification:
 
 class TestCKV:
     def test_euler_homothetic(self, minkowski, euler_field):
-        res = ckv_fit(minkowski, euler_field, random_points(4, seed=41))
+        res = ckv_fit(field_samples(minkowski, euler_field, random_points(4, seed=41)))
         assert res.category == "homothetic"
         assert all(phi == pytest.approx(1.0, abs=1e-6) for phi in res.phis)
         assert res.theta == pytest.approx(0.0, abs=1e-10)
 
     def test_parallel_field_killing(self, minkowski, coordinate_time):
-        res = ckv_fit(minkowski, coordinate_time, random_points(3, seed=42))
+        res = ckv_fit(field_samples(minkowski, coordinate_time, random_points(3, seed=42)))
         assert res.category == "killing"
 
     def test_expansion_flow_not_ckv(self, de_sitter, coordinate_time):
-        res = ckv_fit(de_sitter, coordinate_time, random_points(3, seed=43))
+        res = ckv_fit(field_samples(de_sitter, coordinate_time, random_points(3, seed=43)))
         assert res.category == "not_ckv"
 
     def test_proper_conformal_field(self, minkowski):
@@ -278,35 +278,41 @@ class TestCKV:
         v = VectorFieldSpec.from_components(
             ["-2*t*t - (x^2+y^2+z^2-t^2)", "-2*t*x", "-2*t*y", "-2*t*z"], COORDS
         )
-        res = ckv_fit(minkowski, v, [(0.5, 0.1, 0.2, 0.3), (1.5, -0.4, 0.3, 0.1)], tolerance=1e-6)
+        res = ckv_fit(field_samples(minkowski, v, [(0.5, 0.1, 0.2, 0.3), (1.5, -0.4, 0.3, 0.1)]), tolerance=1e-6)
         assert res.category == "proper"
         assert res.phis[0] == pytest.approx(-1.0, abs=1e-9)
         assert res.phis[1] == pytest.approx(-3.0, abs=1e-9)
 
     def test_needs_two_points(self, minkowski, euler_field):
         with pytest.raises(ValueError):
-            ckv_fit(minkowski, euler_field, [(0, 0, 0, 0)])
+            ckv_fit(field_samples(minkowski, euler_field, [(0, 0, 0, 0)]))
 
     def test_einstein_prediction_matches_fit(self, minkowski, euler_field):
         params = _params(alpha=1.3, beta=0.2, p=-0.5, lam=-1.0)
-        res = ckv_fit(minkowski, euler_field, random_points(3, seed=44), params=params)
+        res = ckv_fit(field_samples(minkowski, euler_field, random_points(3, seed=44)), params=params)
         assert res.psi == pytest.approx(1.0, abs=1e-9)  # equals the fitted factor
+
+
+def _einstein_fits(metric, points):
+    """(thetas, worst misfit) of S = theta g at each point."""
+    fits = [einstein_fit_point(geo.ricci, geo.g) for geo in (PointGeometry(metric, p) for p in points)]
+    return tuple(theta for theta, _ in fits), max(res for _, res in fits)
 
 
 class TestEinsteinFit:
     def test_expansion_is_einstein(self, de_sitter):
-        fit = einstein_fit(de_sitter, random_points(3, seed=51))
-        assert all(t == pytest.approx(3.0, abs=1e-6) for t in fit.thetas)
-        assert fit.residual < 1e-5
+        thetas, residual = _einstein_fits(de_sitter, random_points(3, seed=51))
+        assert all(t == pytest.approx(3.0, abs=1e-6) for t in thetas)
+        assert residual < 1e-5
 
     def test_flat_is_einstein_with_zero(self, minkowski):
-        fit = einstein_fit(minkowski, random_points(2, seed=52))
-        assert fit.thetas == (0.0, 0.0)
-        assert fit.residual == 0.0
+        thetas, residual = _einstein_fits(minkowski, random_points(2, seed=52))
+        assert thetas == (0.0, 0.0)
+        assert residual == 0.0
 
     def test_radiation_universe_is_not(self, frw_sqrt):
-        fit = einstein_fit(frw_sqrt, [(1.0, 0, 0, 0), (2.0, 0, 0, 0)])
-        assert fit.residual > 0.1
+        _, residual = _einstein_fits(frw_sqrt, [(1.0, 0, 0, 0), (2.0, 0, 0, 0)])
+        assert residual > 0.1
 
 
 class TestPhiClosedForm:
