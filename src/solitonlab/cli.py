@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .expressions import ParseError
-from .report import emit_report, exit_code_for, run_suite
+from .report import emit_report, exit_code_for, run_suite, run_suites
 from .scenario import SchemaError, load_scenario, scenario_from_dict
 from .spacetimes import catalog_entries
 
@@ -67,15 +67,15 @@ def _parse_sweep_value(text: str) -> Any:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_scenario(args.scenario)  # validate the base document first
     values = [_parse_sweep_value(v) for v in args.values.split(",")]
-    results = []
-    worst = EXIT_PASS
+    scenarios = []
     for value in values:
         doc = base.to_dict()
         _set_by_path(doc, args.param, value)
-        scenario = scenario_from_dict(doc)
-        report = run_suite(scenario)
-        worst = max(worst, exit_code_for(report))
-        results.append((value, report))
+        scenarios.append(scenario_from_dict(doc))
+    # one call, so values that share the geometry share its evaluation
+    reports = run_suites(scenarios)
+    worst = max(exit_code_for(report) for report in reports)
+    results = list(zip(values, reports))
     if args.format == "json":
         payload = [
             {"parameter": args.param, "value": value, "report": report.to_dict(include_timestamp=not args.no_timestamp)}

@@ -126,6 +126,15 @@ def max_abs(a: np.ndarray | float) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _frozen(components: Any) -> np.ndarray:
+    """A read-only float array of ``components``; a caller's writeable array is copied, never frozen in place."""
+    comp = np.asarray(components, dtype=float)
+    if comp.flags.writeable and (comp is components or comp.base is not None):
+        comp = comp.copy()
+    comp.setflags(write=False)
+    return comp
+
+
 @dataclass(frozen=True)
 class TensorSample:
     """Components of one tensor evaluated at one coordinate point."""
@@ -137,8 +146,7 @@ class TensorSample:
     symmetry_defect: float | None = None
 
     def __post_init__(self) -> None:
-        comp = np.asarray(self.components, dtype=float)
-        comp.setflags(write=False)
+        comp = _frozen(self.components)
         object.__setattr__(self, "components", comp)
         rank = {"scalar": 0, "vector": 1, "oneform": 1, "tensor02": 2, "tensor11": 2, "tensor13": 4}
         if self.kind not in rank:
@@ -157,9 +165,7 @@ class ChristoffelSample:
     point: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        comp = np.asarray(self.components, dtype=float)
-        comp.setflags(write=False)
-        object.__setattr__(self, "components", comp)
+        object.__setattr__(self, "components", _frozen(self.components))
 
 
 @dataclass(frozen=True)
@@ -255,7 +261,9 @@ class _PerCoordinate:
 
     The value is stored in the coordinate's entry of the shared lattice (a
     field's own sub-entry for a FieldGeometry), so every object at those
-    coordinates sees it.  A computation that raises stores nothing.
+    coordinates sees it.  An array is stored read-only, so no caller can
+    change what every later reader of the lattice gets.  A computation that
+    raises stores nothing.
     """
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
@@ -268,8 +276,32 @@ class _PerCoordinate:
             return self
         cache = geo._cache
         if self.name not in cache:
-            cache[self.name] = self.fn(geo)
+            value = self.fn(geo)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            cache[self.name] = value
         return cache[self.name]
+
+
+def _discs_clear(rows: list[list[float]], threshold: float) -> bool:
+    """Whether Gershgorin's discs alone prove the symmetric ``rows`` non-degenerate.
+
+    Every eigenvalue lies in a disc about a diagonal entry, of radius the
+    row's other magnitudes, so when no disc reaches zero all |eigenvalues|
+    lie between the least ``|a_ii| - r_i`` and the largest ``|a_ii| + r_i``.
+    The 1e-10 margin is far above the rounding of these sums and of the
+    eigensolver, so a True here is a point the eigenvalue test passes too;
+    anything closer, or not finite, is left to that test.
+    """
+    low, high = math.inf, 0.0
+    for i, row in enumerate(rows):
+        total = sum(map(abs, row))
+        if not total < math.inf:  # inf or nan
+            return False
+        centre = abs(row[i])
+        low = min(low, 2 * centre - total)
+        high = max(high, total)
+    return low > (threshold + 1e-10) * high
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -321,14 +353,17 @@ class PointGeometry:
         The leading axis of the result is the derivative index.
         """
         h = self.numerics.h
-        rows = []
+        steps = (h, -h, h / 2, -h / 2) if self.numerics.richardson else (h, -h)
+        # neighbours in the order axis by axis, so the first failing one raises
+        values = [[] for _ in steps]
         for axis in range(len(self.point)):
-            d = (np.asarray(fn(self.shifted(axis, h))) - np.asarray(fn(self.shifted(axis, -h)))) / (2 * h)
-            if self.numerics.richardson:
-                d2 = (np.asarray(fn(self.shifted(axis, h / 2))) - np.asarray(fn(self.shifted(axis, -h / 2)))) / h
-                d = (4.0 * d2 - d) / 3.0
-            rows.append(np.asarray(d, dtype=float))
-        return np.stack(rows)
+            for side, delta in zip(values, steps):
+                side.append(fn(self.shifted(axis, delta)))
+        plus, minus, *half = (np.array(side, dtype=float) for side in values)
+        d = (plus - minus) / (2 * h)
+        if half:
+            d = (4.0 * ((half[0] - half[1]) / h) - d) / 3.0
+        return d
 
     def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
         """The quantities of the vector field ``spec`` at this point."""
@@ -338,8 +373,11 @@ class PointGeometry:
     def g(self) -> np.ndarray:
         """Symmetric matrix g_ij; errors if the matrix is degenerate."""
         g = self.metric.matrix(self.point)
+        threshold = self.numerics.degeneracy_threshold
+        if _discs_clear(g.tolist(), threshold):
+            return g
         spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
-        if spectrum[-1] == 0.0 or spectrum[0] <= self.numerics.degeneracy_threshold * spectrum[-1]:
+        if spectrum[-1] == 0.0 or spectrum[0] <= threshold * spectrum[-1]:
             raise SingularMetricError(
                 f"metric degenerate at {self.point} (eigenvalue ratio "
                 f"{spectrum[0]:.3e} / {spectrum[-1]:.3e})"

@@ -8,6 +8,14 @@ either *asserted* (they decide the verdict) or merely *reported*;
 conditional identities additionally carry an ``applicable`` flag and only
 count toward the verdict when their hypothesis holds.
 
+run_suites does the same for several scenarios at once, as ``sweep``
+needs.  It walks the plan point-outer: at each plan index, the scenarios
+that agree on the metric, the numerics and the point share one
+PointGeometry, so that point's geometry is evaluated once for all of them
+and dropped as soon as they are done with it.  Each report equals the one
+run_suite gives for its scenario alone; run_suite is run_suites of one
+scenario.
+
 The JSON document is stable: identical scenarios yield byte-identical
 reports when the timestamp is suppressed.
 """
@@ -20,7 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -73,6 +81,7 @@ __all__ = [
     "IdentityReport",
     "resolve_tolerances",
     "run_suite",
+    "run_suites",
     "emit_report",
     "exit_code_for",
 ]
@@ -516,6 +525,80 @@ def _evaluate_point(
     return rec, samples
 
 
+@dataclass
+class _SuiteRun:
+    """One scenario's report while run_suites walks the plan."""
+
+    scenario: Scenario
+    tols: dict[str, float]
+    warnings: list[str] = field(default_factory=list)
+    records: list[_PointRecord] = field(default_factory=list)
+    samples: list[PointSamples] = field(default_factory=list)
+    fd_health: dict[str, float | None] = field(default_factory=dict)
+
+
+def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[IdentityReport]:
+    """One report per scenario, each as run_suite would give it.
+
+    The plan is walked point-outer: at each plan index, the scenarios that
+    agree on (metric, point, numerics) share one PointGeometry, so a sweep
+    over a soliton or fluid constant evaluates the geometry, the plan-point
+    check and the FD convergence ratio once per point, not once per value.
+    Each geometry is dropped once its scenarios are done with the point, so
+    only one point's lattice is ever live.
+    """
+    runs = [_SuiteRun(scenario, resolve_tolerances(scenario.tolerances)) for scenario in scenarios]
+    for i in range(max((len(run.scenario.points) for run in runs), default=0)):
+        groups: dict[tuple, list[_SuiteRun]] = {}
+        for run in runs:
+            scenario = run.scenario
+            if i < len(scenario.points):
+                groups.setdefault((scenario.metric, scenario.points[i], scenario.numerics), []).append(run)
+        for key, group in groups.items():
+            _run_point(group, i, PointGeometry(*key), solve)
+
+    return [
+        IdentityReport(
+            run.scenario,
+            run.tols,
+            run.records,
+            _summarize(run.scenario, run.records, run.samples, run.fd_health, run.tols, solve),
+            run.warnings,
+        )
+        for run in runs
+    ]
+
+
+def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) -> None:
+    """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``."""
+    try:
+        geo.g
+    except (EvalDomainError, GeometryError) as exc:
+        for run in group:
+            run.warnings.append(f"plan point {i} {list(geo.point)}: metric not evaluable there ({exc})")
+            run.records.append(_PointRecord(geo.point, error=str(exc)))
+        return
+    first_good = []
+    for run in group:
+        try:
+            rec, sample = _evaluate_point(run.scenario, geo, run.tols, solve)
+        except (EvalDomainError, GeometryError, UnitNormError, np.linalg.LinAlgError) as exc:
+            run.records.append(_PointRecord(geo.point, error=str(exc)))
+            continue
+        run.records.append(rec)
+        if sample is not None:
+            run.samples.append(sample)
+        if not run.fd_health:
+            first_good.append(run)
+    if first_good:
+        try:
+            ratio = fd_convergence_ratio(geo)
+        except (EvalDomainError, GeometryError):
+            ratio = None
+        for run in first_good:
+            run.fd_health["fd_convergence_ratio"] = ratio
+
+
 def run_suite(scenario: Scenario, solve: bool = True) -> IdentityReport:
     """Evaluate every applicable identity at every plan point.
 
@@ -525,35 +608,7 @@ def run_suite(scenario: Scenario, solve: bool = True) -> IdentityReport:
     first good point before its lattice is dropped, and the conformal fit
     reads the points' small PointSamples.
     """
-    tols = resolve_tolerances(scenario.tolerances)
-    warnings: list[str] = []
-    records: list[_PointRecord] = []
-    samples: list[PointSamples] = []
-    fd_health: dict[str, float | None] = {}
-    for i, point in enumerate(scenario.points):
-        geo = PointGeometry(scenario.metric, point, scenario.numerics)
-        try:
-            geo.g
-        except (EvalDomainError, GeometryError) as exc:
-            warnings.append(f"plan point {i} {list(point)}: metric not evaluable there ({exc})")
-            records.append(_PointRecord(geo.point, error=str(exc)))
-            continue
-        try:
-            rec, sample = _evaluate_point(scenario, geo, tols, solve)
-        except (EvalDomainError, GeometryError, UnitNormError, ValueError) as exc:
-            records.append(_PointRecord(geo.point, error=str(exc)))
-            continue
-        records.append(rec)
-        if sample is not None:
-            samples.append(sample)
-        if not fd_health:
-            try:
-                fd_health["fd_convergence_ratio"] = fd_convergence_ratio(geo)
-            except (EvalDomainError, GeometryError):
-                fd_health["fd_convergence_ratio"] = None
-
-    summary = _summarize(scenario, records, samples, fd_health, tols, solve)
-    return IdentityReport(scenario, tols, records, summary, warnings)
+    return run_suites([scenario], solve)[0]
 
 
 def _summarize(

@@ -5,8 +5,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from solitonlab import report
 from solitonlab.cli import main
 from solitonlab.report import TOLERANCE_ENV_VAR, resolve_tolerances, run_suite
 from solitonlab.scenario import load_scenario
@@ -292,6 +294,25 @@ class TestReportShape:
         assert "(0.0, 0.0, 0.0, 0.0)" in point["error"]
         assert report["summary"]["failures"] == []
         assert report["summary"]["errors"] == [{"point": 0, "message": point["error"]}]
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # a plain ValueError inside an identity is a programming error:
+        # neither unusable input nor a numerical failure of the point
+        def broken(geo):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(report, "bianchi_first_residual", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_suite(load_scenario(fixture("de-sitter-soliton.json")))
+
+    def test_linalg_error_is_a_point_error(self, monkeypatch):
+        def singular(geo):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(report, "bianchi_first_residual", singular)
+        result = run_suite(load_scenario(fixture("de-sitter-soliton.json")))
+        assert [rec.error for rec in result.points] == ["Singular matrix"] * 3
+        assert result.verdict == "fail"
 
     def test_singular_plan_point_warns_not_fatal(self, tmp_path):
         doc = {

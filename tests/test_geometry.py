@@ -5,6 +5,7 @@ import pytest
 
 from solitonlab.expressions import parse
 from solitonlab.geometry import (
+    ChristoffelSample,
     MetricSpec,
     NumericsConfig,
     PointGeometry,
@@ -73,6 +74,25 @@ class TestMetric:
         bad = MetricSpec.diagonal([-1.0, 1.0, 1.0, 1e-14], COORDS)
         with pytest.raises(SingularMetricError):
             metric_at(bad, (0, 0, 0, 0))
+
+    def test_degeneracy_test_matches_the_eigenvalue_ratio(self):
+        # dominant diagonals pass without the eigensolver; the verdict must
+        # be the eigenvalue ratio's all the same, off the diagonal too
+        rng = np.random.default_rng(5)
+        cases = [np.diag([-1.0, 1.0, 1.0, 5e-11]), np.ones((4, 4)), np.diag([-1.0, 1.0, 1.0, 1.0]) + 0.3]
+        for _ in range(60):
+            a = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-16, 0)
+            cases.append(np.diag(10.0 ** rng.uniform(-16, 1, size=4) * rng.choice([-1, 1], size=4)) + a + a.T)
+        for threshold in (1e-12, 1e-10, 1e-3):
+            cfg = NumericsConfig(degeneracy_threshold=threshold)
+            for c in cases:
+                m = MetricSpec.from_grid([[repr(float(x)) for x in row] for row in c], COORDS)
+                spectrum = np.sort(np.abs(np.linalg.eigvalsh(c)))
+                if spectrum[0] <= threshold * spectrum[-1]:
+                    with pytest.raises(SingularMetricError):
+                        metric_at(m, (0, 0, 0, 0), cfg)
+                else:
+                    assert np.array_equal(metric_at(m, (0, 0, 0, 0), cfg).components, c)
 
     def test_inverse_is_inverse(self, frw_sqrt):
         for p in random_points(3, seed=2):
@@ -410,10 +430,43 @@ class TestTensorSample:
             TensorSample("vector", np.zeros((4, 4)), (0.0,))
 
 
+def _count_evaluations(monkeypatch) -> tuple[list, list]:
+    """Record every MetricSpec.matrix call, and every field component or potential evaluation."""
+    metric_seen, field_seen = [], []
+
+    def counted(method, seen, keyed):
+        def wrapper(self, q):
+            seen.append((self, tuple(q)) if keyed else tuple(q))
+            return method(self, q)
+
+        return wrapper
+
+    monkeypatch.setattr(MetricSpec, "matrix", counted(MetricSpec.matrix, metric_seen, False))
+    for name in ("components_at", "potential_at"):
+        monkeypatch.setattr(VectorFieldSpec, name, counted(getattr(VectorFieldSpec, name), field_seen, True))
+    return metric_seen, field_seen
+
+
 class TestPointGeometry:
     def test_dimension_checked(self, minkowski):
         with pytest.raises(ValueError):
             PointGeometry(minkowski, (0.0, 0.0, 0.0))
+
+    def test_grad_equals_the_per_axis_stencil(self, frw_sqrt):
+        # grad differences all axes at once; the arithmetic is the per-axis
+        # central/Richardson formula's, so the result must be bitwise equal
+        h = 1.3e-3
+        for richardson in (True, False):
+            geo = PointGeometry(frw_sqrt, (0.8, 0.1, 0.2, 0.3), NumericsConfig(h=h, richardson=richardson))
+            for fn in (lambda n: n.gamma, lambda n: n.scalar):
+                rows = []
+                for axis in range(4):
+                    d = (np.asarray(fn(geo.shifted(axis, h))) - np.asarray(fn(geo.shifted(axis, -h)))) / (2 * h)
+                    if richardson:
+                        d2 = (np.asarray(fn(geo.shifted(axis, h / 2))) - np.asarray(fn(geo.shifted(axis, -h / 2)))) / h
+                        d = (4.0 * d2 - d) / 3.0
+                    rows.append(d)
+                assert np.array_equal(geo.grad(fn), np.stack(rows))
 
     def test_neighbours_share_the_lattice(self, de_sitter):
         geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
@@ -421,6 +474,25 @@ class TestPointGeometry:
         assert there.point == (0.5 + 1e-3, 0.0, 0.0, 0.0)
         assert geo.shifted(0, 1e-3).g is there.g
         assert there.shifted(0, -1e-3).point == (0.5 + 1e-3 - 1e-3, 0.0, 0.0, 0.0)
+
+    def test_lattice_arrays_are_read_only(self, de_sitter):
+        # the lattice is shared by every scenario of a sweep: a write would leak
+        geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
+        lie = geo.field(VectorFieldSpec.from_components([1, 0, 0, 0], COORDS)).lie
+        for arr in (geo.g, lie):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_samples_leave_the_callers_array_writeable(self):
+        for make, arr in (
+            (lambda a: TensorSample("tensor02", a, (0.0,) * 4, symmetric=True), MINK.copy()),
+            (lambda a: ChristoffelSample(a, (0.0,) * 4), np.zeros((4, 4, 4))),
+        ):
+            sample = make(arr)
+            assert arr.flags.writeable
+            assert not sample.components.flags.writeable
+            arr[0, 0] += 1.0
+            assert not np.array_equal(sample.components, arr)
 
     def test_each_plan_point_evaluates_every_coordinate_once(self, monkeypatch):
         # a whole run, summary included: the metric once per coordinate, and
@@ -430,18 +502,7 @@ class TestPointGeometry:
 
         from conftest import SCENARIO_DIR
 
-        metric_seen, field_seen = [], []
-
-        def counted(method, seen, keyed):
-            def wrapper(self, q):
-                seen.append((self, tuple(q)) if keyed else tuple(q))
-                return method(self, q)
-
-            return wrapper
-
-        monkeypatch.setattr(MetricSpec, "matrix", counted(MetricSpec.matrix, metric_seen, False))
-        for name in ("components_at", "potential_at"):
-            monkeypatch.setattr(VectorFieldSpec, name, counted(getattr(VectorFieldSpec, name), field_seen, True))
+        metric_seen, field_seen = _count_evaluations(monkeypatch)
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             scenario = load_scenario(path)
             metric_seen.clear()
@@ -451,3 +512,43 @@ class TestPointGeometry:
             assert len(metric_seen) == len(set(metric_seen)), path.name
             assert len(field_seen) == len(set(field_seen)), path.name
             assert bool(field_seen) == (scenario.vector_field is not None), path.name
+
+    def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
+        # a soliton constant never touches the geometry: four values cost
+        # the metric and field evaluations of one run
+        from solitonlab.cli import main
+        from solitonlab.report import run_suite
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        path = SCENARIO_DIR / "de-sitter-soliton.json"
+        metric_seen, field_seen = _count_evaluations(monkeypatch)
+        run_suite(load_scenario(path))
+        one_run = (len(metric_seen), len(field_seen))
+        metric_seen.clear()
+        field_seen.clear()
+        argv = ["sweep", str(path), "--param", "soliton.alpha", "--values=0.0,0.5,1.0,2.0"]
+        assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 0
+        assert (len(metric_seen), len(field_seen)) == one_run
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("metric.hubble", [0.5, 1.0, 0.5, 2.0]), ("numerics.h", [1e-3, 2e-3]), ("soliton.alpha", [0.0, 1.0, 2.0])],
+    )
+    def test_shared_runs_equal_separate_runs(self, param, values):
+        from solitonlab.report import run_suite, run_suites
+        from solitonlab.scenario import load_scenario, scenario_from_dict
+
+        from conftest import SCENARIO_DIR
+
+        base = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json")
+        section, key = param.split(".")
+        scenarios = []
+        for value in values:
+            doc = base.to_dict()
+            doc[section][key] = value
+            scenarios.append(scenario_from_dict(doc))
+        shared = [report.to_dict(include_timestamp=False) for report in run_suites(scenarios)]
+        assert shared == [run_suite(s).to_dict(include_timestamp=False) for s in scenarios]
+

@@ -1,8 +1,8 @@
 """The byte-stable report contract, pinned by sha256.
 
 Every shipped scenario is run through ``analyze`` and ``verify`` with
-``--no-timestamp``, plus one three-value ``soliton.alpha`` sweep, and each
-report's digest is compared with ``tests/data/report_digests.json``.  A
+``--no-timestamp``, plus three three-value sweeps (a soliton constant, a
+metric parameter and an eta-family ``p``), and each report's digest is compared with ``tests/data/report_digests.json``.  A
 refactor that leaves the numbers alone keeps every digest; a change that
 moves a residual must regenerate the file and say which residuals moved.
 
@@ -21,7 +21,11 @@ from solitonlab.cli import main
 from conftest import SCENARIO_DIR
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
-SWEEP = ("de-sitter-soliton.json", "soliton.alpha", "0.0,1.0,2.0")
+SWEEPS = (
+    ("de-sitter-soliton.json", "soliton.alpha", "0.0,1.0,2.0"),
+    ("de-sitter-soliton.json", "metric.hubble", "0.5,1.0,2.0"),
+    ("de-sitter-eta-gradient.json", "soliton.p", "-0.5,0.0,0.5"),
+)
 
 
 def _runs() -> dict[str, list[str]]:
@@ -29,8 +33,8 @@ def _runs() -> dict[str, list[str]]:
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         for command in ("analyze", "verify"):
             runs[f"{command} {path.name}"] = [command, str(path)]
-    name, param, values = SWEEP
-    runs[f"sweep {name} {param} {values}"] = ["sweep", str(SCENARIO_DIR / name), "--param", param, f"--values={values}"]
+    for name, param, values in SWEEPS:
+        runs[f"sweep {name} {param} {values}"] = ["sweep", str(SCENARIO_DIR / name), "--param", param, f"--values={values}"]
     return runs
 
 
