@@ -37,7 +37,6 @@ from .solitons import (  # noqa: F401
     EtaSolitonSolve,
     PointSamples,
     SolitonParams,
-    TwoFormPack,
     classify,
     eta_closed_forms,
     eta_projection_solve,

@@ -3,7 +3,8 @@
 Exit codes are strict and never conflated: 0 means every asserted identity
 passed, 1 means at least one asserted identity failed (or every plan point
 errored), 2 means the input could not be used at all (bad file, schema
-violation, expression parse error).
+violation, expression parse error, bad SOLITONLAB_TOL).  Any other
+exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_analyze(args, solve=False)
         if args.command == "sweep":
             return _cmd_sweep(args)
-    except (SchemaError, ParseError, OSError, ValueError) as exc:
+    except (SchemaError, ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     raise AssertionError("unreachable")

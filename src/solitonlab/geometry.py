@@ -109,7 +109,6 @@ class NumericsConfig:
     h: float = 1e-3
     richardson: bool = True
     degeneracy_threshold: float = 1e-12
-    two_route_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.h <= 0:
@@ -371,11 +370,13 @@ class PointGeometry:
 
     @_PerCoordinate
     def g(self) -> np.ndarray:
-        """Symmetric matrix g_ij; errors if the matrix is degenerate."""
+        """Symmetric matrix g_ij; errors if the matrix is not finite or degenerate."""
         g = self.metric.matrix(self.point)
         threshold = self.numerics.degeneracy_threshold
         if _discs_clear(g.tolist(), threshold):
             return g
+        if not np.isfinite(g).all():  # a component overflowed without raising
+            raise EvalDomainError(f"metric components not finite at {self.point}")
         spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
         if spectrum[-1] == 0.0 or spectrum[0] <= threshold * spectrum[-1]:
             raise SingularMetricError(

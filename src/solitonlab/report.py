@@ -45,7 +45,7 @@ from .geometry import (
     metric_compatibility_residual,
     riemann_antisymmetry_residual,
 )
-from .scenario import Scenario
+from .scenario import Scenario, SchemaError
 from .solitons import (
     ETA_FAMILIES,
     PointSamples,
@@ -60,19 +60,18 @@ from .solitons import (
     nabla_decomposition_check,
     phi_closed_form,
     potential_field_identities,
+    rotation_skew_residual,
     soliton_residual,
     torse_consequence_residuals,
     torse_forming_residual,
     torse_lie_residual,
-    two_form_pack,
 )
 from .spacetimes import (
-    FluidState,
     FluidValues,
-    UnitNormError,
     efe_residual,
     einstein_eigen_check,
     fluid_from_ricci,
+    ricci_from_fluid,
 )
 
 __all__ = [
@@ -162,17 +161,18 @@ def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, f
 
     Setting SOLITONLAB_TOL replaces the generic default tolerance; identities
     whose built-in tolerance equals that generic value follow it.  Scenario
-    overrides always win.
+    overrides always win.  A SOLITONLAB_TOL that is not a finite positive
+    number is unusable input: SchemaError, located at the variable's name.
     """
     tols = dict(DEFAULT_TOLERANCES)
     env = os.environ.get(TOLERANCE_ENV_VAR)
     if env:
         try:
             value = float(env)
-        except ValueError as exc:
-            raise ValueError(f"{TOLERANCE_ENV_VAR} must be a number, got {env!r}") from exc
-        if value <= 0:
-            raise ValueError(f"{TOLERANCE_ENV_VAR} must be positive")
+        except ValueError:
+            value = math.nan  # rejected below
+        if not 0 < value < math.inf:
+            raise SchemaError(f"must be a positive number, got {env!r}", TOLERANCE_ENV_VAR)
         for key, tol in DEFAULT_TOLERANCES.items():
             if tol == _GENERIC_DEFAULT:
                 tols[key] = value
@@ -185,18 +185,13 @@ def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, f
 @dataclass
 class _PointRecord:
     coordinates: tuple[float, ...]
+    tolerances: dict[str, float] = field(default_factory=dict)  # resolved, by identity name
     identities: dict[str, dict] = field(default_factory=dict)
     derived: dict[str, float] = field(default_factory=dict)
     error: str | None = None
 
-    def add(
-        self,
-        name: str,
-        residual: float | None,
-        tolerance: float,
-        asserted: bool,
-        applicable: bool = True,
-    ) -> None:
+    def add(self, name: str, residual: float | None, asserted: bool, applicable: bool = True) -> None:
+        tolerance = self.tolerances[name]
         passed = None if residual is None else bool(residual <= tolerance)
         self.identities[name] = {
             "residual": residual,
@@ -334,9 +329,13 @@ def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float |
 def _evaluate_point(
     scenario: Scenario, geo: PointGeometry, tols: dict[str, float], solve: bool
 ) -> tuple[_PointRecord, PointSamples | None]:
-    """The record of one plan point, and its samples for the conformal fit when solving with a field."""
+    """The record of one plan point, and its samples for the conformal fit when solving with a field.
+
+    Every hypothesis of a conditional identity is decided here, once, from
+    the resolved tolerances; the identity functions only compute residuals.
+    """
     point = geo.point
-    rec = _PointRecord(coordinates=point)
+    rec = _PointRecord(point, tols)
     coords = scenario.coords
     v = scenario.vector_field
 
@@ -347,10 +346,10 @@ def _evaluate_point(
     rec.derived["scalar_curvature"] = r
     rec.derived["ricci_asymmetry"] = geo.ricci_asymmetry
 
-    rec.add("riemann_antisymmetry", riemann_antisymmetry_residual(geo), tols["riemann_antisymmetry"], True)
-    rec.add("bianchi_first", bianchi_first_residual(geo), tols["bianchi_first"], True)
-    rec.add("bianchi_contracted", contracted_bianchi_residual(geo), tols["bianchi_contracted"], True)
-    rec.add("metric_compatibility", metric_compatibility_residual(geo), tols["metric_compatibility"], True)
+    rec.add("riemann_antisymmetry", riemann_antisymmetry_residual(geo), True)
+    rec.add("bianchi_first", bianchi_first_residual(geo), True)
+    rec.add("bianchi_contracted", contracted_bianchi_residual(geo), True)
+    rec.add("metric_compatibility", metric_compatibility_residual(geo), True)
 
     v_val = v.value(geo) if v is not None else None
     unit_timelike = v is not None and abs(geo.field(v).norm_sq + 1.0) <= tols["unit_timelike"]
@@ -365,10 +364,10 @@ def _evaluate_point(
             rec.derived["sigma_fit"] = fitted.sigma
             rec.derived["rho_fit"] = fitted.rho
             fit_residual = max(fit.residual, fit.isotropy_spread)
-            rec.add("perfect_fluid_fit", fit_residual, tols["perfect_fluid_fit"], scenario.fluid_fit_requested)
+            rec.add("perfect_fluid_fit", fit_residual, scenario.fluid_fit_requested)
             fluid_values = fitted if scenario.fluid_fit_requested else base
         else:
-            rec.add("perfect_fluid_fit", None, tols["perfect_fluid_fit"], False, applicable=False)
+            rec.add("perfect_fluid_fit", None, False, applicable=False)
             fluid_values = None if scenario.fluid_fit_requested else base
 
         if fluid_values is not None:
@@ -378,47 +377,38 @@ def _evaluate_point(
                     r
                     - (4.0 * fluid_values.lam + fluid_values.kappa * (fluid_values.sigma - 3.0 * fluid_values.rho))
                 ),
-                tols["scalar_curvature_relation"],
                 scenario.assert_field_equation,
             )
-            bilinear = max_abs(g @ (g_inv @ s) - s)
-            rec.add("ricci_operator_bilinear", bilinear, tols["ricci_operator_bilinear"], True)
+            rec.add("ricci_operator_bilinear", max_abs(g @ (g_inv @ s) - s), True)
         if fluid_values is not None and unit_timelike:
-            fluid_state = scenario.fluid
-            if scenario.fluid_fit_requested:
-                fluid_state = FluidState(fluid_values.sigma, fluid_values.rho, fluid_values.kappa, fluid_values.lam)
-            efe = efe_residual(geo, fluid_state, v)
-            efe_norm = max_abs(efe.components)
+            efe_norm = max_abs(efe_residual(geo, fluid_values, v).components)
             efe_ok = efe_norm <= tols["applicability"]
-            rec.add("efe_residual", efe_norm, tols["efe_residual"], scenario.assert_field_equation)
-            eig = einstein_eigen_check(geo, fluid_state, v, tols["applicability"])
-            rec.add(
-                "einstein_eigen_multiset",
-                eig.max_deviation,
-                tols["einstein_eigen_multiset"],
-                asserted=eig.applicable,
-                applicable=eig.applicable,
-            )
+            rec.add("efe_residual", efe_norm, scenario.assert_field_equation)
+            eig = einstein_eigen_check(geo, fluid_values)
+            rec.add("einstein_eigen_multiset", eig.max_deviation, efe_ok, applicable=efe_ok)
 
     # vector-field block: unconditional decomposition and skewness
     if v is not None:
-        rec.add("nabla_decomposition", nabla_decomposition_check(geo, v), tols["nabla_decomposition"], True)
-        pack = two_form_pack(geo, v)
-        rec.add("f_skew_adjoint", pack.skew_defect, tols["f_skew_adjoint"], True)
+        rec.add("nabla_decomposition", nabla_decomposition_check(geo, v), True)
+        rec.add("f_skew_adjoint", rotation_skew_residual(geo, v), True)
 
         torse_asserted = "torse" in scenario.assertions and unit_timelike
-        rec.add("torse_forming", torse_forming_residual(geo, v), tols["torse_forming"], torse_asserted, applicable=unit_timelike)
+        torse_res = torse_forming_residual(geo, v)
         tc = torse_consequence_residuals(geo, v)
-        rec.add("torse_geodesic_flow", tc.geodesic_flow, tols["torse_geodesic_flow"], torse_asserted, applicable=tc.unit_timelike)
-        rec.add("torse_eta_derivative", tc.eta_derivative, tols["torse_eta_derivative"], torse_asserted, applicable=tc.unit_timelike)
-        rec.add("torse_curvature_action", tc.curvature_action, tols["torse_curvature_action"], torse_asserted, applicable=tc.unit_timelike)
-        rec.add("torse_eta_curvature", tc.eta_curvature, tols["torse_eta_curvature"], torse_asserted, applicable=tc.unit_timelike)
-        rec.add("torse_lie_form", torse_lie_residual(geo, v), tols["torse_lie_form"], torse_asserted, applicable=unit_timelike)
+        for name, residual in (
+            ("torse_forming", torse_res),
+            ("torse_geodesic_flow", tc.geodesic_flow),
+            ("torse_eta_derivative", tc.eta_derivative),
+            ("torse_curvature_action", tc.curvature_action),
+            ("torse_eta_curvature", tc.eta_curvature),
+            ("torse_lie_form", torse_lie_residual(geo, v)),
+        ):
+            rec.add(name, residual, torse_asserted, applicable=unit_timelike)
 
         if v.is_gradient:
             div_route, trace_route = laplacian_routes(geo, v.potential)
             rec.derived["laplacian"] = trace_route
-            rec.add("laplacian_two_route", abs(div_route - trace_route), tols["laplacian_two_route"], True)
+            rec.add("laplacian_two_route", abs(div_route - trace_route), True)
 
     samples = PointSamples.from_geometry(geo, v) if solve and v is not None else None
 
@@ -434,14 +424,14 @@ def _evaluate_point(
                 rec.derived["eta_lambda"] = sol.lam
                 rec.derived["eta_mu"] = sol.mu
                 rec.derived["div_xi"] = sol.div_xi
-                rec.add("eta_backsubstitution", sol.back_substitution, tols["eta_backsubstitution"], True)
+                rec.add("eta_backsubstitution", sol.back_substitution, True)
                 if fluid_values is not None:
                     cf_lam, cf_mu = eta_closed_forms(
                         fluid_values, params.alpha, params.beta, params.p_at(point, coords), sol.div_xi
                     )
                     deviation = max(abs(sol.lam - cf_lam), abs(sol.mu - cf_mu))
                     applicable = efe_ok and projection_valid
-                    rec.add("eta_vs_closed_form", deviation, tols["eta_vs_closed_form"], applicable, applicable=applicable)
+                    rec.add("eta_vs_closed_form", deviation, applicable, applicable=applicable)
         elif params.family != "gradient_ricci_yamabe":
             if v_val is not None:
                 lam_proj = lambda_from_projection(samples, params)
@@ -451,13 +441,7 @@ def _evaluate_point(
                         fluid_values, params.alpha, params.beta, params.p_at(point, coords)
                     )
                     applicable = efe_ok and projection_valid
-                    rec.add(
-                        "lambda_projection_vs_closed_form",
-                        abs(lam_proj - closed),
-                        tols["lambda_projection_vs_closed_form"],
-                        applicable,
-                        applicable=applicable,
-                    )
+                    rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
 
         if fluid_values is not None:
             lam_any = params.lam if params.lam is not None else rec.derived.get(
@@ -469,59 +453,42 @@ def _evaluate_point(
                 + lam_any
                 - lambda_closed_form(fluid_values, params.alpha, params.beta, p_val)
             )
-            rec.add("phi_lambda_consistency", consistency, tols["phi_lambda_consistency"], True)
+            rec.add("phi_lambda_consistency", consistency, True)
 
         lam_eff, mu_eff = _effective_constants(scenario, rec)
         if params.family == "gradient_ricci_yamabe":
             if v.is_gradient and lam_eff is not None:
                 res = gradient_soliton_residual(geo, v.potential, dataclasses.replace(params, lam=lam_eff))
-                rec.add(
-                    "soliton_residual",
-                    max_abs(res.components),
-                    tols["soliton_residual"],
-                    scenario.assert_soliton_residual,
-                )
+                rec.add("soliton_residual", max_abs(res.components), scenario.assert_soliton_residual)
         elif lam_eff is not None and (params.family not in ETA_FAMILIES or mu_eff is not None):
             eff = dataclasses.replace(params, lam=float(lam_eff), mu=None if mu_eff is None else float(mu_eff))
             res_norm = max_abs(soliton_residual(samples, eff).components)
-            rec.add("soliton_residual", res_norm, tols["soliton_residual"], scenario.assert_soliton_residual)
+            rec.add("soliton_residual", res_norm, scenario.assert_soliton_residual)
             # the three consequence identities are derived from the plain
             # (non-eta) soliton equation; the vertical term changes the
             # covariant-derivative split, so they do not carry over
             if fluid_values is not None and params.family not in ETA_FAMILIES:
-                ident = potential_field_identities(geo, v, fluid_values, eff, applicability_tol=tols["applicability"])
-                rec.add(
-                    "potential_curvature_identity",
-                    ident.curvature_identity,
-                    tols["potential_curvature_identity"],
-                    asserted=ident.applicable,
-                    applicable=ident.applicable,
+                ident = potential_field_identities(geo, v, fluid_values, eff)
+                # hypotheses: the full soliton equation holds, the fluid
+                # describes the Ricci tensor, and a nonzero matter coefficient
+                # needs a unit timelike torse-forming flow
+                coeff = params.alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho)
+                fluid_gap = max_abs(s - ricci_from_fluid(fluid_values, g, geo.field(v).omega))
+                applicable = (
+                    res_norm <= tols["applicability"]
+                    and fluid_gap <= tols["applicability"] * (1.0 + abs(fluid_values.lam) + abs(coeff))
+                    and (coeff == 0.0 or (unit_timelike and torse_res <= tols["applicability"]))
                 )
-                rec.add(
-                    "rotation_divergence_identity",
-                    ident.divergence_identity,
-                    tols["rotation_divergence_identity"],
-                    asserted=ident.applicable,
-                    applicable=ident.applicable,
-                )
-                rec.add(
-                    "potential_norm_identity",
-                    ident.norm_gradient_identity,
-                    tols["potential_norm_identity"],
-                    asserted=ident.applicable,
-                    applicable=ident.applicable,
-                )
+                rec.add("potential_curvature_identity", ident.curvature_identity, applicable, applicable=applicable)
+                rec.add("rotation_divergence_identity", ident.divergence_identity, applicable, applicable=applicable)
+                rec.add("potential_norm_identity", ident.norm_gradient_identity, applicable, applicable=applicable)
 
-        if (
-            params.family in ETA_FAMILIES
-            and v.is_gradient
-            and fluid_values is not None
-        ):
-            try:
-                lap_res = laplacian_identity_check(geo, v.potential, fluid_values, params.alpha, params.beta, mu=None)
-                rec.add("laplacian_identity", abs(lap_res), tols["laplacian_identity"], True)
-            except UnitNormError:
-                rec.add("laplacian_identity", None, tols["laplacian_identity"], False, applicable=False)
+        if params.family in ETA_FAMILIES and v.is_gradient and fluid_values is not None:
+            if unit_timelike:
+                lap_res = laplacian_identity_check(div_route, trace_route, fluid_values, params.alpha, params.beta)
+                rec.add("laplacian_identity", abs(lap_res), True)
+            else:
+                rec.add("laplacian_identity", None, False, applicable=False)
     return rec, samples
 
 
@@ -582,7 +549,7 @@ def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) 
     for run in group:
         try:
             rec, sample = _evaluate_point(run.scenario, geo, run.tols, solve)
-        except (EvalDomainError, GeometryError, UnitNormError, np.linalg.LinAlgError) as exc:
+        except (EvalDomainError, GeometryError, np.linalg.LinAlgError) as exc:
             run.records.append(_PointRecord(geo.point, error=str(exc)))
             continue
         run.records.append(rec)

@@ -11,6 +11,7 @@ location plus, for expression problems, the parser offset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -30,7 +31,7 @@ ASSERTION_GROUPS = ("torse",)
 
 
 class SchemaError(ValueError):
-    """Scenario document violates the schema; ``location`` is a JSON pointer."""
+    """Unusable input; ``location`` is a JSON pointer into the scenario, or an environment variable's name."""
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location or '/'}: {message}")
@@ -52,7 +53,10 @@ def _check_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str], l
 def _number(obj: Any, loc: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"expected a number, got {obj!r}", loc)
-    return float(obj)
+    value = float(obj)
+    if not math.isfinite(value):
+        raise SchemaError(f"expected a finite number, got {value!r}", loc)
+    return value
 
 
 def _boolean(obj: Any, loc: str) -> bool:
@@ -375,6 +379,9 @@ def scenario_from_dict(obj: Any) -> Scenario:
     if not isinstance(tol_obj, dict):
         raise SchemaError("expected an object of identity tolerances", "/tolerances")
     tolerances = {k: _number(v, f"/tolerances/{k}") for k, v in tol_obj.items()}
+    for k, v in tolerances.items():
+        if v <= 0:
+            raise SchemaError(f"tolerance must be positive, got {v!r}", f"/tolerances/{k}")
 
     assertions_obj = obj.get("assertions", [])
     if not isinstance(assertions_obj, list):
@@ -428,7 +435,7 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {p}: {exc}") from exc
     try:
         obj = json.loads(text)

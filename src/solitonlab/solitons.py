@@ -29,7 +29,6 @@ from .geometry import (
     cov_deriv_tensor11,
     divergence_vector,
     hessian_scalar,
-    laplacian_routes,
     max_abs,
 )
 from .spacetimes import FluidValues, UnitNormError, ricci_from_fluid
@@ -42,7 +41,6 @@ __all__ = [
     "PointSamples",
     "ClassificationResult",
     "CKVAnalysis",
-    "TwoFormPack",
     "EtaSolitonSolve",
     "TorseResiduals",
     "PotentialIdentityResult",
@@ -55,8 +53,8 @@ __all__ = [
     "ckv_fit",
     "einstein_fit_point",
     "einstein_conformal_factor",
-    "two_form_pack",
     "nabla_decomposition_check",
+    "rotation_skew_residual",
     "potential_field_identities",
     "eta_projection_solve",
     "eta_closed_forms",
@@ -137,29 +135,22 @@ class PointSamples:
     coords: tuple[str, ...] | None = None
 
     @classmethod
-    def from_geometry(
-        cls,
-        geo: PointGeometry,
-        v: VectorFieldSpec,
-        xi: VectorFieldSpec | None = None,
-    ) -> "PointSamples":
+    def from_geometry(cls, geo: PointGeometry, v: VectorFieldSpec) -> "PointSamples":
         """Samples from the chart: Lie derivative along ``v``, curvature of the metric.
 
-        ``xi`` is the reference timelike field for projections; it defaults
-        to ``v`` itself (the usual case where the potential field is the
-        fluid velocity).
+        ``v`` is also the reference timelike field of the projections: the
+        potential field is the fluid velocity.
         """
-        xi_spec = xi if xi is not None else v
-        xi_field = geo.field(xi_spec)
+        field = geo.field(v)
         return cls(
             g=geo.g,
             g_inv=geo.g_inv,
-            lie_vg=geo.field(v).lie,
+            lie_vg=field.lie,
             ricci=geo.ricci,
             scalar=geo.scalar,
-            xi=xi_field.value,
-            eta=xi_field.omega,
-            div_xi=divergence_vector(geo, xi_spec),
+            xi=field.value,
+            eta=field.omega,
+            div_xi=divergence_vector(geo, v),
             point=geo.point,
             coords=geo.metric.coords,
         )
@@ -381,31 +372,16 @@ def einstein_conformal_factor(theta: float, r: float, alpha: float, beta: float,
 
 
 # -- rotation two-form machinery -------------------------------------------------
+#
+# omega(X) = g(X, V) is the metric dual of V, (d omega)_ij = (d_i omega_j -
+# d_j omega_i) / 2, and the (1,1) field F with (d omega)(X, Y) = g(X, F Y) is
+# skew self-adjoint; geo.field(v) holds omega, d_omega and f_mixed = F.
 
 
-@dataclass(frozen=True)
-class TwoFormPack:
-    """Metric dual one-form of V, its exterior derivative, and the mixed map.
-
-    omega(X) = g(X, V); (d omega)_ij = (d_i omega_j - d_j omega_i) / 2; the
-    (1,1) field F satisfies (d omega)(X, Y) = g(X, F Y) and is skew
-    self-adjoint, with the worst violation recorded.
-    """
-
-    omega: np.ndarray
-    d_omega: np.ndarray
-    f_mixed: np.ndarray
-    skew_defect: float
-    point: tuple[float, ...]
-
-
-def two_form_pack(geo: PointGeometry, v: VectorFieldSpec) -> TwoFormPack:
-    field = geo.field(v)
-    gf = geo.g @ field.f_mixed
-    skew_defect = max_abs(gf + gf.T)
-    if skew_defect > 1e-9 * max(1.0, max_abs(gf)):
-        raise GeometryError(f"rotation map is not skew self-adjoint (defect {skew_defect:.3e})")
-    return TwoFormPack(field.omega, field.d_omega, field.f_mixed, skew_defect, geo.point)
+def rotation_skew_residual(geo: PointGeometry, v: VectorFieldSpec) -> float:
+    """max |g F + (g F)^T|, the violation of F's skew self-adjointness."""
+    gf = geo.g @ geo.field(v).f_mixed
+    return max_abs(gf + gf.T)
 
 
 def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
@@ -417,22 +393,17 @@ def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
     g = geo.g
     field = geo.field(v)
     a = (g @ field.nabla).T  # a[i,j] = (nabla_i V)_j
-    gf = g @ two_form_pack(geo, v).f_mixed
+    gf = g @ field.f_mixed
     return max_abs(a - 0.5 * field.lie + gf.T)
 
 
 @dataclass(frozen=True)
 class PotentialIdentityResult:
-    """Residuals of the three curvature/divergence consequences of the
-    soliton equation, gated by whether its hypotheses actually hold."""
+    """Residuals of the three curvature/divergence consequences of the soliton equation."""
 
     curvature_identity: float
     divergence_identity: float
     norm_gradient_identity: float
-    soliton_residual: float | None
-    fluid_consistency: float
-    torse_residual: float | None
-    applicable: bool
 
 
 def potential_field_identities(
@@ -440,34 +411,23 @@ def potential_field_identities(
     v: VectorFieldSpec,
     values: FluidValues,
     params: SolitonParams,
-    xi: VectorFieldSpec | None = None,
-    applicability_tol: float = 1e-6,
 ) -> PotentialIdentityResult:
     """Check the consequences the soliton equation forces on V and its dual.
 
-    The three identities are derived under hypotheses that are all checked
-    numerically and folded into the ``applicable`` flag: the full soliton
-    equation holds at the point, the fluid parameters actually describe
-    the Ricci tensor there, and -- whenever the matter coefficient
-    alpha kappa (sigma + rho) is nonzero -- the reference field is
+    The three identities are derived under hypotheses the caller decides:
+    the full soliton equation holds at the point, the fluid parameters
+    describe the Ricci tensor there, and -- whenever the matter coefficient
+    alpha kappa (sigma + rho) is nonzero -- V is unit timelike and
     torse-forming (its derivative structure enters the curvature identity).
-    The residuals are always reported; asserting them without the
-    hypotheses would be meaningless.
+    Here the residuals are only computed.
     """
     n = geo.metric.dim
-    g = geo.g
     riem = geo.riemann
     field = geo.field(v)
     vv = field.value
     omega = field.omega
-    xi_field = xi if xi is not None else v
-    xi_at = geo.field(xi_field)
-    eta = xi_at.omega
+    eta = omega  # V is also the reference flow
     coeff = params.alpha * values.kappa * (values.sigma + values.rho)
-    if abs(coeff) > 0.0:
-        norm = xi_at.norm_sq
-        if abs(norm + 1.0) > 1e-6:
-            raise UnitNormError(f"identity terms need a unit timelike field, g(xi,xi) = {norm!r}")
     cov_f = cov_deriv_tensor11(geo, lambda q: q.field(v).f_mixed)  # [a,k,j] = (nabla_a F)^k_j
     eye = np.eye(n)
 
@@ -492,27 +452,7 @@ def potential_field_identities(
     # gradient of |V|^2 against the Lie derivative and rotation terms
     dnorm = geo.grad(lambda q: q.field(v).norm_sq)
     norm_res = max_abs(dnorm + 2.0 * (field.f_mixed.T @ omega) - field.lie @ vv)
-
-    fluid_gap = max_abs(geo.ricci - ricci_from_fluid(values, g, eta))
-    scale = 1.0 + abs(values.lam) + abs(coeff)
-    torse_res: float | None = None
-    torse_ok = True
-    if abs(coeff) > 0.0:
-        torse_res = torse_forming_residual(geo, xi_field)
-        torse_ok = torse_res <= applicability_tol
-    soliton_norm: float | None = None
-    applicable = False
-    if params.lam is not None and (params.family not in ETA_FAMILIES or params.mu is not None):
-        samples = PointSamples.from_geometry(geo, v, xi=xi_field)
-        soliton_norm = max_abs(soliton_residual(samples, params).components)
-        applicable = (
-            soliton_norm <= applicability_tol
-            and fluid_gap <= applicability_tol * scale
-            and torse_ok
-        )
-    return PotentialIdentityResult(
-        curvature_res, divergence_res, norm_res, soliton_norm, fluid_gap, torse_res, applicable
-    )
+    return PotentialIdentityResult(curvature_res, divergence_res, norm_res)
 
 
 # -- eta-family projection system -------------------------------------------------
@@ -594,31 +534,22 @@ def eta_closed_forms(
 
 
 def laplacian_identity_check(
-    geo: PointGeometry,
-    f: Expr,
+    div_xi: float,
+    laplacian: float,
     fluid_values: FluidValues,
     alpha: float,
     beta: float,
-    mu: float | None = None,
 ) -> float:
-    """Laplacian of the potential against the closed-form prediction.
+    """Laplacian of the potential f against the closed-form prediction.
 
-    Requires grad f to be unit timelike at the point.  When ``mu`` is not
-    supplied it is taken from the closed forms with the divergence of
-    grad f computed geometrically (two Laplacian routes must agree).
+    ``div_xi`` and ``laplacian`` are the two routes of laplacian_routes, the
+    divergence of xi = grad f and the trace of Hess f; mu comes from the
+    closed forms with that divergence.  The identity assumes grad f unit
+    timelike; the caller decides that.
     """
-    norm = geo.field(VectorFieldSpec.gradient_of(f, geo.metric.coords)).norm_sq
-    if abs(norm + 1.0) > 1e-6:
-        raise UnitNormError(f"g(grad f, grad f) = {norm!r}, expected -1")
-    div_route, trace_route = laplacian_routes(geo, f)
-    if abs(div_route - trace_route) > geo.numerics.two_route_tol:
-        raise GeometryError(
-            f"laplacian routes disagree by {abs(div_route - trace_route):.3e}"
-        )
-    if mu is None:
-        _, mu = eta_closed_forms(fluid_values, alpha, beta, 0.0, div_route)  # p cancels out of mu
+    _, mu = eta_closed_forms(fluid_values, alpha, beta, 0.0, div_xi)  # p cancels out of mu
     rhs = -3.0 * (mu + alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho))
-    return trace_route - rhs
+    return laplacian - rhs
 
 
 # -- torse-forming diagnostics -----------------------------------------------------
@@ -632,7 +563,6 @@ class TorseResiduals:
     eta_derivative: float  # (nabla_X eta)(Y) = g(X,Y) + eta(X) eta(Y)
     curvature_action: float  # R(X,Y) xi = eta(Y) X - eta(X) Y
     eta_curvature: float  # eta(R(X,Y)Z) = eta(X) g(Y,Z) - eta(Y) g(X,Z)
-    unit_timelike: bool
 
 
 def torse_forming_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
@@ -643,11 +573,11 @@ def torse_forming_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
 
 
 def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> TorseResiduals:
+    """The four consequences, which follow for a unit timelike torse-forming ``xi``."""
     g = geo.g
     field = geo.field(xi)
     xi_val = field.value
     eta = field.omega
-    unit = abs(field.norm_sq + 1.0) <= 1e-6
     geodesic = max_abs(field.nabla @ xi_val)
 
     cov_eta = field.omega_grad - np.einsum("kij,k->ij", geo.gamma, eta)  # [i,j] = (nabla_i eta)_j
@@ -664,7 +594,7 @@ def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> Tors
         np.einsum("i,jk->kij", eta, g) - np.einsum("j,ik->kij", eta, g)
     )
     eta_curv_res = max_abs(eta_curv)
-    return TorseResiduals(geodesic, eta_res, curv_res, eta_curv_res, unit)
+    return TorseResiduals(geodesic, eta_res, curv_res, eta_curv_res)
 
 
 def torse_lie_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:

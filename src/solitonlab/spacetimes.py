@@ -113,8 +113,6 @@ class EigenCheckResult:
     eigenvalues: tuple[float, ...]  # sorted ascending
     expected: tuple[float, ...]
     max_deviation: float
-    efe_residual: float
-    applicable: bool
 
 
 # -- catalog ---------------------------------------------------------------
@@ -170,18 +168,10 @@ def catalog_entries() -> list[dict]:
 # -- pointwise fluid algebra -------------------------------------------------
 
 
-def _check_unit_timelike(g: np.ndarray, xi: np.ndarray, tol: float = 1e-6) -> None:
-    norm = float(xi @ g @ xi)
-    if abs(norm + 1.0) > tol:
-        raise UnitNormError(f"g(xi, xi) = {norm!r}, expected -1")
-
-
 def energy_momentum(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """T_ij = rho g_ij + (sigma + rho) eta_i eta_j for a unit timelike eta."""
+    """T_ij = rho g_ij + (sigma + rho) eta_i eta_j; the fluid form for a unit timelike eta."""
     g = np.asarray(g, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    xi = np.linalg.solve(g, eta)
-    _check_unit_timelike(g, xi)
     return values.rho * g + (values.sigma + values.rho) * np.outer(eta, eta)
 
 
@@ -193,15 +183,15 @@ def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.
     return coeff * g + values.kappa * (values.sigma + values.rho) * np.outer(eta, eta)
 
 
-def efe_residual(geo: PointGeometry, fluid: FluidState, xi: VectorFieldSpec) -> TensorSample:
-    """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation."""
+def efe_residual(geo: PointGeometry, values: FluidValues, xi: VectorFieldSpec) -> TensorSample:
+    """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation.
+
+    T is the fluid form along the flow ``xi``, which means something only
+    when ``xi`` is unit timelike; the caller decides that.
+    """
     g = geo.g
-    xival = xi.value(geo)
-    _check_unit_timelike(g, xival)
-    values = fluid.at(geo.point, geo.metric.coords)
-    s = geo.ricci
-    t = energy_momentum(values, g, g @ xival)
-    res = s + (values.lam - geo.scalar / 2.0) * g - values.kappa * t
+    t = energy_momentum(values, g, geo.field(xi).omega)
+    res = geo.ricci + (values.lam - geo.scalar / 2.0) * g - values.kappa * t
     return TensorSample("tensor02", res, geo.point, symmetric=True)
 
 
@@ -218,11 +208,11 @@ def fluid_from_ricci(
     A is the average of S(e,e) over the three spatial frame directions (their
     spread measures isotropy violation), B = S(xi,xi) + A; a large residual is
     data, not an error -- the sample simply is not of perfect-fluid form.
+    The inversion assumes a unit timelike ``xi``; the caller decides that.
     """
     s = np.asarray(s, dtype=float)
     g = np.asarray(g, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _check_unit_timelike(g, xi)
     frame = frame_from_matrix(g, timelike_hint=xi)
     spatial = [frame.vectors[i] for i in range(1, 4)]
     a_vals = [float(e @ s @ e) for e in spatial]
@@ -244,35 +234,23 @@ def fluid_from_ricci(
     return FluidValues(sigma, rho, float(kappa), float(lam)), fit
 
 
-def einstein_eigen_check(
-    geo: PointGeometry,
-    fluid: FluidState,
-    xi: VectorFieldSpec,
-    efe_tolerance: float = 1e-6,
-) -> EigenCheckResult:
+def einstein_eigen_check(geo: PointGeometry, values: FluidValues) -> EigenCheckResult:
     """Eigenvalues of the mixed (S - r/2 g + lam g)^i_j against {-k sigma, k rho x3}.
 
     The multiset comparison only means something when the fluid actually
-    solves the field equation at the point, so the residual gates an
-    ``applicable`` flag rather than raising.
+    solves the field equation at the point; the caller decides that from
+    efe_residual.
     """
     g = geo.g
-    g_inv = geo.g_inv
-    s = geo.ricci
-    values = fluid.at(geo.point, geo.metric.coords)
-    mixed = g_inv @ (s - 0.5 * geo.scalar * g + values.lam * g)
+    mixed = geo.g_inv @ (geo.ricci - 0.5 * geo.scalar * g + values.lam * g)
     eig = np.linalg.eigvals(mixed)
     eig_sorted = np.sort_complex(eig)
     expected = np.sort(
         np.array([-values.kappa * values.sigma] + [values.kappa * values.rho] * 3)
     )
     deviation = float(np.max(np.abs(eig_sorted - expected)))
-    res = efe_residual(geo, fluid, xi)
-    efe_norm = max_abs(res.components)
     return EigenCheckResult(
         eigenvalues=tuple(float(v.real) for v in eig_sorted),
         expected=tuple(float(v) for v in expected),
         max_deviation=deviation,
-        efe_residual=efe_norm,
-        applicable=bool(efe_norm <= efe_tolerance),
     )

@@ -37,14 +37,15 @@ from solitonlab.solitons import (
     nabla_decomposition_check,
     phi_closed_form,
     potential_field_identities,
+    rotation_skew_residual,
     soliton_residual,
     torse_consequence_residuals,
     torse_forming_residual,
     torse_lie_residual,
-    two_form_pack,
 )
+from solitonlab.report import run_suite
+from solitonlab.scenario import load_scenario
 from solitonlab.spacetimes import (
-    FluidState,
     FluidValues,
     catalog_metric,
     einstein_eigen_check,
@@ -159,7 +160,7 @@ def test_criterion_04_laplacian_identity(de_sitter):
     f = parse("t", COORDS)
     geo = PointGeometry(de_sitter, p)
     div_route, trace_route = laplacian_routes(geo, f)
-    identity = abs(laplacian_identity_check(geo, f, DS_FLUID, 1.0, 0.0))
+    identity = abs(laplacian_identity_check(div_route, trace_route, DS_FLUID, 1.0, 0.0))
     ok = (
         abs(trace_route + 3.0) <= 1e-5
         and identity <= 1e-5
@@ -207,7 +208,7 @@ def test_criterion_06_radiation_reduction(frw_sqrt, fields):
     vals, fit = fluid_from_ricci(s, g, np.array([1.0, 0, 0, 0]), kappa=1.0, lam=0.0)
     geo = PointGeometry(frw_sqrt, point)
     r = geo.scalar
-    eig = einstein_eigen_check(geo, FluidState(vals.sigma, vals.rho, 1.0, 0.0), fields["time"])
+    eig = einstein_eigen_check(geo, vals)
     ok = (
         worst_cf <= 1e-12
         and abs(vals.sigma - 3.0 * vals.rho) <= 1e-5
@@ -249,13 +250,11 @@ def test_criterion_07_ckv_einstein_logic(minkowski, de_sitter, fields):
 def test_criterion_08_potential_identity_suite(minkowski, catalog, fields):
     params = SolitonParams("conformal_ricci_yamabe", alpha=1.0, beta=0.0, p=-0.5, lam=-1.0)
     worst_soliton = worst_identity = 0.0
-    applicable = True
     for p in random_points(3, seed=108):
         geo = PointGeometry(minkowski, p)
         samples = PointSamples.from_geometry(geo, fields["euler"])
         worst_soliton = max(worst_soliton, max_abs(soliton_residual(samples, params).components))
         res = potential_field_identities(geo, fields["euler"], VACUUM, params)
-        applicable = applicable and res.applicable
         worst_identity = max(
             worst_identity, res.curvature_identity, res.divergence_identity, res.norm_gradient_identity
         )
@@ -263,7 +262,10 @@ def test_criterion_08_potential_identity_suite(minkowski, catalog, fields):
     for m in catalog:
         for v in fields.values():
             for p in random_points(2, seed=109):
-                worst_skew = max(worst_skew, two_form_pack(PointGeometry(m, p), v).skew_defect)
+                worst_skew = max(worst_skew, rotation_skew_residual(PointGeometry(m, p), v))
+    # the report decides the hypotheses: the same field and constant in the shipped fixture
+    report = run_suite(load_scenario(SCENARIO_DIR / "minkowski-euler-soliton.json"))
+    applicable = all(rec.identities["potential_curvature_identity"]["applicable"] for rec in report.points)
     ok = applicable and worst_soliton <= 1e-9 and worst_identity <= 1e-5 and worst_skew <= 1e-9
     _report(
         8,

@@ -11,7 +11,7 @@ import pytest
 from solitonlab import report
 from solitonlab.cli import main
 from solitonlab.report import TOLERANCE_ENV_VAR, resolve_tolerances, run_suite
-from solitonlab.scenario import load_scenario
+from solitonlab.scenario import SchemaError, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR
 
@@ -65,6 +65,23 @@ class TestAnalyzeCommand:
     def test_missing_file_exits_two(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["analyze", str(bad)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tolerances", [{"steady_classification": -1.0}, {"efe_residual": 0.0}, {"efe_residual": float("inf")}]
+    )
+    def test_unusable_tolerance_exits_two(self, tmp_path, capsys, tolerances):
+        doc = json.loads(Path(fixture("de-sitter-soliton.json")).read_text())
+        doc["tolerances"] = tolerances
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(doc))
+        assert main(["analyze", str(src)]) == 2
+        assert "/tolerances/" in capsys.readouterr().err
 
     def test_schema_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -156,6 +173,11 @@ class TestSweepCommand:
         assert code == 0
         assert [d["value"] for d in json.loads(out.read_text())] == [-0.5, -0.25]
 
+    def test_non_finite_value_exits_two(self, capsys):
+        code = main(["sweep", fixture("de-sitter-soliton.json"), "--param", "soliton.alpha", "--values", "NaN"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_param_path(self, capsys):
         assert (
             main(
@@ -214,8 +236,14 @@ class TestToleranceEnvironment:
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "not-a-number")
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match=TOLERANCE_ENV_VAR):
             resolve_tolerances()
+
+    @pytest.mark.parametrize("value", ["not-a-number", "-1", "0", "nan", "inf"])
+    def test_bad_env_value_exits_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, value)
+        assert main(["analyze", fixture("minkowski.json")]) == 2
+        assert TOLERANCE_ENV_VAR in capsys.readouterr().err
 
 
 class TestReportShape:
@@ -304,6 +332,74 @@ class TestReportShape:
         monkeypatch.setattr(report, "bianchi_first_residual", broken)
         with pytest.raises(ValueError, match="broadcast"):
             run_suite(load_scenario(fixture("de-sitter-soliton.json")))
+
+    def test_internal_value_error_is_not_input_error(self, monkeypatch):
+        # cli.main exits 2 for unusable input only; a programming error crashes
+        def broken(geo):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(report, "bianchi_first_residual", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["analyze", fixture("minkowski.json")])
+
+    def test_unit_timelike_tolerance_override_is_honoured(self):
+        # g(xi, xi) = -1.000004 is unit within the scenario's 1e-5: every
+        # identity derived for a unit flow is evaluated, none errors the point
+        doc = json.loads(Path(fixture("de-sitter-soliton.json")).read_text())
+        doc["vector_field"] = {"components": [1.000002, 0, 0, 0]}
+        doc["tolerances"] = {"unit_timelike": 1e-5}
+        result = run_suite(scenario_from_dict(doc))
+        for rec in result.points:
+            assert rec.error is None
+            assert rec.identities["efe_residual"]["residual"] < 1e-5
+            assert rec.identities["torse_forming"]["applicable"]
+            assert rec.identities["lambda_projection_vs_closed_form"]["applicable"]
+            # the projected constant does not close the full equation
+            assert not rec.identities["potential_curvature_identity"]["applicable"]
+
+    def test_non_unit_flow_marks_rows_inapplicable(self):
+        # g(xi, xi) = -4 with matter: the conditional rows are inapplicable,
+        # and the point keeps its unconditional rows
+        doc = json.loads(Path(fixture("de-sitter-soliton.json")).read_text())
+        doc["vector_field"] = {"components": [2, 0, 0, 0]}
+        doc["fluid"]["sigma"] = 1
+        result = run_suite(scenario_from_dict(doc))
+        for rec in result.points:
+            assert rec.error is None
+            ids = rec.identities
+            for name in ("riemann_antisymmetry", "bianchi_contracted", "nabla_decomposition", "f_skew_adjoint"):
+                assert ids[name]["asserted"] and ids[name]["passed"]
+            assert "efe_residual" not in ids
+            for name in (
+                "perfect_fluid_fit",
+                "torse_forming",
+                "torse_lie_form",
+                "lambda_projection_vs_closed_form",
+                "potential_curvature_identity",
+                "rotation_divergence_identity",
+                "potential_norm_identity",
+            ):
+                assert not ids[name]["applicable"] and not ids[name]["asserted"]
+
+    def test_non_finite_metric_is_a_point_error(self, tmp_path):
+        # 1e300 t^2 overflows to inf at t = 1e10 without a Python exception
+        doc = {
+            "metric": {"components": [["-1", 0, 0, 0], [0, "1e300*t*t", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            "points": [[1.0, 0.0, 0.0, 0.0], [1e10, 0.0, 0.0, 0.0]],
+        }
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(src), "--out", str(out), "--no-timestamp"]) == 1
+        points = json.loads(out.read_text())["points"]
+        assert "degenerate" in points[0]["error"]  # eigenvalue ratio 1e-300
+        assert points[1]["error"] == "metric components not finite at (10000000000.0, 0.0, 0.0, 0.0)"
+        # below that ratio, point 0 is evaluated and the run passes
+        doc["numerics"] = {"degeneracy_threshold": 1e-305}
+        src.write_text(json.dumps(doc))
+        assert main(["analyze", str(src), "--out", str(out), "--no-timestamp"]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert points[0]["error"] is None and "not finite" in points[1]["error"]
 
     def test_linalg_error_is_a_point_error(self, monkeypatch):
         def singular(geo):

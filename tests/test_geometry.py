@@ -30,6 +30,7 @@ from solitonlab.geometry import (
     riemann,
     riemann_antisymmetry_residual,
 )
+from solitonlab.report import DEFAULT_TOLERANCES
 from solitonlab.spacetimes import catalog_metric
 
 from conftest import COORDS, random_points
@@ -284,7 +285,7 @@ class TestDerivativeOperators:
     def test_laplacian(self, minkowski, de_sitter):
         def laplacian(geo, f):
             div_route, trace_route = laplacian_routes(geo, f)
-            assert abs(div_route - trace_route) <= geo.numerics.two_route_tol
+            assert abs(div_route - trace_route) <= DEFAULT_TOLERANCES["laplacian_two_route"]
             return trace_route
 
         p = (0.2, 0.4, 0.1, -0.5)
@@ -296,7 +297,7 @@ class TestDerivativeOperators:
         coarse = NumericsConfig(h=0.5, richardson=False)
         geo = PointGeometry(de_sitter, (0.5, 0.4, 0.1, 0.2), coarse)
         div_route, trace_route = laplacian_routes(geo, parse("exp(t)*x^2", COORDS))
-        assert abs(div_route - trace_route) > coarse.two_route_tol
+        assert abs(div_route - trace_route) > DEFAULT_TOLERANCES["laplacian_two_route"]
 
 
 class TestFrames:

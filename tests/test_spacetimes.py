@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from solitonlab.expressions import ParseError
 from solitonlab.geometry import PointGeometry, max_abs, metric_at, ricci
+from solitonlab.report import run_suite
+from solitonlab.scenario import load_scenario, scenario_from_dict
 from solitonlab.spacetimes import (
     FluidState,
     FluidValues,
-    UnitNormError,
     catalog_entries,
     catalog_metric,
     efe_residual,
@@ -20,7 +21,7 @@ from solitonlab.spacetimes import (
     ricci_from_fluid,
 )
 
-from conftest import COORDS, random_lorentzian, random_points
+from conftest import COORDS, SCENARIO_DIR, random_lorentzian, random_points
 
 MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA0 = np.array([-1.0, 0.0, 0.0, 0.0])  # lowered coordinate-time on Minkowski
@@ -88,9 +89,18 @@ class TestEnergyMomentum:
         assert max_abs(energy_momentum(vals, MINK, ETA0)) == 0.0
 
     def test_unit_norm_enforced(self):
-        vals = FluidValues(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(UnitNormError):
-            energy_momentum(vals, MINK, 2.0 * ETA0)
+        # the fluid form needs a unit flow: the report marks the fit
+        # inapplicable and skips the field equation, without an error
+        doc = {
+            "metric": {"catalog": "minkowski"},
+            "vector_field": {"components": [2, 0, 0, 0]},
+            "fluid": {"sigma": 1.0, "rho": 0.0, "kappa": 1.0, "cosmological_constant": 0.0},
+            "points": [[0.0, 0.0, 0.0, 0.0]],
+        }
+        (rec,) = run_suite(scenario_from_dict(doc)).points
+        assert rec.error is None
+        assert not rec.identities["perfect_fluid_fit"]["applicable"]
+        assert "efe_residual" not in rec.identities
 
 
 class TestRicciFromFluid:
@@ -112,18 +122,18 @@ class TestRicciFromFluid:
 
 class TestFieldEquation:
     def test_de_sitter_exact(self, de_sitter, coordinate_time):
-        fluid = FluidState(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
+        fluid = FluidValues(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
         for p in random_points(3, seed=21):
             res = efe_residual(PointGeometry(de_sitter, p), fluid, coordinate_time)
             assert max_abs(res.components) < 1e-5
 
     def test_minkowski_vacuum(self, minkowski, coordinate_time):
-        fluid = FluidState(0.0, 0.0, kappa=1.0, lam=0.0)
+        fluid = FluidValues(0.0, 0.0, kappa=1.0, lam=0.0)
         res = efe_residual(PointGeometry(minkowski, (0, 0, 0, 0)), fluid, coordinate_time)
         assert max_abs(res.components) == 0.0
 
     def test_minkowski_mismatch_equals_metric(self, minkowski, coordinate_time):
-        fluid = FluidState(0.0, 0.0, kappa=1.0, lam=1.0)
+        fluid = FluidValues(0.0, 0.0, kappa=1.0, lam=1.0)
         res = efe_residual(PointGeometry(minkowski, (0, 0, 0, 0)), fluid, coordinate_time)
         assert max_abs(res.components - MINK) < 1e-12
 
@@ -232,29 +242,36 @@ class TestRicciOperator:
 
 
 class TestEigenCheck:
+    # the multiset is applicable where the field equation holds, within the
+    # report's default applicability tolerance 1e-6
     def test_minkowski_zero_spectrum(self, minkowski, coordinate_time):
         geo = PointGeometry(minkowski, (0, 0, 0, 0))
-        res = einstein_eigen_check(geo, FluidState(0.0, 0.0, 1.0, 0.0), coordinate_time)
+        vals = FluidValues(0.0, 0.0, 1.0, 0.0)
+        res = einstein_eigen_check(geo, vals)
         assert res.eigenvalues == (0.0, 0.0, 0.0, 0.0)
-        assert res.applicable and res.max_deviation == 0.0
+        assert res.max_deviation == 0.0
+        assert max_abs(efe_residual(geo, vals, coordinate_time).components) <= 1e-6
 
     def test_frw_radiation_multiset(self, frw_sqrt, coordinate_time):
-        fluid = FluidState(0.75, 0.25, kappa=1.0, lam=0.0)
-        res = einstein_eigen_check(PointGeometry(frw_sqrt, (1.0, 0, 0, 0)), fluid, coordinate_time)
+        vals = FluidValues(0.75, 0.25, kappa=1.0, lam=0.0)
+        geo = PointGeometry(frw_sqrt, (1.0, 0, 0, 0))
+        res = einstein_eigen_check(geo, vals)
         assert np.allclose(res.expected, [-0.75, 0.25, 0.25, 0.25])
         assert res.max_deviation < 1e-5
-        assert res.applicable
+        assert max_abs(efe_residual(geo, vals, coordinate_time).components) <= 1e-6
 
     def test_de_sitter_vacuum(self, de_sitter, coordinate_time):
-        fluid = FluidState(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
-        res = einstein_eigen_check(PointGeometry(de_sitter, (0.5, 0.1, 0.2, 0.3)), fluid, coordinate_time)
+        vals = FluidValues(0.0, 0.0, kappa=8 * math.pi, lam=3.0)
+        geo = PointGeometry(de_sitter, (0.5, 0.1, 0.2, 0.3))
+        res = einstein_eigen_check(geo, vals)
         assert res.max_deviation < 1e-5
-        assert res.applicable
+        assert max_abs(efe_residual(geo, vals, coordinate_time).components) <= 1e-6
 
-    def test_mismatch_flagged_inapplicable(self, minkowski, coordinate_time):
-        geo = PointGeometry(minkowski, (0, 0, 0, 0))
-        res = einstein_eigen_check(geo, FluidState(0.0, 0.0, 1.0, 1.0), coordinate_time)
-        assert not res.applicable
+    def test_mismatch_flagged_inapplicable(self):
+        report = run_suite(load_scenario(SCENARIO_DIR / "minkowski-lambda-mismatch.json"))
+        for rec in report.points:
+            info = rec.identities["einstein_eigen_multiset"]
+            assert not info["applicable"] and not info["asserted"]
 
 
 @settings(max_examples=30, deadline=None)
