@@ -13,11 +13,20 @@ the constant-curvature anchors in the test suite hold:
 See docs/conventions.md for the full sign table.
 
 Every quantity is read from a PointGeometry, one per (metric, point,
-numerics).  It computes the metric, its inverse and derivatives, the
-connection and the curvature lazily.  The stencil neighbours it reaches
-share one lattice keyed by their exact float coordinates, and each quantity
-is computed at most once per lattice coordinate, so a coordinate's metric
-components are evaluated once however many identities need them.
+numerics).  The stencil neighbours it reaches share one lattice keyed by
+their exact float coordinates.  The curvature layers (the metric, its
+inverse and derivatives, the connection, the curvature and its
+contractions) are batched: reading one at a point computes it, and each
+layer below it, at every lattice coordinate the read needs and lacks, one
+numpy call per layer (``lattice.fill``).  Reading ``riemann`` at a point
+batches the connection over its neighbours and the metric over theirs;
+the contracted Bianchi identity batches the curvature over the neighbours,
+the connection over theirs and the metric one round further out.  Each
+quantity is still computed at most once per lattice coordinate, and the
+metric components are evaluated one coordinate at a time by
+``MetricSpec.matrix``, so a coordinate's metric is evaluated once however
+many identities need it, and a failing coordinate is named as evaluating
+point by point would name it (docs/conventions.md).
 
 Vector fields live on the same lattice: ``geo.field(spec)`` is a
 FieldGeometry whose quantities (V, the dual one-form gV and its
@@ -49,6 +58,15 @@ from .expressions import (
     compile_expr,
     differentiate,
     variables,
+)
+from .lattice import (
+    GeometryError,
+    SingularMetricError,
+    christoffel_from_dg,
+    fill,
+    neighbours,
+    stencil_derivative,
+    stencil_steps,
 )
 
 __all__ = [
@@ -82,14 +100,6 @@ __all__ = [
     "fd_convergence_ratio",
     "max_abs",
 ]
-
-
-class GeometryError(RuntimeError):
-    """Base class for numerical-geometry failures."""
-
-
-class SingularMetricError(GeometryError):
-    """Metric determinant below the degeneracy threshold at a point."""
 
 
 class SignatureError(GeometryError):
@@ -231,16 +241,14 @@ class MetricSpec:
 
     @cached_property
     def _matrix_fn(self) -> Callable[..., tuple]:
-        # one compiled callable returning the full grid keeps stencil
-        # evaluation cheap; cached_property is safe on this frozen type
-        # (a benign duplicate compile under races returns identical code)
+        # one compiled callable returning the full grid, row by row, keeps
+        # stencil evaluation cheap; cached_property is safe on this frozen
+        # type (a benign duplicate compile under races returns identical code)
         from .expressions import _py_source  # shared codegen
 
         names = {c: f"c{i}" for i, c in enumerate(self.coords)}
-        rows = []
-        for row in self.components:
-            rows.append("(" + ", ".join(_py_source(e, names) for e in row) + ",)")
-        src = f"lambda {', '.join(names.values())}: ({', '.join(rows)},)"
+        entries = ", ".join(_py_source(e, names) for row in self.components for e in row)
+        src = f"lambda {', '.join(names.values())}: ({entries},)"
         return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
 
     def matrix(self, point: tuple[float, ...]) -> np.ndarray:
@@ -249,20 +257,19 @@ class MetricSpec:
             vals = self._matrix_fn(*point)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvalDomainError(f"metric components undefined at {tuple(point)}: {exc}") from None
-        return np.asarray(vals, dtype=float)
+        return np.array(vals, dtype=float).reshape(len(point), -1)
 
 
 # -- the per-point geometry ------------------------------------------------
 
 
 class _PerCoordinate:
-    """A PointGeometry or FieldGeometry attribute computed at most once per lattice coordinate.
+    """A FieldGeometry attribute computed at most once per (lattice coordinate, field).
 
-    The value is stored in the coordinate's entry of the shared lattice (a
-    field's own sub-entry for a FieldGeometry), so every object at those
-    coordinates sees it.  An array is stored read-only, so no caller can
-    change what every later reader of the lattice gets.  A computation that
-    raises stores nothing.
+    The value is stored in the field's sub-entry of the coordinate's entry in
+    the shared lattice, so every object at those coordinates sees it.  An
+    array is stored read-only, so no caller can change what every later
+    reader of the lattice gets.  A computation that raises stores nothing.
     """
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
@@ -282,41 +289,17 @@ class _PerCoordinate:
         return cache[self.name]
 
 
-def _discs_clear(rows: list[list[float]], threshold: float) -> bool:
-    """Whether Gershgorin's discs alone prove the symmetric ``rows`` non-degenerate.
-
-    Every eigenvalue lies in a disc about a diagonal entry, of radius the
-    row's other magnitudes, so when no disc reaches zero all |eigenvalues|
-    lie between the least ``|a_ii| - r_i`` and the largest ``|a_ii| + r_i``.
-    The 1e-10 margin is far above the rounding of these sums and of the
-    eigensolver, so a True here is a point the eigenvalue test passes too;
-    anything closer, or not finite, is left to that test.
-    """
-    low, high = math.inf, 0.0
-    for i, row in enumerate(rows):
-        total = sum(map(abs, row))
-        if not total < math.inf:  # inf or nan
-            return False
-        centre = abs(row[i])
-        low = min(low, 2 * centre - total)
-        high = max(high, total)
-    return low > (threshold + 1e-10) * high
-
-
-def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    lowered = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return np.einsum("kl,lij->kij", g_inv, lowered)
-
-
 class PointGeometry:
-    """Geometry of one metric at one point, evaluated lazily on a stencil lattice.
+    """Geometry of one metric at one point, evaluated on demand on a stencil lattice.
 
     ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
-    ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are each
-    computed at most once per coordinate of the lattice.  ``shifted`` gives
-    a stencil neighbour on the same lattice, ``grad`` differentiates any
-    quantity of the neighbours and ``field`` gives a vector field's cached
-    quantities here.  Not thread-safe: one object, one thread.
+    ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are the
+    curvature layers.  Reading one computes it, and each layer below it, at
+    every lattice coordinate the read needs and lacks, one numpy call per
+    layer, so each is computed at most once per coordinate.  ``shifted``
+    gives a stencil neighbour on the same lattice, ``grad`` differentiates a
+    layer or any quantity of the neighbours and ``field`` gives a vector
+    field's cached quantities here.  Not thread-safe: one object, one thread.
     """
 
     __slots__ = ("metric", "point", "numerics", "_lattice", "_cache")
@@ -346,99 +329,79 @@ class PointGeometry:
         neighbour._bind(self.metric, p[:axis] + (p[axis] + delta,) + p[axis + 1 :], self.numerics, self._lattice)
         return neighbour
 
-    def grad(self, fn: Callable[["PointGeometry"], np.ndarray | float]) -> np.ndarray:
+    def grad(self, fn: str | Callable[["PointGeometry"], np.ndarray | float]) -> np.ndarray:
         """Central first derivatives of ``fn(neighbour)``, Richardson-extrapolated.
 
-        The leading axis of the result is the derivative index.
+        ``fn`` is a callable, or the name of a curvature layer, which is then
+        computed at all the neighbours, and at this point, in one batch.  The
+        leading axis of the result is the derivative index.
         """
-        h = self.numerics.h
-        steps = (h, -h, h / 2, -h / 2) if self.numerics.richardson else (h, -h)
+        if isinstance(fn, str):
+            point = np.array([self.point])
+            around = neighbours(point, stencil_steps(self.numerics)).reshape(-1, point.shape[1])
+            # the point itself last, as a caller reading it after the derivative would
+            entries = fill(self.metric, self.numerics, self._lattice, fn, np.concatenate([around, point]))[:-1]
+            values = np.array([entry[fn] for entry in entries])
+            return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
+        steps = stencil_steps(self.numerics)
         # neighbours in the order axis by axis, so the first failing one raises
-        values = [[] for _ in steps]
-        for axis in range(len(self.point)):
-            for side, delta in zip(values, steps):
-                side.append(fn(self.shifted(axis, delta)))
-        plus, minus, *half = (np.array(side, dtype=float) for side in values)
-        d = (plus - minus) / (2 * h)
-        if half:
-            d = (4.0 * ((half[0] - half[1]) / h) - d) / 3.0
-        return d
+        values = [[fn(self.shifted(axis, delta)) for delta in steps] for axis in range(len(self.point))]
+        return stencil_derivative(np.array([values], dtype=float), self.numerics.h)[0]
 
     def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
         """The quantities of the vector field ``spec`` at this point."""
         return FieldGeometry(self, spec)
 
-    @_PerCoordinate
+    @property
     def g(self) -> np.ndarray:
         """Symmetric matrix g_ij; errors if the matrix is not finite or degenerate."""
-        g = self.metric.matrix(self.point)
-        threshold = self.numerics.degeneracy_threshold
-        if _discs_clear(g.tolist(), threshold):
-            return g
-        if not np.isfinite(g).all():  # a component overflowed without raising
-            raise EvalDomainError(f"metric components not finite at {self.point}")
-        spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
-        if spectrum[-1] == 0.0 or spectrum[0] <= threshold * spectrum[-1]:
-            raise SingularMetricError(
-                f"metric degenerate at {self.point} (eigenvalue ratio "
-                f"{spectrum[0]:.3e} / {spectrum[-1]:.3e})"
-            )
-        return g
+        return self._layer("g")
 
-    @_PerCoordinate
+    @property
     def g_inv(self) -> np.ndarray:
         """Contravariant inverse; g . g^-1 stays within 1e-12 of identity."""
-        return np.linalg.inv(self.g)
+        return self._layer("g_inv")
 
-    @_PerCoordinate
+    @property
     def dg(self) -> np.ndarray:
         """dg[k,i,j] = d_k g_ij by central differences."""
-        return self.grad(lambda n: n.g)
+        return self._layer("dg")
 
-    @_PerCoordinate
+    @property
     def gamma(self) -> np.ndarray:
         """Levi-Civita coefficients gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction."""
-        return _christoffel_from_dg(self.g_inv, self.dg)
+        return self._layer("gamma")
 
-    @_PerCoordinate
+    @property
     def riemann(self) -> np.ndarray:
         """Curvature components R[l,k,i,j] = R^l_kij (see module docstring)."""
-        # derivative of the assembled Gamma rather than third metric derivatives;
-        # dG[a,b,c,d] = d_a Gamma^b_cd
-        gamma = self.gamma
-        dgamma = self.grad(lambda n: n.gamma)
-        return (
-            np.einsum("iljk->lkij", dgamma)
-            - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("lim,mjk->lkij", gamma, gamma)
-            - np.einsum("ljm,mik->lkij", gamma, gamma)
-        )
+        return self._layer("riemann")
 
-    @_PerCoordinate
-    def _ricci_raw(self) -> np.ndarray:
-        return np.einsum("lbla->ab", self.riemann)
-
-    @_PerCoordinate
+    @property
     def ricci(self) -> np.ndarray:
         """Ricci tensor, symmetrised."""
-        raw = self._ricci_raw
-        return 0.5 * (raw + raw.T)
+        return self._layer("ricci")
 
-    @_PerCoordinate
+    @property
     def ricci_asymmetry(self) -> float:
         """Largest asymmetry of the raw Ricci contraction, a stencil-noise diagnostic."""
-        raw = self._ricci_raw
-        return max_abs(raw - raw.T)
+        return self._layer("ricci_asymmetry")
 
-    @_PerCoordinate
+    @property
     def scalar(self) -> float:
         """r = g^ij S_ij."""
-        return float(np.einsum("ij,ij->", self.g_inv, self.ricci))
+        return self._layer("scalar")
 
-    @_PerCoordinate
+    @property
     def einstein(self) -> np.ndarray:
         """G_ij = S_ij - (r/2) g_ij."""
-        return self.ricci - 0.5 * self.scalar * self.g
+        return self._layer("einstein")
+
+    def _layer(self, name: str) -> Any:
+        cache = self._cache
+        if name not in cache:
+            fill(self.metric, self.numerics, self._lattice, name, np.array([self.point]))
+        return cache[name]
 
 
 # -- views for callers holding (metric, point, numerics) ----------------------
@@ -729,7 +692,7 @@ def bianchi_first_residual(geo: PointGeometry) -> float:
 
 def contracted_bianchi_residual(geo: PointGeometry) -> float:
     """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity."""
-    dg_field = geo.grad(lambda n: n.einstein)  # [k,i,j] = d_k G_ij
+    dg_field = geo.grad("einstein")  # [k,i,j] = d_k G_ij
     gamma = geo.gamma
     g0 = geo.einstein
     cov = (
@@ -765,7 +728,7 @@ def christoffel_exact(geo: PointGeometry) -> np.ndarray:
             for j in range(i, n):
                 fn = compile_expr(differentiate(m.components[i][j], name), m.coords)
                 dg[k, i, j] = dg[k, j, i] = fn(*geo.point)
-    return _christoffel_from_dg(geo.g_inv, dg)
+    return christoffel_from_dg(geo.g_inv, dg)
 
 
 def fd_convergence_ratio(geo: PointGeometry) -> float | None:
@@ -782,7 +745,7 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
         dg = np.stack(
             [(geo.shifted(axis, h).g - geo.shifted(axis, -h).g) / (2 * h) for axis in range(len(geo.point))]
         )
-        errs.append(max_abs(_christoffel_from_dg(geo.g_inv, dg) - exact))
+        errs.append(max_abs(christoffel_from_dg(geo.g_inv, dg) - exact))
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):
         return None
     return errs[0] / errs[1]

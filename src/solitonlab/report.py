@@ -420,7 +420,9 @@ def _evaluate_point(
 
         if params.family in ETA_FAMILIES:
             if unit_timelike:
-                sol = eta_projection_solve(samples, params.alpha, params.beta, params.p_at(point, coords))
+                sol = eta_projection_solve(
+                    samples, params.alpha, params.beta, params.p_at(point, coords), tols["unit_timelike"]
+                )
                 rec.derived["eta_lambda"] = sol.lam
                 rec.derived["eta_mu"] = sol.mu
                 rec.derived["div_xi"] = sol.div_xi

@@ -15,6 +15,7 @@ the tag is carried in the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -475,13 +476,16 @@ def eta_projection_solve(
     alpha: float,
     beta: float,
     p: float,
+    unit_timelike: float = 1e-6,
 ) -> EtaSolitonSolve:
     """Solve for (lam, mu) from the frame trace and xi-xi projections.
 
     Both projection equations are built from the actual numerical samples
-    (trace weighted by the frame signs equals the g-trace).  For a unit
-    timelike reference field the linear system has determinant 3 in
-    magnitude; any other value raises GeometryError.
+    (trace weighted by the frame signs equals the g-trace).  The linear
+    system has determinant 3 g(xi, xi)^2 in magnitude, so it reads off how
+    far the reference field is from unit; a field off by more than
+    ``unit_timelike`` (the report's tolerance of that name, whose default
+    this is) raises GeometryError.
     """
     if samples.xi is None or samples.eta is None:
         raise ValueError("eta projections need the reference timelike field")
@@ -497,8 +501,11 @@ def eta_projection_solve(
     b = -proj(0.0, 0.0)
     a = np.column_stack([proj(1.0, 0.0) + b, proj(0.0, 1.0) + b])
     det = float(np.linalg.det(a))
-    if not abs(abs(det) - 3.0) < 1e-9:
-        raise GeometryError(f"projection system determinant {det!r}, expected |det| = 3 (unit timelike xi)")
+    if not abs(math.sqrt(abs(det) / 3.0) - 1.0) <= unit_timelike:
+        raise GeometryError(
+            f"projection system determinant {det!r}, expected |det| = 3 g(xi, xi)^2 "
+            f"with |g(xi, xi)| within {unit_timelike!r} of 1"
+        )
     lam, mu = np.linalg.solve(a, b)
     back = max_abs(proj(float(lam), float(mu)))
     return EtaSolitonSolve(

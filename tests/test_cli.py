@@ -357,6 +357,18 @@ class TestReportShape:
             # the projected constant does not close the full equation
             assert not rec.identities["potential_curvature_identity"]["applicable"]
 
+    def test_near_unit_gradient_flow_solves_the_eta_system(self):
+        # g(xi, xi) = -1.0000002 is unit within the default 1e-6: the eta
+        # solve accepts what the report accepts, so no point errors
+        doc = json.loads(Path(fixture("de-sitter-eta-gradient.json")).read_text())
+        doc["vector_field"] = {"gradient": "1.0000001*t"}
+        result = run_suite(scenario_from_dict(doc))
+        for rec in result.points:
+            assert rec.error is None
+            assert rec.identities["eta_backsubstitution"]["passed"]
+            assert rec.derived["eta_mu"] == pytest.approx(1.0, abs=1e-6)
+        assert result.to_dict(include_timestamp=False)["summary"]["verdict"] == "pass"
+
     def test_non_unit_flow_marks_rows_inapplicable(self):
         # g(xi, xi) = -4 with matter: the conditional rows are inapplicable,
         # and the point keeps its unconditional rows

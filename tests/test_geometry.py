@@ -1,11 +1,14 @@
 import math
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from solitonlab.expressions import parse
+from solitonlab.expressions import EvalDomainError, parse
 from solitonlab.geometry import (
     ChristoffelSample,
+    GeometryError,
     MetricSpec,
     NumericsConfig,
     PointGeometry,
@@ -30,7 +33,8 @@ from solitonlab.geometry import (
     riemann,
     riemann_antisymmetry_residual,
 )
-from solitonlab.report import DEFAULT_TOLERANCES
+from solitonlab.report import DEFAULT_TOLERANCES, run_suite
+from solitonlab.scenario import scenario_from_dict
 from solitonlab.spacetimes import catalog_metric
 
 from conftest import COORDS, random_points
@@ -553,3 +557,205 @@ class TestPointGeometry:
         shared = [report.to_dict(include_timestamp=False) for report in run_suites(scenarios)]
         assert shared == [run_suite(s).to_dict(include_timestamp=False) for s in scenarios]
 
+
+
+class ReferenceGeometry:
+    """The per-coordinate evaluation the batched layers replaced, kept as their reference.
+
+    Each quantity is computed lazily at one coordinate, from the same
+    quantity of its neighbours, with the formulas PointGeometry used before
+    its layers were batched.  Neighbours share one lattice keyed by their
+    exact coordinates, and the first object at a coordinate is the one kept.
+    """
+
+    def __init__(self, metric, point, numerics, lattice=None):
+        self.metric = metric
+        self.point = tuple(point)
+        self.numerics = numerics
+        self.lattice = {} if lattice is None else lattice
+        self.lattice.setdefault(self.point, self)
+
+    def at(self, point):
+        return self.lattice.get(point) or ReferenceGeometry(self.metric, point, self.numerics, self.lattice)
+
+    def shifted(self, axis, delta):
+        p = self.point
+        return self.at(p[:axis] + (p[axis] + delta,) + p[axis + 1 :])
+
+    def grad(self, fn):
+        h = self.numerics.h
+        steps = (h, -h, h / 2, -h / 2) if self.numerics.richardson else (h, -h)
+        values = [[] for _ in steps]
+        for axis in range(len(self.point)):
+            for side, delta in zip(values, steps):
+                side.append(fn(self.shifted(axis, delta)))
+        plus, minus, *half = (np.array(side, dtype=float) for side in values)
+        d = (plus - minus) / (2 * h)
+        if half:
+            d = (4.0 * ((half[0] - half[1]) / h) - d) / 3.0
+        return d
+
+    @cached_property
+    def g(self):
+        return self.metric.matrix(self.point)
+
+    @cached_property
+    def g_inv(self):
+        return np.linalg.inv(self.g)
+
+    @cached_property
+    def dg(self):
+        return self.grad(lambda n: n.g)
+
+    @cached_property
+    def gamma(self):
+        dg = self.dg
+        lowered = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
+        return np.einsum("kl,lij->kij", self.g_inv, lowered)
+
+    @cached_property
+    def riemann(self):
+        gamma = self.gamma
+        dgamma = self.grad(lambda n: n.gamma)
+        return (
+            np.einsum("iljk->lkij", dgamma)
+            - np.einsum("jlik->lkij", dgamma)
+            + np.einsum("lim,mjk->lkij", gamma, gamma)
+            - np.einsum("ljm,mik->lkij", gamma, gamma)
+        )
+
+    @cached_property
+    def ricci_raw(self):
+        return np.einsum("lbla->ab", self.riemann)
+
+    @cached_property
+    def ricci(self):
+        return 0.5 * (self.ricci_raw + self.ricci_raw.T)
+
+    @cached_property
+    def ricci_asymmetry(self):
+        return max_abs(self.ricci_raw - self.ricci_raw.T)
+
+    @cached_property
+    def scalar(self):
+        return float(np.einsum("ij,ij->", self.g_inv, self.ricci))
+
+    @cached_property
+    def einstein(self):
+        return self.ricci - 0.5 * self.scalar * self.g
+
+
+INFALL = MetricSpec.from_grid(
+    [
+        ["1/r - 1", "r^(-1/2)", "0", "0"],
+        ["r^(-1/2)", "1", "0", "0"],
+        ["0", "0", "r^2", "0"],
+        ["0", "0", "0", "r^2*sin(a)^2"],
+    ],
+    ("t", "r", "a", "b"),
+)
+SHEAR = MetricSpec.from_grid(
+    [["0.36*t^2 - 1", "0.6*t", "0", "0"], ["0.6*t", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    COORDS,
+)
+REFERENCE_CASES = {
+    "minkowski": (catalog_metric("minkowski"), (0.7, 0.3, -0.45, 0.2)),
+    "de_sitter": (catalog_metric("de_sitter", hubble=1.0), (0.6, 0.2, -0.4, 0.1)),
+    "grw_flat": (catalog_metric("grw_flat", scale_factor="t^(1/2)"), (0.8, 0.1, 0.2, 0.3)),
+    "infall": (INFALL, (0.7, 3.5, 1.1, 0.4)),
+    "shear": (SHEAR, (0.9, 0.2, -0.3, 0.4)),
+}
+LAYERS = ("g", "g_inv", "dg", "gamma", "riemann", "ricci", "ricci_asymmetry", "scalar", "einstein")
+
+
+class TestBatchedLayers:
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_every_lattice_coordinate_equals_the_per_coordinate_reference(self, case, richardson):
+        # batching changes no arithmetic: every layer the lattice holds, at
+        # every coordinate, is bitwise the per-coordinate formula's
+        metric, point = REFERENCE_CASES[case]
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        geo = PointGeometry(metric, point, cfg)
+        geo.ricci, geo.scalar, geo.ricci_asymmetry
+        contracted_bianchi_residual(geo)  # Riemann over S^1, Gamma over S^2, g over S^3
+        metric_compatibility_residual(geo)
+        reference = ReferenceGeometry(metric, point, cfg)
+        checked = Counter()
+        for key, entry in geo._lattice.items():
+            there = reference.at(key)
+            for layer in LAYERS:
+                if layer in entry:
+                    assert np.array_equal(entry[layer], getattr(there, layer)), (layer, key)
+                    checked[layer] += 1
+        steps = 4 if richardson else 2
+        assert checked["einstein"] == 1 + 4 * steps
+        assert checked["gamma"] > checked["einstein"]
+        assert checked["g"] > checked["gamma"]
+        assert set(checked) == set(LAYERS)
+
+
+def _grid(tt="-1", xx="1"):
+    return [[tt, "0", "0", "0"], ["0", xx, "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+# metric, plan points, the point errors of a run, and the error of the
+# contracted Bianchi identity alone on a fresh geometry at the first point;
+# the strings are those the per-coordinate evaluation gave
+ERROR_CASES = {
+    # g_xx vanishes two steps below x = 1
+    "degenerate_neighbour": (
+        _grid(xx="1e6*(x - 0.998)^2"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.000e+00)", None],
+        "metric degenerate at (0.501, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.000e+00)",
+    ),
+    # undefined two steps below x = 1 (S^2), fine one step below
+    "domain_error_s2": (
+        _grid(xx="1 + (x - 0.9983)^(1/2)"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
+        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+    ),
+    # undefined only three steps below x = 1 (S^3), which only the contracted Bianchi identity reaches
+    "domain_error_s3": (
+        _grid(xx="1 + (x - 0.9973)^(1/2)"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error", None],
+        "metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error",
+    ),
+    # a plan point with -0.0 coordinates, which every neighbour off their axes keeps
+    "negative_zero": (
+        _grid(tt="-1 - (t - 0.9983)^(1/2)"),
+        [[1.0, -0.0, 0.0, -0.0]],
+        ["metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error"],
+        "metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error",
+    ),
+}
+
+
+class TestErrorAttribution:
+    """A failing coordinate is named as evaluating point by point would name it."""
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_point_errors(self, case):
+        components, points, expected, _ = ERROR_CASES[case]
+        doc = {
+            "schema_version": 1,
+            "name": case,
+            "description": "error attribution",
+            "coordinates": list(COORDS),
+            "metric": {"components": components},
+            "points": points,
+        }
+        assert [rec.error for rec in run_suite(scenario_from_dict(doc), solve=False).points] == expected
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_contracted_bianchi_on_a_fresh_geometry(self, case):
+        # the neighbours' curvature is walked neighbour by neighbour, so a
+        # coordinate three steps out can fail before one two steps out
+        components, points, _, expected = ERROR_CASES[case]
+        geo = PointGeometry(MetricSpec.from_grid(components, COORDS), points[0])
+        with pytest.raises((EvalDomainError, GeometryError)) as caught:
+            contracted_bianchi_residual(geo)
+        assert str(caught.value) == expected

@@ -2,7 +2,11 @@
 
 Every shipped scenario is run through ``analyze`` and ``verify`` with
 ``--no-timestamp``, plus three three-value sweeps (a soliton constant, a
-metric parameter and an eta-family ``p``), and each report's digest is compared with ``tests/data/report_digests.json``.  A
+metric parameter and an eta-family ``p``) and ``verify`` of
+``tests/data/infall-grid.json`` (six generic points of the off-diagonal
+infall chart, the benchmark's ``grid`` kind of report; kept out of
+``scenarios/``, which the benchmark's ``fixtures`` workload runs whole), and
+each report's digest is compared with ``tests/data/report_digests.json``.  A
 refactor that leaves the numbers alone keeps every digest; a change that
 moves a residual must regenerate the file and say which residuals moved.
 
@@ -20,7 +24,8 @@ from solitonlab.cli import main
 
 from conftest import SCENARIO_DIR
 
-DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+DATA = Path(__file__).resolve().parent / "data"
+DIGESTS = DATA / "report_digests.json"
 SWEEPS = (
     ("de-sitter-soliton.json", "soliton.alpha", "0.0,1.0,2.0"),
     ("de-sitter-soliton.json", "metric.hubble", "0.5,1.0,2.0"),
@@ -35,6 +40,7 @@ def _runs() -> dict[str, list[str]]:
             runs[f"{command} {path.name}"] = [command, str(path)]
     for name, param, values in SWEEPS:
         runs[f"sweep {name} {param} {values}"] = ["sweep", str(SCENARIO_DIR / name), "--param", param, f"--values={values}"]
+    runs["verify data/infall-grid.json"] = ["verify", str(DATA / "infall-grid.json")]
     return runs
 
 

@@ -485,6 +485,18 @@ class TestEtaSystem:
             # projections degenerate for a spacelike reference field
             eta_projection_solve(s, 1.0, 0.0, -0.5)
 
+    def test_unit_tolerance_follows_the_caller(self):
+        # |det| = 3 g(xi, xi)^2: a flow 2e-7 off unit is solved at the
+        # default tolerance and refused below it
+        g = np.diag([-1.0, 1.0, 1.0, 1.0])
+        xi = np.array([math.sqrt(1.0000002), 0.0, 0.0, 0.0])
+        s = PointSamples(
+            g=g, g_inv=np.linalg.inv(g), lie_vg=np.zeros((4, 4)), ricci=np.zeros((4, 4)), scalar=0.0, xi=xi, eta=g @ xi
+        )
+        assert eta_projection_solve(s, 1.0, 0.0, -0.5).back_substitution < 1e-12
+        with pytest.raises(GeometryError, match="determinant"):
+            eta_projection_solve(s, 1.0, 0.0, -0.5, unit_timelike=1e-7)
+
     def test_non_unit_timelike_field_rejected(self):
         # g(xi, xi) = -4 scales the projection determinant to 48; the solve
         # must refuse it even when assertions are stripped (python -O)
