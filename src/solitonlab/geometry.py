@@ -22,11 +22,14 @@ numpy call per layer (``lattice.fill``).  Reading ``riemann`` at a point
 batches the connection over its neighbours and the metric over theirs;
 the contracted Bianchi identity batches the curvature over the neighbours,
 the connection over theirs and the metric one round further out.  Each
-quantity is still computed at most once per lattice coordinate, and the
-metric components are evaluated one coordinate at a time by
-``MetricSpec.matrix``, so a coordinate's metric is evaluated once however
-many identities need it, and a failing coordinate is named as evaluating
-point by point would name it (docs/conventions.md).
+quantity is still computed at most once per lattice coordinate.  The
+metric components are evaluated by ``MetricSpec.matrix`` once per distinct
+value, bit for bit, of the coordinates the grid reads among the
+coordinates a batch lacks, in walk order, so a coordinate's metric is
+evaluated at most once however many identities need it, coordinates that
+differ only along axes the grid never reads share one evaluation, and a
+failing coordinate is named as evaluating point by point would name it
+(docs/conventions.md).
 
 Vector fields live on the same lattice: ``geo.field(spec)`` is a
 FieldGeometry whose quantities (V, the dual one-form gV and its
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -239,17 +242,44 @@ class MetricSpec:
             grid[i][i] = coerce_expr(e, coords)
         return cls(tuple(coords), tuple(tuple(row) for row in grid), signature)
 
+    def _compiled(self, exprs: Iterable[Expr]) -> Callable[..., tuple]:
+        """One callable of the coordinates' floats returning the value of each of ``exprs``, in order."""
+        from .expressions import _py_source  # shared codegen
+
+        names = {c: f"c{i}" for i, c in enumerate(self.coords)}
+        entries = ", ".join(_py_source(e, names) for e in exprs)
+        src = f"lambda {', '.join(names.values())}: ({entries},)"
+        return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
+
     @cached_property
     def _matrix_fn(self) -> Callable[..., tuple]:
         # one compiled callable returning the full grid, row by row, keeps
         # stencil evaluation cheap; cached_property is safe on this frozen
         # type (a benign duplicate compile under races returns identical code)
-        from .expressions import _py_source  # shared codegen
+        return self._compiled(e for row in self.components for e in row)
 
-        names = {c: f"c{i}" for i, c in enumerate(self.coords)}
-        entries = ", ".join(_py_source(e, names) for row in self.components for e in row)
-        src = f"lambda {', '.join(names.values())}: ({entries},)"
-        return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
+    @cached_property
+    def _derivative_fn(self) -> Callable[..., tuple]:
+        # every d_k g_ij, k-major, in one compiled call; each component is
+        # differentiated once, for (i,j) and (j,i) alike
+        n = self.dim
+        upper = {
+            (k, i, j): differentiate(self.components[i][j], self.coords[k])
+            for k in range(n)
+            for i in range(n)
+            for j in range(i, n)
+        }
+        return self._compiled(upper[k, min(i, j), max(i, j)] for k in range(n) for i in range(n) for j in range(n))
+
+    @cached_property
+    def read_axes(self) -> tuple[int, ...]:
+        """The axes of the coordinates some component reads, in coordinate order.
+
+        A coordinate no component reads never changes a component, so two
+        points that agree bit for bit on these axes have bitwise equal metrics.
+        """
+        read = set().union(*(variables(e) for row in self.components for e in row))
+        return tuple(i for i, c in enumerate(self.coords) if c in read)
 
     def matrix(self, point: tuple[float, ...]) -> np.ndarray:
         """Raw component matrix g_ij(P) at a tuple of ``dim`` floats; no degeneracy check."""
@@ -258,6 +288,14 @@ class MetricSpec:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvalDomainError(f"metric components undefined at {tuple(point)}: {exc}") from None
         return np.array(vals, dtype=float).reshape(len(point), -1)
+
+    def derivatives(self, point: tuple[float, ...]) -> np.ndarray:
+        """Exact dg[k,i,j] = d_k g_ij at a tuple of ``dim`` floats, from the symbolic derivatives."""
+        try:
+            vals = self._derivative_fn(*point)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvalDomainError(f"metric derivatives undefined at {tuple(point)}: {exc}") from None
+        return np.array(vals, dtype=float).reshape((len(point),) * 3)
 
 
 # -- the per-point geometry ------------------------------------------------
@@ -720,14 +758,7 @@ def christoffel_exact(geo: PointGeometry) -> np.ndarray:
     symbolic derivative of a metric component, so it shares no stencil with
     the engine it checks.
     """
-    m = geo.metric
-    n = m.dim
-    dg = np.empty((n, n, n))
-    for k, name in enumerate(m.coords):
-        for i in range(n):
-            for j in range(i, n):
-                fn = compile_expr(differentiate(m.components[i][j], name), m.coords)
-                dg[k, i, j] = dg[k, j, i] = fn(*geo.point)
+    dg = geo.metric.derivatives(geo.point)
     return christoffel_from_dg(geo.g_inv, dg)
 
 

@@ -6,9 +6,11 @@ metric, its inverse and derivatives, the connection, the curvature and its
 contractions) at a set of points, with each layer below it at every
 lattice coordinate the request needs and lacks, each in one numpy call, and
 stores the rows in the lattice as read-only views.  The metric itself is
-evaluated one coordinate at a time by ``MetricSpec.matrix``, in the order a
-walk point by point would reach the coordinates (see ``_Walk``), so a
-failing coordinate is named as that walk would name it.  Every batched
+evaluated by ``MetricSpec.matrix``, one call per distinct bit pattern of the
+coordinates its grid reads (``MetricSpec.read_axes``), at the first
+coordinate with that pattern in the order a walk point by point would reach
+the coordinates (see ``_Walk``), so a failing coordinate is named as that
+walk would name it.  Every batched
 contraction is the per-coordinate ``np.einsum`` with a leading batch axis,
 which leaves each row bitwise equal to the per-coordinate result.
 """
@@ -88,18 +90,22 @@ def _keys(points: np.ndarray) -> list[tuple[float, ...]]:
     return list(map(tuple, points.tolist()))
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hash_weights(dim: int) -> np.ndarray:
+    """The multipliers that mix a row's ``dim`` 64-bit words into one hash."""
+    return np.array([pow(0x9E3779B97F4A7C15, dim - 1 - i, 1 << 64) for i in range(dim)], dtype=np.uint64)
+
+
+def _distinct(rows: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The distinct coordinates among ``rows``, numbered in order of first appearance.
 
     Returns the index of each one's first row and, for every row, the
-    number of its coordinate.  Rows compare as lattice keys do: exactly,
-    with -0.0 equal to 0.0.  They are grouped by a hash of their bits,
-    checked, and sorted exactly should two coordinates share a hash.
+    number of its coordinate.  Rows compare as lattice keys do, by value
+    with -0.0 equal to 0.0, or, when ``exact``, by their bits, which keeps
+    -0.0 and 0.0 apart.  They are grouped by a hash of their bits, checked,
+    and sorted exactly should two coordinates share a hash.
     """
-    canon = rows + 0.0  # -0.0 + 0.0 is +0.0
-    dim = rows.shape[1]
-    weights = np.array([pow(0x9E3779B97F4A7C15, dim - 1 - i, 1 << 64) for i in range(dim)], dtype=np.uint64)
-    mixed = canon.view(np.uint64) @ weights
+    canon = np.ascontiguousarray(rows).view(np.uint64) if exact else rows + 0.0  # -0.0 + 0.0 is +0.0
+    mixed = (canon if exact else canon.view(np.uint64)) @ _hash_weights(rows.shape[1])
     order = np.argsort(mixed)
     new = np.ones(len(rows), dtype=bool)
     np.not_equal(mixed[order][1:], mixed[order][:-1], out=new[1:])
@@ -187,7 +193,9 @@ class _Walk:
     cached.  Every distinct coordinate gets one number, in the order that
     walk (as ``grad`` visits neighbours) first demands its metric, and keeps
     the float coordinates that walk first built for it, so the metric is
-    evaluated where, and in the order, evaluating point by point would.
+    evaluated where, and in the order, evaluating point by point would,
+    skipping a coordinate whose read coordinates match, bit for bit, one
+    evaluated before it in the same batch.
     Each layer is then computed for every number that lacks it in one numpy
     call, kept in a table over the numbers and stored in the lattice.
     """
@@ -211,6 +219,7 @@ class _Walk:
         self.tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         n, dim = points.shape
         if rounds == 0:  # the points alone, already distinct: no stencil
+            self.coords = points
             self.keys = _keys(points)
             self.entries = [lattice.setdefault(key, {}) for key in self.keys]
             self.walked = n
@@ -240,7 +249,8 @@ class _Walk:
             order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
         first, numbers = _distinct(rows[order])
         self.walked = int(np.count_nonzero(first < len(order) - (0 if at_points else n)))
-        self.keys = _keys(rows[order][first])
+        self.coords = rows[order][first]
+        self.keys = _keys(self.coords)
         self.entries = [lattice.setdefault(key, {}) for key in self.keys]
         number = np.empty(len(order), dtype=int)
         number[order] = numbers
@@ -256,17 +266,21 @@ class _Walk:
         self.get(name, self.roots)
 
     def _metric(self) -> None:
-        # one MetricSpec.matrix call per coordinate, in walk order; a call
-        # that fails is raised once the rows before it are checked, as the
-        # walk point by point would
-        keys, entries = self.keys, self.entries
-        todo = [u for u in range(self.walked) if "g" not in entries[u]]
-        if not todo:
+        # one MetricSpec.matrix call per distinct bit pattern of the
+        # coordinates the metric reads, at its first coordinate in walk
+        # order; as the walk point by point would, a call that fails is
+        # raised once the coordinates before it are checked and stored
+        entries = self.entries
+        todo = np.array([u for u in range(self.walked) if "g" not in entries[u]], dtype=int)
+        if not todo.size:
             return
-        g = np.empty((len(todo), len(keys[0]), len(keys[0])))
+        first, group = _distinct(self.coords[todo][:, self.metric.read_axes], exact=True)
+        evaluated = todo[first].tolist()
+        dim = self.coords.shape[1]
+        g = np.empty((len(first), dim, dim))
         done, failure = 0, None
-        matrix = self.metric.matrix
-        for u in todo:
+        matrix, keys = self.metric.matrix, self.keys
+        for u in evaluated:
             try:
                 g[done] = matrix(keys[u])
             except EvalDomainError as exc:
@@ -274,37 +288,42 @@ class _Walk:
                 break
             done += 1
         if done:
-            g, numbers = g[:done], np.array(todo[:done])
-            good, fault = _metric_faults(g, [keys[u] for u in todo[:done]], self.numerics.degeneracy_threshold)
-            if not good.all():
-                g, numbers = g[good], numbers[good]
-            self._put("g", numbers, g)
+            threshold = self.numerics.degeneracy_threshold
+            good, fault = _metric_faults(g[:done], [keys[u] for u in evaluated[:done]], threshold)
+            reached = todo.size if failure is None else first[done]  # the failing coordinate starts its group
+            group = group[:reached]
+            keep = good[group]
+            self._put("g", todo[:reached][keep], g[:done], group[keep])
             if fault is not None:
                 raise fault
         if failure is not None:
             raise failure
 
-    def _add(self, name: str, numbers: np.ndarray, rows: np.ndarray) -> None:
-        """Append rows of layer ``name`` at ``numbers`` to its table."""
+    def _add(self, name: str, numbers: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None) -> None:
+        """Append ``rows`` to the table of layer ``name``: ``numbers[i]`` gets row ``at[i]``, by default row ``i``."""
+        at = np.arange(len(numbers)) if at is None else at
         if name in self.tables:
             slot, values = self.tables[name]
-            slot[numbers] = np.arange(len(values), len(values) + len(numbers))
+            slot[numbers] = len(values) + at
             self.tables[name] = (slot, np.concatenate([values, rows]))
         else:
             slot = np.full(len(self.keys), -1)
-            slot[numbers] = np.arange(len(numbers))
+            slot[numbers] = at
             self.tables[name] = (slot, rows)
 
-    def _put(self, name: str, numbers: np.ndarray, rows: np.ndarray) -> None:
-        """Store computed rows in the table and, as read-only rows, in the lattice."""
-        self._add(name, numbers, rows)
+    def _put(self, name: str, numbers: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None) -> None:
+        """Store computed rows in the table and, as read-only rows, in the lattice; ``at`` as for ``_add``."""
+        self._add(name, numbers, rows, at)
         entries = self.entries
         if rows.ndim == 1:
             for u, value in zip(numbers.tolist(), rows.tolist()):
                 entries[u][name] = value
             return
         rows.setflags(write=False)
-        for u, row in zip(numbers.tolist(), rows):
+        views = list(rows)
+        if at is not None:  # coordinates that share a row share its view
+            views = [views[i] for i in at.tolist()]
+        for u, row in zip(numbers.tolist(), views):
             entries[u][name] = row
 
     def get(self, name: str, numbers: np.ndarray) -> np.ndarray:

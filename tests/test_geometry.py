@@ -1,11 +1,11 @@
 import math
 from collections import Counter
-from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from solitonlab.expressions import EvalDomainError, parse
+from solitonlab.expressions import EvalDomainError, compile_expr, differentiate, parse, variables
 from solitonlab.geometry import (
     ChristoffelSample,
     GeometryError,
@@ -33,6 +33,8 @@ from solitonlab.geometry import (
     riemann,
     riemann_antisymmetry_residual,
 )
+from solitonlab import lattice
+from solitonlab.lattice import _distinct
 from solitonlab.report import DEFAULT_TOLERANCES, run_suite
 from solitonlab.scenario import scenario_from_dict
 from solitonlab.spacetimes import catalog_metric
@@ -390,6 +392,36 @@ class TestInvariants:
     def test_fd_convergence_flat_is_none(self, minkowski):
         assert fd_convergence_ratio(PointGeometry(minkowski, (0.5, 0, 0, 0))) is None
 
+    @pytest.mark.parametrize("case", ["de_sitter", "grw_flat", "infall", "shear"])
+    def test_exact_derivatives_equal_the_per_component_derivatives(self, case):
+        # the oracle's derivative grid is one compiled call; every entry is
+        # bitwise the compiled symbolic derivative of its component
+        metric, point = REFERENCE_CASES[case]
+        n = metric.dim
+        dg = metric.derivatives(point)
+        for k, name in enumerate(metric.coords):
+            for i in range(n):
+                for j in range(n):
+                    exact = compile_expr(differentiate(metric.components[i][j], name), metric.coords)(*point)
+                    assert dg[k, i, j] == exact and np.signbit(dg[k, i, j]) == np.signbit(exact), (k, i, j)
+
+    def test_undefined_exact_derivative_gives_no_ratio(self):
+        # g_xx = 1 + |x| has no derivative at x = 0, but its stencils are fine
+        doc = {
+            "schema_version": 1,
+            "name": "kink",
+            "description": "metric derivative undefined at the plan point",
+            "coordinates": list(COORDS),
+            "metric": {"components": _grid(tt="-1 - 0.1*t^2", xx="1 + (x^2)^(1/2)")},
+            "points": [[0.5, 0.0, 0.0, 0.0]],
+        }
+        metric = MetricSpec.from_grid(doc["metric"]["components"], COORDS)
+        with pytest.raises(EvalDomainError):
+            metric.derivatives((0.5, 0.0, 0.0, 0.0))
+        report = run_suite(scenario_from_dict(doc), solve=False)
+        assert report.points[0].error is None
+        assert report.to_dict()["summary"]["numerics_health"]["fd_convergence_ratio"] is None
+
     def test_ricci_frame_contraction_agrees(self, de_sitter, frw_sqrt):
         # trace over an orthonormal frame weighted by the signs reproduces
         # the coordinate contraction
@@ -500,8 +532,10 @@ class TestPointGeometry:
             assert not np.array_equal(sample.components, arr)
 
     def test_each_plan_point_evaluates_every_coordinate_once(self, monkeypatch):
-        # a whole run, summary included: the metric once per coordinate, and
-        # each field's components (or potential) once per coordinate
+        # a whole run, summary included: the metric at most once per
+        # coordinate (once per distinct value of the coordinates it reads in
+        # each batched read), and each field's components (or potential)
+        # once per coordinate
         from solitonlab.report import run_suite
         from solitonlab.scenario import load_scenario
 
@@ -517,6 +551,51 @@ class TestPointGeometry:
             assert len(metric_seen) == len(set(metric_seen)), path.name
             assert len(field_seen) == len(set(field_seen)), path.name
             assert bool(field_seen) == (scenario.vector_field is not None), path.name
+
+    def test_read_axes_are_the_coordinates_the_grid_reads(self, minkowski, de_sitter):
+        assert minkowski.read_axes == ()
+        assert de_sitter.read_axes == (0,)
+        assert INFALL.read_axes == (1, 2)
+        assert REFERENCE_CASES["signed_yz"][0].read_axes == (2, 3)
+
+    def test_each_batched_read_evaluates_the_metric_once_per_distinct_read_value(self, monkeypatch):
+        # within one batched read, the metric is evaluated once per distinct
+        # bit pattern of the coordinates it reads, at the first coordinate
+        # of the walk with that pattern, in walk order
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        metric_seen, _ = _count_evaluations(monkeypatch)
+        batches = []
+        walk_metric = lattice._Walk._metric
+
+        def recorded(walk):
+            lacking = [key for key, entry in zip(walk.keys[: walk.walked], walk.entries) if "g" not in entry]
+            before = len(metric_seen)
+            walk_metric(walk)
+            batches.append((walk.metric, lacking, metric_seen[before:]))
+
+        monkeypatch.setattr(lattice._Walk, "_metric", recorded)
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            run_suite(load_scenario(path))
+        for case in ("infall", "signed_shift", "signed_yz"):
+            metric, point = REFERENCE_CASES[case]
+            contracted_bianchi_residual(PointGeometry(metric, point))
+        evaluated = lacking_total = 0
+        for metric, lacking, calls in batches:
+            names = set().union(*(variables(e) for row in metric.components for e in row))
+            read = [i for i, c in enumerate(metric.coords) if c in names]
+            firsts = {}
+            for key in lacking:
+                firsts.setdefault(np.array(key)[read].tobytes(), key)
+            assert list(map(repr, calls)) == list(map(repr, firsts.values()))
+            if not read:
+                assert len(calls) == bool(lacking)
+            evaluated += len(calls)
+            lacking_total += len(lacking)
+        assert any(not metric.read_axes for metric, lacking, _ in batches if lacking)
+        assert evaluated < lacking_total / 4
 
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
         # a soliton constant never touches the geometry: four values cost
@@ -559,13 +638,29 @@ class TestPointGeometry:
 
 
 
+class _PerKey:
+    """A ReferenceGeometry quantity, cached in its coordinate's entry by the first object to read it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        entry = obj.lattice.setdefault(obj.point, {})
+        if self.name not in entry:
+            entry[self.name] = self.fn(obj)
+        return entry[self.name]
+
+
 class ReferenceGeometry:
     """The per-coordinate evaluation the batched layers replaced, kept as their reference.
 
     Each quantity is computed lazily at one coordinate, from the same
     quantity of its neighbours, with the formulas PointGeometry used before
     its layers were batched.  Neighbours share one lattice keyed by their
-    exact coordinates, and the first object at a coordinate is the one kept.
+    exact coordinates; a quantity is computed once per key, at the float
+    coordinates of the first neighbour object that reads it, which is how a
+    neighbour reached as ``-0.0 + h - h`` can give a key its ``+0.0``.
     """
 
     def __init__(self, metric, point, numerics, lattice=None):
@@ -573,16 +668,15 @@ class ReferenceGeometry:
         self.point = tuple(point)
         self.numerics = numerics
         self.lattice = {} if lattice is None else lattice
-        self.lattice.setdefault(self.point, self)
-
-    def at(self, point):
-        return self.lattice.get(point) or ReferenceGeometry(self.metric, point, self.numerics, self.lattice)
 
     def shifted(self, axis, delta):
         p = self.point
-        return self.at(p[:axis] + (p[axis] + delta,) + p[axis + 1 :])
+        there = p[:axis] + (p[axis] + delta,) + p[axis + 1 :]
+        return ReferenceGeometry(self.metric, there, self.numerics, self.lattice)
 
     def grad(self, fn):
+        if isinstance(fn, str):
+            fn = attrgetter(fn)
         h = self.numerics.h
         steps = (h, -h, h / 2, -h / 2) if self.numerics.richardson else (h, -h)
         values = [[] for _ in steps]
@@ -595,25 +689,25 @@ class ReferenceGeometry:
             d = (4.0 * ((half[0] - half[1]) / h) - d) / 3.0
         return d
 
-    @cached_property
+    @_PerKey
     def g(self):
         return self.metric.matrix(self.point)
 
-    @cached_property
+    @_PerKey
     def g_inv(self):
         return np.linalg.inv(self.g)
 
-    @cached_property
+    @_PerKey
     def dg(self):
         return self.grad(lambda n: n.g)
 
-    @cached_property
+    @_PerKey
     def gamma(self):
         dg = self.dg
         lowered = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
         return np.einsum("kl,lij->kij", self.g_inv, lowered)
 
-    @cached_property
+    @_PerKey
     def riemann(self):
         gamma = self.gamma
         dgamma = self.grad(lambda n: n.gamma)
@@ -624,23 +718,23 @@ class ReferenceGeometry:
             - np.einsum("ljm,mik->lkij", gamma, gamma)
         )
 
-    @cached_property
+    @_PerKey
     def ricci_raw(self):
         return np.einsum("lbla->ab", self.riemann)
 
-    @cached_property
+    @_PerKey
     def ricci(self):
         return 0.5 * (self.ricci_raw + self.ricci_raw.T)
 
-    @cached_property
+    @_PerKey
     def ricci_asymmetry(self):
         return max_abs(self.ricci_raw - self.ricci_raw.T)
 
-    @cached_property
+    @_PerKey
     def scalar(self):
         return float(np.einsum("ij,ij->", self.g_inv, self.ricci))
 
-    @cached_property
+    @_PerKey
     def einstein(self):
         return self.ricci - 0.5 * self.scalar * self.g
 
@@ -664,35 +758,86 @@ REFERENCE_CASES = {
     "grw_flat": (catalog_metric("grw_flat", scale_factor="t^(1/2)"), (0.8, 0.1, 0.2, 0.3)),
     "infall": (INFALL, (0.7, 3.5, 1.1, 0.4)),
     "shear": (SHEAR, (0.9, 0.2, -0.3, 0.4)),
+    # read a strict subset of the coordinates, with -0.0 and 0.0 among those
+    # read and a component that keeps the sign of a zero
+    "signed_shift": (
+        MetricSpec.from_grid(
+            [["-1 - 0.1*t^2", "x", "0", "0"], ["x", "1 + 0.2*t", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            COORDS,
+        ),
+        (0.6, -0.0, 0.0, 0.2),
+    ),
+    "signed_yz": (
+        MetricSpec.from_grid(
+            [["-1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1 + z^2/5", "y"], ["0", "0", "y", "1 + y^2/10"]],
+            COORDS,
+        ),
+        (0.3, 0.5, -0.0, 0.0),
+    ),
+    # read after g at the point, the contracted Bianchi identity reaches some
+    # keys first as -0.0 + h - h = +0.0 in t and others with the plan point's
+    # -0.0: evaluated in one batch, each keeps its own sign in g_tx
+    "signed_t": (
+        MetricSpec.from_grid(
+            [["-1 - 0.1*x^2", "t", "0", "0"], ["t", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            COORDS,
+        ),
+        (-0.0, 0.2, 0.0, 0.4),
+    ),
 }
 LAYERS = ("g", "g_inv", "dg", "gamma", "riemann", "ricci", "ricci_asymmetry", "scalar", "einstein")
 
 
 class TestBatchedLayers:
-    @pytest.mark.parametrize("richardson", [True, False])
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_every_lattice_coordinate_equals_the_per_coordinate_reference(self, case, richardson):
-        # batching changes no arithmetic: every layer the lattice holds, at
-        # every coordinate, is bitwise the per-coordinate formula's
+    @staticmethod
+    def check_against_the_reference(case, richardson, first):
+        # the geometry and the reference are read in the same order: one
+        # layer at the point, then the contracted Bianchi identity (Riemann
+        # over S^1, Gamma over S^2, g over S^3) and the rest
         metric, point = REFERENCE_CASES[case]
         cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
         geo = PointGeometry(metric, point, cfg)
+        getattr(geo, first)
+        contracted_bianchi_residual(geo)
         geo.ricci, geo.scalar, geo.ricci_asymmetry
-        contracted_bianchi_residual(geo)  # Riemann over S^1, Gamma over S^2, g over S^3
         metric_compatibility_residual(geo)
         reference = ReferenceGeometry(metric, point, cfg)
+        getattr(reference, first)
+        reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
+        reference.ricci, reference.scalar, reference.ricci_asymmetry
+        reference.dg, reference.gamma, reference.g
         checked = Counter()
         for key, entry in geo._lattice.items():
-            there = reference.at(key)
+            there = reference.lattice[key]
             for layer in LAYERS:
                 if layer in entry:
-                    assert np.array_equal(entry[layer], getattr(there, layer)), (layer, key)
+                    expected = there[layer]
+                    assert np.array_equal(entry[layer], expected), (layer, key)
+                    assert np.array_equal(np.signbit(entry[layer]), np.signbit(expected)), (layer, key)
                     checked[layer] += 1
         steps = 4 if richardson else 2
         assert checked["einstein"] == 1 + 4 * steps
         assert checked["gamma"] > checked["einstein"]
         assert checked["g"] > checked["gamma"]
         assert set(checked) == set(LAYERS)
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_every_lattice_coordinate_equals_the_per_coordinate_reference(self, case, richardson):
+        # batching, and evaluating the metric once per distinct value of the
+        # coordinates it reads, change no arithmetic: every layer the lattice
+        # holds, at every coordinate, is bitwise the per-coordinate
+        # formula's, down to the sign of a zero
+        self.check_against_the_reference(case, richardson, "ricci")
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_every_lattice_coordinate_equals_the_reference_after_the_plan_point_check(self, case, richardson):
+        # as a report reads it: g at the point first, so the contracted
+        # Bianchi identity walks the neighbours' curvature on a lattice
+        # holding nothing else, and in one batch meets keys whose t was
+        # built as -0.0 + h - h = +0.0 beside keys that copy a -0.0
+        self.check_against_the_reference(case, richardson, "g")
 
 
 def _grid(tt="-1", xx="1"):
@@ -723,6 +868,14 @@ ERROR_CASES = {
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
         ["metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error", None],
         "metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error",
+    ),
+    # reads x and z only: undefined two steps below x = 1, named at the first
+    # coordinate of the walk with those x and z, the plan point's -0.0 in z kept
+    "domain_error_two_axes": (
+        _grid(xx="1 + (x - 0.9983 + 0.1*z)^(1/2)"),
+        [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["metric components undefined at (0.5, 0.998, 0.0, -0.0): math domain error", None],
+        "metric components undefined at (0.501, 0.998, 0.0, -0.0): math domain error",
     ),
     # a plan point with -0.0 coordinates, which every neighbour off their axes keeps
     "negative_zero": (
@@ -759,3 +912,34 @@ class TestErrorAttribution:
         with pytest.raises((EvalDomainError, GeometryError)) as caught:
             contracted_bianchi_residual(geo)
         assert str(caught.value) == expected
+
+
+class TestDistinct:
+    """``lattice._distinct`` numbers rows by first appearance, as lattice keys or bit for bit."""
+
+    ROWS = np.array([[1.0, -0.0], [2.0, 0.5], [1.0, 0.0], [2.0, 0.5], [3.0, 0.0], [1.0, -0.0]])
+
+    def test_numbered_by_first_appearance(self):
+        first, group = _distinct(self.ROWS[[1, 3, 4, 1]])
+        assert first.tolist() == [0, 2]
+        assert group.tolist() == [0, 0, 1, 0]
+
+    def test_keys_equate_zeros_and_exact_keeps_them_apart(self):
+        first, group = _distinct(self.ROWS)
+        assert first.tolist() == [0, 1, 4]
+        assert group.tolist() == [0, 1, 0, 1, 2, 0]
+        first, group = _distinct(self.ROWS, exact=True)
+        assert first.tolist() == [0, 1, 2, 4]
+        assert group.tolist() == [0, 1, 2, 1, 3, 0]
+
+    def test_no_axes_is_one_group(self):
+        first, group = _distinct(np.empty((5, 0)), exact=True)
+        assert first.tolist() == [0]
+        assert group.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sorted_exactly_when_every_hash_collides(self, monkeypatch, exact):
+        expected = _distinct(self.ROWS, exact=exact)
+        monkeypatch.setattr(lattice, "_hash_weights", lambda dim: np.zeros(dim, dtype=np.uint64))
+        got = _distinct(self.ROWS, exact=exact)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
