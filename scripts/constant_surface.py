@@ -7,16 +7,24 @@ its classification on a small grid, and cross-checks the closed form at
 every node.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from solitonlab.solitons import (
+try:
+    import solitonlab  # noqa: F401
+except ModuleNotFoundError:  # run from a source checkout without an install
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from solitonlab.solitons import (  # noqa: E402
     PointSamples,
     SolitonParams,
     classify,
     lambda_closed_form,
     lambda_from_projection,
 )
-from solitonlab.spacetimes import FluidValues
+from solitonlab.spacetimes import FluidValues  # noqa: E402
 
 
 def main() -> None:

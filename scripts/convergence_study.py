@@ -7,8 +7,16 @@ and without Richardson extrapolation.  Plain central differences should
 show ratio ~4 per halving, the extrapolated column ~16.
 """
 
-from solitonlab.geometry import NumericsConfig, PointGeometry, christoffel, christoffel_exact, max_abs
-from solitonlab.spacetimes import catalog_metric
+import sys
+from pathlib import Path
+
+try:
+    import solitonlab  # noqa: F401
+except ModuleNotFoundError:  # run from a source checkout without an install
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from solitonlab.geometry import NumericsConfig, PointGeometry, christoffel, christoffel_exact, max_abs  # noqa: E402
+from solitonlab.spacetimes import catalog_metric  # noqa: E402
 
 
 def main() -> None:

@@ -8,8 +8,13 @@ Exits nonzero if any fixture deviates from its expectation.
 import sys
 from pathlib import Path
 
-from solitonlab.report import run_suite
-from solitonlab.scenario import load_scenario
+try:
+    import solitonlab  # noqa: F401
+except ModuleNotFoundError:  # run from a source checkout without an install
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from solitonlab.report import run_suite  # noqa: E402
+from solitonlab.scenario import load_scenario  # noqa: E402
 
 EXPECTED_FAIL = {"minkowski-lambda-mismatch"}
 

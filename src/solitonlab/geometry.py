@@ -13,33 +13,28 @@ the constant-curvature anchors in the test suite hold:
 See docs/conventions.md for the full sign table.
 
 Every quantity is read from a PointGeometry, one per (metric, point,
-numerics).  The stencil neighbours it reaches share one lattice keyed by
-their exact float coordinates.  The curvature layers (the metric, its
-inverse and derivatives, the connection, the curvature and its
-contractions) are batched: reading one at a point computes it, and each
-layer below it, at every lattice coordinate the read needs and lacks, one
-numpy call per layer (``lattice.fill``).  Reading ``riemann`` at a point
-batches the connection over its neighbours and the metric over theirs;
-the contracted Bianchi identity batches the curvature over the neighbours,
-the connection over theirs and the metric one round further out.  Each
-quantity is still computed at most once per lattice coordinate.  The
-metric components are evaluated by ``MetricSpec.matrix`` once per distinct
-value, bit for bit, of the coordinates the grid reads among the
-coordinates a batch lacks, in walk order, so a coordinate's metric is
-evaluated at most once however many identities need it, coordinates that
-differ only along axes the grid never reads share one evaluation, and a
-failing coordinate is named as evaluating point by point would name it
+numerics).  It and the stencil neighbours it reaches share one
+``lattice.Store``: each coordinate is numbered once, and each curvature
+layer (the metric, its inverse and derivatives, the connection, the
+curvature and its contractions) is one row array indexed by number.
+Reading a layer at a point computes it, and each layer below it, at every
+coordinate the read needs and lacks, one numpy call per layer; reading a
+layer held there is an index, with no numpy call.  The metric components
+are evaluated by ``MetricSpec.matrix`` once per point for each distinct bit
+pattern of the coordinates the grid reads, however many reads need it, at
+the first coordinate of the point's walk with that pattern, so a failing
+coordinate is named as evaluating point by point would name it
 (docs/conventions.md).
 
-Vector fields live on the same lattice: ``geo.field(spec)`` is a
-FieldGeometry whose quantities (V, the dual one-form gV and its
+Vector fields keep a dict per coordinate in the store: ``geo.field(spec)``
+is a FieldGeometry whose quantities (V, the dual one-form gV and its
 derivatives, nabla V, Lie_V g, the rotation map F = g^-1 d(gV), |V|^2, and
-for a gradient its potential and the potential's derivatives) are cached in the coordinate's entry under
-the VectorFieldSpec itself.  Specs are keyed by value, so two equal specs
-(say two ``gradient_of(f)`` built from one potential) share every entry,
-and a field's components are evaluated at most once per coordinate.
+for a gradient its potential and the potential's derivatives) are cached
+there under the VectorFieldSpec.  Specs are keyed by value, so two equal
+specs share every entry, and a field's components are evaluated at most
+once per coordinate.
 
-The lattice lives as long as the objects that reach it and is not locked:
+The store lives as long as the objects that reach it and is not locked:
 each PointGeometry belongs to one point and one thread.  Nothing is cached
 at module level.
 """
@@ -65,8 +60,8 @@ from .expressions import (
 from .lattice import (
     GeometryError,
     SingularMetricError,
+    Store,
     christoffel_from_dg,
-    fill,
     neighbours,
     stencil_derivative,
     stencil_steps,
@@ -304,10 +299,10 @@ class MetricSpec:
 class _PerCoordinate:
     """A FieldGeometry attribute computed at most once per (lattice coordinate, field).
 
-    The value is stored in the field's sub-entry of the coordinate's entry in
-    the shared lattice, so every object at those coordinates sees it.  An
-    array is stored read-only, so no caller can change what every later
-    reader of the lattice gets.  A computation that raises stores nothing.
+    The value is stored in the field's dict of the coordinate's dict in the
+    shared store, so every object at those coordinates sees it.  An array is
+    stored read-only, so no caller can change what every later reader of the
+    store gets.  A computation that raises stores nothing.
     """
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
@@ -327,6 +322,16 @@ class _PerCoordinate:
         return cache[self.name]
 
 
+def _layer_property(name: str, doc: str) -> property:
+    """A curvature layer of PointGeometry, read from its store; the point's number is kept once known."""
+
+    def read(geo: PointGeometry) -> Any:
+        geo._number, value = geo._store.at(name, geo.point, geo._number)
+        return value
+
+    return property(read, doc=doc)
+
+
 class PointGeometry:
     """Geometry of one metric at one point, evaluated on demand on a stencil lattice.
 
@@ -335,12 +340,13 @@ class PointGeometry:
     curvature layers.  Reading one computes it, and each layer below it, at
     every lattice coordinate the read needs and lacks, one numpy call per
     layer, so each is computed at most once per coordinate.  ``shifted``
-    gives a stencil neighbour on the same lattice, ``grad`` differentiates a
-    layer or any quantity of the neighbours and ``field`` gives a vector
-    field's cached quantities here.  Not thread-safe: one object, one thread.
+    gives a stencil neighbour on the same store, numbered from this point's
+    stencil when a walk has reached it, ``grad`` differentiates a layer or
+    any quantity of the neighbours and ``field`` gives a vector field's
+    cached quantities here.  Not thread-safe: one object, one thread.
     """
 
-    __slots__ = ("metric", "point", "numerics", "_lattice", "_cache")
+    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_cache")
 
     def __init__(
         self,
@@ -351,20 +357,19 @@ class PointGeometry:
         p = tuple(float(v) for v in point)
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
-        self._bind(metric, p, numerics, {})
+        self._bind(Store(metric, numerics), p, -1)
 
-    def _bind(self, metric: MetricSpec, point: tuple[float, ...], numerics: NumericsConfig, lattice: dict) -> None:
-        self.metric = metric
-        self.point = point
-        self.numerics = numerics
-        self._lattice = lattice
-        self._cache = lattice.setdefault(point, {})
+    def _bind(self, store: Store, point: tuple[float, ...], number: int) -> None:
+        self.metric, self.numerics, self.point = store.metric, store.numerics, point
+        self._store, self._number = store, number  # the point's number in the store; -1 until known
+        self._cache = store.fields.setdefault(point, {})
 
     def shifted(self, axis: int, delta: float) -> "PointGeometry":
         """The neighbour at this point moved by ``delta`` along coordinate ``axis``."""
         p = self.point
         neighbour = object.__new__(PointGeometry)
-        neighbour._bind(self.metric, p[:axis] + (p[axis] + delta,) + p[axis + 1 :], self.numerics, self._lattice)
+        there = p[:axis] + (p[axis] + delta,) + p[axis + 1 :]
+        neighbour._bind(self._store, there, self._store.kid(self._number, axis, delta))
         return neighbour
 
     def grad(self, fn: str | Callable[["PointGeometry"], np.ndarray | float]) -> np.ndarray:
@@ -375,11 +380,11 @@ class PointGeometry:
         leading axis of the result is the derivative index.
         """
         if isinstance(fn, str):
-            point = np.array([self.point])
-            around = neighbours(point, stencil_steps(self.numerics)).reshape(-1, point.shape[1])
-            # the point itself last, as a caller reading it after the derivative would
-            entries = fill(self.metric, self.numerics, self._lattice, fn, np.concatenate([around, point]))[:-1]
-            values = np.array([entry[fn] for entry in entries])
+            store, point = self._store, np.array([self.point])
+            around = neighbours(point, store.steps).reshape(-1, point.shape[1])
+            # the point last, as a caller reading it after would; once walked round, its kids number the neighbours
+            numbers = store.fill(fn, np.concatenate([around, point]), np.append(store.kids[self._number], self._number))
+            values = store.get(fn, numbers[:-1])
             return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
         steps = stencil_steps(self.numerics)
         # neighbours in the order axis by axis, so the first failing one raises
@@ -390,56 +395,15 @@ class PointGeometry:
         """The quantities of the vector field ``spec`` at this point."""
         return FieldGeometry(self, spec)
 
-    @property
-    def g(self) -> np.ndarray:
-        """Symmetric matrix g_ij; errors if the matrix is not finite or degenerate."""
-        return self._layer("g")
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        """Contravariant inverse; g . g^-1 stays within 1e-12 of identity."""
-        return self._layer("g_inv")
-
-    @property
-    def dg(self) -> np.ndarray:
-        """dg[k,i,j] = d_k g_ij by central differences."""
-        return self._layer("dg")
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Levi-Civita coefficients gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction."""
-        return self._layer("gamma")
-
-    @property
-    def riemann(self) -> np.ndarray:
-        """Curvature components R[l,k,i,j] = R^l_kij (see module docstring)."""
-        return self._layer("riemann")
-
-    @property
-    def ricci(self) -> np.ndarray:
-        """Ricci tensor, symmetrised."""
-        return self._layer("ricci")
-
-    @property
-    def ricci_asymmetry(self) -> float:
-        """Largest asymmetry of the raw Ricci contraction, a stencil-noise diagnostic."""
-        return self._layer("ricci_asymmetry")
-
-    @property
-    def scalar(self) -> float:
-        """r = g^ij S_ij."""
-        return self._layer("scalar")
-
-    @property
-    def einstein(self) -> np.ndarray:
-        """G_ij = S_ij - (r/2) g_ij."""
-        return self._layer("einstein")
-
-    def _layer(self, name: str) -> Any:
-        cache = self._cache
-        if name not in cache:
-            fill(self.metric, self.numerics, self._lattice, name, np.array([self.point]))
-        return cache[name]
+    g = _layer_property("g", "Symmetric matrix g_ij; errors if the matrix is not finite or degenerate.")
+    g_inv = _layer_property("g_inv", "Contravariant inverse; g . g^-1 stays within 1e-12 of identity.")
+    dg = _layer_property("dg", "dg[k,i,j] = d_k g_ij by central differences.")
+    gamma = _layer_property("gamma", "Levi-Civita gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction.")
+    riemann = _layer_property("riemann", "Curvature components R[l,k,i,j] = R^l_kij (see module docstring).")
+    ricci = _layer_property("ricci", "Ricci tensor, symmetrised.")
+    ricci_asymmetry = _layer_property("ricci_asymmetry", "Largest asymmetry of the raw Ricci contraction.")
+    scalar = _layer_property("scalar", "r = g^ij S_ij.")
+    einstein = _layer_property("einstein", "G_ij = S_ij - (r/2) g_ij.")
 
 
 # -- views for callers holding (metric, point, numerics) ----------------------
@@ -499,6 +463,15 @@ class VectorFieldSpec:
     @classmethod
     def gradient_of(cls, potential: Expr | str, coords: Sequence[str]) -> "VectorFieldSpec":
         return cls(tuple(coords), potential=coerce_expr(potential, coords))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a field's quantities are cached per coordinate under the spec, so
+        # it is hashed at every neighbour: hash its expression trees once
+        return hash((self.coords, self.components, self.potential))
 
     @property
     def is_gradient(self) -> bool:
@@ -768,15 +741,15 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     Measured on the connection coefficients against the symbolic-derivative
     oracle with Richardson off; ~4 for healthy second-order stencils.  None
     when the error is at roundoff level (flat metrics).  The plain stencils
-    read the metric at the same +-h and +-h/2 neighbours as ``geo.grad``.
+    read the metric at the same +-h and +-h/2 neighbours as ``geo.grad``, in
+    one indexed read of the store: the +-h pairs axis by axis, then the +-h/2.
     """
-    exact = christoffel_exact(geo)
-    errs = []
-    for h in (geo.numerics.h, geo.numerics.h / 2):
-        dg = np.stack(
-            [(geo.shifted(axis, h).g - geo.shifted(axis, -h).g) / (2 * h) for axis in range(len(geo.point))]
-        )
-        errs.append(max_abs(christoffel_from_dg(geo.g_inv, dg) - exact))
+    exact, store, dim = christoffel_exact(geo), geo._store, len(geo.point)
+    halvings = (geo.numerics.h, geo.numerics.h / 2)
+    around = np.concatenate([neighbours(np.array([geo.point]), (h, -h)).reshape(-1, dim) for h in halvings])
+    known = np.array([store.kid(geo._number, axis, s) for h in halvings for axis in range(dim) for s in (h, -h)])
+    g = store.get("g", store.fill("g", around, known)).reshape(2, dim, 2, *geo.g.shape)
+    errs = [max_abs(christoffel_from_dg(geo.g_inv, (s[:, 0] - s[:, 1]) / (2 * h)) - exact) for h, s in zip(halvings, g)]
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):
         return None
     return errs[0] / errs[1]

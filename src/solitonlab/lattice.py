@@ -1,24 +1,25 @@
-"""The batched curvature layers behind ``geometry.PointGeometry``.
+"""The store of stencil-lattice rows behind ``geometry.PointGeometry``.
 
-A PointGeometry's lattice maps exact float coordinates to an entry dict of
-the quantities computed there.  ``fill`` computes one curvature layer (the
-metric, its inverse and derivatives, the connection, the curvature and its
-contractions) at a set of points, with each layer below it at every
-lattice coordinate the request needs and lacks, each in one numpy call, and
-stores the rows in the lattice as read-only views.  The metric itself is
-evaluated by ``MetricSpec.matrix``, one call per distinct bit pattern of the
-coordinates its grid reads (``MetricSpec.read_axes``), at the first
-coordinate with that pattern in the order a walk point by point would reach
-the coordinates (see ``_Walk``), so a failing coordinate is named as that
-walk would name it.  Every batched
-contraction is the per-coordinate ``np.einsum`` with a leading batch axis,
-which leaves each row bitwise equal to the per-coordinate result.
+A PointGeometry and its stencil neighbours share one ``Store``.  It numbers
+each coordinate once, in the order a walk point by point first reaches it
+(``Store._walk``), keeping the floats first built for it, ``-0.0`` included;
+coordinates compare as lattice keys do (``-0.0 == 0.0``).  Each curvature
+layer is one row array, grown by capacity doubling, with a slot array over
+the numbers, so a read is an index.  ``Store.fill`` computes a layer at a
+set of points, with each layer below it where the request needs and lacks
+it, one numpy call per layer.  The metric is evaluated by
+``MetricSpec.matrix`` once per store for each distinct bit pattern of the
+coordinates it reads (``MetricSpec.read_axes``), at the first coordinate in
+walk order with that pattern, so a failing coordinate is named as that walk
+would name it.  Every batched contraction is the per-coordinate
+``np.einsum`` with a leading batch axis, so each row is bitwise the
+per-coordinate result.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -85,11 +86,6 @@ def neighbours(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-def _keys(points: np.ndarray) -> list[tuple[float, ...]]:
-    """The exact float coordinates of each row of ``points``, as lattice keys."""
-    return list(map(tuple, points.tolist()))
-
-
 def _hash_weights(dim: int) -> np.ndarray:
     """The multipliers that mix a row's ``dim`` 64-bit words into one hash."""
     return np.array([pow(0x9E3779B97F4A7C15, dim - 1 - i, 1 << 64) for i in range(dim)], dtype=np.uint64)
@@ -101,26 +97,46 @@ def _distinct(rows: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.nda
     Returns the index of each one's first row and, for every row, the
     number of its coordinate.  Rows compare as lattice keys do, by value
     with -0.0 equal to 0.0, or, when ``exact``, by their bits, which keeps
-    -0.0 and 0.0 apart.  They are grouped by a hash of their bits, checked,
-    and sorted exactly should two coordinates share a hash.
+    -0.0 and 0.0 apart.  They are grouped by a hash of their bits (each word
+    folded first: with odd weights alone, (x, -y) and (-x, y) would collide),
+    checked, and sorted exactly should two coordinates share a hash.
     """
-    canon = np.ascontiguousarray(rows).view(np.uint64) if exact else rows + 0.0  # -0.0 + 0.0 is +0.0
-    mixed = (canon if exact else canon.view(np.uint64)) @ _hash_weights(rows.shape[1])
-    order = np.argsort(mixed)
+    if len(rows) < 2:
+        return np.arange(len(rows)), np.zeros(len(rows), dtype=int)
+    canon = np.ascontiguousarray(rows if exact else rows + 0.0).view(np.uint64)  # -0.0 + 0.0 is +0.0
+    mixed = (canon ^ (canon >> np.uint64(32))) @ _hash_weights(rows.shape[1])
+    order = mixed.argsort()
+    mixed = mixed[order]
     new = np.ones(len(rows), dtype=bool)
-    np.not_equal(mixed[order][1:], mixed[order][:-1], out=new[1:])
-    group = np.empty(len(rows), dtype=int)
-    group[order] = np.cumsum(new) - 1
-    if not np.array_equal(canon[order[new]][group], canon):  # two coordinates share a hash
+    np.not_equal(mixed[1:], mixed[:-1], out=new[1:])
+    if (_changes(canon.take(order, axis=0)) > new[1:]).any():  # two coordinates share a hash
         order = np.lexsort(canon.T[::-1])
-        ordered = canon[order]
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-        group[order] = np.cumsum(new) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_appearance = np.argsort(first)
+        new[1:] = _changes(canon[order])
+    group = np.empty(len(rows), dtype=int)
+    group[order] = new.cumsum() - 1
+    first = np.minimum.reduceat(order, new.nonzero()[0])
+    by_appearance = first.argsort()
     rank = np.empty_like(by_appearance)
     rank[by_appearance] = np.arange(len(first))
-    return first[by_appearance], rank[group]
+    return first[by_appearance], rank.take(group)
+
+
+def _changes(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of ``rows`` after the first differs from the one before it."""
+    changed = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+    for column in rows.T:
+        changed |= column[1:] != column[:-1]
+    return changed
+
+
+def _room(a: np.ndarray, n: int, pad: int = 0) -> np.ndarray:
+    """``a``, or, when it has fewer than ``n`` rows, a copy padded with ``pad`` to ``n`` rows or twice its own."""
+    if n <= len(a):
+        return a
+    grown = np.empty((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    grown[: len(a)] = a
+    grown[len(a) :] = pad
+    return grown
 
 
 def _metric_faults(
@@ -139,7 +155,7 @@ def _metric_faults(
     a = np.abs(g)
     with np.errstate(invalid="ignore", over="ignore"):
         total = a.sum(axis=2)
-        low = (2 * np.diagonal(a, axis1=1, axis2=2) - total).min(axis=1)
+        low = (2 * a.diagonal(axis1=1, axis2=2) - total).min(axis=1)
         high = total.max(axis=1)  # inf or nan when a row is not finite
         good = (high < math.inf) & (low > (threshold + 1e-10) * high)
     if good.all():
@@ -164,197 +180,205 @@ def _metric_faults(
 # stencil rounds a layer reads beyond its point: none for the metric and its
 # inverse, one for dg and Gamma, two (Gamma at the neighbours) for the rest
 _ROUNDS = {"g": 0, "g_inv": 0, "dg": 1, "gamma": 1}
+# the layer whose row at a coordinate gives a layer there point by point
+_POINTWISE = {"g_inv": "g", **dict.fromkeys(("ricci_raw", "ricci", "ricci_asymmetry", "scalar", "einstein"), "riemann")}
 
 
-def fill(metric: MetricSpec, numerics: NumericsConfig, lattice: dict, name: str, points: np.ndarray) -> list[dict]:
-    """Compute layer ``name`` at each row of ``points`` that lacks it; return the rows' lattice entries."""
-    keys = _keys(points)
-    entries = [lattice.setdefault(key, {}) for key in keys]
-    first: dict[int, int] = {}
-    for i, entry in enumerate(entries):
-        if name not in entry:
-            first.setdefault(id(entry), i)
-    if first:
-        rows = list(first.values())
-        rounds = _ROUNDS.get(name, 2)
-        if rounds == 2 and all("riemann" in entries[i] for i in rows):
-            rounds = 0  # derived from the curvature point by point: no stencil to walk
-        _Walk(metric, numerics, lattice, points[rows], rounds, name != "dg").layer(name)
-    return entries
+class _Layer:
+    """One layer's rows, grown by capacity doubling, and the row of each coordinate number (-1: none)."""
+
+    __slots__ = ("slot", "rows", "count")
+
+    def __init__(self, capacity: int) -> None:
+        self.slot = np.full(capacity, -1)
+        self.rows, self.count = None, 0
+
+    def append(self, values: np.ndarray) -> np.ndarray:
+        """Store ``values`` after the rows held; return their row indices."""
+        start, self.count = self.count, self.count + len(values)
+        if self.rows is None or self.count > len(self.rows):
+            self.rows = _room(np.empty((0,) + values.shape[1:]) if self.rows is None else self.rows, self.count)
+        self.rows[start : self.count] = values
+        return np.arange(start, self.count)
 
 
-class _Walk:
-    """The lattice coordinates one batched evaluation reaches, in the order a walk point by point demands their metric.
+class Store:
+    """The stencil lattice of one point: its coordinates, numbered once, and a row array per layer.
 
-    Round 0 is the points the layer is asked for, round 1 their stencil
-    neighbours, round 2 the neighbours of the round-1 points whose
-    connection is still missing; a point whose layer is already held, or
-    was reached before, is not walked again, as the walk would find it
-    cached.  Every distinct coordinate gets one number, in the order that
-    walk (as ``grad`` visits neighbours) first demands its metric, and keeps
-    the float coordinates that walk first built for it, so the metric is
-    evaluated where, and in the order, evaluating point by point would,
-    skipping a coordinate whose read coordinates match, bit for bit, one
-    evaluated before it in the same batch.
-    Each layer is then computed for every number that lacks it in one numpy
-    call, kept in a table over the numbers and stored in the lattice.
+    ``coords[u]`` holds the floats of number ``u``, ``kids[u]`` its stencil neighbours' numbers once a walk
+    has reached them from it, and ``fields`` a dict of vector-field quantities per coordinate.  Not thread-safe.
     """
 
-    def __init__(
-        self,
-        metric: MetricSpec,
-        numerics: NumericsConfig,
-        lattice: dict,
-        points: np.ndarray,
-        rounds: int,
-        at_points: bool,
-    ) -> None:
-        """Number the walk of ``rounds`` rounds of neighbours around ``points``.
+    def __init__(self, metric: MetricSpec, numerics: NumericsConfig) -> None:
+        self.metric, self.numerics = metric, numerics
+        self.steps, self.size = stencil_steps(numerics), 0
+        self.coords = np.empty((16, metric.dim))  # room for 16 numbers, doubled as needed
+        self.kids = np.full((16, metric.dim * len(self.steps)), -1)
+        self.read = np.array(metric.read_axes, dtype=int)
+        self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
+        self.layers: dict[str, _Layer] = {}
+        self.fields: dict[tuple[float, ...], dict] = {}
 
-        ``at_points`` is whether the layer reads the metric at the points
-        themselves (``dg`` alone does not).
+    def layer(self, name: str) -> _Layer:
+        if name not in self.layers:
+            self.layers[name] = _Layer(len(self.coords))
+        return self.layers[name]
+
+    def held(self, name: str, numbers: np.ndarray) -> np.ndarray:
+        """Which of ``numbers`` (-1: a coordinate not numbered) hold layer ``name``."""
+        return (numbers >= 0) & (self.layer(name).slot.take(numbers) >= 0)
+
+    def at(self, name: str, point: tuple[float, ...], u: int) -> tuple[int, Any]:
+        """Layer ``name`` at ``point`` (number ``u``; -1: unknown), computed if not held: (number, view or float)."""
+        layer = self.layer(name)
+        if u < 0 or layer.slot[u] < 0:
+            below = self.layers.get(_POINTWISE.get(name, ""))
+            if u >= 0 and below is not None and below.slot[u] >= 0:
+                self.get(name, np.array([u]))  # point by point, from the rows held there
+            else:
+                u = int(self.fill(name, np.array([point]), np.array([u]))[0])
+        row = layer.rows[layer.slot[u]]
+        if not row.ndim:
+            return u, float(row)
+        row.flags.writeable = False
+        return u, row
+
+    def kid(self, u: int, axis: int, step: float) -> int:
+        """The number of coordinate ``u`` moved by ``step`` along ``axis``; -1 unless a walk went there from ``u``."""
+        if u < 0 or step not in self.steps:
+            return -1
+        return int(self.kids[u, axis * len(self.steps) + self.steps.index(step)])
+
+    def number(self, rows: np.ndarray, add: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The numbers of ``rows``; of the coordinates among them, in order of first appearance; and their first rows.
+
+        A coordinate the store lacks gets the next number when ``add``, else -1.  The rows go to
+        ``_distinct`` first, the store's own coordinates after them.
         """
-        self.metric = metric
-        self.numerics = numerics
-        self.tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        n, dim = points.shape
+        first, group = _distinct(np.concatenate([rows, self.coords[: self.size]]))
+        numbers, seen = np.full(len(first), -1), int((first < len(rows)).sum())
+        numbers[group[len(rows) :]] = np.arange(self.size)
+        new = (numbers[:seen] < 0).nonzero()[0]
+        if add and new.size:
+            end = self.size + len(new)
+            if end > len(self.coords):
+                self.coords = _room(self.coords, end)
+                self.kids = _room(self.kids, end, -1)
+                for layer in self.layers.values():
+                    layer.slot = _room(layer.slot, end, -1)
+            self.coords[self.size : end] = rows.take(first[new], axis=0)
+            numbers[new] = np.arange(self.size, end)
+            self.size = end
+        return numbers.take(group[: len(rows)]), numbers[:seen], first[:seen]
+
+    def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
+        """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known)."""
+        if numbers is None or (numbers < 0).any():
+            numbers = self.number(points, add=False)[0] if self.size else np.full(len(points), -1)
+        lacking = (~self.held(name, numbers)).nonzero()[0]
+        if lacking.size:
+            first, group = _distinct(points[lacking])
+            roots = numbers[lacking[first]]
+            rounds = _ROUNDS.get(name, 2)
+            if name in _POINTWISE and self.held(_POINTWISE[name], roots).all():
+                rounds = 0  # derived point by point: no stencil to walk
+            roots = self._walk(points[lacking[first]], roots, rounds, name != "dg")
+            self.get(name, roots)
+            numbers[lacking] = roots[group]
+        return numbers
+
+    def _walk(self, points: np.ndarray, roots: np.ndarray, rounds: int, at_points: bool) -> np.ndarray:
+        """Number the walk of ``rounds`` rounds of neighbours around ``points``, evaluate its metric; their numbers.
+
+        Round 0 is the points (``roots``: their numbers, -1 where none), round 1 their neighbours, round 2
+        those of the round-1 points lacking the connection, root by root, round by round, as ``grad`` visits
+        them.  Unless ``at_points`` (``dg``), the points come last and are not walked.
+        """
         if rounds == 0:  # the points alone, already distinct: no stencil
-            self.coords = points
-            self.keys = _keys(points)
-            self.entries = [lattice.setdefault(key, {}) for key in self.keys]
-            self.walked = n
-            self.roots = np.arange(n)
-            self.kids = None
-            return
-        steps = stencil_steps(numerics)
-        size = dim * len(steps)
-        ring = neighbours(points, steps).reshape(-1, dim)
-        rows, roots = [points, ring], [np.arange(n), np.repeat(np.arange(n), size)]
-        levels = [np.zeros(n, dtype=int), np.ones(n * size, dtype=int)]  # round of each row
+            roots = self.number(points)[0] if (roots < 0).any() else roots
+            self._metric(roots)
+            return roots
+        n, dim = points.shape
+        size = dim * len(self.steps)
+        ring = neighbours(points, self.steps).reshape(-1, dim)
         outer = np.zeros(0, dtype=int)  # ring positions walked again
         if rounds == 2:
             # a ring point is walked again at its first visit, if it lacks the connection
-            block = 1 + size
-            first, _ = _distinct(np.concatenate([points[:, None], ring.reshape(n, size, dim)], axis=1).reshape(-1, dim))
-            first = first[first % block != 0]
-            first = (first // block) * size + first % block - 1
-            lacking = ["gamma" not in lattice.get(key, ()) for key in _keys(ring[first])]
-            outer = first[np.array(lacking, dtype=bool)]
-            rows.append(neighbours(ring[outer], steps).reshape(-1, dim))
-            roots.append(np.repeat(outer // size, size))
-            levels.append(np.full(len(outer) * size, 2))
-        rows, roots, levels = np.concatenate(rows), np.concatenate(roots), np.concatenate(levels)
+            blocks = np.concatenate([points[:, None], ring.reshape(n, size, dim)], axis=1).reshape(-1, dim)
+            _, known, visit = self.number(blocks, add=False)
+            visit = visit[(visit % (1 + size) != 0) & ~self.held("gamma", known)]
+            outer = (visit // (1 + size)) * size + visit % (1 + size) - 1
+        rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps).reshape(-1, dim)])
+        levels = np.repeat(np.arange(3), [n, n * size, len(outer) * size])  # round of each row
+        roots = np.concatenate([np.arange(n), np.arange(n * size) // size, np.repeat(outer // size, size)])
         order = np.lexsort((levels, roots))  # root by root, round by round
-        if not at_points:  # d_k g alone never reads g at the point itself
+        if not at_points:
             order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
-        first, numbers = _distinct(rows[order])
-        self.walked = int(np.count_nonzero(first < len(order) - (0 if at_points else n)))
-        self.coords = rows[order][first]
-        self.keys = _keys(self.coords)
-        self.entries = [lattice.setdefault(key, {}) for key in self.keys]
+        walk, distinct, first = self.number(rows[order])
         number = np.empty(len(order), dtype=int)
-        number[order] = numbers
-        self.roots = number[:n]
-        ring_numbers = number[n : n + n * size]
-        self.kids = np.full((len(self.keys), size), -1)
-        self.kids[self.roots] = ring_numbers.reshape(n, size)
-        self.kids[ring_numbers[outer]] = number[n + n * size :].reshape(len(outer), size)
+        number[order] = walk
+        self.kids[number[:n]] = number[n : n + n * size].reshape(n, size)
+        self.kids[number[n + outer]] = number[n + n * size :].reshape(len(outer), size)
+        self._metric(distinct[first < len(order) - (0 if at_points else n)])
+        return number[:n]
 
-    def layer(self, name: str) -> None:
-        """Compute ``name`` at the points asked for, the metric of the whole walk first."""
-        self._metric()
-        self.get(name, self.roots)
-
-    def _metric(self) -> None:
-        # one MetricSpec.matrix call per distinct bit pattern of the
-        # coordinates the metric reads, at its first coordinate in walk
-        # order; as the walk point by point would, a call that fails is
-        # raised once the coordinates before it are checked and stored
-        entries = self.entries
-        todo = np.array([u for u in range(self.walked) if "g" not in entries[u]], dtype=int)
+    def _metric(self, walked: np.ndarray) -> None:
+        # the walk's coordinates lacking g take the row of their read bit pattern, a pattern the store
+        # lacks evaluated at its first coordinate; a failure is raised once those before it have rows
+        g = self.layer("g")
+        todo = walked[g.slot.take(walked) < 0]
         if not todo.size:
             return
-        first, group = _distinct(self.coords[todo][:, self.metric.read_axes], exact=True)
-        evaluated = todo[first].tolist()
-        dim = self.coords.shape[1]
-        g = np.empty((len(first), dim, dim))
-        done, failure = 0, None
-        matrix, keys = self.metric.matrix, self.keys
-        for u in evaluated:
-            try:
-                g[done] = matrix(keys[u])
-            except EvalDomainError as exc:
-                failure = exc
-                break
-            done += 1
-        if done:
-            threshold = self.numerics.degeneracy_threshold
-            good, fault = _metric_faults(g[:done], [keys[u] for u in evaluated[:done]], threshold)
-            reached = todo.size if failure is None else first[done]  # the failing coordinate starts its group
-            group = group[:reached]
-            keep = good[group]
-            self._put("g", todo[:reached][keep], g[:done], group[keep])
-            if fault is not None:
-                raise fault
-        if failure is not None:
-            raise failure
-
-    def _add(self, name: str, numbers: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Append ``rows`` to the table of layer ``name``: ``numbers[i]`` gets row ``at[i]``, by default row ``i``."""
-        at = np.arange(len(numbers)) if at is None else at
-        if name in self.tables:
-            slot, values = self.tables[name]
-            slot[numbers] = len(values) + at
-            self.tables[name] = (slot, np.concatenate([values, rows]))
-        else:
-            slot = np.full(len(self.keys), -1)
-            slot[numbers] = at
-            self.tables[name] = (slot, rows)
-
-    def _put(self, name: str, numbers: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None) -> None:
-        """Store computed rows in the table and, as read-only rows, in the lattice; ``at`` as for ``_add``."""
-        self._add(name, numbers, rows, at)
-        entries = self.entries
-        if rows.ndim == 1:
-            for u, value in zip(numbers.tolist(), rows.tolist()):
-                entries[u][name] = value
-            return
-        rows.setflags(write=False)
-        views = list(rows)
-        if at is not None:  # coordinates that share a row share its view
-            views = [views[i] for i in at.tolist()]
-        for u, row in zip(numbers.tolist(), views):
-            entries[u][name] = row
+        coords = self.coords.take(todo, axis=0)
+        pattern = coords.take(self.read, axis=1)
+        known = len(self.patterns)
+        # the store's patterns are distinct and come first: group p < known is row p of g
+        first, row = _distinct(np.concatenate([self.patterns, pattern]), exact=True)
+        first, row = first[known:] - known, row[known:]
+        failure = fault = None
+        if first.size:
+            points, values = list(map(tuple, coords.take(first, axis=0).tolist())), []
+            for point in points:
+                try:
+                    values.append(self.metric.matrix(point))
+                except EvalDomainError as exc:
+                    failure = exc
+                    break
+            done, ids, values = len(values), np.full(len(points), -1), np.array(values)
+            if done:
+                good, fault = _metric_faults(values, points[:done], self.numerics.degeneracy_threshold)
+                ids[:done][good] = g.append(values[good])  # one row of g per pattern
+                self.patterns = np.concatenate([self.patterns, pattern[first[:done][good]]])
+            new = row >= known
+            row[new] = ids[row[new] - known]
+            if failure is not None:  # the failing coordinate starts its group
+                todo, row = todo[: first[done]], row[: first[done]]
+        g.slot[todo[row >= 0]] = row[row >= 0]
+        if fault or failure:
+            raise fault or failure
 
     def get(self, name: str, numbers: np.ndarray) -> np.ndarray:
-        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows no entry holds yet."""
-        need = numbers[self.tables[name][0][numbers] < 0] if name in self.tables else numbers.ravel()
-        if need.size:
-            held, held_rows, missing = [], [], []
-            for u in dict.fromkeys(need.tolist()):
-                value = self.entries[u].get(name)
-                if value is None:
-                    missing.append(u)
-                else:
-                    held.append(u)
-                    held_rows.append(value)
-            if held:
-                self._add(name, np.array(held), np.array(held_rows))
-            if missing:
-                if name == "g":
-                    raise RuntimeError("metric read outside the walk")
-                build = np.array(missing)
-                self._put(name, build, getattr(self, "_" + name)(build))
-        slot, values = self.tables[name]
-        return values[slot[numbers]]
+        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet."""
+        layer = self.layer(name)
+        slot = layer.slot.take(numbers)
+        missing = slot < 0
+        if missing.any():
+            if name == "g":
+                raise RuntimeError("metric read outside the walk")
+            mark = np.zeros(self.size, dtype=bool)
+            mark[numbers[missing]] = True
+            need = mark.nonzero()[0]
+            layer.slot[need] = layer.append(getattr(self, "_" + name)(need))
+            slot = layer.slot.take(numbers)
+        return layer.rows.take(slot, axis=0)
 
     def derivative(self, name: str, numbers: np.ndarray) -> np.ndarray:
         """d_k of layer ``name`` at ``numbers``, from the layer at their stencil neighbours."""
-        kids = None if self.kids is None else self.kids[numbers]
-        if kids is None or (kids < 0).any():
+        kids = self.kids.take(numbers, axis=0)
+        if (kids < 0).any():
             raise RuntimeError("stencil neighbours outside the walk")
         values = self.get(name, kids)
-        shape = (len(numbers), len(self.keys[0]), -1) + values.shape[2:]
+        shape = (len(numbers), self.coords.shape[1], -1) + values.shape[2:]
         return stencil_derivative(values.reshape(shape), self.numerics.h)
 
     def _g_inv(self, u: np.ndarray) -> np.ndarray:

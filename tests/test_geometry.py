@@ -4,8 +4,10 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solitonlab.expressions import EvalDomainError, compile_expr, differentiate, parse, variables
+from solitonlab.expressions import Binary, Const, EvalDomainError, compile_expr, differentiate, parse, variables
 from solitonlab.geometry import (
     ChristoffelSample,
     GeometryError,
@@ -18,6 +20,7 @@ from solitonlab.geometry import (
     VectorFieldSpec,
     bianchi_first_residual,
     christoffel,
+    christoffel_exact,
     contracted_bianchi_residual,
     cov_deriv_tensor11,
     divergence_vector,
@@ -34,7 +37,7 @@ from solitonlab.geometry import (
     riemann_antisymmetry_residual,
 )
 from solitonlab import lattice
-from solitonlab.lattice import _distinct
+from solitonlab.lattice import _distinct, christoffel_from_dg
 from solitonlab.report import DEFAULT_TOLERANCES, run_suite
 from solitonlab.scenario import scenario_from_dict
 from solitonlab.spacetimes import catalog_metric
@@ -392,6 +395,66 @@ class TestInvariants:
     def test_fd_convergence_flat_is_none(self, minkowski):
         assert fd_convergence_ratio(PointGeometry(minkowski, (0.5, 0, 0, 0))) is None
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", ["minkowski", "de_sitter", "grw_flat", "infall", "shear", "signed_t"])
+    def test_fd_convergence_ratio_is_the_per_neighbour_ratio(self, case, richardson):
+        # the store's one indexed read of the +-h and +-h/2 neighbours gives
+        # bitwise the ratio of the per-neighbour reads it replaced
+        metric, point = REFERENCE_CASES[case]
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        geo = PointGeometry(metric, point, cfg)
+        exact = christoffel_exact(geo)
+        errs = []
+        for h in (cfg.h, cfg.h / 2):
+            dg = np.stack([(geo.shifted(axis, h).g - geo.shifted(axis, -h).g) / (2 * h) for axis in range(4)])
+            errs.append(max_abs(christoffel_from_dg(geo.g_inv, dg) - exact))
+        expected = None if errs[1] < 1e-11 * max(1.0, max_abs(exact)) else errs[0] / errs[1]
+        assert fd_convergence_ratio(PointGeometry(metric, point, cfg)) == expected
+        assert fd_convergence_ratio(geo) == expected
+
+    # charts whose read coordinates stay away from zero, so no stencil
+    # coordinate differs from another only in the sign of a zero it reads
+    UNSIGNED = ["minkowski", "de_sitter", "grw_flat", "infall", "shear"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=st.sampled_from(UNSIGNED),
+        moves=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=4, max_size=4),
+        richardson=st.booleans(),
+    )
+    def test_an_unread_coordinate_changes_no_layer(self, case, moves, richardson):
+        # two points that differ only along coordinates no component reads:
+        # every stencil coordinate of one reads the same floats as the
+        # other's, so the metric is bitwise the same there and so is every
+        # layer built on it
+        metric, point = REFERENCE_CASES[case]
+        there = tuple(x if axis in metric.read_axes else move for axis, (x, move) in enumerate(zip(point, moves)))
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        a, b = PointGeometry(metric, point, cfg), PointGeometry(metric, there, cfg)
+        for layer in ("g", "gamma", "riemann", "ricci", "scalar", "einstein"):
+            assert np.asarray(getattr(a, layer)).tobytes() == np.asarray(getattr(b, layer)).tobytes(), layer
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=st.sampled_from(UNSIGNED), power=st.integers(-3, 3), richardson=st.booleans())
+    def test_a_power_of_two_scale_of_the_metric(self, case, power, richardson):
+        # under g -> c g with c a power of two every step scales exactly: the
+        # components and their stencil differences by c, the inverse by 1/c
+        # (the same pivots, each product and quotient scaled), so each
+        # product in Gamma is the unscaled one and Gamma, Riemann and Ricci
+        # are bitwise unchanged, r = g^ij S_ij is exactly r/c and
+        # G = S - (r/2) g is bitwise G
+        metric, point = REFERENCE_CASES[case]
+        c = 2.0**power
+        grid = tuple(tuple(Binary("mul", Const(c), e) for e in row) for row in metric.components)
+        scaled = MetricSpec(metric.coords, grid)
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        a, b = PointGeometry(metric, point, cfg), PointGeometry(scaled, point, cfg)
+        assert (c * a.g).tobytes() == b.g.tobytes()
+        assert (a.g_inv / c).tobytes() == b.g_inv.tobytes()
+        for layer in ("gamma", "riemann", "ricci", "einstein"):
+            assert getattr(a, layer).tobytes() == getattr(b, layer).tobytes(), layer
+        assert np.float64(a.scalar / c).tobytes() == np.float64(b.scalar).tobytes()
+
     @pytest.mark.parametrize("case", ["de_sitter", "grw_flat", "infall", "shear"])
     def test_exact_derivatives_equal_the_per_component_derivatives(self, case):
         # the oracle's derivative grid is one compiled call; every entry is
@@ -509,16 +572,28 @@ class TestPointGeometry:
         geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
         there = geo.shifted(0, 1e-3)
         assert there.point == (0.5 + 1e-3, 0.0, 0.0, 0.0)
-        assert geo.shifted(0, 1e-3).g is there.g
+        again = geo.shifted(0, 1e-3)
+        assert again._store is there._store is geo._store
+        # one number, one row of the store: both reads view the same memory
+        assert again.g.__array_interface__["data"] == there.g.__array_interface__["data"]
+        assert geo._store.size == 1
         assert there.shifted(0, -1e-3).point == (0.5 + 1e-3 - 1e-3, 0.0, 0.0, 0.0)
 
     def test_lattice_arrays_are_read_only(self, de_sitter):
-        # the lattice is shared by every scenario of a sweep: a write would leak
+        # the store is shared by every scenario of a sweep: a write would leak
         geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
         lie = geo.field(VectorFieldSpec.from_components([1, 0, 0, 0], COORDS)).lie
         for arr in (geo.g, lie):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+        contracted_bianchi_residual(geo)
+        store = geo._store
+        for name, layer in store.layers.items():
+            for u in np.flatnonzero(layer.slot[: store.size] >= 0):
+                arr = store.at(name, tuple(store.coords[u].tolist()), u)[1]
+                if isinstance(arr, np.ndarray):
+                    with pytest.raises(ValueError):
+                        arr[(0,) * arr.ndim] = 1.0
 
     def test_samples_leave_the_callers_array_writeable(self):
         for make, arr in (
@@ -533,9 +608,9 @@ class TestPointGeometry:
 
     def test_each_plan_point_evaluates_every_coordinate_once(self, monkeypatch):
         # a whole run, summary included: the metric at most once per
-        # coordinate (once per distinct value of the coordinates it reads in
-        # each batched read), and each field's components (or potential)
-        # once per coordinate
+        # coordinate (once per distinct value of the coordinates it reads at
+        # each point), and each field's components (or potential) once per
+        # coordinate
         from solitonlab.report import run_suite
         from solitonlab.scenario import load_scenario
 
@@ -559,43 +634,46 @@ class TestPointGeometry:
         assert REFERENCE_CASES["signed_yz"][0].read_axes == (2, 3)
 
     def test_each_batched_read_evaluates_the_metric_once_per_distinct_read_value(self, monkeypatch):
-        # within one batched read, the metric is evaluated once per distinct
-        # bit pattern of the coordinates it reads, at the first coordinate
-        # of the walk with that pattern, in walk order
+        # over all the reads of a point, however many batches they take, the
+        # metric is evaluated once per distinct bit pattern of the
+        # coordinates it reads, at the first coordinate of the point's walk
+        # with that pattern, in walk order
+        from solitonlab import report
         from solitonlab.scenario import load_scenario
 
         from conftest import SCENARIO_DIR
 
         metric_seen, _ = _count_evaluations(monkeypatch)
-        batches = []
-        walk_metric = lattice._Walk._metric
+        points = []  # each geometry, and the count of metric calls before it
 
-        def recorded(walk):
-            lacking = [key for key, entry in zip(walk.keys[: walk.walked], walk.entries) if "g" not in entry]
-            before = len(metric_seen)
-            walk_metric(walk)
-            batches.append((walk.metric, lacking, metric_seen[before:]))
+        class Recorded(PointGeometry):
+            __slots__ = ()
 
-        monkeypatch.setattr(lattice._Walk, "_metric", recorded)
+            def __init__(self, *args):
+                super().__init__(*args)
+                points.append((self, len(metric_seen)))
+
+        monkeypatch.setattr(report, "PointGeometry", Recorded)
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             run_suite(load_scenario(path))
         for case in ("infall", "signed_shift", "signed_yz"):
-            metric, point = REFERENCE_CASES[case]
-            contracted_bianchi_residual(PointGeometry(metric, point))
-        evaluated = lacking_total = 0
-        for metric, lacking, calls in batches:
+            contracted_bianchi_residual(Recorded(*REFERENCE_CASES[case]))
+        assert len(points) == 19 + 3
+        evaluated = coordinates = 0
+        for (geo, start), (_, end) in zip(points, points[1:] + [(None, len(metric_seen))]):
+            metric, store, calls = geo.metric, geo._store, metric_seen[start:end]
             names = set().union(*(variables(e) for row in metric.components for e in row))
             read = [i for i, c in enumerate(metric.coords) if c in names]
             firsts = {}
-            for key in lacking:
+            for key in map(tuple, store.coords[: store.size].tolist()):
                 firsts.setdefault(np.array(key)[read].tobytes(), key)
             assert list(map(repr, calls)) == list(map(repr, firsts.values()))
             if not read:
-                assert len(calls) == bool(lacking)
+                assert len(calls) == 1
             evaluated += len(calls)
-            lacking_total += len(lacking)
-        assert any(not metric.read_axes for metric, lacking, _ in batches if lacking)
-        assert evaluated < lacking_total / 4
+            coordinates += store.size
+        assert any(not geo.metric.read_axes for geo, _ in points)
+        assert evaluated < coordinates / 4
 
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
         # a soliton constant never touches the geometry: four values cost
@@ -807,13 +885,14 @@ class TestBatchedLayers:
         reference.ricci, reference.scalar, reference.ricci_asymmetry
         reference.dg, reference.gamma, reference.g
         checked = Counter()
-        for key, entry in geo._lattice.items():
+        store = geo._store
+        for u, key in enumerate(map(tuple, store.coords[: store.size].tolist())):
             there = reference.lattice[key]
             for layer in LAYERS:
-                if layer in entry:
-                    expected = there[layer]
-                    assert np.array_equal(entry[layer], expected), (layer, key)
-                    assert np.array_equal(np.signbit(entry[layer]), np.signbit(expected)), (layer, key)
+                if store.held(layer, np.array([u]))[0]:
+                    value, expected = store.get(layer, np.array([u]))[0], there[layer]
+                    assert np.array_equal(value, expected), (layer, key)
+                    assert np.array_equal(np.signbit(value), np.signbit(expected)), (layer, key)
                     checked[layer] += 1
         steps = 4 if richardson else 2
         assert checked["einstein"] == 1 + 4 * steps
@@ -936,6 +1015,25 @@ class TestDistinct:
         first, group = _distinct(np.empty((5, 0)), exact=True)
         assert first.tolist() == [0]
         assert group.tolist() == [0] * 5
+
+    def test_the_store_numbers_exactly_when_every_hash_collides(self, monkeypatch):
+        # the store finds and numbers coordinates, and groups the metric's read
+        # patterns, with _distinct: sorted exactly, it holds the same rows
+        def walked(case):
+            geo = PointGeometry(*REFERENCE_CASES[case])
+            geo.g
+            contracted_bianchi_residual(geo)
+            store = geo._store
+            every = np.arange(store.size)
+            return store.coords[: store.size].tobytes(), {
+                name: store.get(name, every[store.held(name, every)]).tobytes()
+                for name, layer in store.layers.items()
+                if layer.count
+            }
+
+        expected = {case: walked(case) for case in ("signed_t", "minkowski")}
+        monkeypatch.setattr(lattice, "_hash_weights", lambda dim: np.zeros(dim, dtype=np.uint64))
+        assert {case: walked(case) for case in expected} == expected
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_sorted_exactly_when_every_hash_collides(self, monkeypatch, exact):
