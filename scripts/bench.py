@@ -11,9 +11,11 @@ BENCHMARK.json's ``run_seconds``, and traced once.  Pair ``k`` uses seed
 ``S + k`` on both sides and alternates which side runs first.  The file
 records every run's end-to-end metrics, each side's median and quartiles,
 how many pairs the change won on each metric, the failed operations, and
-the traced counts ``geometry.metric_evals`` and
-``geometry.metric_evals_unique`` (per plan point; they repeat exactly from
-run to run).
+every per-layer figure of the traced run.  Of those, the counts
+``geometry.metric_evals`` and ``geometry.metric_evals_unique`` (per plan
+point) repeat exactly from run to run and are also kept apart as
+``counts``; the timings are one sample each, with none of the spread of the
+end-to-end medians.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def _side(runs: list[dict], traced: dict, names: list[str]) -> dict:
         "correct": all(r["correct"] for r in runs),
         "metrics": {name: _stats([r["metrics"][name] for r in runs]) for name in names},
         "counts": {name: traced["metrics"][name] for name in COUNTS},
+        "per_layer": traced["metrics"],
         "runs": [r["metrics"] for r in runs],
     }
 

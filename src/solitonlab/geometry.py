@@ -16,15 +16,17 @@ Every quantity is read from a PointGeometry, one per (metric, point,
 numerics).  It and the stencil neighbours it reaches share one
 ``lattice.Store``: each coordinate is numbered once, and each curvature
 layer (the metric, its inverse and derivatives, the connection, the
-curvature and its contractions) is one row array indexed by number.
-Reading a layer at a point computes it, and each layer below it, at every
-coordinate the read needs and lacks, one numpy call per layer; reading a
-layer held there is an index, with no numpy call.  The metric components
-are evaluated by ``MetricSpec.matrix`` once per point for each distinct bit
-pattern of the coordinates the grid reads, however many reads need it, at
-the first coordinate of the point's walk with that pattern, so a failing
-coordinate is named as evaluating point by point would name it
-(docs/conventions.md).
+curvature and its contractions) is one row array indexed by number.  The
+lattice spans only the coordinates the metric reads: every layer is
+constant along the others, so a neighbour along one of them is numbered as
+the point itself, while ``shifted`` keeps its true coordinates for the
+vector fields.  Reading a layer at a point computes it, and each layer
+below it, at every coordinate the read needs and lacks, one numpy call per
+layer; reading a layer held there is an index, with no numpy call.  The
+metric components are evaluated by ``MetricSpec.matrix`` once per point for
+each distinct bit pattern of the coordinates the grid reads, however many
+reads need it, and a failing coordinate is named as evaluating point by
+point along every axis would name it (docs/conventions.md).
 
 Vector fields keep a dict per coordinate in the store: ``geo.field(spec)``
 is a FieldGeometry whose quantities (V, the dual one-form gV and its
@@ -341,7 +343,8 @@ class PointGeometry:
     every lattice coordinate the read needs and lacks, one numpy call per
     layer, so each is computed at most once per coordinate.  ``shifted``
     gives a stencil neighbour on the same store, numbered from this point's
-    stencil when a walk has reached it, ``grad`` differentiates a layer or
+    stencil when a walk has reached it (as this point along a coordinate the
+    metric does not read), ``grad`` differentiates a layer or
     any quantity of the neighbours and ``field`` gives a vector field's
     cached quantities here.  Not thread-safe: one object, one thread.
     """
@@ -357,7 +360,7 @@ class PointGeometry:
         p = tuple(float(v) for v in point)
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
-        self._bind(Store(metric, numerics), p, -1)
+        self._bind(Store(metric, numerics, p), p, -1)
 
     def _bind(self, store: Store, point: tuple[float, ...], number: int) -> None:
         self.metric, self.numerics, self.point = store.metric, store.numerics, point
@@ -383,7 +386,8 @@ class PointGeometry:
             store, point = self._store, np.array([self.point])
             around = neighbours(point, store.steps).reshape(-1, point.shape[1])
             # the point last, as a caller reading it after would; once walked round, its kids number the neighbours
-            numbers = store.fill(fn, np.concatenate([around, point]), np.append(store.kids[self._number], self._number))
+            known = np.append(store.kids[self._number].ravel(), self._number)
+            numbers = store.fill(fn, np.concatenate([around, point]), known)
             values = store.get(fn, numbers[:-1])
             return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
         steps = stencil_steps(self.numerics)

@@ -3,23 +3,31 @@
 A PointGeometry and its stencil neighbours share one ``Store``.  It numbers
 each coordinate once, in the order a walk point by point first reaches it
 (``Store._walk``), keeping the floats first built for it, ``-0.0`` included;
-coordinates compare as lattice keys do (``-0.0 == 0.0``).  Each curvature
-layer is one row array, grown by capacity doubling, with a slot array over
-the numbers, so a read is an index.  ``Store.fill`` computes a layer at a
-set of points, with each layer below it where the request needs and lacks
-it, one numpy call per layer.  The metric is evaluated by
-``MetricSpec.matrix`` once per store for each distinct bit pattern of the
-coordinates it reads (``MetricSpec.read_axes``), at the first coordinate in
-walk order with that pattern, so a failing coordinate is named as that walk
-would name it.  Every batched contraction is the per-coordinate
-``np.einsum`` with a leading batch axis, so each row is bitwise the
-per-coordinate result.
+coordinates compare as lattice keys do (``-0.0 == 0.0``).  The walk goes
+only along the axes the metric reads (``MetricSpec.read_axes``): along any
+other axis, a Killing direction of the chart, every coordinate keeps the
+root point's float and its stencil neighbour is itself, so the lattice has
+one coordinate per read pattern, and a difference across such an axis is an
+exact +0.0, as the per-coordinate stencil gives it (both its neighbours share
+the point's read pattern).  A root with ``-0.0`` on an axis the metric reads
+walks every axis, where the sign of a zero the walk copies or rebuilds
+matters.  Each curvature layer is one row array, grown by capacity
+doubling, with a slot array over the numbers, so a read is an index.
+``Store.fill`` computes a layer at a set of points, with each layer below it
+where the request needs and lacks it, one numpy call per layer.  The metric
+is evaluated by ``MetricSpec.matrix`` once per store for each distinct bit
+pattern of the coordinates it reads, at the first coordinate in walk order
+with that pattern.  A failing coordinate is named as the walk along every
+axis would name it: on a failure the store rebuilds that walk's row order
+for the request and names the first row whose pattern fails.  Every batched
+contraction is the per-coordinate ``np.einsum`` with a leading batch axis,
+so each row is bitwise the per-coordinate result.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -69,20 +77,21 @@ def stencil_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def neighbours(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
-    """The stencil neighbours of each row of ``points``, shape (n, dim, len(steps), dim).
+def neighbours(points: np.ndarray, steps: tuple[float, ...], axes: Sequence[int] | None = None) -> np.ndarray:
+    """The stencil neighbours of each row of ``points`` along ``axes`` (all), shape (n, len(axes), len(steps), dim).
 
-    Neighbour [i, axis, s] is row i moved by ``steps[s]`` along ``axis``: its
+    Neighbour [i, a, s] is row i moved by ``steps[s]`` along ``axes[a]``: its
     coordinate on that axis is the float sum ``PointGeometry.shifted`` makes,
     and the others are copied, never computed as x + 0.0 (which would turn a
     -0.0 into +0.0).
     """
     n, dim = points.shape
-    out = np.empty((n, dim, len(steps), dim))
+    axes = range(dim) if axes is None else axes
+    out = np.empty((n, len(axes), len(steps), dim))
     out[...] = points[:, None, None, :]
     shifts = np.array(steps)
-    for axis in range(dim):
-        out[:, axis, :, axis] = points[:, axis, None] + shifts
+    for a, axis in enumerate(axes):
+        out[:, a, :, axis] = points[:, axis, None] + shifts
     return out
 
 
@@ -205,15 +214,22 @@ class _Layer:
 class Store:
     """The stencil lattice of one point: its coordinates, numbered once, and a row array per layer.
 
-    ``coords[u]`` holds the floats of number ``u``, ``kids[u]`` its stencil neighbours' numbers once a walk
-    has reached them from it, and ``fields`` a dict of vector-field quantities per coordinate.  Not thread-safe.
+    The lattice spans the ``axes`` walked: those the metric reads, or every axis when the root point
+    has a -0.0 on one it reads.  Along any other axis a coordinate keeps the root's float, and its
+    stencil neighbour is itself.  ``coords[u]`` holds the floats of number ``u``, ``kids[u, axis, s]``
+    its stencil neighbours' numbers once a walk has gone round it, and ``fields`` a dict of
+    vector-field quantities per true coordinate.  Not thread-safe.
     """
 
-    def __init__(self, metric: MetricSpec, numerics: NumericsConfig) -> None:
+    def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
         self.metric, self.numerics = metric, numerics
         self.steps, self.size = stencil_steps(numerics), 0
+        signed = any(root[axis] == 0.0 and math.copysign(1.0, root[axis]) < 0 for axis in metric.read_axes)
+        self.axes = tuple(range(metric.dim)) if signed else metric.read_axes
+        self.root = root
+        self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
         self.coords = np.empty((16, metric.dim))  # room for 16 numbers, doubled as needed
-        self.kids = np.full((16, metric.dim * len(self.steps)), -1)
+        self.kids = np.full((16, metric.dim, len(self.steps)), -1)
         self.read = np.array(metric.read_axes, dtype=int)
         self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
         self.layers: dict[str, _Layer] = {}
@@ -244,10 +260,23 @@ class Store:
         return u, row
 
     def kid(self, u: int, axis: int, step: float) -> int:
-        """The number of coordinate ``u`` moved by ``step`` along ``axis``; -1 unless a walk went there from ``u``."""
-        if u < 0 or step not in self.steps:
+        """The number of coordinate ``u`` moved by ``step`` along ``axis``.
+
+        Along an axis not walked that is ``u`` itself; along a walked one, -1 unless a walk went there from ``u``.
+        """
+        if u < 0 or axis not in self.axes:
+            return u
+        if step not in self.steps:
             return -1
-        return int(self.kids[u, axis * len(self.steps) + self.steps.index(step)])
+        return int(self.kids[u, axis, self.steps.index(step)])
+
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """``points`` on the lattice: the root's float along every axis not walked."""
+        if not self.fixed:
+            return points
+        points = points.copy()
+        points[:, self.fixed] = [self.root[axis] for axis in self.fixed]
+        return points
 
     def number(self, rows: np.ndarray, add: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The numbers of ``rows``; of the coordinates among them, in order of first appearance; and their first rows.
@@ -272,35 +301,43 @@ class Store:
         return numbers.take(group[: len(rows)]), numbers[:seen], first[:seen]
 
     def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
-        """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known)."""
+        """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known).
+
+        A row of ``points`` is a true coordinate and stands for its lattice coordinate (``project``).
+        """
+        lattice = self.project(points)
         if numbers is None or (numbers < 0).any():
-            numbers = self.number(points, add=False)[0] if self.size else np.full(len(points), -1)
+            numbers = self.number(lattice, add=False)[0] if self.size else np.full(len(points), -1)
         lacking = (~self.held(name, numbers)).nonzero()[0]
         if lacking.size:
-            first, group = _distinct(points[lacking])
+            first, group = _distinct(lattice[lacking])
             roots = numbers[lacking[first]]
             rounds = _ROUNDS.get(name, 2)
             if name in _POINTWISE and self.held(_POINTWISE[name], roots).all():
                 rounds = 0  # derived point by point: no stencil to walk
-            roots = self._walk(points[lacking[first]], roots, rounds, name != "dg")
+            # the points' own metric is read by dg there when some stencil neighbour is the point itself
+            at_points = name != "dg" or bool(self.fixed)
+            try:
+                roots = self._walk(lattice[lacking[first]], roots, rounds, at_points)
+            except (EvalDomainError, SingularMetricError):
+                if self.fixed:
+                    self._raise_along_every_axis(points[lacking], rounds, name != "dg")
+                raise
             self.get(name, roots)
             numbers[lacking] = roots[group]
         return numbers
 
-    def _walk(self, points: np.ndarray, roots: np.ndarray, rounds: int, at_points: bool) -> np.ndarray:
-        """Number the walk of ``rounds`` rounds of neighbours around ``points``, evaluate its metric; their numbers.
+    def _rows(self, points: np.ndarray, rounds: int, at_points: bool, axes: Sequence[int]) -> tuple:
+        """The rows of the walk of ``rounds`` (1 or 2) rounds of neighbours along ``axes`` around ``points``.
 
-        Round 0 is the points (``roots``: their numbers, -1 where none), round 1 their neighbours, round 2
-        those of the round-1 points lacking the connection, root by root, round by round, as ``grad`` visits
-        them.  Unless ``at_points`` (``dg``), the points come last and are not walked.
+        Round 0 is the points, round 1 their neighbours, round 2 those of the round-1 points lacking the
+        connection, visited root by root, round by round, as ``grad`` visits them; unless ``at_points``
+        (``dg``), the points come last.  Returns the rows (the points, their neighbours, then those of the
+        ring positions walked again), the walk order over them, and those ring positions.
         """
-        if rounds == 0:  # the points alone, already distinct: no stencil
-            roots = self.number(points)[0] if (roots < 0).any() else roots
-            self._metric(roots)
-            return roots
         n, dim = points.shape
-        size = dim * len(self.steps)
-        ring = neighbours(points, self.steps).reshape(-1, dim)
+        size = len(axes) * len(self.steps)
+        ring = neighbours(points, self.steps, axes).reshape(-1, dim)
         outer = np.zeros(0, dtype=int)  # ring positions walked again
         if rounds == 2:
             # a ring point is walked again at its first visit, if it lacks the connection
@@ -308,28 +345,80 @@ class Store:
             _, known, visit = self.number(blocks, add=False)
             visit = visit[(visit % (1 + size) != 0) & ~self.held("gamma", known)]
             outer = (visit // (1 + size)) * size + visit % (1 + size) - 1
-        rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps).reshape(-1, dim)])
+        rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps, axes).reshape(-1, dim)])
         levels = np.repeat(np.arange(3), [n, n * size, len(outer) * size])  # round of each row
         roots = np.concatenate([np.arange(n), np.arange(n * size) // size, np.repeat(outer // size, size)])
         order = np.lexsort((levels, roots))  # root by root, round by round
         if not at_points:
             order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
+        return rows, order, outer
+
+    def _walk(self, points: np.ndarray, roots: np.ndarray, rounds: int, at_points: bool) -> np.ndarray:
+        """Number the walk of ``rounds`` rounds of neighbours around ``points``, evaluate its metric; their numbers.
+
+        ``roots`` are the points' numbers, -1 where none; the walk goes along the walked axes (``_rows``).
+        Unless ``at_points``, the points' own metric is not evaluated.
+        """
+        if rounds == 0:  # the points alone, already distinct: no stencil
+            roots = self.number(points)[0] if (roots < 0).any() else roots
+            self._metric(roots)
+            return roots
+        n = len(points)
+        rows, order, outer = self._rows(points, rounds, at_points, self.axes)
         walk, distinct, first = self.number(rows[order])
         number = np.empty(len(order), dtype=int)
         number[order] = walk
-        self.kids[number[:n]] = number[n : n + n * size].reshape(n, size)
-        self.kids[number[n + outer]] = number[n + n * size :].reshape(len(outer), size)
+        size = len(self.axes) * len(self.steps)
+        self._link(number[:n], number[n : n + n * size])
+        self._link(number[n + outer], number[n + n * size :])
         self._metric(distinct[first < len(order) - (0 if at_points else n)])
         return number[:n]
 
+    def _link(self, numbers: np.ndarray, ring: np.ndarray) -> None:
+        """Set the stencil neighbours of ``numbers``: ``ring`` along the walked axes, itself along the others."""
+        kids = np.empty((len(numbers),) + self.kids.shape[1:], dtype=int)
+        kids[...] = numbers[:, None, None]
+        kids[:, list(self.axes)] = ring.reshape(len(numbers), len(self.axes), len(self.steps))
+        self.kids[numbers] = kids
+
+    def _raise_along_every_axis(self, points: np.ndarray, rounds: int, at_points: bool) -> None:
+        """Raise the metric failure that the walk along every axis would meet first for this request.
+
+        The rows of that walk around the true ``points`` lacking the layer, in its order (no numbering),
+        give the read patterns the store lacks in order; each is evaluated at its first row.  The walk
+        along every axis reads each pattern this store's walk read, and the patterns it holds are good.
+        """
+        first, _ = _distinct(points)
+        points = points[first]
+        if rounds:
+            rows, order, _ = self._rows(points, rounds, at_points, range(points.shape[1]))
+            rows = rows[order[: len(order) - (0 if at_points else len(points))]]
+        else:
+            rows = points
+        error = self._evaluate(rows)[1]
+        if error:
+            raise error
+
     def _metric(self, walked: np.ndarray) -> None:
-        # the walk's coordinates lacking g take the row of their read bit pattern, a pattern the store
-        # lacks evaluated at its first coordinate; a failure is raised once those before it have rows
+        # the walk's coordinates lacking g take the row of their read bit pattern; a failure is
+        # raised once those before it have rows
         g = self.layer("g")
         todo = walked[g.slot.take(walked) < 0]
         if not todo.size:
             return
-        coords = self.coords.take(todo, axis=0)
+        row, error = self._evaluate(self.coords.take(todo, axis=0))
+        todo = todo[: len(row)]
+        g.slot[todo[row >= 0]] = row[row >= 0]
+        if error:
+            raise error
+
+    def _evaluate(self, coords: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+        """The row of g for the read bit pattern of each of ``coords``, and the first failure.
+
+        A pattern the store lacks is evaluated at its first coordinate, in order, and kept when good;
+        a degenerate one has row -1.  A domain error stops the evaluation, and the rows stop before
+        its coordinate.  The failure is the first degenerate coordinate evaluated, else the domain error.
+        """
         pattern = coords.take(self.read, axis=1)
         known = len(self.patterns)
         # the store's patterns are distinct and come first: group p < known is row p of g
@@ -347,15 +436,13 @@ class Store:
             done, ids, values = len(values), np.full(len(points), -1), np.array(values)
             if done:
                 good, fault = _metric_faults(values, points[:done], self.numerics.degeneracy_threshold)
-                ids[:done][good] = g.append(values[good])  # one row of g per pattern
+                ids[:done][good] = self.layer("g").append(values[good])  # one row of g per pattern
                 self.patterns = np.concatenate([self.patterns, pattern[first[:done][good]]])
             new = row >= known
             row[new] = ids[row[new] - known]
             if failure is not None:  # the failing coordinate starts its group
-                todo, row = todo[: first[done]], row[: first[done]]
-        g.slot[todo[row >= 0]] = row[row >= 0]
-        if fault or failure:
-            raise fault or failure
+                row = row[: first[done]]
+        return row, fault or failure
 
     def get(self, name: str, numbers: np.ndarray) -> np.ndarray:
         """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet."""
@@ -377,9 +464,7 @@ class Store:
         kids = self.kids.take(numbers, axis=0)
         if (kids < 0).any():
             raise RuntimeError("stencil neighbours outside the walk")
-        values = self.get(name, kids)
-        shape = (len(numbers), self.coords.shape[1], -1) + values.shape[2:]
-        return stencil_derivative(values.reshape(shape), self.numerics.h)
+        return stencil_derivative(self.get(name, kids), self.numerics.h)
 
     def _g_inv(self, u: np.ndarray) -> np.ndarray:
         return np.linalg.inv(self.get("g", u))

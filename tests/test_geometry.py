@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,14 +654,25 @@ class TestPointGeometry:
                 super().__init__(*args)
                 points.append((self, len(metric_seen)))
 
+        def run():
+            points.clear()
+            for path in sorted(SCENARIO_DIR.glob("*.json")):
+                run_suite(load_scenario(path))
+            for case in ("infall", "signed_shift", "signed_yz"):
+                contracted_bianchi_residual(Recorded(*REFERENCE_CASES[case]))
+            assert len(points) == 19 + 3
+            return list(points)
+
         monkeypatch.setattr(report, "PointGeometry", Recorded)
-        for path in sorted(SCENARIO_DIR.glob("*.json")):
-            run_suite(load_scenario(path))
-        for case in ("infall", "signed_shift", "signed_yz"):
-            contracted_bianchi_residual(Recorded(*REFERENCE_CASES[case]))
-        assert len(points) == 19 + 3
-        evaluated = coordinates = 0
-        for (geo, start), (_, end) in zip(points, points[1:] + [(None, len(metric_seen))]):
+        # the coordinates of the walk along every axis: a metric said to read
+        # every coordinate spans the lattice over all of them
+        with monkeypatch.context() as every:
+            every.setattr(MetricSpec, "read_axes", property(lambda metric: tuple(range(metric.dim))))
+            coordinates = sum(geo._store.size for geo, _ in run())
+        metric_seen.clear()
+        recorded = run()
+        evaluated = 0
+        for (geo, start), (_, end) in zip(recorded, recorded[1:] + [(None, len(metric_seen))]):
             metric, store, calls = geo.metric, geo._store, metric_seen[start:end]
             names = set().union(*(variables(e) for row in metric.components for e in row))
             read = [i for i, c in enumerate(metric.coords) if c in names]
@@ -671,8 +683,7 @@ class TestPointGeometry:
             if not read:
                 assert len(calls) == 1
             evaluated += len(calls)
-            coordinates += store.size
-        assert any(not geo.metric.read_axes for geo, _ in points)
+        assert any(not geo.metric.read_axes for geo, _ in recorded)
         assert evaluated < coordinates / 4
 
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
@@ -862,38 +873,61 @@ REFERENCE_CASES = {
         ),
         (-0.0, 0.2, 0.0, 0.4),
     ),
+    # zeros on the one axis read: t = 0, and t = -h, whose stencil reaches
+    # -h + h = +0.0 in t
+    "de_sitter_t0": (catalog_metric("de_sitter", hubble=1.0), (0.0, 0.2, -0.4, 0.1)),
+    "de_sitter_t_minus_h": (catalog_metric("de_sitter", hubble=1.0), (-1.3e-3, 0.2, -0.4, 0.1)),
+    # a -0.0 on a coordinate no component reads
+    "infall_signed_b": (INFALL, (0.7, 3.5, 1.1, -0.0)),
 }
 LAYERS = ("g", "g_inv", "dg", "gamma", "riemann", "ricci", "ricci_asymmetry", "scalar", "einstein")
+
+
+def _read_as_the_reference(metric, point, richardson, first):
+    """A fresh geometry and reference, each read in the same order; the layers checked, per layer.
+
+    Every coordinate of the reference's lattice, folded onto the axes the
+    store walks, is a coordinate of the store, and every store coordinate is
+    one of those.  Each layer the reference holds there, the store holds,
+    bitwise, down to the sign of a zero.
+    """
+    # one layer at the point, then the contracted Bianchi identity (Riemann
+    # over S^1, Gamma over S^2, g over S^3) and the rest
+    cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+    geo = PointGeometry(metric, point, cfg)
+    getattr(geo, first)
+    contracted_bianchi_residual(geo)
+    geo.ricci, geo.scalar, geo.ricci_asymmetry
+    metric_compatibility_residual(geo)
+    reference = ReferenceGeometry(metric, point, cfg)
+    getattr(reference, first)
+    reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
+    reference.ricci, reference.scalar, reference.ricci_asymmetry
+    reference.dg, reference.gamma, reference.g
+    checked = Counter()
+    store = geo._store
+    keys = list(reference.lattice)
+    numbers = store.number(store.project(np.array(keys)), add=False)[0]
+    assert sorted(set(numbers.tolist())) == list(range(store.size))
+    for u, key in zip(numbers, keys):
+        there = reference.lattice[key]
+        for layer in LAYERS:
+            if layer in there:
+                assert store.held(layer, np.array([u]))[0], (layer, key)
+                value, expected = store.get(layer, np.array([u]))[0], there[layer]
+                assert np.array_equal(value, expected), (layer, key)
+                assert np.array_equal(np.signbit(value), np.signbit(expected)), (layer, key)
+                checked[layer] += 1
+    return geo, reference, checked
 
 
 class TestBatchedLayers:
     @staticmethod
     def check_against_the_reference(case, richardson, first):
-        # the geometry and the reference are read in the same order: one
-        # layer at the point, then the contracted Bianchi identity (Riemann
-        # over S^1, Gamma over S^2, g over S^3) and the rest
         metric, point = REFERENCE_CASES[case]
-        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
-        geo = PointGeometry(metric, point, cfg)
-        getattr(geo, first)
-        contracted_bianchi_residual(geo)
-        geo.ricci, geo.scalar, geo.ricci_asymmetry
-        metric_compatibility_residual(geo)
-        reference = ReferenceGeometry(metric, point, cfg)
-        getattr(reference, first)
-        reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
-        reference.ricci, reference.scalar, reference.ricci_asymmetry
-        reference.dg, reference.gamma, reference.g
-        checked = Counter()
-        store = geo._store
-        for u, key in enumerate(map(tuple, store.coords[: store.size].tolist())):
-            there = reference.lattice[key]
-            for layer in LAYERS:
-                if store.held(layer, np.array([u]))[0]:
-                    value, expected = store.get(layer, np.array([u]))[0], there[layer]
-                    assert np.array_equal(value, expected), (layer, key)
-                    assert np.array_equal(np.signbit(value), np.signbit(expected)), (layer, key)
-                    checked[layer] += 1
+        geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
+        # a -0.0 on an axis the metric reads makes the store walk every axis
+        assert (geo._store.axes != metric.read_axes) == case.startswith("signed")
         steps = 4 if richardson else 2
         assert checked["einstein"] == 1 + 4 * steps
         assert checked["gamma"] > checked["einstein"]
@@ -903,10 +937,10 @@ class TestBatchedLayers:
     @pytest.mark.parametrize("richardson", [True, False])
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_every_lattice_coordinate_equals_the_per_coordinate_reference(self, case, richardson):
-        # batching, and evaluating the metric once per distinct value of the
-        # coordinates it reads, change no arithmetic: every layer the lattice
-        # holds, at every coordinate, is bitwise the per-coordinate
-        # formula's, down to the sign of a zero
+        # batching, evaluating the metric once per distinct value of the
+        # coordinates it reads, and walking only the axes it reads change no
+        # arithmetic: every layer the reference holds, at every coordinate,
+        # is bitwise the store's row there, down to the sign of a zero
         self.check_against_the_reference(case, richardson, "ricci")
 
     @pytest.mark.parametrize("richardson", [True, False])
@@ -918,9 +952,69 @@ class TestBatchedLayers:
         # built as -0.0 + h - h = +0.0 beside keys that copy a -0.0
         self.check_against_the_reference(case, richardson, "g")
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        read=st.sets(st.integers(0, 3)),
+        point=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        richardson=st.booleans(),
+        first=st.sampled_from(["g", "ricci"]),
+    )
+    def test_the_store_walks_the_axes_the_metric_reads(self, read, point, richardson, first):
+        # a metric reading any subset of the coordinates, none included, with
+        # a component that keeps the sign of a zero: whatever the walk, every
+        # layer the reference holds is bitwise the store's row; a root with
+        # -0.0 on an axis the metric reads numbers exactly the lattice of the
+        # walk along every axis
+        names = [COORDS[axis] for axis in sorted(read)]
+        tt = "-1" + "".join(f" - 0.1*{c}^2" for c in names)
+        tx = f"0.1*{names[0]}" if names else "0"
+        xx = "1" + "".join(f" + 0.2*{c}" for c in names)
+        grid = [[tt, tx, "0", "0"], [tx, xx, "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+        metric = MetricSpec.from_grid(grid, COORDS)
+        assert metric.read_axes == tuple(sorted(read))
+        geo, reference, checked = _read_as_the_reference(metric, point, richardson, first)
+        store = geo._store
+        signed = any(point[axis] == 0.0 and math.copysign(1.0, point[axis]) < 0 for axis in read)
+        assert store.axes == (tuple(range(4)) if signed else metric.read_axes)
+        if signed:
+            assert store.size == len(reference.lattice)
+            assert set(map(tuple, store.coords[: store.size].tolist())) == set(reference.lattice)
+        assert set(checked) == set(LAYERS)
 
-def _grid(tt="-1", xx="1"):
-    return [[tt, "0", "0", "0"], ["0", xx, "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    def test_each_plan_point_numbers_one_coordinate_per_read_pattern(self, monkeypatch):
+        # at every plan point of the shipped scenarios and of the infall
+        # grid, the store holds one coordinate per distinct bit pattern of
+        # the coordinates the metric reads: one for a metric reading none
+        from solitonlab import report
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        points = []
+
+        class Recorded(PointGeometry):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                points.append(self)
+
+        monkeypatch.setattr(report, "PointGeometry", Recorded)
+        data = Path(__file__).resolve().parent / "data"
+        for path in [*sorted(SCENARIO_DIR.glob("*.json")), data / "infall-grid.json"]:
+            run_suite(load_scenario(path))
+        assert len(points) == 19 + 6
+        for geo in points:
+            store, read = geo._store, list(geo.metric.read_axes)
+            patterns = {row.tobytes() for row in store.coords[: store.size, read]}
+            assert len(patterns) == store.size, geo.point
+            if not read:
+                assert store.size == 1
+        assert any(not geo.metric.read_axes for geo in points)
+
+
+def _grid(tt="-1", xx="1", yy="1"):
+    return [[tt, "0", "0", "0"], ["0", xx, "0", "0"], ["0", "0", yy, "0"], ["0", "0", "0", "1"]]
 
 
 # metric, plan points, the point errors of a run, and the error of the
@@ -963,6 +1057,45 @@ ERROR_CASES = {
         ["metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error"],
         "metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error",
     ),
+    # reads y only, with the plan point's -0.0 on the unread x: undefined two
+    # steps below y = 1, named with the -0.0 the walk copies
+    "unread_negative_zero": (
+        _grid(yy="1 + (y - 0.9983)^(1/2)"),
+        [[0.5, -0.0, 1.0, 0.0], [0.5, 0.0, 1.5, 0.0]],
+        ["metric components undefined at (0.5, -0.0, 0.998, 0.0): math domain error", None],
+        "metric components undefined at (0.501, -0.0, 0.998, 0.0): math domain error",
+    ),
+    # reads x only, undefined below x = 0.9985 and above x = 1.0025: the
+    # stencil along x alone meets 1.003 first, three steps up from x + h, but
+    # the walk along every axis starts at t + h and meets 0.998 first
+    "two_regions": (
+        _grid(xx="1 + ((x - 0.9985)*(1.0025 - x))^(1/2)"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.0005, 0.0, 0.0]],
+        [
+            "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
+            "metric components undefined at (0.5, 0.9984999999999999, 0.0, 0.0): math domain error",
+        ],
+        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+    ),
+    # as two_regions, degenerate at x = 0.998 and undefined above x = 1.0025:
+    # the degenerate coordinate comes first in the walk along every axis
+    "domain_and_degenerate": (
+        _grid(tt="-1 - (1.0025 - x)^(1/2)", xx="1e6*(x - 0.998)^2"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        [
+            "metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.067e+00)",
+            "metric components undefined at (0.5, 1.5, 0.0, 0.0): math domain error",
+        ],
+        "metric degenerate at (0.501, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.067e+00)",
+    ),
+    # the other way round: undefined below x = 0.9985, degenerate at x = 1.003,
+    # so the domain error comes first in the walk along every axis
+    "degenerate_and_domain": (
+        _grid(tt="-1 - (x - 0.9985)^(1/2)", xx="1e6*(x - 1.003)^2"),
+        [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
+        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+    ),
 }
 
 
@@ -991,6 +1124,38 @@ class TestErrorAttribution:
         with pytest.raises((EvalDomainError, GeometryError)) as caught:
             contracted_bianchi_residual(geo)
         assert str(caught.value) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        axes=st.lists(st.sampled_from(COORDS), min_size=2, max_size=2),
+        region=st.tuples(st.sampled_from([0.997, 0.9983, 0.9985]), st.sampled_from([1.0015, 1.0025, 1.003])),
+        degenerate=st.sampled_from([None, 0.998, 1.002, 1.003]),
+        point=st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0]), min_size=4, max_size=4),
+        first=st.sampled_from([None, "g", "dg"]),
+    )
+    def test_a_failure_is_named_as_the_walk_along_every_axis_names_it(self, axes, region, degenerate, point, first):
+        # a metric undefined outside a window of one coordinate, perhaps
+        # degenerate at a value of another: the store names the failure the
+        # walk along every axis names, the walk of a metric said to read
+        # every coordinate
+        (a, b), (lo, hi) = axes, region
+        point[COORDS.index(a)] = 1.0  # inside the window, which the stencil leaves
+        xx = "1" if degenerate is None else f"1e6*({b} - {degenerate})^2"
+        metric = MetricSpec.from_grid(_grid(tt=f"-1 - (({a} - {lo})*({hi} - {a}))^(1/2)", xx=xx), COORDS)
+
+        def failure():
+            geo = PointGeometry(metric, point)
+            try:
+                if first:
+                    getattr(geo, first)
+                contracted_bianchi_residual(geo)
+            except (EvalDomainError, GeometryError) as exc:
+                return str(exc)
+
+        named = failure()
+        with pytest.MonkeyPatch.context() as every:
+            every.setattr(MetricSpec, "read_axes", property(lambda m: tuple(range(m.dim))))
+            assert named == failure()
 
 
 class TestDistinct:
