@@ -827,6 +827,125 @@ class ReferenceGeometry:
     def einstein(self):
         return self.ricci - 0.5 * self.scalar * self.g
 
+    def field(self, spec):
+        return _ReferenceField(self, spec)
+
+
+class _PerKeyField:
+    """A _ReferenceField quantity, cached under its spec in its coordinate's entry by the first object to read it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        entry = obj.geo.lattice.setdefault(obj.geo.point, {})
+        key = (obj.spec, self.name)
+        if key not in entry:
+            entry[key] = self.fn(obj)
+        return entry[key]
+
+
+class _ReferenceField:
+    """The per-coordinate vector-field formulas the stencil tree replaced, kept as its reference.
+
+    Each quantity at a coordinate is computed from the same quantity of the
+    neighbours ReferenceGeometry.shifted builds, and kept in the coordinate's
+    lattice entry, so a field is evaluated once per key, at the floats of the
+    first neighbour object that reads it.
+    """
+
+    def __init__(self, geo, spec):
+        self.geo = geo
+        self.spec = spec
+
+    def at(self, n):
+        return n.field(self.spec)
+
+    @_PerKeyField
+    def potential(self):
+        return self.spec.potential_at(self.geo.point)
+
+    @_PerKeyField
+    def dpotential(self):
+        return self.geo.grad(lambda n: self.at(n).potential)
+
+    @_PerKeyField
+    def value(self):
+        if self.spec.is_gradient:
+            return self.geo.g_inv @ self.dpotential
+        return self.spec.components_at(self.geo.point)
+
+    @_PerKeyField
+    def omega(self):
+        return self.geo.g @ self.value
+
+    @_PerKeyField
+    def nabla(self):
+        dv = self.geo.grad(lambda n: self.at(n).value)
+        return dv.T + np.einsum("kjm,m->kj", self.geo.gamma, self.value)
+
+    @_PerKeyField
+    def lie(self):
+        a = self.geo.g @ self.nabla
+        return a + a.T
+
+    @_PerKeyField
+    def omega_grad(self):
+        return self.geo.grad(lambda n: self.at(n).omega)
+
+    @_PerKeyField
+    def d_omega(self):
+        return 0.5 * (self.omega_grad - self.omega_grad.T)
+
+    @_PerKeyField
+    def f_mixed(self):
+        return self.geo.g_inv @ self.d_omega
+
+    @_PerKeyField
+    def norm_sq(self):
+        return float(self.value @ self.geo.g @ self.value)
+
+    @_PerKeyField
+    def nabla_f(self):
+        df = self.geo.grad(lambda n: self.at(n).f_mixed)
+        gamma = self.geo.gamma
+        f0 = self.f_mixed
+        return df + np.einsum("kim,mj->ikj", gamma, f0) - np.einsum("mij,km->ikj", gamma, f0)
+
+    @_PerKeyField
+    def d_norm_sq(self):
+        return self.geo.grad(lambda n: self.at(n).norm_sq)
+
+    @_PerKeyField
+    def hessian(self):
+        geo, scalar = self.geo, lambda n: self.at(n).potential
+        h = geo.numerics.h
+
+        def same(axis, step):
+            return (scalar(geo.shifted(axis, step)) - 2.0 * f0 + scalar(geo.shifted(axis, -step))) / (step * step)
+
+        def cross(ax1, ax2, step):
+            pp = scalar(geo.shifted(ax1, step).shifted(ax2, step))
+            pm = scalar(geo.shifted(ax1, step).shifted(ax2, -step))
+            mp = scalar(geo.shifted(ax1, -step).shifted(ax2, step))
+            mm = scalar(geo.shifted(ax1, -step).shifted(ax2, -step))
+            return (pp - pm - mp + mm) / (4.0 * step * step)
+
+        def richardson(stencil):
+            d = stencil(h)
+            return (4.0 * stencil(h / 2) - d) / 3.0 if geo.numerics.richardson else d
+
+        f0 = scalar(geo)
+        dim = len(geo.point)
+        d2 = np.empty((dim, dim))
+        for i in range(dim):
+            d2[i, i] = richardson(lambda step: same(i, step))
+            for j in range(i):
+                d2[i, j] = d2[j, i] = richardson(lambda step: cross(i, j, step))
+        hess = d2 - np.einsum("kij,k->ij", geo.gamma, self.dpotential)
+        return 0.5 * (hess + hess.T)
+
 
 INFALL = MetricSpec.from_grid(
     [
@@ -1013,6 +1132,63 @@ class TestBatchedLayers:
         assert any(not geo.metric.read_axes for geo in points)
 
 
+def _field_specs(coords):
+    """A constant, the Euler, a mixed-component and a gradient field in the chart ``coords``."""
+    t, x, y, z = coords
+    return {
+        "constant": VectorFieldSpec.from_components(["1", "0", "0.5", "0"], coords),
+        "euler": VectorFieldSpec.from_components(list(coords), coords),
+        "mixed": VectorFieldSpec.from_components([f"{x}*{t}", f"sin({y}) + {z}", f"exp({z})*{t}", f"{x}^2 - {y}"], coords),
+        "gradient": VectorFieldSpec.gradient_of(f"{t}^2 + {x}*{y} - 0.5*{z}*{t} + {y}*{z}^2", coords),
+    }
+
+
+# V, omega, nabla V, Lie_V g, d omega, F, |V|^2, df, Hess f, nabla F, d|V|^2
+FIELD_QUANTITIES = (
+    "value", "omega", "nabla", "lie", "omega_grad", "d_omega", "f_mixed", "norm_sq",
+    "dpotential", "hessian", "nabla_f", "d_norm_sq",
+)
+GRADIENT_ONLY = ("dpotential", "hessian")
+
+
+def _engine(geo, spec, name):
+    if name == "nabla_f":
+        return cov_deriv_tensor11(geo, lambda q: q.field(spec).f_mixed)
+    if name == "d_norm_sq":
+        return geo.grad(lambda q: q.field(spec).norm_sq)
+    if name == "hessian":
+        return hessian_scalar(geo, spec.potential).components
+    return getattr(geo.field(spec), name)
+
+
+class TestFieldTree:
+    @pytest.mark.parametrize("order", ["report", "deepest_first"])
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_every_field_quantity_equals_the_per_coordinate_reference(self, case, richardson, order):
+        # the field quantities over the stencil tree are bitwise the
+        # per-coordinate ones, down to the sign of a zero: read as a report
+        # reads them, after the curvature, or on a fresh point deepest first
+        metric, point = REFERENCE_CASES[case]
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        for kind, spec in _field_specs(metric.coords).items():
+            names = [n for n in FIELD_QUANTITIES if spec.is_gradient or n not in GRADIENT_ONLY]
+            if order == "deepest_first":
+                names = [n for n in ("nabla_f", "d_norm_sq", "hessian") if n in names] + names
+            geo, reference = PointGeometry(metric, point, cfg), ReferenceGeometry(metric, point, cfg)
+            if order == "report":
+                for g in (geo, reference):
+                    g.g, g.ricci, g.scalar, g.ricci_asymmetry
+                contracted_bianchi_residual(geo)
+                reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
+                metric_compatibility_residual(geo)
+                reference.dg
+            for name in names:
+                value, expected = np.asarray(_engine(geo, spec, name)), np.asarray(getattr(reference.field(spec), name))
+                assert np.array_equal(value, expected), (kind, name)
+                assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, name)
+
+
 def _grid(tt="-1", xx="1", yy="1"):
     return [[tt, "0", "0", "0"], ["0", xx, "0", "0"], ["0", "0", yy, "0"], ["0", "0", "0", "1"]]
 
@@ -1156,6 +1332,110 @@ class TestErrorAttribution:
         with pytest.MonkeyPatch.context() as every:
             every.setattr(MetricSpec, "read_axes", property(lambda m: tuple(range(m.dim))))
             assert named == failure()
+
+
+_SOLITON = {
+    "fluid": {"sigma": 0.0, "rho": 0.0, "kappa": 1.0, "cosmological_constant": 0.0},
+    "soliton": {"family": "ricci", "lambda": 0.0},
+}
+# metric, vector field, whether the run checks the soliton identities, plan
+# points, the point errors of a run, and the error of
+# potential_field_identities alone on a fresh geometry at the first point.
+# Each field is undefined some stencil steps below x = 1; the strings are
+# those the per-coordinate evaluation gave
+FIELD_ERROR_CASES = {
+    # a component undefined one step below x = 1 (S^1)
+    "component_s1": (
+        _grid(tt="-1 - 0.1*t^2"),
+        {"components": ["1", "(x - 0.9992)^(1/2)", "0", "0"]},
+        False,
+        [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["vector field components undefined at (0.5, 0.999, 0.0, -0.0): (x-0.9992)^(1.0/2.0): math domain error", None],
+        "vector field components undefined at (0.501, 0.999, 0.0, -0.0): (x-0.9992)^(1.0/2.0): math domain error",
+    ),
+    # a component undefined two steps below (S^2), which only nabla F reaches;
+    # the metric reads the plan point's -0.0 in y, so the store walks every axis
+    "component_s2": (
+        _grid(tt="-1 - 0.1*t^2", yy="1 + 0.1*y^2"),
+        {"components": ["1", "(x - 0.9983)^(1/2)", "y", "0"]},
+        True,
+        [[0.5, 1.0, -0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["vector field components undefined at (0.5, 0.998, -0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error", None],
+        "vector field components undefined at (0.5, 0.998, -0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error",
+    ),
+    # a gradient potential undefined two steps below (S^2), which nabla V reaches
+    "gradient_s2": (
+        _grid(tt="-1 - 0.1*t^2"),
+        {"gradient": "t + (x - 0.9983)^(1/2)"},
+        False,
+        [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
+        ["gradient potential undefined at (0.5, 0.998, 0.0, -0.0): t+(x-0.9983)^(1.0/2.0): math domain error", None],
+        "gradient potential undefined at (0.501, 0.998, 0.0, -0.0): t+(x-0.9983)^(1.0/2.0): math domain error",
+    ),
+    # a gradient potential undefined three steps below (S^3), which only the
+    # nabla F of potential_field_identities reaches
+    "gradient_s3": (
+        _grid(tt="-1 - 0.1*t^2", yy="1 + 0.1*y^2"),
+        {"gradient": "t + (x - 0.9973)^(1/2)"},
+        True,
+        [[0.5, 1.0, -0.0, 0.0], [-0.0, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
+        [
+            "gradient potential undefined at (0.5, 0.997, -0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+            "gradient potential undefined at (-0.0, 0.997, 0.0, -0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+            None,
+        ],
+        "gradient potential undefined at (0.5, 0.997, -0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+    ),
+}
+
+
+class TestFieldErrorAttribution:
+    """A vector field undefined at a stencil coordinate is named as the per-coordinate evaluation named it."""
+
+    @staticmethod
+    def spec(field):
+        if "gradient" in field:
+            return VectorFieldSpec.gradient_of(field["gradient"], COORDS)
+        return VectorFieldSpec.from_components(field["components"], COORDS)
+
+    @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
+    def test_point_errors(self, case):
+        components, field, soliton, points, expected, _ = FIELD_ERROR_CASES[case]
+        doc = {
+            "schema_version": 1,
+            "name": case,
+            "description": "field error attribution",
+            "coordinates": list(COORDS),
+            "metric": {"components": components},
+            "vector_field": field,
+            "points": points,
+            **(_SOLITON if soliton else {}),
+        }
+        assert [rec.error for rec in run_suite(scenario_from_dict(doc)).points] == expected
+
+    @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
+    def test_potential_identities_on_a_fresh_geometry(self, case):
+        # nabla F reads the neighbours' F, so two steps out before one
+        from solitonlab.solitons import SolitonParams, potential_field_identities
+        from solitonlab.spacetimes import FluidValues
+
+        components, field, _, points, _, expected = FIELD_ERROR_CASES[case]
+        geo = PointGeometry(MetricSpec.from_grid(components, COORDS), points[0])
+        with pytest.raises(EvalDomainError) as caught:
+            potential_field_identities(geo, self.spec(field), FluidValues(0.0, 0.0, 1.0, 0.0), SolitonParams("ricci", lam=0.0))
+        assert str(caught.value) == expected
+
+    def test_the_hessian_reads_no_second_step_along_one_axis(self, monkeypatch):
+        # the potential is undefined two steps below x = 1: the Hessian reads
+        # the point, its neighbours and the cross pairs, each once, and none
+        # of them there
+        metric = MetricSpec.from_grid(_grid(tt="-1 - 0.1*t^2"), COORDS)
+        _, field_seen = _count_evaluations(monkeypatch)
+        hess = hessian_scalar(PointGeometry(metric, (0.5, 1.0, 0.0, -0.0)), parse("t*y + (x - 0.9985)^(1/2)", COORDS))
+        expected = [[0.0, 0.0, 1.000000000001, 0.0], [0.0, -4249.835070115005, 0.0, 0.0], [1.000000000001, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        assert hess.components.tobytes() == np.array(expected).tobytes()
+        assert len(field_seen) == len(set(field_seen)) == 1 + 4 * 4 + 6 * 8
+        assert min(q[1] for _, q in field_seen) > 0.9985
 
 
 class TestDistinct:
