@@ -13,32 +13,30 @@ the constant-curvature anchors in the test suite hold:
 See docs/conventions.md for the full sign table.
 
 Every quantity is read from a PointGeometry, one per (metric, point,
-numerics).  It and the stencil neighbours it reaches share one
-``lattice.Store``: each coordinate is numbered once, and each curvature
-layer (the metric, its inverse and derivatives, the connection, the
-curvature and its contractions) is one row array indexed by number.  The
-lattice spans only the coordinates the metric reads: every layer is
-constant along the others, so a neighbour along one of them is numbered as
-the point itself, while ``shifted`` keeps its true coordinates for the
-vector fields.  Reading a layer at a point computes it, and each layer
-below it, at every coordinate the read needs and lacks, one numpy call per
-layer; reading a layer held there is an index, with no numpy call.  The
-metric components are evaluated by ``MetricSpec.matrix`` once per point for
-each distinct bit pattern of the coordinates the grid reads, however many
-reads need it, and a failing coordinate is named as evaluating point by
-point along every axis would name it (docs/conventions.md).
+numerics).  Its curvature layers (the metric, its inverse and derivatives,
+the connection, the curvature and its contractions) live in one
+``lattice.Store``: each stencil coordinate is numbered once, and each layer
+is one row array indexed by number.  The lattice spans only the coordinates
+the metric reads: every layer is constant along the others.  Reading a
+layer at a point computes it, and each layer below it, at every coordinate
+the read needs and lacks, one numpy call per layer; reading a layer held
+there is an index, with no numpy call.  The metric components are
+evaluated by ``MetricSpec.matrix`` once per point for each distinct bit
+pattern of the coordinates the grid reads, however many reads need it, and
+a failing coordinate is named as evaluating point by point along every
+axis would name it (docs/conventions.md).
 
-Vector fields keep a dict per coordinate in the store: ``geo.field(spec)``
-is a FieldGeometry whose quantities (V, the dual one-form gV and its
-derivatives, nabla V, Lie_V g, the rotation map F = g^-1 d(gV), |V|^2, and
-for a gradient its potential and the potential's derivatives) are cached
-there under the VectorFieldSpec.  Specs are keyed by value, so two equal
-specs share every entry, and a field's components are evaluated at most
-once per coordinate.
+A vector field may read coordinates the metric does not, so its quantities
+live on the stencil tree of the point instead: ``geo.field(spec)`` is the
+one FieldGeometry of the VectorFieldSpec there (specs compare by value),
+holding each quantity (V, the dual one-form gV and its derivatives,
+nabla V, Lie_V g, the rotation map F = g^-1 d(gV) and nabla F, |V|^2 and
+its derivative, and for a gradient the potential, its derivatives and
+Hessian) as one array over one depth of the tree, the metric layers there
+read from the store.
 
-The store lives as long as the objects that reach it and is not locked:
-each PointGeometry belongs to one point and one thread.  Nothing is cached
-at module level.
+Both live as long as the PointGeometry and are not locked: each belongs to
+one point and one thread.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -63,10 +61,10 @@ from .lattice import (
     GeometryError,
     SingularMetricError,
     Store,
+    _distinct,
     christoffel_from_dg,
     neighbours,
     stencil_derivative,
-    stencil_steps,
 )
 
 __all__ = [
@@ -91,7 +89,6 @@ __all__ = [
     "divergence_vector",
     "laplacian_routes",
     "frame_from_matrix",
-    "cov_deriv_tensor11",
     "riemann_antisymmetry_residual",
     "bianchi_first_residual",
     "contracted_bianchi_residual",
@@ -298,32 +295,6 @@ class MetricSpec:
 # -- the per-point geometry ------------------------------------------------
 
 
-class _PerCoordinate:
-    """A FieldGeometry attribute computed at most once per (lattice coordinate, field).
-
-    The value is stored in the field's dict of the coordinate's dict in the
-    shared store, so every object at those coordinates sees it.  An array is
-    stored read-only, so no caller can change what every later reader of the
-    store gets.  A computation that raises stores nothing.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, geo: Any, owner: type | None = None) -> Any:
-        if geo is None:
-            return self
-        cache = geo._cache
-        if self.name not in cache:
-            value = self.fn(geo)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            cache[self.name] = value
-        return cache[self.name]
-
-
 def _layer_property(name: str, doc: str) -> property:
     """A curvature layer of PointGeometry, read from its store; the point's number is kept once known."""
 
@@ -341,15 +312,12 @@ class PointGeometry:
     ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are the
     curvature layers.  Reading one computes it, and each layer below it, at
     every lattice coordinate the read needs and lacks, one numpy call per
-    layer, so each is computed at most once per coordinate.  ``shifted``
-    gives a stencil neighbour on the same store, numbered from this point's
-    stencil when a walk has reached it (as this point along a coordinate the
-    metric does not read), ``grad`` differentiates a layer or
-    any quantity of the neighbours and ``field`` gives a vector field's
-    cached quantities here.  Not thread-safe: one object, one thread.
+    layer, so each is computed at most once per coordinate.  ``grad``
+    differentiates a layer and ``field`` gives the quantities of a vector
+    field here.  Not thread-safe: one object, one thread.
     """
 
-    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_cache")
+    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_fields")
 
     def __init__(
         self,
@@ -360,44 +328,30 @@ class PointGeometry:
         p = tuple(float(v) for v in point)
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
-        self._bind(Store(metric, numerics, p), p, -1)
+        self.metric, self.numerics, self.point = metric, numerics, p
+        self._store, self._number = Store(metric, numerics, p), -1  # the point's number in the store; -1 until known
+        self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
 
-    def _bind(self, store: Store, point: tuple[float, ...], number: int) -> None:
-        self.metric, self.numerics, self.point = store.metric, store.numerics, point
-        self._store, self._number = store, number  # the point's number in the store; -1 until known
-        self._cache = store.fields.setdefault(point, {})
+    def grad(self, name: str) -> np.ndarray:
+        """Central first derivatives of the curvature layer ``name``, Richardson-extrapolated.
 
-    def shifted(self, axis: int, delta: float) -> "PointGeometry":
-        """The neighbour at this point moved by ``delta`` along coordinate ``axis``."""
-        p = self.point
-        neighbour = object.__new__(PointGeometry)
-        there = p[:axis] + (p[axis] + delta,) + p[axis + 1 :]
-        neighbour._bind(self._store, there, self._store.kid(self._number, axis, delta))
-        return neighbour
-
-    def grad(self, fn: str | Callable[["PointGeometry"], np.ndarray | float]) -> np.ndarray:
-        """Central first derivatives of ``fn(neighbour)``, Richardson-extrapolated.
-
-        ``fn`` is a callable, or the name of a curvature layer, which is then
-        computed at all the neighbours, and at this point, in one batch.  The
-        leading axis of the result is the derivative index.
+        The layer is computed at all the neighbours, and at this point, in
+        one batch.  The leading axis of the result is the derivative index.
         """
-        if isinstance(fn, str):
-            store, point = self._store, np.array([self.point])
-            around = neighbours(point, store.steps).reshape(-1, point.shape[1])
-            # the point last, as a caller reading it after would; once walked round, its kids number the neighbours
-            known = np.append(store.kids[self._number].ravel(), self._number)
-            numbers = store.fill(fn, np.concatenate([around, point]), known)
-            values = store.get(fn, numbers[:-1])
-            return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
-        steps = stencil_steps(self.numerics)
-        # neighbours in the order axis by axis, so the first failing one raises
-        values = [[fn(self.shifted(axis, delta)) for delta in steps] for axis in range(len(self.point))]
-        return stencil_derivative(np.array([values], dtype=float), self.numerics.h)[0]
+        store, point = self._store, np.array([self.point])
+        around = neighbours(point, store.steps).reshape(-1, point.shape[1])
+        # the point last, as a caller reading it after would; once walked round, its kids number the neighbours
+        known = np.append(store.kids[self._number].ravel(), self._number)
+        numbers = store.fill(name, np.concatenate([around, point]), known)
+        values = store.get(name, numbers[:-1])
+        return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
 
     def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
-        """The quantities of the vector field ``spec`` at this point."""
-        return FieldGeometry(self, spec)
+        """The quantities of the vector field ``spec`` at this point; one FieldGeometry per spec."""
+        field = self._fields.get(spec)
+        if field is None:
+            field = self._fields[spec] = FieldGeometry(self, spec)
+        return field
 
     g = _layer_property("g", "Symmetric matrix g_ij; errors if the matrix is not finite or degenerate.")
     g_inv = _layer_property("g_inv", "Contravariant inverse; g . g^-1 stays within 1e-12 of identity.")
@@ -468,15 +422,6 @@ class VectorFieldSpec:
     def gradient_of(cls, potential: Expr | str, coords: Sequence[str]) -> "VectorFieldSpec":
         return cls(tuple(coords), potential=coerce_expr(potential, coords))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # a field's quantities are cached per coordinate under the spec, so
-        # it is hashed at every neighbour: hash its expression trees once
-        return hash((self.coords, self.components, self.potential))
-
     @property
     def is_gradient(self) -> bool:
         return self.potential is not None
@@ -512,116 +457,184 @@ class VectorFieldSpec:
         return geo.field(self).value
 
 
-class FieldGeometry:
-    """One vector field at one point of a PointGeometry's lattice.
+def _at_point(name: str, doc: str) -> property:
+    """A FieldGeometry quantity at the point itself: the depth-0 row of its array (a float for a scalar)."""
 
-    Each quantity is computed at most once per (lattice coordinate, field),
-    in the coordinate's entry under the spec.  Components and potentials are
-    evaluated on the coordinates' Python floats, so a domain violation
-    raises EvalDomainError naming the coordinate instead of giving inf/NaN.
+    def read(field: FieldGeometry) -> Any:
+        row = field._at(name, 0)[0]
+        return row if row.ndim else float(row)
+
+    return property(read, doc=doc)
+
+
+# quantities that are the stencil derivative of another
+_DERIVATIVES = {"dpotential": "potential", "omega_grad": "omega", "d_norm_sq": "norm_sq"}
+
+
+class FieldGeometry:
+    """One vector field at one point, each quantity one array over a depth of the point's stencil tree.
+
+    Depth 0 is the point and depth d + 1 the stencil neighbours of each node
+    of depth d, parent by parent (``lattice.neighbours``), at their true
+    coordinates: a field may read coordinates the metric does not.  A
+    quantity at a depth is computed on first read and kept read-only; a
+    derivative is ``stencil_derivative`` over the next depth.  The metric
+    layers at a depth are the store's rows, numbered through ``Store.kids``
+    where its walks linked them.  The components, or the potential, are
+    evaluated on the nodes' Python floats, once per distinct coordinate
+    (``-0.0`` equal to ``0.0``, the floats first met kept), depth by depth in
+    tree order and only at the nodes a quantity reads, so a domain violation
+    raises EvalDomainError naming the coordinate.
     """
 
-    __slots__ = ("geo", "spec", "_cache")
+    __slots__ = ("spec", "_store", "_number", "_depths", "_arrays", "_seen", "_raw")
 
     def __init__(self, geo: PointGeometry, spec: VectorFieldSpec) -> None:
-        self.geo = geo
-        self.spec = spec
-        self._cache = geo._cache.setdefault(spec, {})
+        # the store and the point's number, not the PointGeometry that holds this: no cycle keeps a lattice alive
+        self.spec, self._store, self._number = spec, geo._store, geo._number
+        self._depths = [np.array([geo.point])]  # the nodes of each depth built so far
+        self._arrays: dict[tuple[str, int], np.ndarray] = {}  # (quantity, depth) -> one row per node
+        self._seen = np.empty((0, len(geo.point)))  # the coordinates evaluated, and what each gave
+        self._raw = np.empty((0,) if spec.is_gradient else (0, len(geo.point)))
 
-    @_PerCoordinate
-    def potential(self) -> float:
-        """f, for a gradient field."""
-        return self.spec.potential_at(self.geo.point)
+    potential = _at_point("potential", "f, for a gradient field.")
+    dpotential = _at_point("dpotential", "d_k f, for a gradient field.")
+    value = _at_point("value", "V^k; the raised df for a gradient field.")
+    omega = _at_point("omega", "The metric dual one-form omega_i = g_ij V^j.")
+    nabla = _at_point("nabla", "nabla[k,j] = (nabla_j V)^k = d_j V^k + Gamma^k_jm V^m.")
+    lie = _at_point("lie", "(Lie_V g)_ij = g(nabla_i V, e_j) + g(nabla_j V, e_i).")
+    omega_grad = _at_point("omega_grad", "omega_grad[i,j] = d_i omega_j, plain coordinate derivatives.")
+    d_omega = _at_point("d_omega", "(d omega)_ij = (d_i omega_j - d_j omega_i) / 2.")
+    f_mixed = _at_point("f_mixed", "The (1,1) rotation field F = g^-1 d omega.")
+    nabla_f = _at_point("nabla_f", "nabla_f[i,k,j] = (nabla_i F)^k_j.")
+    norm_sq = _at_point("norm_sq", "g(V, V).")
+    d_norm_sq = _at_point("d_norm_sq", "d_k g(V, V).")
+    hessian = _at_point("hessian", "(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, for a gradient field; symmetrised.")
 
-    @_PerCoordinate
-    def dpotential(self) -> np.ndarray:
-        """d_k f, for a gradient field."""
-        return self.geo.grad(lambda n: n.field(self.spec).potential)
+    def _at(self, name: str, depth: int) -> np.ndarray:
+        """Quantity ``name`` at every node of ``depth``, computed on first read."""
+        if (name, depth) not in self._arrays:
+            if name in _DERIVATIVES:
+                rows = self._derivative(_DERIVATIVES[name], depth)
+            else:
+                rows = getattr(self, "_" + name)(depth)
+            rows.flags.writeable = False
+            self._arrays[name, depth] = rows
+        return self._arrays[name, depth]
 
-    @_PerCoordinate
-    def value(self) -> np.ndarray:
-        """V^k; the raised df for a gradient field."""
-        if self.spec.is_gradient:
-            return self.geo.g_inv @ self.dpotential
-        return self.spec.components_at(self.geo.point)
+    def _nodes(self, depth: int) -> np.ndarray:
+        while len(self._depths) <= depth:
+            around = neighbours(self._depths[-1], self._store.steps)
+            self._depths.append(around.reshape(-1, self._store.metric.dim))
+        return self._depths[depth]
 
-    @_PerCoordinate
-    def omega(self) -> np.ndarray:
-        """The metric dual one-form omega_i = g_ij V^j."""
-        return self.geo.g @ self.value
+    def _derivative(self, name: str, depth: int) -> np.ndarray:
+        """d_k of quantity ``name`` at the nodes of ``depth``, from its rows at their children."""
+        rows = self._at(name, depth + 1)
+        shape = (len(self._nodes(depth)), self._store.metric.dim, -1) + rows.shape[1:]
+        return stencil_derivative(rows.reshape(shape), self._store.numerics.h)
 
-    @_PerCoordinate
-    def nabla(self) -> np.ndarray:
-        """nabla[k,j] = (nabla_j V)^k = d_j V^k + Gamma^k_jm V^m."""
-        dv = self.geo.grad(lambda n: n.field(self.spec).value)  # dv[j,k] = d_j V^k
-        return dv.T + np.einsum("kjm,m->kj", self.geo.gamma, self.value)
+    def _layer(self, name: str, depth: int) -> np.ndarray:
+        """The store's curvature layer ``name`` at the nodes of ``depth``."""
+        store, known = self._store, np.array([self._number])
+        for _ in range(depth):  # -1 where no walk linked the kids
+            kids = store.kids[np.maximum(known, 0)]
+            kids[known < 0] = -1
+            known = kids.reshape(-1)
+        numbers = store.fill(name, self._nodes(depth), known)
+        if depth == 0:
+            self._number = int(numbers[0])
+        return store.get(name, numbers)
 
-    @_PerCoordinate
-    def lie(self) -> np.ndarray:
-        """(Lie_V g)_ij = g(nabla_i V, e_j) + g(nabla_j V, e_i)."""
-        a = self.geo.g @ self.nabla  # a[i,j] = (nabla_j V)_i
-        return a + a.T
+    def _evaluate(self, nodes: np.ndarray) -> np.ndarray:
+        """The components, or the potential, at each of ``nodes``; evaluated in order at each coordinate not met before."""
+        n, known = len(nodes), len(self._seen)
+        first, group = _distinct(np.concatenate([nodes, self._seen]))
+        row = np.full(len(first), -1)
+        row[group[n:]] = np.arange(known)
+        new = np.flatnonzero(row[: np.count_nonzero(first < n)] < 0)  # the coordinates first met among nodes
+        if new.size:
+            raw = self.spec.potential_at if self.spec.is_gradient else self.spec.components_at
+            values = [raw(point) for point in map(tuple, nodes[first[new]].tolist())]
+            row[new] = np.arange(known, known + len(new))
+            self._seen = np.concatenate([self._seen, nodes[first[new]]])
+            self._raw = np.concatenate([self._raw, np.array(values, dtype=float)])
+        return self._raw[row[group[:n]]]
 
-    @_PerCoordinate
-    def omega_grad(self) -> np.ndarray:
-        """omega_grad[i,j] = d_i omega_j, plain coordinate derivatives."""
-        return self.geo.grad(lambda n: n.field(self.spec).omega)
+    def _potential(self, depth: int) -> np.ndarray:
+        return self._evaluate(self._nodes(depth))
 
-    @_PerCoordinate
-    def d_omega(self) -> np.ndarray:
-        """(d omega)_ij = (d_i omega_j - d_j omega_i) / 2."""
-        return 0.5 * (self.omega_grad - self.omega_grad.T)
+    def _value(self, depth: int) -> np.ndarray:
+        if not self.spec.is_gradient:
+            return self._evaluate(self._nodes(depth))
+        g_inv = self._layer("g_inv", depth)
+        return (g_inv @ self._at("dpotential", depth)[:, :, None])[:, :, 0]
 
-    @_PerCoordinate
-    def f_mixed(self) -> np.ndarray:
-        """The (1,1) rotation field F = g^-1 d omega."""
-        return self.geo.g_inv @ self.d_omega
+    def _omega(self, depth: int) -> np.ndarray:
+        g = self._layer("g", depth)
+        return (g @ self._at("value", depth)[:, :, None])[:, :, 0]
 
-    @_PerCoordinate
-    def norm_sq(self) -> float:
-        """g(V, V)."""
-        return float(self.value @ self.geo.g @ self.value)
+    def _nabla(self, depth: int) -> np.ndarray:
+        dv = self._derivative("value", depth)  # dv[n,j,k] = d_j V^k
+        gamma = self._layer("gamma", depth)
+        return dv.transpose(0, 2, 1) + np.einsum("nkjm,nm->nkj", gamma, self._at("value", depth))
 
+    def _lie(self, depth: int) -> np.ndarray:
+        a = self._layer("g", depth) @ self._at("nabla", depth)  # a[n,i,j] = (nabla_j V)_i
+        return a + a.transpose(0, 2, 1)
 
-def _d2_same(fn: Callable[[PointGeometry], float], geo: PointGeometry, axis: int) -> float:
-    f0 = fn(geo)
+    def _d_omega(self, depth: int) -> np.ndarray:
+        grad = self._at("omega_grad", depth)
+        return 0.5 * (grad - grad.transpose(0, 2, 1))
 
-    def stencil(h: float) -> float:
-        return (fn(geo.shifted(axis, h)) - 2.0 * f0 + fn(geo.shifted(axis, -h))) / (h * h)
+    def _f_mixed(self, depth: int) -> np.ndarray:
+        g_inv = self._layer("g_inv", depth)
+        return g_inv @ self._at("d_omega", depth)
 
-    d = stencil(geo.numerics.h)
-    if geo.numerics.richardson:
-        d = (4.0 * stencil(geo.numerics.h / 2) - d) / 3.0
-    return d
+    def _nabla_f(self, depth: int) -> np.ndarray:
+        df = self._derivative("f_mixed", depth)  # df[n,i,k,j] = d_i F^k_j
+        gamma = self._layer("gamma", depth)
+        f = self._at("f_mixed", depth)
+        return df + np.einsum("nkim,nmj->nikj", gamma, f) - np.einsum("nmij,nkm->nikj", gamma, f)
 
+    def _norm_sq(self, depth: int) -> np.ndarray:
+        v = self._at("value", depth)[:, None, :]
+        return (v @ self._layer("g", depth) @ v.transpose(0, 2, 1))[:, 0, 0]
 
-def _d2_cross(fn: Callable[[PointGeometry], float], geo: PointGeometry, ax1: int, ax2: int) -> float:
-    def stencil(h: float) -> float:
-        pp = fn(geo.shifted(ax1, h).shifted(ax2, h))
-        pm = fn(geo.shifted(ax1, h).shifted(ax2, -h))
-        mp = fn(geo.shifted(ax1, -h).shifted(ax2, h))
-        mm = fn(geo.shifted(ax1, -h).shifted(ax2, -h))
-        return (pp - pm - mp + mm) / (4.0 * h * h)
+    def _hessian(self, depth: int) -> np.ndarray:
+        # second differences of f along each axis and across each pair of axes
+        # a > b, at +-h and, with Richardson, +-h/2; f2[n, a, s, b, t] is f
+        # after step s along a, then t along b, evaluated only at those pairs
+        n, dim, size = len(self._nodes(depth)), self._store.metric.dim, len(self._store.steps)
+        f0 = self._at("potential", depth)[:, None]
+        f1 = self._at("potential", depth + 1).reshape(n, dim, size)
+        a, s, b, t = np.ix_(range(dim), range(size), range(dim), range(size))
+        pairs = (a > b) & (s // 2 == t // 2)
+        nodes = self._nodes(depth + 2).reshape(n, dim, size, dim, size, dim)
+        f2 = np.full((n, dim, size, dim, size), np.nan)
+        f2[:, pairs] = self._evaluate(nodes[:, pairs].reshape(-1, dim)).reshape(n, -1)
 
-    d = stencil(geo.numerics.h)
-    if geo.numerics.richardson:
-        d = (4.0 * stencil(geo.numerics.h / 2) - d) / 3.0
-    return d
+        def same(p: int, m: int, step: float) -> np.ndarray:
+            return (f1[:, :, p] - 2.0 * f0 + f1[:, :, m]) / (step * step)
+
+        def cross(p: int, m: int, step: float) -> np.ndarray:
+            return (f2[:, :, p, :, p] - f2[:, :, p, :, m] - f2[:, :, m, :, p] + f2[:, :, m, :, m]) / (4.0 * step * step)
+
+        h = self._store.numerics.h
+        diagonal, off = same(0, 1, h), cross(0, 1, h)
+        if size == 4:
+            diagonal = (4.0 * same(2, 3, h / 2) - diagonal) / 3.0
+            off = (4.0 * cross(2, 3, h / 2) - off) / 3.0
+        d2 = np.where(np.tri(dim, k=-1, dtype=bool), off, off.transpose(0, 2, 1))
+        d2[:, range(dim), range(dim)] = diagonal
+        hess = d2 - np.einsum("nkij,nk->nij", self._layer("gamma", depth), self._at("dpotential", depth))
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
     """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     spec = VectorFieldSpec.gradient_of(f, geo.metric.coords)
-    scalar = lambda n: n.field(spec).potential  # noqa: E731
-    dim = len(geo.point)
-    d2 = np.empty((dim, dim))
-    for i in range(dim):
-        d2[i, i] = _d2_same(scalar, geo, i)
-        for j in range(i):
-            d2[i, j] = d2[j, i] = _d2_cross(scalar, geo, i, j)
-    hess = d2 - np.einsum("kij,k->ij", geo.gamma, geo.field(spec).dpotential)
-    hess = 0.5 * (hess + hess.T)
-    return TensorSample("tensor02", hess, geo.point, symmetric=True)
+    return TensorSample("tensor02", geo.field(spec).hessian, geo.point, symmetric=True)
 
 
 def divergence_vector(geo: PointGeometry, v: VectorFieldSpec) -> float:
@@ -676,17 +689,6 @@ def frame_from_matrix(
         raise SignatureError(f"expected exactly one timelike direction, found signs {tuple(signs)}")
     order = sorted(range(n), key=lambda i: (signs[i], i))  # timelike first, stable
     return FramePack(np.array([vectors[i] for i in order]), tuple(signs[i] for i in order), tuple(point))
-
-
-# -- (1,1) tensor fields ----------------------------------------------------
-
-
-def cov_deriv_tensor11(geo: PointGeometry, f_field: Callable[[PointGeometry], np.ndarray]) -> np.ndarray:
-    """covF[i,k,j] = (nabla_i F)^k_j for a componentwise (1,1) field."""
-    df = geo.grad(f_field)  # df[i,k,j] = d_i F^k_j
-    gamma = geo.gamma
-    f0 = np.asarray(f_field(geo), dtype=float)
-    return df + np.einsum("kim,mj->ikj", gamma, f0) - np.einsum("mij,km->ikj", gamma, f0)
 
 
 # -- health checks -----------------------------------------------------------
@@ -751,8 +753,9 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     exact, store, dim = christoffel_exact(geo), geo._store, len(geo.point)
     halvings = (geo.numerics.h, geo.numerics.h / 2)
     around = np.concatenate([neighbours(np.array([geo.point]), (h, -h)).reshape(-1, dim) for h in halvings])
-    known = np.array([store.kid(geo._number, axis, s) for h in halvings for axis in range(dim) for s in (h, -h)])
-    g = store.get("g", store.fill("g", around, known)).reshape(2, dim, 2, *geo.g.shape)
+    known = np.full((2, dim, 2), -1)  # [halving, axis, sign]; no walk reaches +-h/2 without Richardson
+    known[: len(store.steps) // 2] = store.kids[geo._number].reshape(dim, -1, 2).transpose(1, 0, 2)
+    g = store.get("g", store.fill("g", around, known.ravel())).reshape(2, dim, 2, *geo.g.shape)
     errs = [max_abs(christoffel_from_dg(geo.g_inv, (s[:, 0] - s[:, 1]) / (2 * h)) - exact) for h, s in zip(halvings, g)]
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):
         return None

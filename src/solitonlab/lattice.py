@@ -81,9 +81,8 @@ def neighbours(points: np.ndarray, steps: tuple[float, ...], axes: Sequence[int]
     """The stencil neighbours of each row of ``points`` along ``axes`` (all), shape (n, len(axes), len(steps), dim).
 
     Neighbour [i, a, s] is row i moved by ``steps[s]`` along ``axes[a]``: its
-    coordinate on that axis is the float sum ``PointGeometry.shifted`` makes,
-    and the others are copied, never computed as x + 0.0 (which would turn a
-    -0.0 into +0.0).
+    coordinate on that axis is the float sum x + steps[s], and the others are
+    copied, never computed as x + 0.0 (which would turn a -0.0 into +0.0).
     """
     n, dim = points.shape
     axes = range(dim) if axes is None else axes
@@ -216,9 +215,8 @@ class Store:
 
     The lattice spans the ``axes`` walked: those the metric reads, or every axis when the root point
     has a -0.0 on one it reads.  Along any other axis a coordinate keeps the root's float, and its
-    stencil neighbour is itself.  ``coords[u]`` holds the floats of number ``u``, ``kids[u, axis, s]``
-    its stencil neighbours' numbers once a walk has gone round it, and ``fields`` a dict of
-    vector-field quantities per true coordinate.  Not thread-safe.
+    stencil neighbour is itself.  ``coords[u]`` holds the floats of number ``u`` and ``kids[u, axis, s]``
+    its stencil neighbours' numbers once a walk has gone round it.  Not thread-safe.
     """
 
     def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
@@ -233,7 +231,6 @@ class Store:
         self.read = np.array(metric.read_axes, dtype=int)
         self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
         self.layers: dict[str, _Layer] = {}
-        self.fields: dict[tuple[float, ...], dict] = {}
 
     def layer(self, name: str) -> _Layer:
         if name not in self.layers:
@@ -258,17 +255,6 @@ class Store:
             return u, float(row)
         row.flags.writeable = False
         return u, row
-
-    def kid(self, u: int, axis: int, step: float) -> int:
-        """The number of coordinate ``u`` moved by ``step`` along ``axis``.
-
-        Along an axis not walked that is ``u`` itself; along a walked one, -1 unless a walk went there from ``u``.
-        """
-        if u < 0 or axis not in self.axes:
-            return u
-        if step not in self.steps:
-            return -1
-        return int(self.kids[u, axis, self.steps.index(step)])
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """``points`` on the lattice: the root's float along every axis not walked."""

@@ -27,7 +27,6 @@ from .geometry import (
     PointGeometry,
     TensorSample,
     VectorFieldSpec,
-    cov_deriv_tensor11,
     divergence_vector,
     hessian_scalar,
     max_abs,
@@ -429,7 +428,7 @@ def potential_field_identities(
     omega = field.omega
     eta = omega  # V is also the reference flow
     coeff = params.alpha * values.kappa * (values.sigma + values.rho)
-    cov_f = cov_deriv_tensor11(geo, lambda q: q.field(v).f_mixed)  # [a,k,j] = (nabla_a F)^k_j
+    cov_f = field.nabla_f  # [a,k,j] = (nabla_a F)^k_j
     eye = np.eye(n)
 
     # curvature acting on V vs the antisymmetrised derivative of F
@@ -451,7 +450,7 @@ def potential_field_identities(
     divergence_res = max_abs(div_f - rhs_div)
 
     # gradient of |V|^2 against the Lie derivative and rotation terms
-    dnorm = geo.grad(lambda q: q.field(v).norm_sq)
+    dnorm = field.d_norm_sq
     norm_res = max_abs(dnorm + 2.0 * (field.f_mixed.T @ omega) - field.lie @ vv)
     return PotentialIdentityResult(curvature_res, divergence_res, norm_res)
 

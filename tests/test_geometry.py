@@ -23,7 +23,6 @@ from solitonlab.geometry import (
     christoffel,
     christoffel_exact,
     contracted_bianchi_residual,
-    cov_deriv_tensor11,
     divergence_vector,
     einstein_tensor,
     fd_convergence_ratio,
@@ -337,27 +336,27 @@ class TestFrames:
             assert pack.signs == (-1, 1, 1, 1)
 
 
-def div_tensor11(geo, f_field):
-    """(div F)_j = (nabla_k F)^k_j, the trace of the covariant derivative."""
-    return np.einsum("kkj->j", cov_deriv_tensor11(geo, f_field))
+def div_tensor11(geo, v):
+    """(div F)_j = (nabla_k F)^k_j, the trace of the covariant derivative of the rotation field of ``v``."""
+    return np.einsum("kkj->j", geo.field(v).nabla_f)
 
 
 class TestDivTensor11:
-    def test_zero_field(self, de_sitter):
-        zero = lambda q: np.zeros((4, 4))  # noqa: E731
-        assert max_abs(div_tensor11(PointGeometry(de_sitter, (0.5, 0, 0, 0)), zero)) == 0.0
+    def test_zero_field(self, de_sitter, coordinate_time):
+        # d_t on de Sitter has the closed dual -dt: F = 0
+        assert max_abs(div_tensor11(PointGeometry(de_sitter, (0.5, 0, 0, 0)), coordinate_time)) == 0.0
 
-    def test_identity_field_flat(self, minkowski):
-        ident = lambda q: np.eye(4)  # noqa: E731
-        assert max_abs(div_tensor11(PointGeometry(minkowski, (0.5, 1, 2, 3)), ident)) == 0.0
+    def test_constant_field_flat(self, minkowski, rotation_field):
+        # the rotation (0, -y, x, 0) has the constant F^x_y = 1 = -F^y_x; with
+        # a power-of-two step at integer coordinates every difference is exact
+        geo = PointGeometry(minkowski, (0.5, 1, 2, 3), NumericsConfig(h=2.0**-10))
+        assert np.array_equal(geo.field(rotation_field).f_mixed, [[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
+        assert max_abs(div_tensor11(geo, rotation_field)) == 0.0
 
     def test_linear_component(self, minkowski):
-        def field(q):
-            f = np.zeros((4, 4))
-            f[1, 2] = q.point[1]  # F^x_y = x
-            return f
-
-        div = div_tensor11(PointGeometry(minkowski, (0.0, 0.5, 0.5, 0.5)), field)
+        # V = (0, 0, x^2, 0) has F^x_y = x, so div F = (0, 0, 1, 0)
+        v = VectorFieldSpec.from_components(["0", "0", "x^2", "0"], COORDS)
+        div = div_tensor11(PointGeometry(minkowski, (0.0, 0.5, 0.5, 0.5)), v)
         assert np.allclose(div, [0, 0, 1, 0], atol=1e-10)
 
 
@@ -406,8 +405,11 @@ class TestInvariants:
         geo = PointGeometry(metric, point, cfg)
         exact = christoffel_exact(geo)
         errs = []
+        def g(axis, step):
+            return metric.matrix(tuple(x + step if a == axis else x for a, x in enumerate(point)))
+
         for h in (cfg.h, cfg.h / 2):
-            dg = np.stack([(geo.shifted(axis, h).g - geo.shifted(axis, -h).g) / (2 * h) for axis in range(4)])
+            dg = np.stack([(g(axis, h) - g(axis, -h)) / (2 * h) for axis in range(4)])
             errs.append(max_abs(christoffel_from_dg(geo.g_inv, dg) - exact))
         expected = None if errs[1] < 1e-11 * max(1.0, max_abs(exact)) else errs[0] / errs[1]
         assert fd_convergence_ratio(PointGeometry(metric, point, cfg)) == expected
@@ -556,29 +558,24 @@ class TestPointGeometry:
     def test_grad_equals_the_per_axis_stencil(self, frw_sqrt):
         # grad differences all axes at once; the arithmetic is the per-axis
         # central/Richardson formula's, so the result must be bitwise equal
-        h = 1.3e-3
+        h, point = 1.3e-3, (0.8, 0.1, 0.2, 0.3)
         for richardson in (True, False):
-            geo = PointGeometry(frw_sqrt, (0.8, 0.1, 0.2, 0.3), NumericsConfig(h=h, richardson=richardson))
-            for fn in (lambda n: n.gamma, lambda n: n.scalar):
+            cfg = NumericsConfig(h=h, richardson=richardson)
+            geo = PointGeometry(frw_sqrt, point, cfg)
+
+            def at(name, axis, step):
+                there = tuple(x + step if a == axis else x for a, x in enumerate(point))
+                return np.asarray(getattr(PointGeometry(frw_sqrt, there, cfg), name))
+
+            for name in ("gamma", "scalar"):
                 rows = []
                 for axis in range(4):
-                    d = (np.asarray(fn(geo.shifted(axis, h))) - np.asarray(fn(geo.shifted(axis, -h)))) / (2 * h)
+                    d = (at(name, axis, h) - at(name, axis, -h)) / (2 * h)
                     if richardson:
-                        d2 = (np.asarray(fn(geo.shifted(axis, h / 2))) - np.asarray(fn(geo.shifted(axis, -h / 2)))) / h
+                        d2 = (at(name, axis, h / 2) - at(name, axis, -h / 2)) / h
                         d = (4.0 * d2 - d) / 3.0
                     rows.append(d)
-                assert np.array_equal(geo.grad(fn), np.stack(rows))
-
-    def test_neighbours_share_the_lattice(self, de_sitter):
-        geo = PointGeometry(de_sitter, (0.5, 0.0, 0.0, 0.0))
-        there = geo.shifted(0, 1e-3)
-        assert there.point == (0.5 + 1e-3, 0.0, 0.0, 0.0)
-        again = geo.shifted(0, 1e-3)
-        assert again._store is there._store is geo._store
-        # one number, one row of the store: both reads view the same memory
-        assert again.g.__array_interface__["data"] == there.g.__array_interface__["data"]
-        assert geo._store.size == 1
-        assert there.shifted(0, -1e-3).point == (0.5 + 1e-3 - 1e-3, 0.0, 0.0, 0.0)
+                assert np.array_equal(geo.grad(name), np.stack(rows))
 
     def test_lattice_arrays_are_read_only(self, de_sitter):
         # the store is shared by every scenario of a sweep: a write would leak
@@ -1151,16 +1148,6 @@ FIELD_QUANTITIES = (
 GRADIENT_ONLY = ("dpotential", "hessian")
 
 
-def _engine(geo, spec, name):
-    if name == "nabla_f":
-        return cov_deriv_tensor11(geo, lambda q: q.field(spec).f_mixed)
-    if name == "d_norm_sq":
-        return geo.grad(lambda q: q.field(spec).norm_sq)
-    if name == "hessian":
-        return hessian_scalar(geo, spec.potential).components
-    return getattr(geo.field(spec), name)
-
-
 class TestFieldTree:
     @pytest.mark.parametrize("order", ["report", "deepest_first"])
     @pytest.mark.parametrize("richardson", [True, False])
@@ -1184,7 +1171,7 @@ class TestFieldTree:
                 metric_compatibility_residual(geo)
                 reference.dg
             for name in names:
-                value, expected = np.asarray(_engine(geo, spec, name)), np.asarray(getattr(reference.field(spec), name))
+                value, expected = np.asarray(getattr(geo.field(spec), name)), np.asarray(getattr(reference.field(spec), name))
                 assert np.array_equal(value, expected), (kind, name)
                 assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, name)
 
