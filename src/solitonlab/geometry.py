@@ -536,15 +536,16 @@ class FieldGeometry:
 
     def _layer(self, name: str, depth: int) -> np.ndarray:
         """The store's curvature layer ``name`` at the nodes of ``depth``."""
-        store, known = self._store, np.array([self._number])
+        store = self._store
+        if depth == 0:  # the point's own row: an index once its number is known
+            self._number, row = store.at(name, self._depths[0][0], self._number)
+            return row[None]
+        known = np.array([self._number])
         for _ in range(depth):  # -1 where no walk linked the kids
             kids = store.kids[np.maximum(known, 0)]
             kids[known < 0] = -1
             known = kids.reshape(-1)
-        numbers = store.fill(name, self._nodes(depth), known)
-        if depth == 0:
-            self._number = int(numbers[0])
-        return store.get(name, numbers)
+        return store.get(name, store.fill(name, self._nodes(depth), known))
 
     def _evaluate(self, nodes: np.ndarray) -> np.ndarray:
         """The components, or the potential, at each of ``nodes``; evaluated in order at each coordinate not met before."""

@@ -399,15 +399,16 @@ class TestInvariants:
     @pytest.mark.parametrize("case", ["minkowski", "de_sitter", "grw_flat", "infall", "shear", "signed_t"])
     def test_fd_convergence_ratio_is_the_per_neighbour_ratio(self, case, richardson):
         # the store's one indexed read of the +-h and +-h/2 neighbours gives
-        # bitwise the ratio of the per-neighbour reads it replaced
+        # bitwise the ratio of the metric evaluated at each neighbour's floats
         metric, point = REFERENCE_CASES[case]
         cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
         geo = PointGeometry(metric, point, cfg)
         exact = christoffel_exact(geo)
-        errs = []
+
         def g(axis, step):
             return metric.matrix(tuple(x + step if a == axis else x for a, x in enumerate(point)))
 
+        errs = []
         for h in (cfg.h, cfg.h / 2):
             dg = np.stack([(g(axis, h) - g(axis, -h)) / (2 * h) for axis in range(4)])
             errs.append(max_abs(christoffel_from_dg(geo.g_inv, dg) - exact))
