@@ -20,11 +20,13 @@ is one row array indexed by number.  The lattice spans only the coordinates
 the metric reads: every layer is constant along the others.  Reading a
 layer at a point computes it, and each layer below it, at every coordinate
 the read needs and lacks, one numpy call per layer; reading a layer held
-there is an index, with no numpy call.  The metric components are
-evaluated by ``MetricSpec.matrix`` once per point for each distinct bit
-pattern of the coordinates the grid reads, however many reads need it, and
-a failing coordinate is named as evaluating point by point along every
-axis would name it (docs/conventions.md).
+there is an index, with no numpy call.  Points that walk the same axes may
+share one store (a report shares one among a block of plan points), each
+reading it by its number there.  The metric components are evaluated by
+``MetricSpec.matrix`` once per store for each distinct bit pattern of the
+coordinates the grid reads, however many reads need it, and a failing
+coordinate is named as evaluating point by point along every axis would
+name it (docs/conventions.md).
 
 A vector field may read coordinates the metric does not, so its quantities
 live on the stencil tree of the point instead: ``geo.field(spec)`` is the
@@ -35,8 +37,9 @@ its derivative, and for a gradient the potential, its derivatives and
 Hessian) as one array over one depth of the tree, the metric layers there
 read from the store.
 
-Both live as long as the PointGeometry and are not locked: each belongs to
-one point and one thread.  Nothing is cached at module level.
+A FieldGeometry lives as long as its PointGeometry, and a store as long as
+the PointGeometry objects on it.  Neither is locked: each belongs to one
+thread.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .lattice import (
     christoffel_from_dg,
     neighbours,
     stencil_derivative,
+    walked_axes,
 )
 
 __all__ = [
@@ -315,6 +319,11 @@ class PointGeometry:
     layer, so each is computed at most once per coordinate.  ``grad``
     differentiates a layer and ``field`` gives the quantities of a vector
     field here.  Not thread-safe: one object, one thread.
+
+    The point's lattice lives in a store of its own unless ``store`` is given:
+    a store of the same metric and numerics that walks the axes this point
+    walks (``lattice.walked_axes``), shared with other points, where it has
+    ``number``, or -1 when it has none yet.
     """
 
     __slots__ = ("metric", "point", "numerics", "_store", "_number", "_fields")
@@ -324,12 +333,18 @@ class PointGeometry:
         metric: MetricSpec,
         point: Sequence[float],
         numerics: NumericsConfig = DEFAULT_NUMERICS,
+        store: Store | None = None,
+        number: int = -1,
     ) -> None:
         p = tuple(float(v) for v in point)
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
+        if store is None:
+            store = Store(metric, numerics, p)
+        elif store.axes != walked_axes(metric, p):
+            raise ValueError(f"{p} walks other axes than the store it is given")
         self.metric, self.numerics, self.point = metric, numerics, p
-        self._store, self._number = Store(metric, numerics, p), -1  # the point's number in the store; -1 until known
+        self._store, self._number = store, number  # the point's number in the store; -1 until known
         self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
 
     def grad(self, name: str) -> np.ndarray:

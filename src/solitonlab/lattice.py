@@ -11,7 +11,9 @@ one coordinate per read pattern, and a difference across such an axis is an
 exact +0.0, as the per-coordinate stencil gives it (both its neighbours share
 the point's read pattern).  A root with ``-0.0`` on an axis the metric reads
 walks every axis, where the sign of a zero the walk copies or rebuilds
-matters.  Each curvature layer is one row array, grown by capacity
+matters.  Points that walk the same axes may share one store: a report
+numbers a block of plan points into one, and each reads its rows there
+by number.  Each curvature layer is one row array, grown by capacity
 doubling, with a slot array over the numbers, so a read is an index.
 ``Store.fill`` computes a layer at a set of points, with each layer below it
 where the request needs and lacks it, one numpy call per layer.  The metric
@@ -210,24 +212,31 @@ class _Layer:
         return np.arange(start, self.count)
 
 
-class Store:
-    """The stencil lattice of one point: its coordinates, numbered once, and a row array per layer.
+def walked_axes(metric: MetricSpec, point: Sequence[float]) -> tuple[int, ...]:
+    """The axes a store rooted at ``point`` walks: those ``metric`` reads, or every axis when ``point`` has -0.0 on one."""
+    if any(point[axis] == 0.0 and math.copysign(1.0, point[axis]) < 0 for axis in metric.read_axes):
+        return tuple(range(metric.dim))
+    return metric.read_axes
 
-    The lattice spans the ``axes`` walked: those the metric reads, or every axis when the root point
-    has a -0.0 on one it reads.  Along any other axis a coordinate keeps the root's float, and its
-    stencil neighbour is itself.  ``coords[u]`` holds the floats of number ``u`` and ``kids[u, axis, s]``
-    its stencil neighbours' numbers once a walk has gone round it.  Not thread-safe.
+
+class Store:
+    """The stencil lattice of one or more points: its coordinates, numbered once, and a row array per layer.
+
+    The lattice spans the ``axes`` walked (``walked_axes`` of the root point).  Along any other axis a
+    coordinate keeps the root's float, and its stencil neighbour is itself; a point that walks the
+    same axes as the root projects onto the lattice (``project``), so it can share the store.
+    ``coords[u]`` holds the floats of number ``u`` and ``kids[u, axis, s]`` its stencil neighbours'
+    numbers once a walk has gone round it.  Not thread-safe.
     """
 
     def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
         self.metric, self.numerics = metric, numerics
         self.steps, self.size = stencil_steps(numerics), 0
-        signed = any(root[axis] == 0.0 and math.copysign(1.0, root[axis]) < 0 for axis in metric.read_axes)
-        self.axes = tuple(range(metric.dim)) if signed else metric.read_axes
-        self.root = root
+        self.axes, self.root = walked_axes(metric, root), root
         self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
-        self.coords = np.empty((16, metric.dim))  # room for 16 numbers, doubled as needed
-        self.kids = np.full((16, metric.dim, len(self.steps)), -1)
+        # one placeholder row, so a -1 indexes: the first numbering past it sizes the arrays to what it numbers
+        self.coords = np.empty((1, metric.dim))
+        self.kids = np.full((1, metric.dim, len(self.steps)), -1)
         self.read = np.array(metric.read_axes, dtype=int)
         self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
         self.layers: dict[str, _Layer] = {}

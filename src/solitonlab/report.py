@@ -11,10 +11,12 @@ count toward the verdict when their hypothesis holds.
 run_suites does the same for several scenarios at once, as ``sweep``
 needs.  It walks the plan point-outer: at each plan index, the scenarios
 that agree on the metric, the numerics and the point share one
-PointGeometry, so that point's geometry is evaluated once for all of them
-and dropped as soon as they are done with it.  Each report equals the one
-run_suite gives for its scenario alone; run_suite is run_suites of one
-scenario.
+PointGeometry, so that point's geometry is evaluated once for all of them.
+It takes the plan a block of indices at a time: the block's points that
+agree on the metric and the numerics share one store, filled in one batch,
+and the block's stores are dropped before the next block, so memory is
+bounded by a block, not by the plan.  Each report equals the one run_suite
+gives for its scenario alone; run_suite is run_suites of one scenario.
 
 The JSON document is stable: identical scenarios yield byte-identical
 reports when the timestamp is suppressed.
@@ -45,6 +47,7 @@ from .geometry import (
     metric_compatibility_residual,
     riemann_antisymmetry_residual,
 )
+from .lattice import Store, neighbours, walked_axes
 from .scenario import Scenario, SchemaError
 from .solitons import (
     ETA_FAMILIES,
@@ -88,6 +91,9 @@ __all__ = [
 TOLERANCE_ENV_VAR = "SOLITONLAB_TOL"
 
 _GENERIC_DEFAULT = 1e-5
+
+# plan indices walked together, their points sharing a store per (metric, numerics)
+_BLOCK = 4
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "default": _GENERIC_DEFAULT,
@@ -513,18 +519,23 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
     agree on (metric, point, numerics) share one PointGeometry, so a sweep
     over a soliton or fluid constant evaluates the geometry, the plan-point
     check and the FD convergence ratio once per point, not once per value.
-    Each geometry is dropped once its scenarios are done with the point, so
-    only one point's lattice is ever live.
+    The indices go a block of ``_BLOCK`` at a time: the block's points that
+    agree on (metric, numerics) share one store, its curvature filled in one
+    batch (``_geometries``), and the block's stores are dropped before the
+    next block, so only one block's lattices are ever live.
     """
     runs = [_SuiteRun(scenario, resolve_tolerances(scenario.tolerances)) for scenario in scenarios]
-    for i in range(max((len(run.scenario.points) for run in runs), default=0)):
-        groups: dict[tuple, list[_SuiteRun]] = {}
-        for run in runs:
-            scenario = run.scenario
-            if i < len(scenario.points):
-                groups.setdefault((scenario.metric, scenario.points[i], scenario.numerics), []).append(run)
-        for key, group in groups.items():
-            _run_point(group, i, PointGeometry(*key), solve)
+    plan = max((len(run.scenario.points) for run in runs), default=0)
+    for start in range(0, plan, _BLOCK):
+        block: list[tuple[int, tuple, list[_SuiteRun]]] = []
+        for i in range(start, min(start + _BLOCK, plan)):
+            groups: dict[tuple, list[_SuiteRun]] = {}
+            for run in runs:
+                scenario = run.scenario
+                if i < len(scenario.points):
+                    groups.setdefault((scenario.metric, scenario.points[i], scenario.numerics), []).append(run)
+            block += [(i, key, group) for key, group in groups.items()]
+        _run_block(block, solve)
 
     return [
         IdentityReport(
@@ -536,6 +547,43 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
         )
         for run in runs
     ]
+
+
+def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> None:
+    """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns."""
+    for (i, _, group), geo in zip(block, _geometries([key for _, key, _ in block])):
+        _run_point(group, i, geo, solve)
+
+
+def _geometries(keys: list[tuple]) -> list[PointGeometry]:
+    """A PointGeometry for each (metric, point, numerics) of ``keys``, those of one (metric, numerics) on one store.
+
+    Before any identity reads them, one batch fills the shared store with
+    what the suite reads: the Einstein tensor, and each layer below it, at
+    the points and their stencil neighbours, and the Ricci asymmetry at the
+    points.  Each point takes its number from the batch, so its reads are
+    indexes.  A numerical failure only ends the batch;
+    the good rows before it are kept, and each point's own reads meet its
+    failure as on a store of its own (docs/conventions.md).  A point with
+    -0.0 on an axis the metric reads walks every axis, on a store of its own.
+    """
+    shared: dict[tuple, list[int]] = {}
+    for k, (metric, point, numerics) in enumerate(keys):
+        if walked_axes(metric, point) == metric.read_axes:
+            shared.setdefault((metric, numerics), []).append(k)
+    stores: dict[int, tuple[Store, int]] = {}
+    for (metric, numerics), members in shared.items():
+        store = Store(metric, numerics, keys[members[0]][1])
+        points = np.array([keys[k][1] for k in members], dtype=float)
+        numbers = np.full(len(members), -1)
+        try:
+            ring = neighbours(points, store.steps).reshape(-1, metric.dim)
+            numbers = store.fill("einstein", np.concatenate([points, ring]))[: len(points)]
+            store.get("ricci_asymmetry", numbers)
+        except (EvalDomainError, GeometryError, np.linalg.LinAlgError):
+            pass  # named by the failing point's own reads
+        stores.update((k, (store, int(u))) for k, u in zip(members, numbers))
+    return [PointGeometry(*key, *stores.get(k, ())) for k, key in enumerate(keys)]
 
 
 def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) -> None:
@@ -573,9 +621,9 @@ def run_suite(scenario: Scenario, solve: bool = True) -> IdentityReport:
 
     Per-point numerical failures are recorded in the report rather than
     raised; the suite only fails outright when no point is evaluable.  No
-    lattice outlives its point: the numerics health is measured on the
-    first good point before its lattice is dropped, and the conformal fit
-    reads the points' small PointSamples.
+    lattice outlives its block of plan points (run_suites): the numerics
+    health is measured on the first good point before its lattice is
+    dropped, and the conformal fit reads the points' small PointSamples.
     """
     return run_suites([scenario], solve)[0]
 

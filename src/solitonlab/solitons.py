@@ -139,14 +139,15 @@ class PointSamples:
         """Samples from the chart: Lie derivative along ``v``, curvature of the metric.
 
         ``v`` is also the reference timelike field of the projections: the
-        potential field is the fluid velocity.
+        potential field is the fluid velocity.  The curvature rows are
+        copied: a row of the store is a view that keeps its whole layer alive.
         """
         field = geo.field(v)
         return cls(
-            g=geo.g,
-            g_inv=geo.g_inv,
+            g=geo.g.copy(),
+            g_inv=geo.g_inv.copy(),
             lie_vg=field.lie,
-            ricci=geo.ricci,
+            ricci=geo.ricci.copy(),
             scalar=geo.scalar,
             xi=field.value,
             eta=field.omega,

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from operator import attrgetter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from solitonlab.expressions import Binary, Const, EvalDomainError, compile_expr, differentiate, parse, variables
 from solitonlab.geometry import (
+    DEFAULT_NUMERICS,
     ChristoffelSample,
     GeometryError,
     MetricSpec,
@@ -633,45 +635,46 @@ class TestPointGeometry:
         assert REFERENCE_CASES["signed_yz"][0].read_axes == (2, 3)
 
     def test_each_batched_read_evaluates_the_metric_once_per_distinct_read_value(self, monkeypatch):
-        # over all the reads of a point, however many batches they take, the
-        # metric is evaluated once per distinct bit pattern of the
-        # coordinates it reads, at the first coordinate of the point's walk
-        # with that pattern, in walk order
-        from solitonlab import report
+        # over all the reads of a store, however many batches and plan points
+        # they take, the metric is evaluated once per distinct bit pattern of
+        # the coordinates it reads, at the first coordinate of the store's
+        # numbering with that pattern, in numbering order; every call is made
+        # for some store
         from solitonlab.scenario import load_scenario
 
         from conftest import SCENARIO_DIR
 
         metric_seen, _ = _count_evaluations(monkeypatch)
-        points = []  # each geometry, and the count of metric calls before it
+        stores = {}  # each store that evaluated the metric, and the calls made for it
+        evaluate = lattice.Store._evaluate
 
-        class Recorded(PointGeometry):
-            __slots__ = ()
+        def recorded(store, coords):
+            start = len(metric_seen)
+            try:
+                return evaluate(store, coords)
+            finally:
+                stores.setdefault(store, []).extend(metric_seen[start:])
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                points.append((self, len(metric_seen)))
+        monkeypatch.setattr(lattice.Store, "_evaluate", recorded)
 
         def run():
-            points.clear()
+            stores.clear()
+            metric_seen.clear()
             for path in sorted(SCENARIO_DIR.glob("*.json")):
                 run_suite(load_scenario(path))
             for case in ("infall", "signed_shift", "signed_yz"):
-                contracted_bianchi_residual(Recorded(*REFERENCE_CASES[case]))
-            assert len(points) == 19 + 3
-            return list(points)
+                contracted_bianchi_residual(PointGeometry(*REFERENCE_CASES[case]))
+            assert sum(map(len, stores.values())) == len(metric_seen)
+            return dict(stores)
 
-        monkeypatch.setattr(report, "PointGeometry", Recorded)
         # the coordinates of the walk along every axis: a metric said to read
         # every coordinate spans the lattice over all of them
         with monkeypatch.context() as every:
             every.setattr(MetricSpec, "read_axes", property(lambda metric: tuple(range(metric.dim))))
-            coordinates = sum(geo._store.size for geo, _ in run())
-        metric_seen.clear()
+            coordinates = sum(store.size for store in run())
         recorded = run()
-        evaluated = 0
-        for (geo, start), (_, end) in zip(recorded, recorded[1:] + [(None, len(metric_seen))]):
-            metric, store, calls = geo.metric, geo._store, metric_seen[start:end]
+        for store, calls in recorded.items():
+            metric = store.metric
             names = set().union(*(variables(e) for row in metric.components for e in row))
             read = [i for i, c in enumerate(metric.coords) if c in names]
             firsts = {}
@@ -680,9 +683,8 @@ class TestPointGeometry:
             assert list(map(repr, calls)) == list(map(repr, firsts.values()))
             if not read:
                 assert len(calls) == 1
-            evaluated += len(calls)
-        assert any(not geo.metric.read_axes for geo, _ in recorded)
-        assert evaluated < coordinates / 4
+        assert any(not store.metric.read_axes for store in recorded)
+        assert len(metric_seen) < coordinates / 4
 
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
         # a soliton constant never touches the geometry: four values cost
@@ -1424,6 +1426,148 @@ class TestFieldErrorAttribution:
         assert hess.components.tobytes() == np.array(expected).tobytes()
         assert len(field_seen) == len(set(field_seen)) == 1 + 4 * 4 + 6 * 8
         assert min(q[1] for _, q in field_seen) > 0.9985
+
+
+INFALL_GRID = Path(__file__).resolve().parent / "data" / "infall-grid.json"
+# points of the infall grid's box (t in [-2, 2], r in [3, 8], a in [0.5, pi - 0.5], b in [0, 2 pi])
+INFALL_POINTS = [
+    *json.loads(INFALL_GRID.read_text(encoding="utf-8"))["points"],
+    [1.2, 4.8, 1.4, 0.9],
+    [-0.8, 3.9, 2.0, 5.9],
+    [0.35, 7.1, 0.75, 3.3],
+    [-1.6, 5.2, 1.25, 2.1],
+]
+
+
+def _case_run(case, points):
+    """The scenario of the ERROR_CASES or FIELD_ERROR_CASES entry ``case`` over ``points``, and whether its run solves."""
+    if case in ERROR_CASES:
+        components, field, soliton = ERROR_CASES[case][0], None, False
+    else:
+        components, field, soliton = FIELD_ERROR_CASES[case][:3]
+    doc = {
+        "schema_version": 1,
+        "name": case,
+        "description": "plan blocks",
+        "coordinates": list(COORDS),
+        "metric": {"components": components},
+        "points": points,
+        **({"vector_field": field} if field else {}),
+        **(_SOLITON if soliton else {}),
+    }
+    return scenario_from_dict(doc), field is not None
+
+
+class TestPlanBlocks:
+    """Plan points walked a block at a time, sharing a store, each get the record they get alone."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(ERROR_CASES) + sorted(FIELD_ERROR_CASES)),
+        good=st.integers(7, len(INFALL_POINTS)),
+        data=st.data(),
+    )
+    def test_each_point_gets_the_record_it_gets_alone(self, case, good, data):
+        # good infall points, read as coordinates of the case's chart, and the
+        # case's own points, failing ones among them, in a random order after a
+        # good one: 8 to 13 points, more than two blocks of four.  Each point's
+        # record, byte for byte, and its warning are those of a run of it alone
+        points = ERROR_CASES[case][1] if case in ERROR_CASES else FIELD_ERROR_CASES[case][3]
+        plan = [INFALL_POINTS[0], *data.draw(st.permutations(INFALL_POINTS[1:good] + points))]
+        scenario, solve = _case_run(case, plan)
+        report = run_suite(scenario, solve=solve).to_dict(include_timestamp=False)
+        warnings = []
+        for i, point in enumerate(plan):
+            alone = run_suite(_case_run(case, [point])[0], solve=solve).to_dict(include_timestamp=False)
+            assert json.dumps(report["points"][i]) == json.dumps(alone["points"][0]), (i, point)
+            warnings += [w.replace("plan point 0 ", f"plan point {i} ", 1) for w in alone["warnings"]]
+        assert report["warnings"] == warnings
+
+    def test_every_layer_row_of_a_block_store_equals_the_reference(self, monkeypatch):
+        # a run of the infall grid: every layer row held by a store its points
+        # share is bitwise the per-coordinate reference at that coordinate, down
+        # to the sign of a zero
+        from solitonlab import report
+        from solitonlab.scenario import load_scenario
+
+        geos = []
+
+        class Recorded(PointGeometry):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                geos.append(self)
+
+        monkeypatch.setattr(report, "PointGeometry", Recorded)
+        run_suite(load_scenario(INFALL_GRID))
+        stores = {id(geo._store): geo._store for geo in geos}
+        assert len(geos) == 6 and len(stores) < len(geos)
+        checked = Counter()
+        for store in stores.values():
+            reference, every = {}, np.arange(store.size)
+            for name in store.layers:
+                for u in every[store.held(name, every)]:
+                    there = ReferenceGeometry(store.metric, tuple(store.coords[u].tolist()), store.numerics, reference)
+                    value, expected = store.get(name, np.array([u]))[0], getattr(there, name)
+                    assert np.array_equal(value, expected), (name, u)
+                    assert np.array_equal(np.signbit(value), np.signbit(expected)), (name, u)
+                    checked[name] += 1
+        assert set(checked) == {*LAYERS, "ricci_raw"}
+
+    def test_a_point_shares_only_a_store_that_walks_its_axes(self):
+        # -0.0 on an axis the metric reads makes a point walk every axis
+        metric, point = REFERENCE_CASES["signed_shift"]
+        store = lattice.Store(metric, DEFAULT_NUMERICS, (0.6, 0.1, 0.0, 0.2))
+        assert PointGeometry(metric, (0.3, 0.0, 0.0, 0.2), DEFAULT_NUMERICS, store)._store is store
+        with pytest.raises(ValueError, match="walks other axes"):
+            PointGeometry(metric, point, DEFAULT_NUMERICS, store)
+
+    def test_memory_is_bounded_by_a_block_not_by_the_plan(self):
+        # a block's stores are dropped before the next block: four blocks of
+        # infall points peak at most a quarter above one block
+        import tracemalloc
+
+        from solitonlab.report import _BLOCK
+        from solitonlab.scenario import load_scenario
+
+        rng = np.random.default_rng(5)
+        box = np.array([(-2.0, 2.0), (3.0, 8.0), (0.5, math.pi - 0.5), (0.0, 2.0 * math.pi)])
+        points = rng.uniform(box[:, 0], box[:, 1], size=(4 * _BLOCK, 4)).round(6).tolist()
+        doc = load_scenario(INFALL_GRID).to_dict()
+
+        def peak(plan):
+            scenario = scenario_from_dict({**doc, "points": plan})
+            run_suite(scenario)  # compiles the grids outside the trace
+            tracemalloc.start()
+            try:
+                run_suite(scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(points) <= 1.25 * peak(points[:_BLOCK])
+
+    def test_a_programming_error_in_the_batched_fill_propagates(self, monkeypatch):
+        # a ValueError in the block's batch, the first Riemann computed (at
+        # each point and its stencil neighbours along the two axes the infall
+        # metric reads), is not taken for a numerical failure that only ends
+        # the batch: the run stops
+        from solitonlab.report import _BLOCK
+        from solitonlab.scenario import load_scenario
+
+        computed, riemann = [], lattice.Store._riemann
+
+        def broken(store, u):
+            computed.append(len(u))
+            if len(computed) == 1:
+                raise ValueError("operands could not be broadcast together")
+            return riemann(store, u)
+
+        monkeypatch.setattr(lattice.Store, "_riemann", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_suite(load_scenario(INFALL_GRID))
+        assert computed == [_BLOCK * (1 + 2 * 4)]
 
 
 class TestDistinct:
