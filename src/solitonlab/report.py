@@ -562,10 +562,10 @@ def _geometries(keys: list[tuple]) -> list[PointGeometry]:
     what the suite reads: the Einstein tensor, and each layer below it, at
     the points and their stencil neighbours, and the Ricci asymmetry at the
     points.  Each point takes its number from the batch, so its reads are
-    indexes.  A numerical failure only ends the batch;
-    the good rows before it are kept, and each point's own reads meet its
-    failure as on a store of its own (docs/conventions.md).  A point with
-    -0.0 on an axis the metric reads walks every axis, on a store of its own.
+    indexes.  A numerical failure only ends the batch: the good rows before
+    it are kept, and each point's own reads meet its failure as on a store
+    of its own (docs/conventions.md).  A point with -0.0 on an axis the
+    metric reads walks every axis, on a store of its own.
     """
     shared: dict[tuple, list[int]] = {}
     for k, (metric, point, numerics) in enumerate(keys):
