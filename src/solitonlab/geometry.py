@@ -20,9 +20,9 @@ is one row array indexed by number.  The lattice spans only the coordinates
 the metric reads: every layer is constant along the others.  Reading a
 layer at a point computes it, and each layer below it, at every coordinate
 the read needs and lacks, one numpy call per layer; reading a layer held
-there is an index, with no numpy call.  Points that walk the same axes may
-share one store (a report shares one among a block of plan points), each
-reading it by its number there.  The metric components are evaluated by
+there is an index, with no numpy call.  ``block_geometries`` gives a block
+of points one store, filled in one batch, each reading it by its number
+there.  The metric components are evaluated by
 ``MetricSpec.matrix`` once per store for each distinct bit pattern of the
 coordinates the grid reads, however many reads need it, and a failing
 coordinate is named as evaluating point by point along every axis would
@@ -68,7 +68,6 @@ from .lattice import (
     christoffel_from_dg,
     neighbours,
     stencil_derivative,
-    walked_axes,
 )
 
 __all__ = [
@@ -84,6 +83,7 @@ __all__ = [
     "FramePack",
     "PointGeometry",
     "FieldGeometry",
+    "block_geometries",
     "metric_at",
     "christoffel",
     "riemann",
@@ -320,10 +320,8 @@ class PointGeometry:
     differentiates a layer and ``field`` gives the quantities of a vector
     field here.  Not thread-safe: one object, one thread.
 
-    The point's lattice lives in a store of its own unless ``store`` is given:
-    a store of the same metric and numerics that walks the axes this point
-    walks (``lattice.walked_axes``), shared with other points, where it has
-    ``number``, or -1 when it has none yet.
+    The point's lattice lives in a store of its own, unless
+    ``block_geometries`` moves it onto one shared with other points.
     """
 
     __slots__ = ("metric", "point", "numerics", "_store", "_number", "_fields")
@@ -333,18 +331,12 @@ class PointGeometry:
         metric: MetricSpec,
         point: Sequence[float],
         numerics: NumericsConfig = DEFAULT_NUMERICS,
-        store: Store | None = None,
-        number: int = -1,
     ) -> None:
         p = tuple(float(v) for v in point)
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
-        if store is None:
-            store = Store(metric, numerics, p)
-        elif store.axes != walked_axes(metric, p):
-            raise ValueError(f"{p} walks other axes than the store it is given")
         self.metric, self.numerics, self.point = metric, numerics, p
-        self._store, self._number = store, number  # the point's number in the store; -1 until known
+        self._store, self._number = Store(metric, numerics, p), -1  # the point's number in the store; -1 until known
         self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
 
     def grad(self, name: str) -> np.ndarray:
@@ -377,6 +369,52 @@ class PointGeometry:
     ricci_asymmetry = _layer_property("ricci_asymmetry", "Largest asymmetry of the raw Ricci contraction.")
     scalar = _layer_property("scalar", "r = g^ij S_ij.")
     einstein = _layer_property("einstein", "G_ij = S_ij - (r/2) g_ij.")
+
+
+def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsConfig]]) -> list[PointGeometry]:
+    """A PointGeometry for each (metric, point, numerics) of ``keys``, those of one (metric, numerics) on one store.
+
+    Before any identity reads them, one batch fills the shared store with
+    what a suite reads: the Einstein tensor, and each layer below it, at the
+    points and their stencil neighbours, and the Ricci asymmetry at the
+    points.  Each point takes its number from the batch, so its reads are
+    indexes.  A point whose walk meets a numerical
+    failure keeps a store of its own, where its reads meet it as they would
+    alone (docs/conventions.md), and the batch is made again without it.  A
+    point with -0.0 on an axis the metric reads keeps a store of its own,
+    where the sign of a zero the walk copies or rebuilds is its own.
+    """
+    geos = [PointGeometry(*key) for key in keys]
+    shared: dict[tuple, list[PointGeometry]] = {}
+    for geo in geos:
+        if not geo._store.signed:
+            shared.setdefault((geo.metric, geo.numerics), []).append(geo)
+    for members in shared.values():
+        _fill_block(members)
+    return geos
+
+
+def _fill_block(members: list[PointGeometry]) -> None:
+    """Move ``members`` onto one store, filled in one batch, all but those whose walk fails there."""
+    store = Store(members[0].metric, members[0].numerics, members[0].point)
+    while members:
+        points = np.array([geo.point for geo in members])
+        ring = neighbours(points, store.steps, store.axes).reshape(len(points), -1, points.shape[1])
+        # each point, then its neighbours: the walk, and its metric evaluation, go point by point
+        rows = np.concatenate([points[:, None], ring], axis=1).reshape(-1, points.shape[1])
+        try:
+            numbers = store.fill("einstein", rows, replay=False)[:: 1 + ring.shape[1]]
+            store.get("ricci_asymmetry", numbers)
+        except (EvalDomainError, GeometryError, np.linalg.LinAlgError):
+            # the store keeps the good metric rows evaluated, in order, before the failure: the first point
+            # lacking one within three stencil rounds (the Einstein tensor at its neighbours) met it
+            numbers = store.number(store.project(points), add=False)[0]
+            walked = store.held("g", store.tree(numbers, 3)).all(axis=1)
+            members.pop(int(walked.argmin()))  # the first point, should all hold their rows
+            continue
+        for geo, u in zip(members, numbers.tolist()):
+            geo._store, geo._number = store, u
+        return
 
 
 # -- views for callers holding (metric, point, numerics) ----------------------

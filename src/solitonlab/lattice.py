@@ -11,9 +11,9 @@ one coordinate per read pattern, and a difference across such an axis is an
 exact +0.0, as the per-coordinate stencil gives it (both its neighbours share
 the point's read pattern).  A root with ``-0.0`` on an axis the metric reads
 walks every axis, where the sign of a zero the walk copies or rebuilds
-matters.  Points that walk the same axes may share one store: a report
-numbers a block of plan points into one, and each reads its rows there
-by number.  Each curvature layer is one row array, grown by capacity
+matters.  Points that walk the same axes may share one store
+(``geometry.block_geometries``), each reading its rows there by number.
+Each curvature layer is one row array, grown by capacity
 doubling, with a slot array over the numbers, so a read is an index.
 ``Store.fill`` computes a layer at a set of points, with each layer below it
 where the request needs and lacks it, one numpy call per layer.  The metric
@@ -212,27 +212,24 @@ class _Layer:
         return np.arange(start, self.count)
 
 
-def walked_axes(metric: MetricSpec, point: Sequence[float]) -> tuple[int, ...]:
-    """The axes a store rooted at ``point`` walks: those ``metric`` reads, or every axis when ``point`` has -0.0 on one."""
-    if any(point[axis] == 0.0 and math.copysign(1.0, point[axis]) < 0 for axis in metric.read_axes):
-        return tuple(range(metric.dim))
-    return metric.read_axes
-
-
 class Store:
     """The stencil lattice of one or more points: its coordinates, numbered once, and a row array per layer.
 
-    The lattice spans the ``axes`` walked (``walked_axes`` of the root point).  Along any other axis a
-    coordinate keeps the root's float, and its stencil neighbour is itself; a point that walks the
-    same axes as the root projects onto the lattice (``project``), so it can share the store.
-    ``coords[u]`` holds the floats of number ``u`` and ``kids[u, axis, s]`` its stencil neighbours'
-    numbers once a walk has gone round it.  Not thread-safe.
+    The lattice spans the ``axes`` walked: those the metric reads, or every axis when the root point
+    has a -0.0 on one it reads.  Along any other axis a coordinate keeps the root's float, and its
+    stencil neighbour is itself; a point that walks the same axes as the root projects onto the
+    lattice (``project``), so it can share the store.  ``coords[u]`` holds the floats of number ``u``
+    and ``kids[u, axis, s]`` its stencil neighbours' numbers once a walk has gone round it.  Not
+    thread-safe.
     """
 
     def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
         self.metric, self.numerics = metric, numerics
         self.steps, self.size = stencil_steps(numerics), 0
-        self.axes, self.root = walked_axes(metric, root), root
+        # whether the root has -0.0 on an axis the metric reads
+        self.signed = any(root[axis] == 0.0 and math.copysign(1.0, root[axis]) < 0 for axis in metric.read_axes)
+        self.axes = tuple(range(metric.dim)) if self.signed else metric.read_axes
+        self.root = root
         self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
         # one placeholder row, so a -1 indexes: the first numbering past it sizes the arrays to what it numbers
         self.coords = np.empty((1, metric.dim))
@@ -295,10 +292,12 @@ class Store:
             self.size = end
         return numbers.take(group[: len(rows)]), numbers[:seen], first[:seen]
 
-    def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
+    def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None, replay: bool = True) -> np.ndarray:
         """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known).
 
         A row of ``points`` is a true coordinate and stands for its lattice coordinate (``project``).
+        A metric failure is named as the walk along every axis would name it, unless not ``replay``:
+        a caller that drops the error skips that walk.
         """
         lattice = self.project(points)
         if numbers is None or (numbers < 0).any():
@@ -315,7 +314,7 @@ class Store:
             try:
                 roots = self._walk(lattice[lacking[first]], roots, rounds, at_points)
             except (EvalDomainError, SingularMetricError):
-                if self.fixed:
+                if self.fixed and replay:
                     self._raise_along_every_axis(points[lacking], rounds, name != "dg")
                 raise
             self.get(name, roots)
@@ -368,6 +367,19 @@ class Store:
         self._link(number[n + outer], number[n + n * size :])
         self._metric(distinct[first < len(order) - (0 if at_points else n)])
         return number[:n]
+
+    def tree(self, numbers: np.ndarray, rounds: int) -> np.ndarray:
+        """The numbers within ``rounds`` stencil rounds along the walked axes of each of ``numbers``, a row each.
+
+        A coordinate not walked round (-1 in ``kids``) has -1 for its neighbours.
+        """
+        level = numbers[:, None]
+        tree = [level]
+        for _ in range(rounds):
+            kids = self.kids.take(level, axis=0)[:, :, list(self.axes)]
+            level = np.where((level >= 0)[:, :, None, None], kids, -1).reshape(len(numbers), -1)
+            tree.append(level)
+        return np.concatenate(tree, axis=1)
 
     def _link(self, numbers: np.ndarray, ring: np.ndarray) -> None:
         """Set the stencil neighbours of ``numbers``: ``ring`` along the walked axes, itself along the others."""

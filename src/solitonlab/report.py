@@ -40,6 +40,7 @@ from .geometry import (
     GeometryError,
     PointGeometry,
     bianchi_first_residual,
+    block_geometries,
     contracted_bianchi_residual,
     fd_convergence_ratio,
     laplacian_routes,
@@ -47,7 +48,6 @@ from .geometry import (
     metric_compatibility_residual,
     riemann_antisymmetry_residual,
 )
-from .lattice import Store, neighbours, walked_axes
 from .scenario import Scenario, SchemaError
 from .solitons import (
     ETA_FAMILIES,
@@ -521,8 +521,9 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
     check and the FD convergence ratio once per point, not once per value.
     The indices go a block of ``_BLOCK`` at a time: the block's points that
     agree on (metric, numerics) share one store, its curvature filled in one
-    batch (``_geometries``), and the block's stores are dropped before the
-    next block, so only one block's lattices are ever live.
+    batch (``geometry.block_geometries``), and the block's stores are
+    dropped before the next block, so only one block's lattices are ever
+    live.
     """
     runs = [_SuiteRun(scenario, resolve_tolerances(scenario.tolerances)) for scenario in scenarios]
     plan = max((len(run.scenario.points) for run in runs), default=0)
@@ -551,39 +552,8 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
 
 def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> None:
     """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns."""
-    for (i, _, group), geo in zip(block, _geometries([key for _, key, _ in block])):
+    for (i, _, group), geo in zip(block, block_geometries([key for _, key, _ in block])):
         _run_point(group, i, geo, solve)
-
-
-def _geometries(keys: list[tuple]) -> list[PointGeometry]:
-    """A PointGeometry for each (metric, point, numerics) of ``keys``, those of one (metric, numerics) on one store.
-
-    Before any identity reads them, one batch fills the shared store with
-    what the suite reads: the Einstein tensor, and each layer below it, at
-    the points and their stencil neighbours, and the Ricci asymmetry at the
-    points.  Each point takes its number from the batch, so its reads are
-    indexes.  A numerical failure only ends the batch: the good rows before
-    it are kept, and each point's own reads meet its failure as on a store
-    of its own (docs/conventions.md).  A point with -0.0 on an axis the
-    metric reads walks every axis, on a store of its own.
-    """
-    shared: dict[tuple, list[int]] = {}
-    for k, (metric, point, numerics) in enumerate(keys):
-        if walked_axes(metric, point) == metric.read_axes:
-            shared.setdefault((metric, numerics), []).append(k)
-    stores: dict[int, tuple[Store, int]] = {}
-    for (metric, numerics), members in shared.items():
-        store = Store(metric, numerics, keys[members[0]][1])
-        points = np.array([keys[k][1] for k in members], dtype=float)
-        numbers = np.full(len(members), -1)
-        try:
-            ring = neighbours(points, store.steps).reshape(-1, metric.dim)
-            numbers = store.fill("einstein", np.concatenate([points, ring]))[: len(points)]
-            store.get("ricci_asymmetry", numbers)
-        except (EvalDomainError, GeometryError, np.linalg.LinAlgError):
-            pass  # named by the failing point's own reads
-        stores.update((k, (store, int(u))) for k, u in zip(members, numbers))
-    return [PointGeometry(*key, *stores.get(k, ())) for k, key in enumerate(keys)]
 
 
 def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) -> None:

@@ -22,6 +22,7 @@ from solitonlab.geometry import (
     TensorSample,
     VectorFieldSpec,
     bianchi_first_residual,
+    block_geometries,
     christoffel,
     christoffel_exact,
     contracted_bianchi_residual,
@@ -534,6 +535,21 @@ class TestTensorSample:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             TensorSample("vector", np.zeros((4, 4)), (0.0,))
+
+
+def _recorded_geometries(monkeypatch) -> list:
+    """Every PointGeometry the report runs its suite on, appended as the report makes them."""
+    from solitonlab import report
+
+    geos = []
+
+    def recorded(keys):
+        made = block_geometries(keys)
+        geos.extend(made)
+        return made
+
+    monkeypatch.setattr(report, "block_geometries", recorded)
+    return geos
 
 
 def _count_evaluations(monkeypatch) -> tuple[list, list]:
@@ -1104,21 +1120,11 @@ class TestBatchedLayers:
         # at every plan point of the shipped scenarios and of the infall
         # grid, the store holds one coordinate per distinct bit pattern of
         # the coordinates the metric reads: one for a metric reading none
-        from solitonlab import report
         from solitonlab.scenario import load_scenario
 
         from conftest import SCENARIO_DIR
 
-        points = []
-
-        class Recorded(PointGeometry):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                points.append(self)
-
-        monkeypatch.setattr(report, "PointGeometry", Recorded)
+        points = _recorded_geometries(monkeypatch)
         data = Path(__file__).resolve().parent / "data"
         for path in [*sorted(SCENARIO_DIR.glob("*.json")), data / "infall-grid.json"]:
             run_suite(load_scenario(path))
@@ -1487,19 +1493,9 @@ class TestPlanBlocks:
         # a run of the infall grid: every layer row held by a store its points
         # share is bitwise the per-coordinate reference at that coordinate, down
         # to the sign of a zero
-        from solitonlab import report
         from solitonlab.scenario import load_scenario
 
-        geos = []
-
-        class Recorded(PointGeometry):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                geos.append(self)
-
-        monkeypatch.setattr(report, "PointGeometry", Recorded)
+        geos = _recorded_geometries(monkeypatch)
         run_suite(load_scenario(INFALL_GRID))
         stores = {id(geo._store): geo._store for geo in geos}
         assert len(geos) == 6 and len(stores) < len(geos)
@@ -1515,13 +1511,59 @@ class TestPlanBlocks:
                     checked[name] += 1
         assert set(checked) == {*LAYERS, "ricci_raw"}
 
-    def test_a_point_shares_only_a_store_that_walks_its_axes(self):
-        # -0.0 on an axis the metric reads makes a point walk every axis
-        metric, point = REFERENCE_CASES["signed_shift"]
-        store = lattice.Store(metric, DEFAULT_NUMERICS, (0.6, 0.1, 0.0, 0.2))
-        assert PointGeometry(metric, (0.3, 0.0, 0.0, 0.2), DEFAULT_NUMERICS, store)._store is store
-        with pytest.raises(ValueError, match="walks other axes"):
-            PointGeometry(metric, point, DEFAULT_NUMERICS, store)
+    def test_a_point_with_minus_zero_on_a_read_axis_keeps_a_store_of_its_own(self):
+        # there the sign of a zero its walk copies or rebuilds is its own, also
+        # when the metric reads every axis; the points of another metric or
+        # numerics keep stores of their own too
+        metric, signed = REFERENCE_CASES["signed_shift"]
+        every = MetricSpec.from_grid(
+            [["-1 - 0.1*t^2", "x", "0", "0"], ["x", "1 + 0.1*y^2", "0", "0"], ["0", "0", "1 + 0.1*z^2", "0"], ["0", "0", "0", "1"]],
+            COORDS,
+        )
+        assert metric.read_axes == (0, 1) and every.read_axes == (0, 1, 2, 3)
+        points = [(0.6, 0.1, 0.0, 0.2), signed, (0.3, 0.0, -0.0, 0.2), (0.3, 0.2, 0.0, 0.2)]
+        keys = [(metric, p, DEFAULT_NUMERICS) for p in points]
+        keys += [(metric, points[0], NumericsConfig(richardson=False))]
+        keys += [(every, p, DEFAULT_NUMERICS) for p in [(0.9, 0.2, -0.3, 0.4), (0.9, -0.0, -0.3, 0.4)]]
+        geos = block_geometries(keys)
+        assert [geo.point for geo in geos] == [key[1] for key in keys]
+        stores = [geo._store for geo in geos]
+        assert stores[0] is stores[2] is stores[3] and stores[0].size > 0
+        assert len({id(store) for store in stores}) == 5
+        for store in stores[1], stores[6]:
+            assert store.axes == (0, 1, 2, 3) and store.size == 0
+
+    def test_a_failing_point_leaves_the_batch_to_the_others(self, monkeypatch):
+        # three infall points and one where the metric fails, at the point
+        # (r = 0) or two stencil steps out (r = 1.5e-3), in each place of the
+        # block: the good points still share one store, filled in one batch
+        # that names no error, and the failing point keeps a store of its own,
+        # untouched until its own reads meet the failure as they do alone
+        from solitonlab.scenario import load_scenario
+
+        grid = load_scenario(INFALL_GRID)
+        good = [(grid.metric, tuple(p), grid.numerics) for p in grid.points[:3]]
+        errors = {}
+        for bad in [(0.7, 0.0, 1.1, 0.4), (0.7, 1.5e-3, 1.1, 0.4)]:
+            with pytest.raises(EvalDomainError) as alone:
+                PointGeometry(grid.metric, bad, grid.numerics).einstein
+            errors[bad] = str(alone.value)
+        replays, left = [], []
+        monkeypatch.setattr(lattice.Store, "_raise_along_every_axis", lambda *args: replays.append(args))
+        for bad in errors:
+            for place in range(4):
+                geos = block_geometries(good[:place] + [(grid.metric, bad, grid.numerics)] + good[place:])
+                left.append(geos.pop(place))
+                store = geos[0]._store
+                assert all(geo._store is store for geo in geos) and left[-1]._store.size == 0
+                for geo in geos:
+                    assert store.held("einstein", store.kids[geo._number].ravel()).all()
+        assert not replays
+        monkeypatch.undo()
+        for geo in left:
+            with pytest.raises(EvalDomainError) as raised:
+                geo.einstein
+            assert str(raised.value) == errors[geo.point]
 
     def test_memory_is_bounded_by_a_block_not_by_the_plan(self):
         # a block's stores are dropped before the next block: four blocks of
