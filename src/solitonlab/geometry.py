@@ -378,11 +378,11 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
     what a suite reads: the Einstein tensor, and each layer below it, at the
     points and their stencil neighbours, and the Ricci asymmetry at the
     points.  Each point takes its number from the batch, so its reads are
-    indexes.  A point whose walk meets a numerical
-    failure keeps a store of its own, where its reads meet it as they would
-    alone (docs/conventions.md), and the batch is made again without it.  A
-    point with -0.0 on an axis the metric reads keeps a store of its own,
-    where the sign of a zero the walk copies or rebuilds is its own.
+    indexes.  A point whose walk meets a numerical failure keeps a store of
+    its own, where its reads meet it as they would alone
+    (docs/conventions.md), and the batch is made again without it.  A point
+    with -0.0 on an axis the metric reads keeps a store of its own, where
+    the sign of a zero the walk copies or rebuilds is its own.
     """
     geos = [PointGeometry(*key) for key in keys]
     shared: dict[tuple, list[PointGeometry]] = {}
