@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .expressions import ParseError
-from .report import emit_report, exit_code_for, run_suite, run_suites
+from .report import emit_report, emit_sweep, exit_code_for, run_suite, run_suites
 from .scenario import SchemaError, load_scenario, scenario_from_dict
 from .spacetimes import catalog_entries
 
@@ -76,18 +76,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # one call, so values that share the geometry share its evaluation
     reports = run_suites(scenarios)
     worst = max(exit_code_for(report) for report in reports)
-    results = list(zip(values, reports))
-    if args.format == "json":
-        payload = [
-            {"parameter": args.param, "value": value, "report": report.to_dict(include_timestamp=not args.no_timestamp)}
-            for value, report in results
-        ]
-        _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
-    else:
-        chunks = [
-            f"== {args.param} = {value!r}\n{report.to_text()}" for value, report in results
-        ]
-        _write("\n".join(chunks), args.out)
+    _write(emit_sweep(args.param, zip(values, reports), args.format, not args.no_timestamp), args.out)
     return worst
 
 

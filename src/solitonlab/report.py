@@ -19,18 +19,20 @@ bounded by a block, not by the plan.  Each report equals the one run_suite
 gives for its scenario alone; run_suite is run_suites of one scenario.
 
 The JSON document is stable: identical scenarios yield byte-identical
-reports when the timestamp is suppressed.
+reports when the timestamp is suppressed.  One emitter writes it, and the
+sweep document around several reports, in a single pass (see "Report
+serialisation" in docs/conventions.md).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
-import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -85,6 +87,7 @@ __all__ = [
     "run_suite",
     "run_suites",
     "emit_report",
+    "emit_sweep",
     "exit_code_for",
 ]
 
@@ -223,6 +226,14 @@ class IdentityReport:
         return self.summary["verdict"]
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
+        """The report document, laid out as "Report serialisation" in
+        docs/conventions.md describes.
+
+        Values are returned as the suite computed them: a non-finite float
+        stays non-finite and a numpy scalar stays numpy; only the emitter
+        writes them as JSON.  The identities and the summary are the
+        report's own objects, not copies.
+        """
         doc: dict[str, Any] = {
             "schema_version": "1.0",
             "tool": {"name": "solitonlab", "version": __version__},
@@ -246,7 +257,7 @@ class IdentityReport:
             for rec in self.points
         ]
         doc["summary"] = self.summary
-        return _json_safe(doc)
+        return doc
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario.name}", f"verdict: {self.verdict.upper()}"]
@@ -302,21 +313,6 @@ class IdentityReport:
         for e in self.summary.get("errors", []):
             lines.append(f"error: point {e['point']}: {e['message']}")
         return "\n".join(lines) + "\n"
-
-
-def _json_safe(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float | None, float | None]:
@@ -684,12 +680,99 @@ def _summarize(
 
 
 def emit_report(report: IdentityReport, fmt: str = "json", include_timestamp: bool = True) -> str:
-    """Serialise; json is the stable machine format, text a human summary."""
+    """Serialise; json is the stable machine format (see "Report
+    serialisation" in docs/conventions.md), text a human summary."""
     if fmt == "json":
-        return json.dumps(report.to_dict(include_timestamp=include_timestamp), indent=2, allow_nan=False) + "\n"
+        return _json_text(report.to_dict(include_timestamp=include_timestamp))
     if fmt == "text":
         return report.to_text()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def emit_sweep(
+    parameter: str,
+    results: Iterable[tuple[Any, IdentityReport]],
+    fmt: str = "json",
+    include_timestamp: bool = True,
+) -> str:
+    """Serialise a sweep's (value, report) pairs, each report as emit_report writes it.
+
+    json is a list of ``{"parameter", "value", "report"}`` objects; text
+    heads each report's summary with ``== parameter = value``.
+    """
+    if fmt == "text":
+        return "\n".join(f"== {parameter} = {value!r}\n{emit_report(report, fmt)}" for value, report in results)
+    entries = [
+        {
+            "parameter": parameter,
+            "value": value,
+            "report": _Written(emit_report(report, fmt, include_timestamp)[:-1]),
+        }
+        for value, report in results
+    ]
+    return _json_text(entries)
+
+
+class _Written(str):
+    """JSON text already written at the top level; the emitter indents it in place."""
+
+
+def _json_text(obj: Any) -> str:
+    """``obj`` as indented JSON text ending in a newline, written in one pass.
+
+    The bytes are those of ``json.dumps(obj, indent=2) + "\n"``, except that a
+    non-finite float is written ``null`` and numpy booleans and integers as
+    the Python values they hold.  Any other type raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj: Any, out: list[str], newline: str) -> None:
+    """Append ``obj`` to ``out``; ``newline`` is a line break and the indentation of obj's line."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is float:
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out.append(head + _quote(key) + ": ")
+            _write_json(value, out, inner)
+            head = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for value in obj:
+            out.append(head)
+            _write_json(value, out, inner)
+            head = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False or kind is np.bool_:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, float):
+        _write_json(float(obj), out, newline)
+    elif kind is _Written:
+        out.append(obj.replace("\n", newline))
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value: {obj!r}")
 
 
 def exit_code_for(report: IdentityReport) -> int:

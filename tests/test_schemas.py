@@ -10,6 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 # RefResolver still works fine for a two-file local schema set
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
+from solitonlab.cli import main  # noqa: E402
 from solitonlab.report import emit_report, run_suite  # noqa: E402
 from solitonlab.scenario import load_scenario  # noqa: E402
 
@@ -44,3 +45,35 @@ def test_reports_match_schema():
         report = run_suite(load_scenario(SCENARIO_DIR / name))
         doc = json.loads(emit_report(report, "json", include_timestamp=True))
         validator.validate(doc)
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [("soliton.alpha", [0.0, 1.0, 2.0]), ("metric.hubble", [0.5, 1.0])],
+    ids=["shared geometry", "geometry per value"],
+)
+def test_sweep_document_holds_the_analyze_report_of_each_value(param, values, tmp_path):
+    validator = _validator("report.schema.json")
+    base = SCENARIO_DIR / "de-sitter-soliton.json"
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", str(base), "--param", param, f"--values={','.join(map(str, values))}", "--no-timestamp"]
+    code = main([*argv, "--out", str(out)])
+    text = out.read_text()
+    entries = json.loads(text)
+    # laid out as every report is: the emitter writes json.dumps(indent=2) bytes
+    assert text == json.dumps(entries, indent=2) + "\n"
+    assert [entry["value"] for entry in entries] == values
+    section, key = param.split(".")
+    codes = []
+    for value, entry in zip(values, entries):
+        assert set(entry) == {"parameter", "value", "report"}
+        assert entry["parameter"] == param
+        validator.validate(entry["report"])
+        doc = load_scenario(base).to_dict()
+        doc[section][key] = value
+        scenario = tmp_path / f"{value}.json"
+        scenario.write_text(json.dumps(doc))
+        alone = tmp_path / f"{value}.report.json"
+        codes.append(main(["analyze", str(scenario), "--no-timestamp", "--out", str(alone)]))
+        assert entry["report"] == json.loads(alone.read_text())
+    assert code == max(codes)
