@@ -15,7 +15,10 @@ every per-layer figure of the traced run.  Of those, the counts
 ``geometry.metric_evals`` and ``geometry.metric_evals_unique`` (per plan
 point) repeat exactly from run to run and are also kept apart as
 ``counts``; the timings are one sample each, with none of the spread of the
-end-to-end medians.
+end-to-end medians.  Next to them, ``field_evals`` is the number of vector
+field evaluations (``VectorFieldSpec.components_at`` and ``potential_at``
+calls) per plan point of one run of the seed's operations, counted in a
+subprocess in each checkout.
 """
 
 from __future__ import annotations
@@ -46,6 +49,40 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     return summary
 
 
+def _field_evals(checkout: Path, workload: str, seed: int) -> float:
+    """Vector field evaluations per plan point of one run of the operations of ``workload`` in ``checkout``."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--count-field-evals", workload, str(seed)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        raise RuntimeError(f"field count failed in {checkout.name} ({workload}, seed {seed}):\n{done.stderr}")
+    return float(done.stdout.split()[-1])
+
+
+def _count_field_evals(workload: str, seed: int) -> None:
+    """Print the field evaluations per plan point of the seed's operations, run once from the working directory."""
+    import tempfile
+
+    sys.path[:0] = ["src", "perfbench"]
+    from workloads import build
+
+    from solitonlab import cli
+    from solitonlab.geometry import VectorFieldSpec
+
+    calls = []
+    for name in ("components_at", "potential_at"):
+
+        def counted(spec, point, evaluate=getattr(VectorFieldSpec, name)):
+            calls.append(point)
+            return evaluate(spec, point)
+
+        setattr(VectorFieldSpec, name, counted)
+    with tempfile.TemporaryDirectory() as work:
+        ops = build(workload, seed, Path.cwd(), Path(work))
+        for op in ops:
+            cli.main(op["argv"])
+    print(len(calls) / sum(op["points"] for op in ops))
+
+
 def _revision(checkout: Path) -> str:
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True).stdout.strip()
@@ -59,19 +96,24 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _side(runs: list[dict], traced: dict, names: list[str]) -> dict:
+def _side(runs: list[dict], traced: dict, names: list[str], field_evals: float) -> dict:
     return {
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "correct": all(r["correct"] for r in runs),
         "metrics": {name: _stats([r["metrics"][name] for r in runs]) for name in names},
         "counts": {name: traced["metrics"][name] for name in COUNTS},
+        "field_evals": field_evals,
         "per_layer": traced["metrics"],
         "runs": [r["metrics"] for r in runs],
     }
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--count-field-evals"]:  # the child of _field_evals
+        _count_field_evals(argv[1], int(argv[2]))
+        return 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_7.json")
@@ -105,7 +147,12 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(_perfbench(sides[side], workload, args.seed + k, seconds, 0))
                 sys.stderr.write(f"bench: {workload} pair {k} {side}: {runs[side][-1]['metrics']}\n")
         entry = {
-            side: _side(runs[side], _perfbench(path, workload, args.seed, seconds, 1), names)
+            side: _side(
+                runs[side],
+                _perfbench(path, workload, args.seed, seconds, 1),
+                names,
+                _field_evals(path, workload, args.seed),
+            )
             for side, path in sides.items()
         }
         wins = {}

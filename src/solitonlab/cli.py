@@ -10,6 +10,7 @@ exception is a programming error and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -118,8 +119,14 @@ def _join_values(argv: Sequence[str]) -> list[str]:
     return args
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "catalog":
             return _cmd_catalog(args)

@@ -29,17 +29,24 @@ coordinate is named as evaluating point by point along every axis would
 name it (docs/conventions.md).
 
 A vector field may read coordinates the metric does not, so its quantities
-live on the stencil tree of the point instead: ``geo.field(spec)`` is the
-one FieldGeometry of the VectorFieldSpec there (specs compare by value),
-holding each quantity (V, the dual one-form gV and its derivatives,
-nabla V, Lie_V g, the rotation map F = g^-1 d(gV) and nabla F, |V|^2 and
-its derivative, and for a gradient the potential, its derivatives and
-Hessian) as one array over one depth of the tree, the metric layers there
-read from the store.
+live on stencil trees at true coordinates instead.  ``geo.field(spec)`` is
+the one FieldGeometry of the VectorFieldSpec at the point (specs compare
+by value): the point's row of one field tree, which ``block_geometries``
+has the points on one store share, but for a point with -0.0 on some
+axis.  The tree holds each quantity (V, the dual one-form gV and its
+derivatives, nabla V, Lie_V g, the rotation map F = g^-1 d(gV) and
+nabla F, |V|^2 and its derivative, and for a gradient the potential, its
+derivatives and Hessian) as one array over one depth of the trees of all
+its points, one numpy call per quantity and depth, the metric layers there
+read from the store.  The components, or the potential, are evaluated once
+per coordinate, the components of a field in one compiled call.  Should a
+read of a shared tree meet a numerical failure, each of its points goes on
+with a tree of its own, so every point gets the values and the failure it
+gets alone.
 
-A FieldGeometry lives as long as its PointGeometry, and a store as long as
-the PointGeometry objects on it.  Neither is locked: each belongs to one
-thread.  Nothing is cached at module level.
+A FieldGeometry and its tree live as long as the PointGeometry objects that
+read them, and a store as long as the PointGeometry objects on it.  None is
+locked: each belongs to one thread.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .expressions import (
     Const,
     EvalDomainError,
     Expr,
+    _py_source,
     coerce_expr,
     compile_expr,
     differentiate,
@@ -187,6 +195,14 @@ class FramePack:
     point: tuple[float, ...]
 
 
+def _compiled(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., tuple]:
+    """One callable of the coordinates' floats returning the value of each of ``exprs``, in order."""
+    names = {c: f"c{i}" for i, c in enumerate(coords)}
+    entries = ", ".join(_py_source(e, names) for e in exprs)
+    src = f"lambda {', '.join(names.values())}: ({entries},)"
+    return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Symmetric grid of component expressions defining g in one chart."""
@@ -240,21 +256,12 @@ class MetricSpec:
             grid[i][i] = coerce_expr(e, coords)
         return cls(tuple(coords), tuple(tuple(row) for row in grid), signature)
 
-    def _compiled(self, exprs: Iterable[Expr]) -> Callable[..., tuple]:
-        """One callable of the coordinates' floats returning the value of each of ``exprs``, in order."""
-        from .expressions import _py_source  # shared codegen
-
-        names = {c: f"c{i}" for i, c in enumerate(self.coords)}
-        entries = ", ".join(_py_source(e, names) for e in exprs)
-        src = f"lambda {', '.join(names.values())}: ({entries},)"
-        return eval(src, {"_m": math})  # noqa: S307 - generated from the closed grammar
-
     @cached_property
     def _matrix_fn(self) -> Callable[..., tuple]:
         # one compiled callable returning the full grid, row by row, keeps
         # stencil evaluation cheap; cached_property is safe on this frozen
         # type (a benign duplicate compile under races returns identical code)
-        return self._compiled(e for row in self.components for e in row)
+        return _compiled((e for row in self.components for e in row), self.coords)
 
     @cached_property
     def _derivative_fn(self) -> Callable[..., tuple]:
@@ -267,7 +274,7 @@ class MetricSpec:
             for i in range(n)
             for j in range(i, n)
         }
-        return self._compiled(upper[k, min(i, j), max(i, j)] for k in range(n) for i in range(n) for j in range(n))
+        return _compiled((upper[k, min(i, j), max(i, j)] for k in range(n) for i in range(n) for j in range(n)), self.coords)
 
     @cached_property
     def read_axes(self) -> tuple[int, ...]:
@@ -298,6 +305,9 @@ class MetricSpec:
 
 # -- the per-point geometry ------------------------------------------------
 
+# the numerical failures a point records; any other exception is a programming error
+_FAILURES = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
+
 
 def _layer_property(name: str, doc: str) -> property:
     """A curvature layer of PointGeometry, read from its store; the point's number is kept once known."""
@@ -321,10 +331,12 @@ class PointGeometry:
     field here.  Not thread-safe: one object, one thread.
 
     The point's lattice lives in a store of its own, unless
-    ``block_geometries`` moves it onto one shared with other points.
+    ``block_geometries`` moves it onto one shared with other points, and
+    its fields live on field trees of its own unless ``block_geometries``
+    has it share those of the other points on that store.
     """
 
-    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_fields")
+    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_block", "_row", "_fields")
 
     def __init__(
         self,
@@ -337,6 +349,9 @@ class PointGeometry:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
         self.metric, self.numerics, self.point = metric, numerics, p
         self._store, self._number = Store(metric, numerics, p), -1  # the point's number in the store; -1 until known
+        # the points whose field trees this point shares, itself row ``_row`` there; made at its first field read if alone
+        self._block: _Block | None = None
+        self._row = 0
         self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
 
     def grad(self, name: str) -> np.ndarray:
@@ -357,7 +372,9 @@ class PointGeometry:
         """The quantities of the vector field ``spec`` at this point; one FieldGeometry per spec."""
         field = self._fields.get(spec)
         if field is None:
-            field = self._fields[spec] = FieldGeometry(self, spec)
+            if self._block is None:  # a point alone: a block of one
+                self._block = _Block(self._store, np.array([self.point]), np.array([self._number]))
+            field = self._fields[spec] = FieldGeometry(self._block.tree(spec), self._row)
         return field
 
     g = _layer_property("g", "Symmetric matrix g_ij; errors if the matrix is not finite or degenerate.")
@@ -383,6 +400,11 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
     (docs/conventions.md), and the batch is made again without it.  A point
     with -0.0 on an axis the metric reads keeps a store of its own, where
     the sign of a zero the walk copies or rebuilds is its own.
+
+    The points on one store share a field tree per vector field
+    (FieldGeometry), but for a point with -0.0 on any axis, which keeps
+    trees of its own: a field may read every axis, and there the sign of
+    a zero its tree copies or rebuilds is its own.
     """
     geos = [PointGeometry(*key) for key in keys]
     shared: dict[tuple, list[PointGeometry]] = {}
@@ -391,6 +413,16 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
             shared.setdefault((geo.metric, geo.numerics), []).append(geo)
     for members in shared.values():
         _fill_block(members)
+    blocks: dict[int, list[PointGeometry]] = {}
+    for geo in geos:
+        if not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in geo.point):
+            blocks.setdefault(id(geo._store), []).append(geo)
+    for members in blocks.values():
+        if len(members) > 1:
+            points, numbers = np.array([geo.point for geo in members]), np.array([geo._number for geo in members])
+            block = _Block(members[0]._store, points, numbers)
+            for row, geo in enumerate(members):
+                geo._block, geo._row = block, row
     return geos
 
 
@@ -405,7 +437,7 @@ def _fill_block(members: list[PointGeometry]) -> None:
         try:
             numbers = store.fill("einstein", rows, replay=False)[:: 1 + ring.shape[1]]
             store.get("ricci_asymmetry", numbers)
-        except (EvalDomainError, GeometryError, np.linalg.LinAlgError):
+        except _FAILURES:
             # the store keeps the good metric rows evaluated, in order, before the failure: the first point
             # lacking one within three stencil rounds (the Einstein tensor at its neighbours) met it
             numbers = store.number(store.project(points), add=False)[0]
@@ -464,8 +496,12 @@ class VectorFieldSpec:
     def __post_init__(self) -> None:
         if (self.components is None) == (self.potential is None):
             raise ValueError("give either components or a gradient potential")
-        if self.components is not None and len(self.components) != len(self.coords):
-            raise ValueError("component count must match the coordinate count")
+        if self.components is not None:
+            if len(self.components) != len(self.coords):
+                raise ValueError("component count must match the coordinate count")
+            unknown = set().union(*(variables(e) for e in self.components)) - set(self.coords)
+            if unknown:
+                raise ValueError(f"vector field component uses undeclared coordinates {sorted(unknown)}")
 
     @classmethod
     def from_components(cls, entries: Sequence[Expr | str | float], coords: Sequence[str]) -> "VectorFieldSpec":
@@ -480,10 +516,9 @@ class VectorFieldSpec:
         return self.potential is not None
 
     @cached_property
-    def _component_fns(self) -> tuple[Callable[..., float], ...] | None:
-        if self.components is None:
-            return None
-        return tuple(compile_expr(e, self.coords) for e in self.components)
+    def _components_fn(self) -> Callable[..., tuple]:
+        # every component in one compiled call, like MetricSpec._matrix_fn
+        return _compiled(self.components, self.coords)
 
     @cached_property
     def _potential_fn(self) -> Callable[..., float] | None:
@@ -494,9 +529,15 @@ class VectorFieldSpec:
     def components_at(self, point: tuple[float, ...]) -> np.ndarray:
         """Raw contravariant components at a tuple of ``dim`` floats; component fields only."""
         try:
-            return np.array([fn(*point) for fn in self._component_fns])
-        except EvalDomainError as exc:
-            raise EvalDomainError(f"vector field components undefined at {point}: {exc}") from None
+            return np.array(self._components_fn(*point))
+        except (ZeroDivisionError, ValueError, OverflowError):
+            # evaluated one by one, in order, the first component that fails names its source
+            for e in self.components:
+                try:
+                    compile_expr(e, self.coords)(*point)
+                except EvalDomainError as exc:
+                    raise EvalDomainError(f"vector field components undefined at {point}: {exc}") from None
+            raise
 
     def potential_at(self, point: tuple[float, ...]) -> float:
         """Raw value of the potential at a tuple of ``dim`` floats; gradient fields only."""
@@ -511,44 +552,30 @@ class VectorFieldSpec:
 
 
 def _at_point(name: str, doc: str) -> property:
-    """A FieldGeometry quantity at the point itself: the depth-0 row of its array (a float for a scalar)."""
+    """A FieldGeometry quantity at its point: the point's row of the tree's depth-0 array (a float for a scalar)."""
 
     def read(field: FieldGeometry) -> Any:
-        row = field._at(name, 0)[0]
+        row = field._at(name)
         return row if row.ndim else float(row)
 
     return property(read, doc=doc)
 
 
-# quantities that are the stencil derivative of another
-_DERIVATIVES = {"dpotential": "potential", "omega_grad": "omega", "d_norm_sq": "norm_sq"}
-
-
 class FieldGeometry:
-    """One vector field at one point, each quantity one array over a depth of the point's stencil tree.
+    """One vector field at one point: the point's row of the field tree its block shares.
 
-    Depth 0 is the point and depth d + 1 the stencil neighbours of each node
-    of depth d, parent by parent (``lattice.neighbours``), at their true
-    coordinates: a field may read coordinates the metric does not.  A
-    quantity at a depth is computed on first read and kept read-only; a
-    derivative is ``stencil_derivative`` over the next depth.  The metric
-    layers at a depth are the store's rows, numbered through ``Store.kids``
-    where its walks linked them.  The components, or the potential, are
-    evaluated on the nodes' Python floats, once per distinct coordinate
-    (``-0.0`` equal to ``0.0``, the floats first met kept), depth by depth in
-    tree order and only at the nodes a quantity reads, so a domain violation
-    raises EvalDomainError naming the coordinate.
+    Each quantity is read from a ``_FieldTree`` over the point and the other
+    points of its block on the same store (``block_geometries``), or over
+    the point alone.  Should a read of the shared tree meet a numerical
+    failure, at this point or another, each point of the block goes on with
+    a tree of its own, built afresh, so a point's values, and the failure it
+    records, are those it gets alone.  Not thread-safe.
     """
 
-    __slots__ = ("spec", "_store", "_number", "_depths", "_arrays", "_seen", "_raw")
+    __slots__ = ("spec", "_tree", "_row")
 
-    def __init__(self, geo: PointGeometry, spec: VectorFieldSpec) -> None:
-        # the store and the point's number, not the PointGeometry that holds this: no cycle keeps a lattice alive
-        self.spec, self._store, self._number = spec, geo._store, geo._number
-        self._depths = [np.array([geo.point])]  # the nodes of each depth built so far
-        self._arrays: dict[tuple[str, int], np.ndarray] = {}  # (quantity, depth) -> one row per node
-        self._seen = np.empty((0, len(geo.point)))  # the coordinates evaluated, and what each gave
-        self._raw = np.empty((0,) if spec.is_gradient else (0, len(geo.point)))
+    def __init__(self, tree: _FieldTree, row: int) -> None:
+        self.spec, self._tree, self._row = tree.spec, tree, row
 
     potential = _at_point("potential", "f, for a gradient field.")
     dpotential = _at_point("dpotential", "d_k f, for a gradient field.")
@@ -564,63 +591,152 @@ class FieldGeometry:
     d_norm_sq = _at_point("d_norm_sq", "d_k g(V, V).")
     hessian = _at_point("hessian", "(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, for a gradient field; symmetrised.")
 
+    def _at(self, name: str) -> np.ndarray:
+        """Quantity ``name`` at this point: its row of the tree's depth-0 array."""
+        tree = self._tree
+        if tree.alone is None:
+            try:
+                return tree._at(name, 0)[self._row]
+            except _FAILURES:
+                if len(tree.points) == 1:
+                    raise
+                tree.alone = [
+                    _FieldTree(tree.spec, tree.store, tree.points[i : i + 1], tree.numbers[i : i + 1])
+                    for i in range(len(tree.points))
+                ]
+        return tree.alone[self._row]._at(name, 0)[0]
+
+
+class _Block:
+    """Points of one store that share their field trees: their coordinates and numbers there, and a tree per spec."""
+
+    __slots__ = ("store", "points", "numbers", "trees")
+
+    def __init__(self, store: Store, points: np.ndarray, numbers: np.ndarray) -> None:
+        self.store, self.points, self.numbers = store, points, numbers
+        self.trees: dict[VectorFieldSpec, _FieldTree] = {}
+
+    def tree(self, spec: VectorFieldSpec) -> _FieldTree:
+        tree = self.trees.get(spec)
+        if tree is None:
+            tree = self.trees[spec] = _FieldTree(spec, self.store, self.points, self.numbers)
+        return tree
+
+
+# quantities that are the stencil derivative of another
+_DERIVATIVES = {"dpotential": "potential", "omega_grad": "omega", "d_norm_sq": "norm_sq"}
+
+
+class _FieldTree:
+    """One vector field over the stencil trees of a block's points, each quantity one array over a depth.
+
+    Depth 0 is the points and depth d + 1 the stencil neighbours of each node
+    of depth d, parent by parent (``lattice.neighbours``), at their true
+    coordinates: a field may read coordinates the metric does not.  A
+    quantity at a depth is computed for every point at once on first read
+    and kept read-only; a derivative is ``stencil_derivative`` over the next
+    depth.  The metric layers at a depth are the store's rows, numbered
+    through ``Store.kids`` where its walks linked them.  The nodes of a
+    depth are numbered by coordinate in one ``lattice._distinct`` pass, with
+    those of the depths numbered before (``-0.0`` equal to ``0.0``).  The
+    components, or the potential, are evaluated on a node's Python floats
+    once per coordinate, in tree order and only at the nodes a quantity
+    reads, the floats first evaluated kept, so a domain violation raises
+    EvalDomainError naming the coordinate.  The tree holds the store, not
+    the points' PointGeometry objects: no cycle keeps a lattice alive.
+    """
+
+    # weakly referable, so a caller can see it dropped with its block
+    __slots__ = ("spec", "store", "numbers", "alone", "_depths", "_arrays", "_keys", "_ids", "_raw", "_done", "__weakref__")
+
+    def __init__(self, spec: VectorFieldSpec, store: Store, points: np.ndarray, numbers: np.ndarray) -> None:
+        dim = points.shape[1]
+        self.spec, self.store, self.numbers = spec, store, numbers.copy()  # the points' numbers; -1 until known
+        self.alone: list[_FieldTree] | None = None  # a tree per point, once a read of this one has failed
+        self._depths = [points]  # the nodes of each depth built so far
+        self._arrays: dict[tuple[str, int], np.ndarray] = {}  # (quantity, depth) -> one row per node
+        self._keys = np.empty((0, dim))  # a row of each coordinate numbered, in number order
+        self._ids: list[np.ndarray] = []  # the coordinate number of each node, per depth numbered
+        self._raw = np.empty((0,) if spec.is_gradient else (0, dim))  # the value at each coordinate evaluated
+        self._done = np.zeros(0, dtype=bool)  # which coordinates are evaluated
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._depths[0]
+
     def _at(self, name: str, depth: int) -> np.ndarray:
         """Quantity ``name`` at every node of ``depth``, computed on first read."""
-        if (name, depth) not in self._arrays:
+        rows = self._arrays.get((name, depth))
+        if rows is None:
             if name in _DERIVATIVES:
                 rows = self._derivative(_DERIVATIVES[name], depth)
             else:
                 rows = getattr(self, "_" + name)(depth)
             rows.flags.writeable = False
             self._arrays[name, depth] = rows
-        return self._arrays[name, depth]
+        return rows
 
     def _nodes(self, depth: int) -> np.ndarray:
         while len(self._depths) <= depth:
-            around = neighbours(self._depths[-1], self._store.steps)
-            self._depths.append(around.reshape(-1, self._store.metric.dim))
+            around = neighbours(self._depths[-1], self.store.steps)
+            self._depths.append(around.reshape(-1, self.points.shape[1]))
         return self._depths[depth]
 
     def _derivative(self, name: str, depth: int) -> np.ndarray:
         """d_k of quantity ``name`` at the nodes of ``depth``, from its rows at their children."""
         rows = self._at(name, depth + 1)
-        shape = (len(self._nodes(depth)), self._store.metric.dim, -1) + rows.shape[1:]
-        return stencil_derivative(rows.reshape(shape), self._store.numerics.h)
+        shape = (len(self._nodes(depth)), self.points.shape[1], -1) + rows.shape[1:]
+        return stencil_derivative(rows.reshape(shape), self.store.numerics.h)
 
     def _layer(self, name: str, depth: int) -> np.ndarray:
         """The store's curvature layer ``name`` at the nodes of ``depth``."""
-        store = self._store
-        if depth == 0:  # the point's own row: an index once its number is known
-            self._number, row = store.at(name, self._depths[0][0], self._number)
-            return row[None]
-        known = np.array([self._number])
+        store, known = self.store, self.numbers
         for _ in range(depth):  # -1 where no walk linked the kids
             kids = store.kids[np.maximum(known, 0)]
             kids[known < 0] = -1
             known = kids.reshape(-1)
-        return store.get(name, store.fill(name, self._nodes(depth), known))
+        numbers = store.fill(name, self._nodes(depth), known)
+        if depth == 0:  # the points' numbers, known from now on
+            self.numbers = numbers
+        return store.get(name, numbers)
 
-    def _evaluate(self, nodes: np.ndarray) -> np.ndarray:
-        """The components, or the potential, at each of ``nodes``; evaluated in order at each coordinate not met before."""
-        n, known = len(nodes), len(self._seen)
-        first, group = _distinct(np.concatenate([nodes, self._seen]))
-        row = np.full(len(first), -1)
-        row[group[n:]] = np.arange(known)
-        new = np.flatnonzero(row[: np.count_nonzero(first < n)] < 0)  # the coordinates first met among nodes
-        if new.size:
+    def _coordinates(self, depth: int) -> np.ndarray:
+        """The coordinate number of each node of ``depth``, numbering the depths up to it first."""
+        while len(self._ids) <= depth:
+            nodes, known = self._nodes(len(self._ids)), len(self._keys)
+            first, group = _distinct(np.concatenate([self._keys, nodes]))  # the keys are distinct, numbered in order
+            new = first[known:] - known
+            self._keys = np.concatenate([self._keys, nodes[new]])
+            self._raw = np.concatenate([self._raw, np.empty((len(new),) + self._raw.shape[1:])])
+            self._done = np.concatenate([self._done, np.zeros(len(new), dtype=bool)])
+            self._ids.append(group[known:])
+        return self._ids[depth]
+
+    def _evaluate(self, depth: int, pick: np.ndarray | None = None) -> np.ndarray:
+        """The components, or the potential, at the nodes ``pick`` (all) of ``depth``.
+
+        Each coordinate not evaluated before is evaluated at the first of
+        these nodes with it, in order.
+        """
+        nodes, ids = self._nodes(depth), self._coordinates(depth)
+        if pick is not None:
+            nodes, ids = nodes[pick], ids[pick]
+        lacking = np.flatnonzero(~self._done[ids])
+        if lacking.size:
+            first = lacking[np.sort(np.unique(ids[lacking], return_index=True)[1])]
             raw = self.spec.potential_at if self.spec.is_gradient else self.spec.components_at
-            values = [raw(point) for point in map(tuple, nodes[first[new]].tolist())]
-            row[new] = np.arange(known, known + len(new))
-            self._seen = np.concatenate([self._seen, nodes[first[new]]])
-            self._raw = np.concatenate([self._raw, np.array(values, dtype=float)])
-        return self._raw[row[group[:n]]]
+            values = [raw(point) for point in map(tuple, nodes[first].tolist())]
+            new = ids[first]
+            self._raw[new] = values
+            self._done[new] = True
+        return self._raw[ids]
 
     def _potential(self, depth: int) -> np.ndarray:
-        return self._evaluate(self._nodes(depth))
+        return self._evaluate(depth)
 
     def _value(self, depth: int) -> np.ndarray:
         if not self.spec.is_gradient:
-            return self._evaluate(self._nodes(depth))
+            return self._evaluate(depth)
         g_inv = self._layer("g_inv", depth)
         return (g_inv @ self._at("dpotential", depth)[:, :, None])[:, :, 0]
 
@@ -659,14 +775,14 @@ class FieldGeometry:
         # second differences of f along each axis and across each pair of axes
         # a > b, at +-h and, with Richardson, +-h/2; f2[n, a, s, b, t] is f
         # after step s along a, then t along b, evaluated only at those pairs
-        n, dim, size = len(self._nodes(depth)), self._store.metric.dim, len(self._store.steps)
+        n, dim, size = len(self._nodes(depth)), self.points.shape[1], len(self.store.steps)
         f0 = self._at("potential", depth)[:, None]
         f1 = self._at("potential", depth + 1).reshape(n, dim, size)
         a, s, b, t = np.ix_(range(dim), range(size), range(dim), range(size))
         pairs = (a > b) & (s // 2 == t // 2)
-        nodes = self._nodes(depth + 2).reshape(n, dim, size, dim, size, dim)
+        nodes = np.arange(n * (dim * size) ** 2).reshape(n, dim, size, dim, size)
         f2 = np.full((n, dim, size, dim, size), np.nan)
-        f2[:, pairs] = self._evaluate(nodes[:, pairs].reshape(-1, dim)).reshape(n, -1)
+        f2[:, pairs] = self._evaluate(depth + 2, nodes[:, pairs].ravel()).reshape(n, -1)
 
         def same(p: int, m: int, step: float) -> np.ndarray:
             return (f1[:, :, p] - 2.0 * f0 + f1[:, :, m]) / (step * step)
@@ -674,7 +790,7 @@ class FieldGeometry:
         def cross(p: int, m: int, step: float) -> np.ndarray:
             return (f2[:, :, p, :, p] - f2[:, :, p, :, m] - f2[:, :, m, :, p] + f2[:, :, m, :, m]) / (4.0 * step * step)
 
-        h = self._store.numerics.h
+        h = self.store.numerics.h
         diagonal, off = same(0, 1, h), cross(0, 1, h)
         if size == 4:
             diagonal = (4.0 * same(2, 3, h / 2) - diagonal) / 3.0

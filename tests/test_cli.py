@@ -37,6 +37,30 @@ class TestCatalogCommand:
         assert "de_sitter" in done.stdout
 
 
+class TestParser:
+    def test_built_once_per_process_with_the_same_usage_errors(self, monkeypatch, capsys):
+        from solitonlab import cli
+
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(["analyze"])
+        expected = capsys.readouterr().err
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["catalog"]) == 0
+            for _ in range(2):
+                with pytest.raises(SystemExit) as again:
+                    main(["analyze"])  # no scenario file given
+                assert again.value.code == fresh.value.code == 2
+                assert capsys.readouterr().err == expected
+            assert main(["catalog"]) == 0
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
+
 class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "name",

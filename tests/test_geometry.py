@@ -644,6 +644,62 @@ class TestPointGeometry:
             assert len(field_seen) == len(set(field_seen)), path.name
             assert bool(field_seen) == (scenario.vector_field is not None), path.name
 
+    # the field evaluations of a run of each scenario, counted before the
+    # points of a block shared their field trees
+    FIELD_EVALUATIONS = {
+        "de-sitter-eta-gradient.json": 394,
+        "de-sitter-soliton.json": 393,
+        "frw-radiation.json": 51,
+        "minkowski-euler-soliton.json": 416,
+        "minkowski-lambda-mismatch.json": 34,
+        "minkowski.json": 51,
+        "vacuum-infall-custom.json": 34,
+        "infall-grid.json": 102,
+    }
+
+    def test_field_evaluations_stay_within_the_pinned_counts(self, monkeypatch):
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        _, field_seen = _count_evaluations(monkeypatch)
+        paths = [*sorted(SCENARIO_DIR.glob("*.json")), INFALL_GRID]
+        assert sorted(path.name for path in paths) == sorted(self.FIELD_EVALUATIONS)
+        for path in paths:
+            field_seen.clear()
+            run_suite(load_scenario(path))
+            assert len(field_seen) <= self.FIELD_EVALUATIONS[path.name], path.name
+
+    def test_no_lattice_outlives_its_run(self, monkeypatch):
+        # once the geometries a run made are dropped, no store and no field
+        # tree is left, without the cycle collector: the reports keep none
+        import gc
+        import weakref
+
+        from solitonlab.report import run_suites
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        geos = _recorded_geometries(monkeypatch)
+        base = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json").to_dict()
+        sweep = [scenario_from_dict({**base, "soliton": {**base["soliton"], "alpha": a}}) for a in (0.5, 1.0)]
+        runs = [
+            lambda: [run_suite(load_scenario(SCENARIO_DIR / "de-sitter-eta-gradient.json"))],
+            lambda: run_suites(sweep),
+        ]
+        gc.disable()
+        try:
+            for run in runs:
+                reports = run()
+                stores = [weakref.ref(geo._store) for geo in geos]
+                trees = [weakref.ref(field._tree) for geo in geos for field in geo._fields.values()]
+                assert stores and trees
+                geos.clear()
+                assert all(ref() is None for ref in stores + trees), reports
+        finally:
+            gc.enable()
+
     def test_read_axes_are_the_coordinates_the_grid_reads(self, minkowski, de_sitter):
         assert minkowski.read_axes == ()
         assert de_sitter.read_axes == (0,)
@@ -1184,6 +1240,56 @@ class TestFieldTree:
                 assert np.array_equal(value, expected), (kind, name)
                 assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, name)
 
+    @pytest.mark.parametrize("order", ["report", "deepest_first"])
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_a_block_tree_equals_each_point_alone(self, richardson, order):
+        # every reference point in one block, each field given as two objects
+        # equal by value, as the scenarios of a sweep give it: the points on
+        # one store, but for those with a -0.0, share one tree per field, and
+        # every quantity is bitwise that of the point alone and of the
+        # per-coordinate reference, down to the sign of a zero
+        cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
+        geos = block_geometries([(metric, point, cfg) for metric, point in REFERENCE_CASES.values()])
+        alone = [PointGeometry(geo.metric, geo.point, cfg) for geo in geos]
+        references = [ReferenceGeometry(geo.metric, geo.point, cfg) for geo in geos]
+        if order == "report":
+            for g in geos + alone + references:
+                g.g, g.ricci, g.scalar, g.ricci_asymmetry
+            for geo in geos + alone:
+                contracted_bianchi_residual(geo)
+                metric_compatibility_residual(geo)
+            for reference in references:
+                reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv, reference.dg
+        for kind in ("constant", "euler", "mixed", "gradient"):
+            for i, (geo, lone, reference) in enumerate(zip(geos, alone, references)):
+                spec = _field_specs(geo.metric.coords)[kind]  # a new object at each point
+                names = [n for n in FIELD_QUANTITIES if spec.is_gradient or n not in GRADIENT_ONLY]
+                if order == "deepest_first":
+                    names = [n for n in ("nabla_f", "d_norm_sq", "hessian") if n in names] + names
+                for name in names:
+                    value = np.asarray(getattr(geo.field(spec), name))
+                    for expected in (getattr(lone.field(spec), name), getattr(reference.field(spec), name)):
+                        assert np.array_equal(value, expected), (kind, i, name)
+                        assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, i, name)
+            # de Sitter at t = 0.6, 0 and -h share a tree; the infall point with b = -0.0 keeps its own
+            trees = [geo.field(spec)._tree for geo in geos]
+            shared = [case.startswith("de_sitter") for case in REFERENCE_CASES]
+            assert [len(tree.points) for tree in trees] == [3 if s else 1 for s in shared], kind
+            assert len({id(tree) for tree, s in zip(trees, shared) if s}) == 1, kind
+
+    def test_a_point_with_minus_zero_keeps_trees_of_its_own(self):
+        # its tree rebuilds t = -0.0 + h - h = +0.0 two steps out, at the
+        # first node there equal to the point: read deepest first at the
+        # other point of the block, a shared tree would evaluate that node
+        # first, and give V^t = +0.0 at the point itself
+        euler = _field_specs(INFALL.coords)["euler"]
+        signed = (-0.0, 3.5, 1.1, 0.4)  # t is not read by the metric: the point shares the store
+        geos = block_geometries([(INFALL, (0.7, 3.5, 1.1, 0.4), DEFAULT_NUMERICS), (INFALL, signed, DEFAULT_NUMERICS)])
+        assert geos[0]._store is geos[1]._store
+        geos[0].field(euler).nabla_f
+        assert np.signbit(geos[1].field(euler).value[0])
+        assert np.signbit(PointGeometry(INFALL, signed).field(euler).value[0])
+
 
 def _grid(tt="-1", xx="1", yy="1"):
     return [[tt, "0", "0", "0"], ["0", xx, "0", "0"], ["0", "0", yy, "0"], ["0", "0", "0", "1"]]
@@ -1488,6 +1594,23 @@ class TestPlanBlocks:
             assert json.dumps(report["points"][i]) == json.dumps(alone["points"][0]), (i, point)
             warnings += [w.replace("plan point 0 ", f"plan point {i} ", 1) for w in alone["warnings"]]
         assert report["warnings"] == warnings
+
+    @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
+    def test_a_field_failure_in_a_block_tree_leaves_each_point_its_record(self, case):
+        # the case's points with +0.0 for each -0.0, so they share the block's
+        # field tree with a good point read first: a read of the tree fails at
+        # a point of the case, and each point's record, byte for byte, is the
+        # one it gets alone
+        plan = [INFALL_POINTS[1], *([abs(x) for x in point] for point in FIELD_ERROR_CASES[case][3])]
+        scenario, solve = _case_run(case, plan)
+        with pytest.MonkeyPatch.context() as patch:
+            geos = _recorded_geometries(patch)
+            report = run_suite(scenario, solve=solve).to_dict(include_timestamp=False)
+        assert len({id(geo._block) for geo in geos}) == 1
+        assert report["points"][0]["error"] is None and any(rec["error"] for rec in report["points"])
+        for i, point in enumerate(plan):
+            alone = run_suite(_case_run(case, [point])[0], solve=solve).to_dict(include_timestamp=False)
+            assert json.dumps(report["points"][i]) == json.dumps(alone["points"][0]), (i, point)
 
     def test_every_layer_row_of_a_block_store_equals_the_reference(self, monkeypatch):
         # a run of the infall grid: every layer row held by a store its points

@@ -27,3 +27,9 @@ def test_bench_help():
     done = run(str(ROOT / "scripts" / "bench.py"), "--help")
     assert done.returncode == 0, done.stderr
     assert "--parent" in done.stdout
+
+
+def test_bench_counts_field_evaluations():
+    done = run(str(ROOT / "scripts" / "bench.py"), "--count-field-evals", "grid", "1")
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.split()[-1]) > 0
