@@ -30,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,8 +61,6 @@ def _field_evals(checkout: Path, workload: str, seed: int) -> float:
 
 def _count_field_evals(workload: str, seed: int) -> None:
     """Print the field evaluations per plan point of the seed's operations, run once from the working directory."""
-    import tempfile
-
     sys.path[:0] = ["src", "perfbench"]
     from workloads import build
 

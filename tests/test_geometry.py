@@ -644,8 +644,8 @@ class TestPointGeometry:
             assert len(field_seen) == len(set(field_seen)), path.name
             assert bool(field_seen) == (scenario.vector_field is not None), path.name
 
-    # the field evaluations of a run of each scenario, counted before the
-    # points of a block shared their field trees
+    # the field evaluations of a run of each scenario with a field tree per
+    # point: the trees a block's points share may make fewer, never more
     FIELD_EVALUATIONS = {
         "de-sitter-eta-gradient.json": 394,
         "de-sitter-soliton.json": 393,
