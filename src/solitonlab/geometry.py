@@ -13,8 +13,10 @@ the constant-curvature anchors in the test suite hold:
 See docs/conventions.md for the full sign table.
 
 Every quantity is read from a PointGeometry, one per (metric, point,
-numerics).  Its curvature layers (the metric, its inverse and derivatives,
-the connection, the curvature and its contractions) live in one
+numerics), whose point has canonical zeros: a -0.0 is read as +0.0, which
+no expression of the grammar tells apart but by the sign of a zero result.
+Its curvature layers (the metric, its inverse and derivatives, the
+connection, the curvature and its contractions) live in one
 ``lattice.Store``: each stencil coordinate is numbered once, and each layer
 is one row array indexed by number.  The lattice spans only the coordinates
 the metric reads: every layer is constant along the others.  Reading a
@@ -22,27 +24,25 @@ layer at a point computes it, and each layer below it, at every coordinate
 the read needs and lacks, one numpy call per layer; reading a layer held
 there is an index, with no numpy call.  ``block_geometries`` gives a block
 of points one store, filled in one batch, each reading it by its number
-there.  The metric components are evaluated by
-``MetricSpec.matrix`` once per store for each distinct bit pattern of the
-coordinates the grid reads, however many reads need it, and a failing
-coordinate is named as evaluating point by point along every axis would
-name it (docs/conventions.md).
+there.  The metric components are evaluated by ``MetricSpec.matrix`` once
+per store for each distinct value of the coordinates the grid reads,
+however many reads need it, and a failure names the first failing
+coordinate of the store's walk (docs/conventions.md).
 
 A vector field may read coordinates the metric does not, so its quantities
 live on stencil trees at true coordinates instead.  ``geo.field(spec)`` is
 the one FieldGeometry of the VectorFieldSpec at the point (specs compare
 by value): the point's row of one field tree, which ``block_geometries``
-has the points on one store share, but for a point with -0.0 on some
-axis.  The tree holds each quantity (V, the dual one-form gV and its
-derivatives, nabla V, Lie_V g, the rotation map F = g^-1 d(gV) and
-nabla F, |V|^2 and its derivative, and for a gradient the potential, its
-derivatives and Hessian) as one array over one depth of the trees of all
-its points, one numpy call per quantity and depth, the metric layers there
-read from the store.  The components, or the potential, are evaluated once
-per coordinate, the components of a field in one compiled call.  Should a
-read of a shared tree meet a numerical failure, each of its points goes on
-with a tree of its own, so every point gets the values and the failure it
-gets alone.
+has the points on one store share.  The tree holds each quantity (V, the
+dual one-form gV and its derivatives, nabla V, Lie_V g, the rotation map
+F = g^-1 d(gV) and nabla F, |V|^2 and its derivative, and for a gradient
+the potential, its derivatives and Hessian) as one array over one depth of
+the trees of all its points, one numpy call per quantity and depth, the
+metric layers there read from the store.  The components, or the potential,
+are evaluated once per coordinate, the components of a field in one
+compiled call.  Should a read of a shared tree meet a numerical failure,
+each of its points goes on with a tree of its own, so every point gets the
+values and the failure it gets alone.
 
 A FieldGeometry and its tree live as long as the PointGeometry objects that
 read them, and a store as long as the PointGeometry objects on it.  None is
@@ -233,6 +233,14 @@ class MetricSpec:
     def dim(self) -> int:
         return len(self.coords)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once: it walks every expression tree
+        return hash((self.coords, self.components, self.signature))
+
     @classmethod
     def from_grid(
         cls,
@@ -330,10 +338,11 @@ class PointGeometry:
     differentiates a layer and ``field`` gives the quantities of a vector
     field here.  Not thread-safe: one object, one thread.
 
-    The point's lattice lives in a store of its own, unless
-    ``block_geometries`` moves it onto one shared with other points, and
-    its fields live on field trees of its own unless ``block_geometries``
-    has it share those of the other points on that store.
+    ``point`` is the point given, with every -0.0 made +0.0.  Its lattice
+    lives in a store of its own, unless ``block_geometries`` moves it onto
+    one shared with other points, and its fields live on field trees of its
+    own unless ``block_geometries`` has it share those of the other points
+    on that store.
     """
 
     __slots__ = ("metric", "point", "numerics", "_store", "_number", "_block", "_row", "_fields")
@@ -344,7 +353,7 @@ class PointGeometry:
         point: Sequence[float],
         numerics: NumericsConfig = DEFAULT_NUMERICS,
     ) -> None:
-        p = tuple(float(v) for v in point)
+        p = tuple(float(v) + 0.0 for v in point)  # -0.0 + 0.0 is +0.0
         if len(p) != metric.dim:
             raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
         self.metric, self.numerics, self.point = metric, numerics, p
@@ -393,41 +402,26 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
 
     Before any identity reads them, one batch fills the shared store with
     what a suite reads: the Einstein tensor, and each layer below it, at the
-    points and their stencil neighbours, and the Ricci asymmetry at the
-    points.  Each point takes its number from the batch, so its reads are
-    indexes.  A point whose walk meets a numerical failure keeps a store of
-    its own, where its reads meet it as they would alone
-    (docs/conventions.md), and the batch is made again without it.  A point
-    with -0.0 on an axis the metric reads keeps a store of its own, where
-    the sign of a zero the walk copies or rebuilds is its own.
-
-    The points on one store share a field tree per vector field
-    (FieldGeometry), but for a point with -0.0 on any axis, which keeps
-    trees of its own: a field may read every axis, and there the sign of
-    a zero its tree copies or rebuilds is its own.
+    points and their stencil neighbours (so the metric over S^3 around each
+    point), and the Ricci asymmetry at the points.  Each point takes its
+    number from the batch, so its reads are indexes, and a suite read there
+    meets no metric failure.  The first point whose walk meets a numerical
+    failure keeps a store of its own, where its reads meet it as they would
+    alone (docs/conventions.md), and the batch is made again without it.
+    The points left on one store share a field tree per vector field
+    (FieldGeometry).
     """
     geos = [PointGeometry(*key) for key in keys]
     shared: dict[tuple, list[PointGeometry]] = {}
     for geo in geos:
-        if not geo._store.signed:
-            shared.setdefault((geo.metric, geo.numerics), []).append(geo)
+        shared.setdefault((geo.metric, geo.numerics), []).append(geo)
     for members in shared.values():
         _fill_block(members)
-    blocks: dict[int, list[PointGeometry]] = {}
-    for geo in geos:
-        if not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in geo.point):
-            blocks.setdefault(id(geo._store), []).append(geo)
-    for members in blocks.values():
-        if len(members) > 1:
-            points, numbers = np.array([geo.point for geo in members]), np.array([geo._number for geo in members])
-            block = _Block(members[0]._store, points, numbers)
-            for row, geo in enumerate(members):
-                geo._block, geo._row = block, row
     return geos
 
 
 def _fill_block(members: list[PointGeometry]) -> None:
-    """Move ``members`` onto one store, filled in one batch, all but those whose walk fails there."""
+    """Move ``members`` onto one store, filled in one batch, and one block, all but those whose walk fails there."""
     store = Store(members[0].metric, members[0].numerics, members[0].point)
     while members:
         points = np.array([geo.point for geo in members])
@@ -435,17 +429,14 @@ def _fill_block(members: list[PointGeometry]) -> None:
         # each point, then its neighbours: the walk, and its metric evaluation, go point by point
         rows = np.concatenate([points[:, None], ring], axis=1).reshape(-1, points.shape[1])
         try:
-            numbers = store.fill("einstein", rows, replay=False)[:: 1 + ring.shape[1]]
-            store.get("ricci_asymmetry", numbers)
-        except _FAILURES:
-            # the store keeps the good metric rows evaluated, in order, before the failure: the first point
-            # lacking one within three stencil rounds (the Einstein tensor at its neighbours) met it
-            numbers = store.number(store.project(points), add=False)[0]
-            walked = store.held("g", store.tree(numbers, 3)).all(axis=1)
-            members.pop(int(walked.argmin()))  # the first point, should all hold their rows
+            numbers = store.fill("einstein", rows)[:: 1 + ring.shape[1]]
+        except (EvalDomainError, SingularMetricError) as exc:
+            members.pop(exc.root // (1 + ring.shape[1]))  # the point whose walk met the failure
             continue
-        for geo, u in zip(members, numbers.tolist()):
-            geo._store, geo._number = store, u
+        store.get("ricci_asymmetry", numbers)
+        block = _Block(store, points, numbers)
+        for row, (geo, u) in enumerate(zip(members, numbers.tolist())):
+            geo._store, geo._number, geo._block, geo._row = store, u, block, row
         return
 
 
@@ -514,6 +505,14 @@ class VectorFieldSpec:
     @property
     def is_gradient(self) -> bool:
         return self.potential is not None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once, as MetricSpec's
+        return hash((self.coords, self.components, self.potential))
 
     @cached_property
     def _components_fn(self) -> Callable[..., tuple]:
@@ -638,12 +637,12 @@ class _FieldTree:
     depth.  The metric layers at a depth are the store's rows, numbered
     through ``Store.kids`` where its walks linked them.  The nodes of a
     depth are numbered by coordinate in one ``lattice._distinct`` pass, with
-    those of the depths numbered before (``-0.0`` equal to ``0.0``).  The
-    components, or the potential, are evaluated on a node's Python floats
-    once per coordinate, in tree order and only at the nodes a quantity
-    reads, the floats first evaluated kept, so a domain violation raises
-    EvalDomainError naming the coordinate.  The tree holds the store, not
-    the points' PointGeometry objects: no cycle keeps a lattice alive.
+    those of the depths numbered before.  The components, or the potential,
+    are evaluated on a node's Python floats once per coordinate, in tree
+    order and only at the nodes a quantity reads, the floats first evaluated
+    kept, so a domain violation raises EvalDomainError naming the
+    coordinate.  The tree holds the store, not the points' PointGeometry
+    objects: no cycle keeps a lattice alive.
     """
 
     # weakly referable, so a caller can see it dropped with its block

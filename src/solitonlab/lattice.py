@@ -2,28 +2,25 @@
 
 A PointGeometry and its stencil neighbours share one ``Store``.  It numbers
 each coordinate once, in the order a walk point by point first reaches it
-(``Store._walk``), keeping the floats first built for it, ``-0.0`` included;
-coordinates compare as lattice keys do (``-0.0 == 0.0``).  The walk goes
-only along the axes the metric reads (``MetricSpec.read_axes``): along any
-other axis, a Killing direction of the chart, every coordinate keeps the
-root point's float and its stencil neighbour is itself, so the lattice has
-one coordinate per read pattern, and a difference across such an axis is an
-exact +0.0, as the per-coordinate stencil gives it (both its neighbours share
-the point's read pattern).  A root with ``-0.0`` on an axis the metric reads
-walks every axis, where the sign of a zero the walk copies or rebuilds
-matters.  Points that walk the same axes may share one store
-(``geometry.block_geometries``), each reading its rows there by number.
-Each curvature layer is one row array, grown by capacity
-doubling, with a slot array over the numbers, so a read is an index.
+(``Store._walk``), keeping the floats first built for it.  No coordinate is
+``-0.0``: a PointGeometry's point has canonical zeros, a stencil sum with a
+nonzero step is never ``-0.0``, and every other coordinate is a copy.  The
+walk goes only along the axes the metric reads (``MetricSpec.read_axes``):
+along any other axis, a Killing direction of the chart, every coordinate
+keeps the root point's float and its stencil neighbour is itself, so the
+lattice has one coordinate per read pattern, and a difference across such an
+axis is an exact +0.0, as the per-coordinate stencil gives it (both its
+neighbours share the point's read pattern).  Points of one metric and
+numerics may share one store (``geometry.block_geometries``), each reading
+its rows there by number.  Each curvature layer is one row array, grown by
+capacity doubling, with a slot array over the numbers, so a read is an index.
 ``Store.fill`` computes a layer at a set of points, with each layer below it
 where the request needs and lacks it, one numpy call per layer.  The metric
-is evaluated by ``MetricSpec.matrix`` once per store for each distinct bit
-pattern of the coordinates it reads, at the first coordinate in walk order
-with that pattern.  A failing coordinate is named as the walk along every
-axis would name it: on a failure the store rebuilds that walk's row order
-for the request and names the first row whose pattern fails.  Every batched
-contraction is the per-coordinate ``np.einsum`` with a leading batch axis,
-so each row is bitwise the per-coordinate result.
+is evaluated by ``MetricSpec.matrix`` once per store for each distinct value
+of the coordinates it reads, at the first coordinate in walk order with that
+value, and a failure names the first failing coordinate of that walk.  Every
+batched contraction is the per-coordinate ``np.einsum`` with a leading batch
+axis, so each row is bitwise the per-coordinate result.
 """
 
 from __future__ import annotations
@@ -84,7 +81,8 @@ def neighbours(points: np.ndarray, steps: tuple[float, ...], axes: Sequence[int]
 
     Neighbour [i, a, s] is row i moved by ``steps[s]`` along ``axes[a]``: its
     coordinate on that axis is the float sum x + steps[s], and the others are
-    copied, never computed as x + 0.0 (which would turn a -0.0 into +0.0).
+    copied.  With a nonzero step the sum is never -0.0, so rows without a
+    -0.0 give neighbours without one.
     """
     n, dim = points.shape
     axes = range(dim) if axes is None else axes
@@ -101,19 +99,18 @@ def _hash_weights(dim: int) -> np.ndarray:
     return np.array([pow(0x9E3779B97F4A7C15, dim - 1 - i, 1 << 64) for i in range(dim)], dtype=np.uint64)
 
 
-def _distinct(rows: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct coordinates among ``rows``, numbered in order of first appearance.
 
     Returns the index of each one's first row and, for every row, the
-    number of its coordinate.  Rows compare as lattice keys do, by value
-    with -0.0 equal to 0.0, or, when ``exact``, by their bits, which keeps
-    -0.0 and 0.0 apart.  They are grouped by a hash of their bits (each word
-    folded first: with odd weights alone, (x, -y) and (-x, y) would collide),
-    checked, and sorted exactly should two coordinates share a hash.
+    number of its coordinate.  Rows compare by value, -0.0 equal to 0.0.
+    They are grouped by a hash of their bits (each word folded first: with
+    odd weights alone, (x, -y) and (-x, y) would collide), checked, and
+    sorted exactly should two coordinates share a hash.
     """
     if len(rows) < 2:
         return np.arange(len(rows)), np.zeros(len(rows), dtype=int)
-    canon = np.ascontiguousarray(rows if exact else rows + 0.0).view(np.uint64)  # -0.0 + 0.0 is +0.0
+    canon = np.ascontiguousarray(rows + 0.0).view(np.uint64)  # -0.0 + 0.0 is +0.0
     mixed = (canon ^ (canon >> np.uint64(32))) @ _hash_weights(rows.shape[1])
     order = mixed.argsort()
     mixed = mixed[order]
@@ -215,26 +212,22 @@ class _Layer:
 class Store:
     """The stencil lattice of one or more points: its coordinates, numbered once, and a row array per layer.
 
-    The lattice spans the ``axes`` walked: those the metric reads, or every axis when the root point
-    has a -0.0 on one it reads.  Along any other axis a coordinate keeps the root's float, and its
-    stencil neighbour is itself; a point that walks the same axes as the root projects onto the
-    lattice (``project``), so it can share the store.  ``coords[u]`` holds the floats of number ``u``
-    and ``kids[u, axis, s]`` its stencil neighbours' numbers once a walk has gone round it.  Not
-    thread-safe.
+    The lattice spans the ``axes`` the metric reads.  Along any other axis a coordinate keeps the
+    root's float, and its stencil neighbour is itself; any point projects onto the lattice
+    (``project``), so points of one metric and numerics can share the store.  ``coords[u]`` holds the
+    floats of number ``u`` and ``kids[u, axis, s]`` its stencil neighbours' numbers once a walk has
+    gone round it.  Not thread-safe.
     """
 
     def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
         self.metric, self.numerics = metric, numerics
         self.steps, self.size = stencil_steps(numerics), 0
-        # whether the root has -0.0 on an axis the metric reads
-        self.signed = any(root[axis] == 0.0 and math.copysign(1.0, root[axis]) < 0 for axis in metric.read_axes)
-        self.axes = tuple(range(metric.dim)) if self.signed else metric.read_axes
-        self.root = root
+        self.axes, self.root = metric.read_axes, root
         self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
         # one placeholder row, so a -1 indexes: the first numbering past it sizes the arrays to what it numbers
         self.coords = np.empty((1, metric.dim))
         self.kids = np.full((1, metric.dim, len(self.steps)), -1)
-        self.read = np.array(metric.read_axes, dtype=int)
+        self.read = np.array(self.axes, dtype=int)
         self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
         self.layers: dict[str, _Layer] = {}
 
@@ -292,12 +285,12 @@ class Store:
             self.size = end
         return numbers.take(group[: len(rows)]), numbers[:seen], first[:seen]
 
-    def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None, replay: bool = True) -> np.ndarray:
+    def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
         """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known).
 
         A row of ``points`` is a true coordinate and stands for its lattice coordinate (``project``).
-        A metric failure is named as the walk along every axis would name it, unless not ``replay``:
-        a caller that drops the error skips that walk.
+        A metric failure names the first failing coordinate of the walk, and carries ``root``: the
+        row of ``points`` whose walk met it.
         """
         lattice = self.project(points)
         if numbers is None or (numbers < 0).any():
@@ -313,73 +306,56 @@ class Store:
             at_points = name != "dg" or bool(self.fixed)
             try:
                 roots = self._walk(lattice[lacking[first]], roots, rounds, at_points)
-            except (EvalDomainError, SingularMetricError):
-                if self.fixed and replay:
-                    self._raise_along_every_axis(points[lacking], rounds, name != "dg")
+            except (EvalDomainError, SingularMetricError) as exc:
+                exc.root = int(lacking[first[exc.root]])
                 raise
             self.get(name, roots)
             numbers[lacking] = roots[group]
         return numbers
 
-    def _rows(self, points: np.ndarray, rounds: int, at_points: bool, axes: Sequence[int]) -> tuple:
-        """The rows of the walk of ``rounds`` (1 or 2) rounds of neighbours along ``axes`` around ``points``.
-
-        Round 0 is the points, round 1 their neighbours, round 2 those of the round-1 points lacking the
-        connection, visited root by root, round by round, as ``grad`` visits them; unless ``at_points``
-        (``dg``), the points come last.  Returns the rows (the points, their neighbours, then those of the
-        ring positions walked again), the walk order over them, and those ring positions.
-        """
-        n, dim = points.shape
-        size = len(axes) * len(self.steps)
-        ring = neighbours(points, self.steps, axes).reshape(-1, dim)
-        outer = np.zeros(0, dtype=int)  # ring positions walked again
-        if rounds == 2:
-            # a ring point is walked again at its first visit, if it lacks the connection
-            blocks = np.concatenate([points[:, None], ring.reshape(n, size, dim)], axis=1).reshape(-1, dim)
-            _, known, visit = self.number(blocks, add=False)
-            visit = visit[(visit % (1 + size) != 0) & ~self.held("gamma", known)]
-            outer = (visit // (1 + size)) * size + visit % (1 + size) - 1
-        rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps, axes).reshape(-1, dim)])
-        levels = np.repeat(np.arange(3), [n, n * size, len(outer) * size])  # round of each row
-        roots = np.concatenate([np.arange(n), np.arange(n * size) // size, np.repeat(outer // size, size)])
-        order = np.lexsort((levels, roots))  # root by root, round by round
-        if not at_points:
-            order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
-        return rows, order, outer
-
     def _walk(self, points: np.ndarray, roots: np.ndarray, rounds: int, at_points: bool) -> np.ndarray:
         """Number the walk of ``rounds`` rounds of neighbours around ``points``, evaluate its metric; their numbers.
 
-        ``roots`` are the points' numbers, -1 where none; the walk goes along the walked axes (``_rows``).
-        Unless ``at_points``, the points' own metric is not evaluated.
+        ``roots`` are the points' numbers, -1 where none.  Round 0 is the points, round 1 their
+        neighbours along the walked axes, round 2 those of the round-1 points lacking the connection,
+        visited root by root, round by round, as ``grad`` visits them.  Unless ``at_points`` (``dg``),
+        the points come last and their own metric is not evaluated.  A metric failure carries
+        ``root``: the index of the point whose walk met it.
         """
+        n, dim = points.shape
         if rounds == 0:  # the points alone, already distinct: no stencil
             roots = self.number(points)[0] if (roots < 0).any() else roots
-            self._metric(roots)
-            return roots
-        n = len(points)
-        rows, order, outer = self._rows(points, rounds, at_points, self.axes)
-        walk, distinct, first = self.number(rows[order])
-        number = np.empty(len(order), dtype=int)
-        number[order] = walk
-        size = len(self.axes) * len(self.steps)
-        self._link(number[:n], number[n : n + n * size])
-        self._link(number[n + outer], number[n + n * size :])
-        self._metric(distinct[first < len(order) - (0 if at_points else n)])
-        return number[:n]
-
-    def tree(self, numbers: np.ndarray, rounds: int) -> np.ndarray:
-        """The numbers within ``rounds`` stencil rounds along the walked axes of each of ``numbers``, a row each.
-
-        A coordinate not walked round (-1 in ``kids``) has -1 for its neighbours.
-        """
-        level = numbers[:, None]
-        tree = [level]
-        for _ in range(rounds):
-            kids = self.kids.take(level, axis=0)[:, :, list(self.axes)]
-            level = np.where((level >= 0)[:, :, None, None], kids, -1).reshape(len(numbers), -1)
-            tree.append(level)
-        return np.concatenate(tree, axis=1)
+            walk, owner, todo = roots, np.arange(n), roots
+        else:
+            size = len(self.axes) * len(self.steps)
+            ring = neighbours(points, self.steps, self.axes).reshape(-1, dim)
+            outer = np.zeros(0, dtype=int)  # ring positions walked again
+            if rounds == 2:
+                # a ring point is walked again at its first visit, if it lacks the connection
+                blocks = np.concatenate([points[:, None], ring.reshape(n, size, dim)], axis=1).reshape(-1, dim)
+                _, known, visit = self.number(blocks, add=False)
+                visit = visit[(visit % (1 + size) != 0) & ~self.held("gamma", known)]
+                outer = (visit // (1 + size)) * size + visit % (1 + size) - 1
+            rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps, self.axes).reshape(-1, dim)])
+            levels = np.repeat(np.arange(3), [n, n * size, len(outer) * size])  # round of each row
+            owner = np.concatenate([np.arange(n), np.arange(n * size) // size, np.repeat(outer // size, size)])
+            order = np.lexsort((levels, owner))  # root by root, round by round
+            if not at_points:
+                order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
+            walk, distinct, first = self.number(rows[order])
+            number = np.empty(len(order), dtype=int)
+            number[order] = walk
+            self._link(number[:n], number[n : n + n * size])
+            self._link(number[n + outer], number[n + n * size :])
+            owner, roots = owner[order], number[:n]
+            todo = distinct[first < len(order) - (0 if at_points else n)]
+        try:
+            self._metric(todo)
+        except (EvalDomainError, SingularMetricError) as exc:
+            # every coordinate the walk reaches before the failing one holds g
+            exc.root = int(owner[self.held("g", walk).argmin()])
+            raise
+        return roots
 
     def _link(self, numbers: np.ndarray, ring: np.ndarray) -> None:
         """Set the stencil neighbours of ``numbers``: ``ring`` along the walked axes, itself along the others."""
@@ -388,26 +364,8 @@ class Store:
         kids[:, list(self.axes)] = ring.reshape(len(numbers), len(self.axes), len(self.steps))
         self.kids[numbers] = kids
 
-    def _raise_along_every_axis(self, points: np.ndarray, rounds: int, at_points: bool) -> None:
-        """Raise the metric failure that the walk along every axis would meet first for this request.
-
-        The rows of that walk around the true ``points`` lacking the layer, in its order (no numbering),
-        give the read patterns the store lacks in order; each is evaluated at its first row.  The walk
-        along every axis reads each pattern this store's walk read, and the patterns it holds are good.
-        """
-        first, _ = _distinct(points)
-        points = points[first]
-        if rounds:
-            rows, order, _ = self._rows(points, rounds, at_points, range(points.shape[1]))
-            rows = rows[order[: len(order) - (0 if at_points else len(points))]]
-        else:
-            rows = points
-        error = self._evaluate(rows)[1]
-        if error:
-            raise error
-
     def _metric(self, walked: np.ndarray) -> None:
-        # the walk's coordinates lacking g take the row of their read bit pattern; a failure is
+        # the walk's coordinates lacking g take the row of their read pattern; a failure is
         # raised once those before it have rows
         g = self.layer("g")
         todo = walked[g.slot.take(walked) < 0]
@@ -420,7 +378,7 @@ class Store:
             raise error
 
     def _evaluate(self, coords: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        """The row of g for the read bit pattern of each of ``coords``, and the first failure.
+        """The row of g for the read pattern of each of ``coords``, and the first failure.
 
         A pattern the store lacks is evaluated at its first coordinate, in order, and kept when good;
         a degenerate one has row -1.  A domain error stops the evaluation, and the rows stop before
@@ -429,7 +387,7 @@ class Store:
         pattern = coords.take(self.read, axis=1)
         known = len(self.patterns)
         # the store's patterns are distinct and come first: group p < known is row p of g
-        first, row = _distinct(np.concatenate([self.patterns, pattern]), exact=True)
+        first, row = _distinct(np.concatenate([self.patterns, pattern]))
         first, row = first[known:] - known, row[known:]
         failure = fault = None
         if first.size:

@@ -208,6 +208,34 @@ def test_print_parse_round_trip(expr):
     assert parse(to_source(expr), COORDS) == expr
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=_exprs(12),
+    point=st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    negative=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_the_sign_of_a_zero_coordinate_changes_no_value(expr, point, negative):
+    # zero coordinates given as -0.0 rather than 0.0: the compiled expression
+    # gives the same float, but for the sign of a zero (two NaN count as the
+    # same), or the same EvalDomainError message.  So a point's -0.0 may be
+    # read as 0.0 (geometry.PointGeometry)
+    fn = compile_expr(expr, COORDS)
+
+    def outcome(p):
+        try:
+            return fn(*p)
+        except EvalDomainError as exc:
+            return str(exc)
+
+    canonical = [v + 0.0 for v in point]
+    signed = [-0.0 if v == 0.0 and neg else v for v, neg in zip(canonical, negative)]
+    a, b = outcome(canonical), outcome(signed)
+    if isinstance(a, float) and isinstance(b, float):
+        assert a == b or (math.isnan(a) and math.isnan(b))
+    else:
+        assert a == b
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     expr_text=st.sampled_from(_CORPUS),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
@@ -777,6 +778,27 @@ class TestPointGeometry:
         assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 0
         assert (len(metric_seen), len(field_seen)) == one_run
 
+    def test_equal_specs_hash_equal_and_share_one_field_tree(self, monkeypatch):
+        # a spec's hash is computed once per object; specs equal by value, as
+        # each scenario of a sweep gives them, hash equal, so the scenarios
+        # share each plan point's geometry and its block's one field tree
+        from solitonlab.report import run_suites
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        for name in ("de-sitter-soliton.json", "de-sitter-eta-gradient.json"):
+            scenarios = [load_scenario(SCENARIO_DIR / name) for _ in range(3)]
+            for other in scenarios[1:]:
+                for a, b in ((scenarios[0].metric, other.metric), (scenarios[0].vector_field, other.vector_field)):
+                    assert a is not b and a == b and hash(a) == hash(b)
+            with pytest.MonkeyPatch.context() as patch:
+                geos = _recorded_geometries(patch)
+                run_suites(scenarios)
+            assert len(geos) == len(scenarios[0].points) > 1
+            assert all(len(geo._fields) == 1 for geo in geos)
+            assert len({id(tree) for geo in geos for tree in geo._block.trees.values()}) == 1
+
     @pytest.mark.parametrize(
         "param, values",
         [("metric.hubble", [0.5, 1.0, 0.5, 2.0]), ("numerics.h", [1e-3, 2e-3]), ("soliton.alpha", [0.0, 1.0, 2.0])],
@@ -1039,7 +1061,8 @@ REFERENCE_CASES = {
     "infall": (INFALL, (0.7, 3.5, 1.1, 0.4)),
     "shear": (SHEAR, (0.9, 0.2, -0.3, 0.4)),
     # read a strict subset of the coordinates, with -0.0 and 0.0 among those
-    # read and a component that keeps the sign of a zero
+    # read and a component that keeps the sign of a zero: the geometry reads
+    # every -0.0 as 0.0
     "signed_shift": (
         MetricSpec.from_grid(
             [["-1 - 0.1*t^2", "x", "0", "0"], ["x", "1 + 0.2*t", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
@@ -1054,9 +1077,7 @@ REFERENCE_CASES = {
         ),
         (0.3, 0.5, -0.0, 0.0),
     ),
-    # read after g at the point, the contracted Bianchi identity reaches some
-    # keys first as -0.0 + h - h = +0.0 in t and others with the plan point's
-    # -0.0: evaluated in one batch, each keeps its own sign in g_tx
+    # a -0.0 in t, which g_tx reads
     "signed_t": (
         MetricSpec.from_grid(
             [["-1 - 0.1*x^2", "t", "0", "0"], ["t", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
@@ -1075,12 +1096,13 @@ LAYERS = ("g", "g_inv", "dg", "gamma", "riemann", "ricci", "ricci_asymmetry", "s
 
 
 def _read_as_the_reference(metric, point, richardson, first):
-    """A fresh geometry and reference, each read in the same order; the layers checked, per layer.
+    """A fresh geometry, and a reference at its point, each read in the same order; the layers checked, per layer.
 
     Every coordinate of the reference's lattice, folded onto the axes the
     store walks, is a coordinate of the store, and every store coordinate is
     one of those.  Each layer the reference holds there, the store holds,
-    bitwise, down to the sign of a zero.
+    bitwise, down to the sign of a zero.  The reference is evaluated at the
+    geometry's point, whose zeros are canonical.
     """
     # one layer at the point, then the contracted Bianchi identity (Riemann
     # over S^1, Gamma over S^2, g over S^3) and the rest
@@ -1090,7 +1112,7 @@ def _read_as_the_reference(metric, point, richardson, first):
     contracted_bianchi_residual(geo)
     geo.ricci, geo.scalar, geo.ricci_asymmetry
     metric_compatibility_residual(geo)
-    reference = ReferenceGeometry(metric, point, cfg)
+    reference = ReferenceGeometry(metric, geo.point, cfg)
     getattr(reference, first)
     reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
     reference.ricci, reference.scalar, reference.ricci_asymmetry
@@ -1117,8 +1139,7 @@ class TestBatchedLayers:
     def check_against_the_reference(case, richardson, first):
         metric, point = REFERENCE_CASES[case]
         geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
-        # a -0.0 on an axis the metric reads makes the store walk every axis
-        assert (geo._store.axes != metric.read_axes) == case.startswith("signed")
+        assert geo._store.axes == metric.read_axes
         steps = 4 if richardson else 2
         assert checked["einstein"] == 1 + 4 * steps
         assert checked["gamma"] > checked["einstein"]
@@ -1139,8 +1160,7 @@ class TestBatchedLayers:
     def test_every_lattice_coordinate_equals_the_reference_after_the_plan_point_check(self, case, richardson):
         # as a report reads it: g at the point first, so the contracted
         # Bianchi identity walks the neighbours' curvature on a lattice
-        # holding nothing else, and in one batch meets keys whose t was
-        # built as -0.0 + h - h = +0.0 beside keys that copy a -0.0
+        # holding nothing else
         self.check_against_the_reference(case, richardson, "g")
 
     @settings(max_examples=15, deadline=None)
@@ -1152,10 +1172,9 @@ class TestBatchedLayers:
     )
     def test_the_store_walks_the_axes_the_metric_reads(self, read, point, richardson, first):
         # a metric reading any subset of the coordinates, none included, with
-        # a component that keeps the sign of a zero: whatever the walk, every
-        # layer the reference holds is bitwise the store's row; a root with
-        # -0.0 on an axis the metric reads numbers exactly the lattice of the
-        # walk along every axis
+        # a component that keeps the sign of a zero, at a point with zeros of
+        # either sign: the store walks the axes the metric reads, and every
+        # layer the reference holds is bitwise the store's row
         names = [COORDS[axis] for axis in sorted(read)]
         tt = "-1" + "".join(f" - 0.1*{c}^2" for c in names)
         tx = f"0.1*{names[0]}" if names else "0"
@@ -1163,13 +1182,10 @@ class TestBatchedLayers:
         grid = [[tt, tx, "0", "0"], [tx, xx, "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
         metric = MetricSpec.from_grid(grid, COORDS)
         assert metric.read_axes == tuple(sorted(read))
-        geo, reference, checked = _read_as_the_reference(metric, point, richardson, first)
-        store = geo._store
-        signed = any(point[axis] == 0.0 and math.copysign(1.0, point[axis]) < 0 for axis in read)
-        assert store.axes == (tuple(range(4)) if signed else metric.read_axes)
-        if signed:
-            assert store.size == len(reference.lattice)
-            assert set(map(tuple, store.coords[: store.size].tolist())) == set(reference.lattice)
+        geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
+        coords = geo._store.coords[: geo._store.size]
+        assert geo._store.axes == metric.read_axes
+        assert not np.signbit(coords[coords == 0.0]).any()  # canonical zeros
         assert set(checked) == set(LAYERS)
 
     def test_each_plan_point_numbers_one_coordinate_per_read_pattern(self, monkeypatch):
@@ -1219,15 +1235,17 @@ class TestFieldTree:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_every_field_quantity_equals_the_per_coordinate_reference(self, case, richardson, order):
         # the field quantities over the stencil tree are bitwise the
-        # per-coordinate ones, down to the sign of a zero: read as a report
-        # reads them, after the curvature, or on a fresh point deepest first
+        # per-coordinate ones at the geometry's point, down to the sign of a
+        # zero: read as a report reads them, after the curvature, or on a
+        # fresh point deepest first
         metric, point = REFERENCE_CASES[case]
         cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
         for kind, spec in _field_specs(metric.coords).items():
             names = [n for n in FIELD_QUANTITIES if spec.is_gradient or n not in GRADIENT_ONLY]
             if order == "deepest_first":
                 names = [n for n in ("nabla_f", "d_norm_sq", "hessian") if n in names] + names
-            geo, reference = PointGeometry(metric, point, cfg), ReferenceGeometry(metric, point, cfg)
+            geo = PointGeometry(metric, point, cfg)
+            reference = ReferenceGeometry(metric, geo.point, cfg)
             if order == "report":
                 for g in (geo, reference):
                     g.g, g.ricci, g.scalar, g.ricci_asymmetry
@@ -1245,9 +1263,9 @@ class TestFieldTree:
     def test_a_block_tree_equals_each_point_alone(self, richardson, order):
         # every reference point in one block, each field given as two objects
         # equal by value, as the scenarios of a sweep give it: the points on
-        # one store, but for those with a -0.0, share one tree per field, and
-        # every quantity is bitwise that of the point alone and of the
-        # per-coordinate reference, down to the sign of a zero
+        # one store share one tree per field, and every quantity is bitwise
+        # that of the point alone and of the per-coordinate reference, down
+        # to the sign of a zero
         cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
         geos = block_geometries([(metric, point, cfg) for metric, point in REFERENCE_CASES.values()])
         alone = [PointGeometry(geo.metric, geo.point, cfg) for geo in geos]
@@ -1271,24 +1289,14 @@ class TestFieldTree:
                     for expected in (getattr(lone.field(spec), name), getattr(reference.field(spec), name)):
                         assert np.array_equal(value, expected), (kind, i, name)
                         assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, i, name)
-            # de Sitter at t = 0.6, 0 and -h share a tree; the infall point with b = -0.0 keeps its own
-            trees = [geo.field(spec)._tree for geo in geos]
-            shared = [case.startswith("de_sitter") for case in REFERENCE_CASES]
-            assert [len(tree.points) for tree in trees] == [3 if s else 1 for s in shared], kind
-            assert len({id(tree) for tree, s in zip(trees, shared) if s}) == 1, kind
-
-    def test_a_point_with_minus_zero_keeps_trees_of_its_own(self):
-        # its tree rebuilds t = -0.0 + h - h = +0.0 two steps out, at the
-        # first node there equal to the point: read deepest first at the
-        # other point of the block, a shared tree would evaluate that node
-        # first, and give V^t = +0.0 at the point itself
-        euler = _field_specs(INFALL.coords)["euler"]
-        signed = (-0.0, 3.5, 1.1, 0.4)  # t is not read by the metric: the point shares the store
-        geos = block_geometries([(INFALL, (0.7, 3.5, 1.1, 0.4), DEFAULT_NUMERICS), (INFALL, signed, DEFAULT_NUMERICS)])
-        assert geos[0]._store is geos[1]._store
-        geos[0].field(euler).nabla_f
-        assert np.signbit(geos[1].field(euler).value[0])
-        assert np.signbit(PointGeometry(INFALL, signed).field(euler).value[0])
+            # the points of one metric share one tree: de Sitter at t = 0.6, 0
+            # and -h, and infall at b = 0.4 and b = -0.0
+            sharing = Counter(geo.metric for geo in geos)
+            assert sorted(sharing.values()) == [1] * 6 + [2, 3]
+            for geo in geos:
+                tree = geo.field(spec)._tree
+                assert len(tree.points) == sharing[geo.metric], kind
+                assert all(other.field(spec)._tree is tree for other in geos if other.metric == geo.metric), kind
 
 
 def _grid(tt="-1", xx="1", yy="1"):
@@ -1297,21 +1305,22 @@ def _grid(tt="-1", xx="1", yy="1"):
 
 # metric, plan points, the point errors of a run, and the error of the
 # contracted Bianchi identity alone on a fresh geometry at the first point;
-# the strings are those the per-coordinate evaluation gave
+# each string names the first failing coordinate of the store's own walk,
+# with canonical zeros and the point's own floats on the axes not read
 ERROR_CASES = {
     # g_xx vanishes two steps below x = 1
     "degenerate_neighbour": (
         _grid(xx="1e6*(x - 0.998)^2"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
         ["metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.000e+00)", None],
-        "metric degenerate at (0.501, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.000e+00)",
+        "metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.000e+00)",
     ),
     # undefined two steps below x = 1 (S^2), fine one step below
     "domain_error_s2": (
         _grid(xx="1 + (x - 0.9983)^(1/2)"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
         ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
-        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+        "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
     ),
     # undefined only three steps below x = 1 (S^3), which only the contracted Bianchi identity reaches
     "domain_error_s3": (
@@ -1320,32 +1329,33 @@ ERROR_CASES = {
         ["metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error", None],
         "metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error",
     ),
-    # reads x and z only: undefined two steps below x = 1, named at the first
-    # coordinate of the walk with those x and z, the plan point's -0.0 in z kept
+    # reads x and z only: undefined two steps below x = 1, the plan point's
+    # -0.0 in z read as 0.0
     "domain_error_two_axes": (
         _grid(xx="1 + (x - 0.9983 + 0.1*z)^(1/2)"),
         [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
-        ["metric components undefined at (0.5, 0.998, 0.0, -0.0): math domain error", None],
-        "metric components undefined at (0.501, 0.998, 0.0, -0.0): math domain error",
+        ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
+        "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
     ),
-    # a plan point with -0.0 coordinates, which every neighbour off their axes keeps
+    # a plan point with -0.0 coordinates, named with canonical zeros
     "negative_zero": (
         _grid(tt="-1 - (t - 0.9983)^(1/2)"),
         [[1.0, -0.0, 0.0, -0.0]],
-        ["metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error"],
-        "metric components undefined at (0.998, -0.0, 0.0, -0.0): math domain error",
+        ["metric components undefined at (0.998, 0.0, 0.0, 0.0): math domain error"],
+        "metric components undefined at (0.998, 0.0, 0.0, 0.0): math domain error",
     ),
     # reads y only, with the plan point's -0.0 on the unread x: undefined two
-    # steps below y = 1, named with the -0.0 the walk copies
+    # steps below y = 1, named with the point's own x, read as 0.0
     "unread_negative_zero": (
         _grid(yy="1 + (y - 0.9983)^(1/2)"),
         [[0.5, -0.0, 1.0, 0.0], [0.5, 0.0, 1.5, 0.0]],
-        ["metric components undefined at (0.5, -0.0, 0.998, 0.0): math domain error", None],
-        "metric components undefined at (0.501, -0.0, 0.998, 0.0): math domain error",
+        ["metric components undefined at (0.5, 0.0, 0.998, 0.0): math domain error", None],
+        "metric components undefined at (0.5, 0.0, 0.998, 0.0): math domain error",
     ),
     # reads x only, undefined below x = 0.9985 and above x = 1.0025: the
-    # stencil along x alone meets 1.003 first, three steps up from x + h, but
-    # the walk along every axis starts at t + h and meets 0.998 first
+    # point's neighbours along t, y and z are the point itself, so it is the
+    # walk's first root, and the ring of x - h meets 0.998 before any root
+    # reaches 1.003
     "two_regions": (
         _grid(xx="1 + ((x - 0.9985)*(1.0025 - x))^(1/2)"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.0005, 0.0, 0.0]],
@@ -1353,10 +1363,10 @@ ERROR_CASES = {
             "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
             "metric components undefined at (0.5, 0.9984999999999999, 0.0, 0.0): math domain error",
         ],
-        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+        "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
     ),
     # as two_regions, degenerate at x = 0.998 and undefined above x = 1.0025:
-    # the degenerate coordinate comes first in the walk along every axis
+    # the degenerate coordinate comes first in the walk
     "domain_and_degenerate": (
         _grid(tt="-1 - (1.0025 - x)^(1/2)", xx="1e6*(x - 0.998)^2"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
@@ -1364,21 +1374,21 @@ ERROR_CASES = {
             "metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.067e+00)",
             "metric components undefined at (0.5, 1.5, 0.0, 0.0): math domain error",
         ],
-        "metric degenerate at (0.501, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.067e+00)",
+        "metric degenerate at (0.5, 0.998, 0.0, 0.0) (eigenvalue ratio 0.000e+00 / 1.067e+00)",
     ),
     # the other way round: undefined below x = 0.9985, degenerate at x = 1.003,
-    # so the domain error comes first in the walk along every axis
+    # so the domain error comes first in the walk
     "degenerate_and_domain": (
         _grid(tt="-1 - (x - 0.9985)^(1/2)", xx="1e6*(x - 1.003)^2"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
         ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
-        "metric components undefined at (0.501, 0.998, 0.0, 0.0): math domain error",
+        "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
     ),
 }
 
 
 class TestErrorAttribution:
-    """A failing coordinate is named as evaluating point by point would name it."""
+    """A failure names the first failing coordinate of the store's own walk, with canonical zeros."""
 
     @pytest.mark.parametrize("case", sorted(ERROR_CASES))
     def test_point_errors(self, case):
@@ -1411,29 +1421,86 @@ class TestErrorAttribution:
         point=st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0]), min_size=4, max_size=4),
         first=st.sampled_from([None, "g", "dg"]),
     )
-    def test_a_failure_is_named_as_the_walk_along_every_axis_names_it(self, axes, region, degenerate, point, first):
+    def test_the_named_coordinate_is_the_first_failing_one_of_the_walk(self, axes, region, degenerate, point, first):
         # a metric undefined outside a window of one coordinate, perhaps
-        # degenerate at a value of another: the store names the failure the
-        # walk along every axis names, the walk of a metric said to read
-        # every coordinate
+        # degenerate at a value of another, read as ``first`` and then by the
+        # contracted Bianchi identity: the coordinate a failure names is
+        # checked against the metric evaluated alone, along the walk order
+        # docs/conventions.md gives
         (a, b), (lo, hi) = axes, region
         point[COORDS.index(a)] = 1.0  # inside the window, which the stencil leaves
         xx = "1" if degenerate is None else f"1e6*({b} - {degenerate})^2"
         metric = MetricSpec.from_grid(_grid(tt=f"-1 - (({a} - {lo})*({hi} - {a}))^(1/2)", xx=xx), COORDS)
-
-        def failure():
-            geo = PointGeometry(metric, point)
+        geo = PointGeometry(metric, point)
+        failure = None
+        for layer, rounds in ([(first, {"g": 0, "dg": 1}[first])] if first else []) + [(None, 3)]:
             try:
-                if first:
-                    getattr(geo, first)
-                contracted_bianchi_residual(geo)
+                getattr(geo, layer) if layer else contracted_bianchi_residual(geo)
             except (EvalDomainError, GeometryError) as exc:
-                return str(exc)
+                failure = str(exc)
+                break
+        walk = _documented_walk(metric, geo.point, first)
+        if failure is None:
+            assert not any(_fails_alone(metric, c) for c in walk)
+            return
+        named = tuple(float(v) for v in re.search(r" at \(([^)]*)\)", failure).group(1).split(", "))
+        read = metric.read_axes
+        # within the read's stencil rounds of the point along the axes read, the point itself on the others
+        assert sum(abs(named[i] - geo.point[i]) for i in read) <= rounds * DEFAULT_NUMERICS.h + 1e-12
+        assert all(named[i] == geo.point[i] for i in range(4) if i not in read)
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in named)
+        # it fails alone, as the message says
+        assert _fails_alone(metric, named) == ("undefined" if failure.startswith("metric components") else "degenerate")
+        # and no coordinate the walk reaches before it fails
+        assert named in walk
+        assert not any(_fails_alone(metric, c) for c in walk[: walk.index(named)])
 
-        named = failure()
-        with pytest.MonkeyPatch.context() as every:
-            every.setattr(MetricSpec, "read_axes", property(lambda m: tuple(range(m.dim))))
-            assert named == failure()
+
+def _fails_alone(metric, point):
+    """How ``metric`` fails evaluated at ``point`` alone: "undefined", "degenerate", or None."""
+    try:
+        g = metric.matrix(point)
+    except EvalDomainError:
+        return "undefined"
+    if not np.isfinite(g).all():
+        return "undefined"
+    spectrum = np.sort(np.abs(np.linalg.eigvalsh(g)))
+    good = spectrum[-1] != 0.0 and spectrum[0] > DEFAULT_NUMERICS.degeneracy_threshold * spectrum[-1]
+    return None if good else "degenerate"
+
+
+def _documented_walk(metric, point, first):
+    """The coordinates whose metric a fresh geometry at ``point`` reads, in walk order (docs/conventions.md).
+
+    The reads are ``first`` ("g", "dg" or None), then the contracted Bianchi
+    identity.  A neighbour moves one step along an axis the metric reads;
+    along any other axis the point is its own neighbour.
+    """
+    read, dim = metric.read_axes, len(point)
+    steps = (DEFAULT_NUMERICS.h, -DEFAULT_NUMERICS.h, DEFAULT_NUMERICS.h / 2, -DEFAULT_NUMERICS.h / 2)
+
+    def ring(q, axes):
+        return [q[:axis] + (q[axis] + step,) + q[axis + 1 :] for axis in axes for step in steps]
+
+    walk = []
+    if first == "g":
+        walk.append(point)
+    elif first == "dg":  # one round, the point itself only when it is some neighbour of its own
+        walk += ([point] if len(read) < dim else []) + ring(point, read)
+    # the Einstein tensor at the neighbours along every axis, then at the point, two rounds each: each
+    # point asked for, its ring, then the ring of each ring coordinate at its first visit
+    asked = [q for axis in range(dim) for q in (ring(point, [axis]) if axis in read else [point] * len(steps))]
+    blocks = [[root, *ring(root, read)] for root in dict.fromkeys(asked + [point])]
+    visits = {}
+    for i, block in enumerate(blocks):
+        for j, q in enumerate(block):
+            visits.setdefault(q, (i, j))
+    for i, block in enumerate(blocks):
+        walk += block
+        for j, q in enumerate(block[1:], 1):
+            if visits[q] == (i, j):
+                walk += ring(q, read)
+    return walk
 
 
 _SOLITON = {
@@ -1443,8 +1510,8 @@ _SOLITON = {
 # metric, vector field, whether the run checks the soliton identities, plan
 # points, the point errors of a run, and the error of
 # potential_field_identities alone on a fresh geometry at the first point.
-# Each field is undefined some stencil steps below x = 1; the strings are
-# those the per-coordinate evaluation gave
+# Each field is undefined some stencil steps below x = 1; each string names
+# the first failing node in tree order, with canonical zeros
 FIELD_ERROR_CASES = {
     # a component undefined one step below x = 1 (S^1)
     "component_s1": (
@@ -1452,18 +1519,18 @@ FIELD_ERROR_CASES = {
         {"components": ["1", "(x - 0.9992)^(1/2)", "0", "0"]},
         False,
         [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
-        ["vector field components undefined at (0.5, 0.999, 0.0, -0.0): (x-0.9992)^(1.0/2.0): math domain error", None],
-        "vector field components undefined at (0.501, 0.999, 0.0, -0.0): (x-0.9992)^(1.0/2.0): math domain error",
+        ["vector field components undefined at (0.5, 0.999, 0.0, 0.0): (x-0.9992)^(1.0/2.0): math domain error", None],
+        "vector field components undefined at (0.501, 0.999, 0.0, 0.0): (x-0.9992)^(1.0/2.0): math domain error",
     ),
     # a component undefined two steps below (S^2), which only nabla F reaches;
-    # the metric reads the plan point's -0.0 in y, so the store walks every axis
+    # the metric reads the plan point's -0.0 in y, read as 0.0
     "component_s2": (
         _grid(tt="-1 - 0.1*t^2", yy="1 + 0.1*y^2"),
         {"components": ["1", "(x - 0.9983)^(1/2)", "y", "0"]},
         True,
         [[0.5, 1.0, -0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
-        ["vector field components undefined at (0.5, 0.998, -0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error", None],
-        "vector field components undefined at (0.5, 0.998, -0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error",
+        ["vector field components undefined at (0.5, 0.998, 0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error", None],
+        "vector field components undefined at (0.5, 0.998, 0.0, 0.0): (x-0.9983)^(1.0/2.0): math domain error",
     ),
     # a gradient potential undefined two steps below (S^2), which nabla V reaches
     "gradient_s2": (
@@ -1471,8 +1538,8 @@ FIELD_ERROR_CASES = {
         {"gradient": "t + (x - 0.9983)^(1/2)"},
         False,
         [[0.5, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
-        ["gradient potential undefined at (0.5, 0.998, 0.0, -0.0): t+(x-0.9983)^(1.0/2.0): math domain error", None],
-        "gradient potential undefined at (0.501, 0.998, 0.0, -0.0): t+(x-0.9983)^(1.0/2.0): math domain error",
+        ["gradient potential undefined at (0.5, 0.998, 0.0, 0.0): t+(x-0.9983)^(1.0/2.0): math domain error", None],
+        "gradient potential undefined at (0.501, 0.998, 0.0, 0.0): t+(x-0.9983)^(1.0/2.0): math domain error",
     ),
     # a gradient potential undefined three steps below (S^3), which only the
     # nabla F of potential_field_identities reaches
@@ -1482,11 +1549,11 @@ FIELD_ERROR_CASES = {
         True,
         [[0.5, 1.0, -0.0, 0.0], [-0.0, 1.0, 0.0, -0.0], [0.5, 1.5, 0.0, 0.0]],
         [
-            "gradient potential undefined at (0.5, 0.997, -0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
-            "gradient potential undefined at (-0.0, 0.997, 0.0, -0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+            "gradient potential undefined at (0.5, 0.997, 0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+            "gradient potential undefined at (0.0, 0.997, 0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
             None,
         ],
-        "gradient potential undefined at (0.5, 0.997, -0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
+        "gradient potential undefined at (0.5, 0.997, 0.0, 0.0): t+(x-0.9973)^(1.0/2.0): math domain error",
     ),
 }
 
@@ -1634,34 +1701,39 @@ class TestPlanBlocks:
                     checked[name] += 1
         assert set(checked) == {*LAYERS, "ricci_raw"}
 
-    def test_a_point_with_minus_zero_on_a_read_axis_keeps_a_store_of_its_own(self):
-        # there the sign of a zero its walk copies or rebuilds is its own, also
-        # when the metric reads every axis; the points of another metric or
-        # numerics keep stores of their own too
-        metric, signed = REFERENCE_CASES["signed_shift"]
-        every = MetricSpec.from_grid(
-            [["-1 - 0.1*t^2", "x", "0", "0"], ["x", "1 + 0.1*y^2", "0", "0"], ["0", "0", "1 + 0.1*z^2", "0"], ["0", "0", "0", "1"]],
-            COORDS,
-        )
-        assert metric.read_axes == (0, 1) and every.read_axes == (0, 1, 2, 3)
-        points = [(0.6, 0.1, 0.0, 0.2), signed, (0.3, 0.0, -0.0, 0.2), (0.3, 0.2, 0.0, 0.2)]
-        keys = [(metric, p, DEFAULT_NUMERICS) for p in points]
-        keys += [(metric, points[0], NumericsConfig(richardson=False))]
-        keys += [(every, p, DEFAULT_NUMERICS) for p in [(0.9, 0.2, -0.3, 0.4), (0.9, -0.0, -0.3, 0.4)]]
-        geos = block_geometries(keys)
-        assert [geo.point for geo in geos] == [key[1] for key in keys]
-        stores = [geo._store for geo in geos]
-        assert stores[0] is stores[2] is stores[3] and stores[0].size > 0
-        assert len({id(store) for store in stores}) == 5
-        for store in stores[1], stores[6]:
-            assert store.axes == (0, 1, 2, 3) and store.size == 0
+    def test_a_minus_zero_point_and_its_twin_share_a_store_a_tree_and_a_record(self):
+        # a plan point with -0.0 on an axis the metric reads (x) and on one it
+        # does not (z), and its twin with +0.0: the geometry reads every -0.0
+        # as +0.0, so the two share one store and one field tree in a block,
+        # and each gets the same record, byte for byte; the report's scenario
+        # still echoes the plan as written
+        signed, twin = [0.6, -0.0, 0.0, -0.0], [0.6, 0.0, 0.0, 0.0]
+        doc = {
+            "schema_version": 1,
+            "name": "canonical zeros",
+            "description": "a -0.0 plan point and its twin",
+            "coordinates": list(COORDS),
+            "metric": {"components": [["-1 - 0.1*t^2", "x", "0", "0"], ["x", "1 + 0.2*t", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+            "vector_field": {"components": ["t", "x", "y", "z"]},
+            "points": [signed, twin],
+            **_SOLITON,
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            geos = _recorded_geometries(patch)
+            report = run_suite(scenario_from_dict(doc)).to_dict(include_timestamp=False)
+        assert geos[0].metric.read_axes == (0, 1) and geos[0].point == geos[1].point == tuple(twin)
+        assert geos[0]._store is geos[1]._store and geos[0]._block is geos[1]._block
+        (field,), (twin_field,) = geos[0]._fields.values(), geos[1]._fields.values()
+        assert field._tree is twin_field._tree and field._tree.alone is None
+        assert json.dumps(report["points"][0]) == json.dumps(report["points"][1])
+        assert json.dumps(report["scenario"]["points"][0]) == json.dumps(signed)
 
-    def test_a_failing_point_leaves_the_batch_to_the_others(self, monkeypatch):
+    def test_a_failing_point_leaves_the_batch_to_the_others(self):
         # three infall points and one where the metric fails, at the point
         # (r = 0) or two stencil steps out (r = 1.5e-3), in each place of the
-        # block: the good points still share one store, filled in one batch
-        # that names no error, and the failing point keeps a store of its own,
-        # untouched until its own reads meet the failure as they do alone
+        # block: the good points still share one store, filled in one batch,
+        # and the failing point keeps a store of its own, untouched until its
+        # own reads meet the failure as they do alone
         from solitonlab.scenario import load_scenario
 
         grid = load_scenario(INFALL_GRID)
@@ -1671,8 +1743,7 @@ class TestPlanBlocks:
             with pytest.raises(EvalDomainError) as alone:
                 PointGeometry(grid.metric, bad, grid.numerics).einstein
             errors[bad] = str(alone.value)
-        replays, left = [], []
-        monkeypatch.setattr(lattice.Store, "_raise_along_every_axis", lambda *args: replays.append(args))
+        left = []
         for bad in errors:
             for place in range(4):
                 geos = block_geometries(good[:place] + [(grid.metric, bad, grid.numerics)] + good[place:])
@@ -1681,8 +1752,6 @@ class TestPlanBlocks:
                 assert all(geo._store is store for geo in geos) and left[-1]._store.size == 0
                 for geo in geos:
                     assert store.held("einstein", store.kids[geo._number].ravel()).all()
-        assert not replays
-        monkeypatch.undo()
         for geo in left:
             with pytest.raises(EvalDomainError) as raised:
                 geo.einstein
@@ -1736,7 +1805,7 @@ class TestPlanBlocks:
 
 
 class TestDistinct:
-    """``lattice._distinct`` numbers rows by first appearance, as lattice keys or bit for bit."""
+    """``lattice._distinct`` numbers rows by value, in order of first appearance."""
 
     ROWS = np.array([[1.0, -0.0], [2.0, 0.5], [1.0, 0.0], [2.0, 0.5], [3.0, 0.0], [1.0, -0.0]])
 
@@ -1745,16 +1814,13 @@ class TestDistinct:
         assert first.tolist() == [0, 2]
         assert group.tolist() == [0, 0, 1, 0]
 
-    def test_keys_equate_zeros_and_exact_keeps_them_apart(self):
+    def test_keys_equate_zeros(self):
         first, group = _distinct(self.ROWS)
         assert first.tolist() == [0, 1, 4]
         assert group.tolist() == [0, 1, 0, 1, 2, 0]
-        first, group = _distinct(self.ROWS, exact=True)
-        assert first.tolist() == [0, 1, 2, 4]
-        assert group.tolist() == [0, 1, 2, 1, 3, 0]
 
     def test_no_axes_is_one_group(self):
-        first, group = _distinct(np.empty((5, 0)), exact=True)
+        first, group = _distinct(np.empty((5, 0)))
         assert first.tolist() == [0]
         assert group.tolist() == [0] * 5
 
@@ -1777,9 +1843,8 @@ class TestDistinct:
         monkeypatch.setattr(lattice, "_hash_weights", lambda dim: np.zeros(dim, dtype=np.uint64))
         assert {case: walked(case) for case in expected} == expected
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_sorted_exactly_when_every_hash_collides(self, monkeypatch, exact):
-        expected = _distinct(self.ROWS, exact=exact)
+    def test_sorted_exactly_when_every_hash_collides(self, monkeypatch):
+        expected = _distinct(self.ROWS)
         monkeypatch.setattr(lattice, "_hash_weights", lambda dim: np.zeros(dim, dtype=np.uint64))
-        got = _distinct(self.ROWS, exact=exact)
+        got = _distinct(self.ROWS)
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
