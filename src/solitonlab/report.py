@@ -11,8 +11,9 @@ count toward the verdict when their hypothesis holds.
 run_suites does the same for several scenarios at once, as ``sweep``
 needs.  It walks the plan point-outer: at each plan index, the scenarios
 that agree on the metric, the numerics and the point share one
-PointGeometry, so that point's geometry is evaluated once for all of them.
-It takes the plan a block of indices at a time: the block's points that
+PointGeometry, so that point's geometry is evaluated once for all of them,
+and those that also agree on every input but the soliton constants share
+the point's rows that read none of those constants.  It takes the plan a block of indices at a time: the block's points that
 agree on the metric and the numerics share one store, filled in one batch,
 and the block's stores are dropped before the next block, so memory is
 bounded by a block, not by the plan.  Each report equals the one run_suite
@@ -328,13 +329,31 @@ def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float |
     return lam, mu
 
 
-def _evaluate_point(
-    scenario: Scenario, geo: PointGeometry, tols: dict[str, float], solve: bool
-) -> tuple[_PointRecord, PointSamples | None]:
-    """The record of one plan point, and its samples for the conformal fit when solving with a field.
+@dataclass
+class _SharedRows:
+    """The rows of one plan point that read no soliton constant, and what the soliton block reads of them."""
 
-    Every hypothesis of a conditional identity is decided here, once, from
-    the resolved tolerances; the identity functions only compute residuals.
+    rec: _PointRecord
+    samples: PointSamples | None
+    v_val: np.ndarray | None
+    unit_timelike: bool
+    fluid_values: FluidValues | None
+    efe_ok: bool
+    torse_res: float | None
+    div_route: float | None
+    trace_route: float | None
+
+
+def _shared_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float], solve: bool) -> _SharedRows:
+    """Every row of one plan point before the soliton block, and its samples when solving with a field.
+
+    Of the scenario it reads the vector field, the fluid, the fluid-fit and
+    field-equation flags and the assertions, besides ``tols`` and ``solve``
+    and the coordinates the metric fixes; never a soliton constant, so the
+    runs of a sweep over one share it (run_suites).
+    Every hypothesis of a conditional identity is decided here or in
+    ``_soliton_rows``, once, from the resolved tolerances; the identity
+    functions only compute residuals.
     """
     point = geo.point
     rec = _PointRecord(point, tols)
@@ -390,6 +409,7 @@ def _evaluate_point(
             rec.add("einstein_eigen_multiset", eig.max_deviation, efe_ok, applicable=efe_ok)
 
     # vector-field block: unconditional decomposition and skewness
+    torse_res = div_route = trace_route = None
     if v is not None:
         rec.add("nabla_decomposition", nabla_decomposition_check(geo, v), True)
         rec.add("f_skew_adjoint", rotation_skew_residual(geo, v), True)
@@ -413,95 +433,117 @@ def _evaluate_point(
             rec.add("laplacian_two_route", abs(div_route - trace_route), True)
 
     samples = PointSamples.from_geometry(geo, v) if solve and v is not None else None
+    return _SharedRows(rec, samples, v_val, unit_timelike, fluid_values, efe_ok, torse_res, div_route, trace_route)
 
-    # soliton block
+
+def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float], shared: _SharedRows) -> _PointRecord:
+    """The record of one plan point: a copy of the shared rows' record, with the scenario's soliton block added."""
+    rec = _PointRecord(geo.point, tols, dict(shared.rec.identities), dict(shared.rec.derived))
+    samples = shared.samples
     params = scenario.soliton
-    if samples is not None and params is not None:
-        lie_xi_xi = abs(float(v_val @ samples.lie_vg @ v_val)) if v_val is not None else None
-        projection_valid = unit_timelike and lie_xi_xi is not None and lie_xi_xi <= tols["applicability"]
+    if samples is None or params is None:
+        return rec
+    point = geo.point
+    coords = scenario.coords
+    v = scenario.vector_field
+    v_val = shared.v_val
+    unit_timelike = shared.unit_timelike
+    fluid_values = shared.fluid_values
+    efe_ok = shared.efe_ok
 
-        if params.family in ETA_FAMILIES:
-            if unit_timelike:
-                sol = eta_projection_solve(
-                    samples, params.alpha, params.beta, params.p_at(point, coords), tols["unit_timelike"]
-                )
-                rec.derived["eta_lambda"] = sol.lam
-                rec.derived["eta_mu"] = sol.mu
-                rec.derived["div_xi"] = sol.div_xi
-                rec.add("eta_backsubstitution", sol.back_substitution, True)
-                if fluid_values is not None:
-                    cf_lam, cf_mu = eta_closed_forms(
-                        fluid_values, params.alpha, params.beta, params.p_at(point, coords), sol.div_xi
-                    )
-                    deviation = max(abs(sol.lam - cf_lam), abs(sol.mu - cf_mu))
-                    applicable = efe_ok and projection_valid
-                    rec.add("eta_vs_closed_form", deviation, applicable, applicable=applicable)
-        elif params.family != "gradient_ricci_yamabe":
-            if v_val is not None:
-                lam_proj = lambda_from_projection(samples, params)
-                rec.derived["lambda_projection"] = lam_proj
-                if fluid_values is not None:
-                    closed = lambda_closed_form(
-                        fluid_values, params.alpha, params.beta, params.p_at(point, coords)
-                    )
-                    applicable = efe_ok and projection_valid
-                    rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
+    lie_xi_xi = abs(float(v_val @ samples.lie_vg @ v_val)) if v_val is not None else None
+    projection_valid = unit_timelike and lie_xi_xi is not None and lie_xi_xi <= tols["applicability"]
 
-        if fluid_values is not None:
-            lam_any = params.lam if params.lam is not None else rec.derived.get(
-                "eta_lambda" if params.family in ETA_FAMILIES else "lambda_projection", 0.0
+    if params.family in ETA_FAMILIES:
+        if unit_timelike:
+            sol = eta_projection_solve(
+                samples, params.alpha, params.beta, params.p_at(point, coords), tols["unit_timelike"]
             )
-            p_val = params.p_at(point, coords)
-            consistency = abs(
-                phi_closed_form(fluid_values, params.alpha, params.beta, p_val, lam_any)
-                + lam_any
-                - lambda_closed_form(fluid_values, params.alpha, params.beta, p_val)
-            )
-            rec.add("phi_lambda_consistency", consistency, True)
-
-        lam_eff, mu_eff = _effective_constants(scenario, rec)
-        if params.family == "gradient_ricci_yamabe":
-            if v.is_gradient and lam_eff is not None:
-                res = gradient_soliton_residual(geo, v.potential, dataclasses.replace(params, lam=lam_eff))
-                rec.add("soliton_residual", max_abs(res.components), scenario.assert_soliton_residual)
-        elif lam_eff is not None and (params.family not in ETA_FAMILIES or mu_eff is not None):
-            eff = dataclasses.replace(params, lam=float(lam_eff), mu=None if mu_eff is None else float(mu_eff))
-            res_norm = max_abs(soliton_residual(samples, eff).components)
-            rec.add("soliton_residual", res_norm, scenario.assert_soliton_residual)
-            # the three consequence identities are derived from the plain
-            # (non-eta) soliton equation; the vertical term changes the
-            # covariant-derivative split, so they do not carry over
-            if fluid_values is not None and params.family not in ETA_FAMILIES:
-                ident = potential_field_identities(geo, v, fluid_values, eff)
-                # hypotheses: the full soliton equation holds, the fluid
-                # describes the Ricci tensor, and a nonzero matter coefficient
-                # needs a unit timelike torse-forming flow
-                coeff = params.alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho)
-                fluid_gap = max_abs(s - ricci_from_fluid(fluid_values, g, geo.field(v).omega))
-                applicable = (
-                    res_norm <= tols["applicability"]
-                    and fluid_gap <= tols["applicability"] * (1.0 + abs(fluid_values.lam) + abs(coeff))
-                    and (coeff == 0.0 or (unit_timelike and torse_res <= tols["applicability"]))
+            rec.derived["eta_lambda"] = sol.lam
+            rec.derived["eta_mu"] = sol.mu
+            rec.derived["div_xi"] = sol.div_xi
+            rec.add("eta_backsubstitution", sol.back_substitution, True)
+            if fluid_values is not None:
+                cf_lam, cf_mu = eta_closed_forms(
+                    fluid_values, params.alpha, params.beta, params.p_at(point, coords), sol.div_xi
                 )
-                rec.add("potential_curvature_identity", ident.curvature_identity, applicable, applicable=applicable)
-                rec.add("rotation_divergence_identity", ident.divergence_identity, applicable, applicable=applicable)
-                rec.add("potential_norm_identity", ident.norm_gradient_identity, applicable, applicable=applicable)
+                deviation = max(abs(sol.lam - cf_lam), abs(sol.mu - cf_mu))
+                applicable = efe_ok and projection_valid
+                rec.add("eta_vs_closed_form", deviation, applicable, applicable=applicable)
+    elif params.family != "gradient_ricci_yamabe":
+        if v_val is not None:
+            lam_proj = lambda_from_projection(samples, params)
+            rec.derived["lambda_projection"] = lam_proj
+            if fluid_values is not None:
+                closed = lambda_closed_form(
+                    fluid_values, params.alpha, params.beta, params.p_at(point, coords)
+                )
+                applicable = efe_ok and projection_valid
+                rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
 
-        if params.family in ETA_FAMILIES and v.is_gradient and fluid_values is not None:
-            if unit_timelike:
-                lap_res = laplacian_identity_check(div_route, trace_route, fluid_values, params.alpha, params.beta)
-                rec.add("laplacian_identity", abs(lap_res), True)
-            else:
-                rec.add("laplacian_identity", None, False, applicable=False)
-    return rec, samples
+    if fluid_values is not None:
+        lam_any = params.lam if params.lam is not None else rec.derived.get(
+            "eta_lambda" if params.family in ETA_FAMILIES else "lambda_projection", 0.0
+        )
+        p_val = params.p_at(point, coords)
+        consistency = abs(
+            phi_closed_form(fluid_values, params.alpha, params.beta, p_val, lam_any)
+            + lam_any
+            - lambda_closed_form(fluid_values, params.alpha, params.beta, p_val)
+        )
+        rec.add("phi_lambda_consistency", consistency, True)
+
+    lam_eff, mu_eff = _effective_constants(scenario, rec)
+    if params.family == "gradient_ricci_yamabe":
+        if v.is_gradient and lam_eff is not None:
+            res = gradient_soliton_residual(geo, v.potential, dataclasses.replace(params, lam=lam_eff))
+            rec.add("soliton_residual", max_abs(res.components), scenario.assert_soliton_residual)
+    elif lam_eff is not None and (params.family not in ETA_FAMILIES or mu_eff is not None):
+        eff = dataclasses.replace(params, lam=float(lam_eff), mu=None if mu_eff is None else float(mu_eff))
+        res_norm = max_abs(soliton_residual(samples, eff).components)
+        rec.add("soliton_residual", res_norm, scenario.assert_soliton_residual)
+        # the three consequence identities are derived from the plain
+        # (non-eta) soliton equation; the vertical term changes the
+        # covariant-derivative split, so they do not carry over
+        if fluid_values is not None and params.family not in ETA_FAMILIES:
+            ident = potential_field_identities(geo, v, fluid_values, eff)
+            # hypotheses: the full soliton equation holds, the fluid
+            # describes the Ricci tensor, and a nonzero matter coefficient
+            # needs a unit timelike torse-forming flow
+            coeff = params.alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho)
+            fluid_gap = max_abs(geo.ricci - ricci_from_fluid(fluid_values, geo.g, geo.field(v).omega))
+            applicable = (
+                res_norm <= tols["applicability"]
+                and fluid_gap <= tols["applicability"] * (1.0 + abs(fluid_values.lam) + abs(coeff))
+                and (coeff == 0.0 or (unit_timelike and shared.torse_res <= tols["applicability"]))
+            )
+            rec.add("potential_curvature_identity", ident.curvature_identity, applicable, applicable=applicable)
+            rec.add("rotation_divergence_identity", ident.divergence_identity, applicable, applicable=applicable)
+            rec.add("potential_norm_identity", ident.norm_gradient_identity, applicable, applicable=applicable)
+
+    if params.family in ETA_FAMILIES and v.is_gradient and fluid_values is not None:
+        if unit_timelike:
+            lap_res = laplacian_identity_check(
+                shared.div_route, shared.trace_route, fluid_values, params.alpha, params.beta
+            )
+            rec.add("laplacian_identity", abs(lap_res), True)
+        else:
+            rec.add("laplacian_identity", None, False, applicable=False)
+    return rec
 
 
 @dataclass
 class _SuiteRun:
-    """One scenario's report while run_suites walks the plan."""
+    """One scenario's report while run_suites walks the plan.
+
+    ``shared`` numbers the run's key of the inputs ``_shared_rows`` reads:
+    runs with equal keys, at a plan point whose geometry they share, share
+    its shared rows.
+    """
 
     scenario: Scenario
     tols: dict[str, float]
+    shared: int
     warnings: list[str] = field(default_factory=list)
     records: list[_PointRecord] = field(default_factory=list)
     samples: list[PointSamples] = field(default_factory=list)
@@ -515,13 +557,32 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
     agree on (metric, point, numerics) share one PointGeometry, so a sweep
     over a soliton or fluid constant evaluates the geometry, the plan-point
     check and the FD convergence ratio once per point, not once per value.
+    Of those, the scenarios that also agree on the key of the shared part,
+    ``_shared_rows`` (vector field, fluid, fluid-fit and field-equation
+    flags, assertions and resolved tolerances; ``solve`` is one per call),
+    share its rows too: the curvature, fluid, vector-field, torse and
+    Laplacian rows and the point's samples.  Only the soliton part,
+    ``_soliton_rows``, runs once per scenario, so a sweep over a soliton
+    constant evaluates the rest once per point.
     The indices go a block of ``_BLOCK`` at a time: the block's points that
     agree on (metric, numerics) share one store, its curvature filled in one
     batch (``geometry.block_geometries``), and the block's stores are
     dropped before the next block, so only one block's lattices are ever
     live.
     """
-    runs = [_SuiteRun(scenario, resolve_tolerances(scenario.tolerances)) for scenario in scenarios]
+    keys: dict[tuple, int] = {}
+    runs = []
+    for scenario in scenarios:
+        tols = resolve_tolerances(scenario.tolerances)
+        key = (
+            scenario.vector_field,
+            scenario.fluid,
+            scenario.fluid_fit_requested,
+            scenario.assert_field_equation,
+            scenario.assertions,
+            tuple(sorted(tols.items())),
+        )
+        runs.append(_SuiteRun(scenario, tols, keys.setdefault(key, len(keys))))
     plan = max((len(run.scenario.points) for run in runs), default=0)
     for start in range(0, plan, _BLOCK):
         block: list[tuple[int, tuple, list[_SuiteRun]]] = []
@@ -552,8 +613,17 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
         _run_point(group, i, geo, solve)
 
 
+_NUMERICAL = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
+
+
 def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) -> None:
-    """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``."""
+    """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``.
+
+    ``_shared_rows`` runs once per shared key (``_SuiteRun.shared``) among
+    the group, ``_soliton_rows`` once per run.  A numerical failure of the
+    shared rows is recorded on every run of their key, as each would record
+    it alone; one of the soliton block only on its own run.
+    """
     try:
         geo.g
     except (EvalDomainError, GeometryError) as exc:
@@ -561,16 +631,27 @@ def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) 
             run.warnings.append(f"plan point {i} {list(geo.point)}: metric not evaluable there ({exc})")
             run.records.append(_PointRecord(geo.point, error=str(exc)))
         return
+    shared: dict[int, _SharedRows | Exception] = {}
     first_good = []
     for run in group:
+        rows = shared.get(run.shared)
+        if rows is None:
+            try:
+                rows = _shared_rows(run.scenario, geo, run.tols, solve)
+            except _NUMERICAL as exc:
+                rows = exc
+            shared[run.shared] = rows
+        if isinstance(rows, Exception):
+            run.records.append(_PointRecord(geo.point, error=str(rows)))
+            continue
         try:
-            rec, sample = _evaluate_point(run.scenario, geo, run.tols, solve)
-        except (EvalDomainError, GeometryError, np.linalg.LinAlgError) as exc:
+            rec = _soliton_rows(run.scenario, geo, run.tols, rows)
+        except _NUMERICAL as exc:
             run.records.append(_PointRecord(geo.point, error=str(exc)))
             continue
         run.records.append(rec)
-        if sample is not None:
-            run.samples.append(sample)
+        if rows.samples is not None:
+            run.samples.append(rows.samples)
         if not run.fd_health:
             first_good.append(run)
     if first_good:

@@ -570,6 +570,27 @@ def _count_evaluations(monkeypatch) -> tuple[list, list]:
     return metric_seen, field_seen
 
 
+def _swept_scenarios(path, param, values, changes=None) -> list:
+    """One scenario per value of ``param``, a dotted path into the scenario at ``path`` after ``changes``."""
+    from solitonlab.scenario import load_scenario
+
+    base = {**load_scenario(path).to_dict(), **(changes or {})}
+    *sections, key = param.split(".")
+    scenarios = []
+    for value in values:
+        doc = json.loads(json.dumps(base))
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        scenarios.append(scenario_from_dict(doc))
+    return scenarios
+
+
+def _report_docs(reports) -> list[dict]:
+    return [report.to_dict(include_timestamp=False) for report in reports]
+
+
 class TestPointGeometry:
     def test_dimension_checked(self, minkowski):
         with pytest.raises(ValueError):
@@ -761,22 +782,47 @@ class TestPointGeometry:
 
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
         # a soliton constant never touches the geometry: four values cost
-        # the metric and field evaluations of one run
+        # the metric and field evaluations of one run, and the rows that read
+        # no soliton constant are evaluated once per plan point; only the
+        # soliton block runs once per point and value
+        from solitonlab import report
         from solitonlab.cli import main
         from solitonlab.report import run_suite
         from solitonlab.scenario import load_scenario
+        from solitonlab.solitons import PointSamples
 
         from conftest import SCENARIO_DIR
 
         path = SCENARIO_DIR / "de-sitter-soliton.json"
         metric_seen, field_seen = _count_evaluations(monkeypatch)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fluid_from_ricci", "contracted_bianchi_residual", "torse_consequence_residuals", "soliton_residual"):
+            monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
+        from_geometry = counted("from_geometry", PointSamples.from_geometry.__func__)
+        monkeypatch.setattr(PointSamples, "from_geometry", classmethod(from_geometry))
         run_suite(load_scenario(path))
         one_run = (len(metric_seen), len(field_seen))
         metric_seen.clear()
         field_seen.clear()
+        calls.clear()
         argv = ["sweep", str(path), "--param", "soliton.alpha", "--values=0.0,0.5,1.0,2.0"]
         assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 0
         assert (len(metric_seen), len(field_seen)) == one_run
+        assert calls == {
+            "fluid_from_ricci": 3,
+            "contracted_bianchi_residual": 3,
+            "torse_consequence_residuals": 3,
+            "from_geometry": 3,
+            "soliton_residual": 12,
+        }
 
     def test_equal_specs_hash_equal_and_share_one_field_tree(self, monkeypatch):
         # a spec's hash is computed once per object; specs equal by value, as
@@ -800,25 +846,87 @@ class TestPointGeometry:
             assert len({id(tree) for geo in geos for tree in geo._block.trees.values()}) == 1
 
     @pytest.mark.parametrize(
-        "param, values",
-        [("metric.hubble", [0.5, 1.0, 0.5, 2.0]), ("numerics.h", [1e-3, 2e-3]), ("soliton.alpha", [0.0, 1.0, 2.0])],
+        "name, param, values",
+        [
+            ("de-sitter-soliton.json", "metric.hubble", [0.5, 1.0, 0.5, 2.0]),
+            ("de-sitter-soliton.json", "numerics.h", [1e-3, 2e-3]),
+            ("de-sitter-soliton.json", "soliton.alpha", [0.0, 1.0, 2.0]),
+            ("de-sitter-soliton.json", "soliton.alpha", [1.0, 0.0, 1.0, 1.0]),
+            ("de-sitter-soliton.json", "soliton.beta", [-1.0, 0.0, 2.5]),
+            ("de-sitter-soliton.json", "soliton.p", [-0.5, 0.5, "1/(t+3)", -0.5]),
+            ("de-sitter-soliton.json", "fluid.sigma", [0.0, 1.0, "t^2", 0.0]),
+            ("de-sitter-soliton.json", "fluid.cosmological_constant", [3.0, 2.0, 3.0]),
+            (
+                # equal FluidStates that differ in the fit and field-equation flags
+                "de-sitter-soliton.json",
+                "fluid",
+                [
+                    {"sigma": 0.0, "rho": 0.0, "kappa": 8 * math.pi, "cosmological_constant": 3.0},
+                    {"fit_from_ricci": {"kappa": 8 * math.pi, "cosmological_constant": 3.0}},
+                    {"sigma": 0, "rho": 0, "kappa": 8 * math.pi, "cosmological_constant": 3, "assert_field_equation": False},
+                    {"fit_from_ricci": {"kappa": 8 * math.pi, "cosmological_constant": 3.0}},
+                ],
+            ),
+            (
+                "de-sitter-soliton.json",
+                "vector_field",
+                [{"components": [1, 0, 0, 0]}, {"components": [1, "x", 0, 0]}, {"gradient": "t"}, {"components": [1, 0, 0, 0]}],
+            ),
+            ("de-sitter-soliton.json", "tolerances", [{}, {"torse_forming": 1e-20}, {}, {"applicability": 1e-3}]),
+            ("de-sitter-soliton.json", "assertions", [["torse"], [], ["torse"], []]),
+            ("de-sitter-eta-gradient.json", "soliton.p", [-0.5, 0.5, "t", -0.5]),
+        ],
     )
-    def test_shared_runs_equal_separate_runs(self, param, values):
-        from solitonlab.report import run_suite, run_suites
-        from solitonlab.scenario import load_scenario, scenario_from_dict
+    def test_shared_runs_equal_separate_runs(self, name, param, values):
+        # each input of the shared rows' key, and the soliton constants
+        # outside it, with repeated values that share a key
+        from solitonlab.report import run_suites
 
         from conftest import SCENARIO_DIR
 
-        base = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json")
-        section, key = param.split(".")
-        scenarios = []
-        for value in values:
-            doc = base.to_dict()
-            doc[section][key] = value
-            scenarios.append(scenario_from_dict(doc))
-        shared = [report.to_dict(include_timestamp=False) for report in run_suites(scenarios)]
-        assert shared == [run_suite(s).to_dict(include_timestamp=False) for s in scenarios]
+        scenarios = _swept_scenarios(SCENARIO_DIR / name, param, values)
+        assert _report_docs(run_suites(scenarios)) == _report_docs(map(run_suite, scenarios))
 
+    def test_a_soliton_failure_stays_with_its_value(self):
+        # p = 1/t is undefined at the plan point t = 0: only that value's
+        # record there carries the error, and the other values share the
+        # point's rows as if it had not run
+        from solitonlab.report import run_suites
+
+        from conftest import SCENARIO_DIR
+
+        path = SCENARIO_DIR / "de-sitter-eta-gradient.json"
+        scenarios = _swept_scenarios(path, "soliton.p", [0.5, "1/t", -0.5])
+        reports = _report_docs(run_suites(scenarios))
+        assert reports == _report_docs(map(run_suite, scenarios))
+        message = "div of (1.0, 0.0): float division by zero at offsets 0..3"
+        errors = [[point["error"] for point in doc["points"]] for doc in reports]
+        assert errors == [[None, None, None], [None, message, None], [None, None, None]]
+
+    def test_a_shared_failure_is_recorded_on_every_value(self, monkeypatch):
+        # a vector field undefined at t = 0 fails the shared rows there, once
+        # for the point, and each value records the error a run alone records
+        from solitonlab import report
+
+        from conftest import SCENARIO_DIR
+
+        shared_rows, entered = report._shared_rows, []
+
+        def counted(scenario, geo, tols, solve):
+            entered.append(geo.point)
+            return shared_rows(scenario, geo, tols, solve)
+
+        field = {"vector_field": {"components": [1, "1/t", 0, 0]}}
+        scenarios = _swept_scenarios(SCENARIO_DIR / "de-sitter-soliton.json", "soliton.alpha", [0.0, 1.0, 2.0], field)
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "_shared_rows", counted)
+            reports = _report_docs(report.run_suites(scenarios))
+        assert entered == [(-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+        assert reports == _report_docs(map(run_suite, scenarios))
+        message = "vector field components undefined at (0.0, 0.0, 0.0, 0.0): 1.0/t: float division by zero"
+        for doc in reports:
+            assert [point["error"] for point in doc["points"]] == [None, message, None]
+            assert doc["summary"]["errors"] == [{"point": 1, "message": message}]
 
 
 class _PerKey:
