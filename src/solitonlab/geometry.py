@@ -44,6 +44,12 @@ compiled call.  Should a read of a shared tree meet a numerical failure,
 each of its points goes on with a tree of its own, so every point gets the
 values and the failure it gets alone.
 
+The identity rows read the points of one store together: a BlockGeometry
+over them holds each layer and field quantity with a leading point axis,
+and each row function of this module, ``spacetimes`` and ``solitons`` is
+one computation over it, which a lone PointGeometry runs as a block of one
+(docs/conventions.md, "Rows over a block").
+
 A FieldGeometry and its tree live as long as the PointGeometry objects that
 read them, and a store as long as the PointGeometry objects on it.  None is
 locked: each belongs to one thread.  Nothing is cached at module level.
@@ -90,6 +96,7 @@ __all__ = [
     "VectorFieldSpec",
     "FramePack",
     "PointGeometry",
+    "BlockGeometry",
     "FieldGeometry",
     "block_geometries",
     "metric_at",
@@ -369,13 +376,7 @@ class PointGeometry:
         The layer is computed at all the neighbours, and at this point, in
         one batch.  The leading axis of the result is the derivative index.
         """
-        store, point = self._store, np.array([self.point])
-        around = neighbours(point, store.steps).reshape(-1, point.shape[1])
-        # the point last, as a caller reading it after would; once walked round, its kids number the neighbours
-        known = np.append(store.kids[self._number].ravel(), self._number)
-        numbers = store.fill(name, np.concatenate([around, point]), known)
-        values = store.get(name, numbers[:-1])
-        return stencil_derivative(values.reshape((1, point.shape[1], -1) + values.shape[1:]), self.numerics.h)[0]
+        return _grad(self._store, np.array([self.point]), np.array([self._number]), name)[0]
 
     def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
         """The quantities of the vector field ``spec`` at this point; one FieldGeometry per spec."""
@@ -395,6 +396,116 @@ class PointGeometry:
     ricci_asymmetry = _layer_property("ricci_asymmetry", "Largest asymmetry of the raw Ricci contraction.")
     scalar = _layer_property("scalar", "r = g^ij S_ij.")
     einstein = _layer_property("einstein", "G_ij = S_ij - (r/2) g_ij.")
+
+
+def _grad(store: Store, points: np.ndarray, numbers: np.ndarray, name: str) -> np.ndarray:
+    """Central first derivatives of layer ``name`` at ``points`` (numbers ``numbers``; -1: unknown), one batch.
+
+    The layer is computed at all their neighbours, and at the points, in
+    one ``Store.fill``; the result is ``[point, derivative index, ...]``.
+    """
+    dim = points.shape[1]
+    around = neighbours(points, store.steps).reshape(-1, dim)
+    # the points last, as a caller reading them after would; once walked round, their kids number the neighbours
+    known = np.concatenate([store.kids[numbers].reshape(-1), numbers])
+    numbers = store.fill(name, np.concatenate([around, points]), known)
+    values = store.get(name, numbers[: len(around)])
+    return stencil_derivative(values.reshape((len(points), dim, -1) + values.shape[1:]), store.numerics.h)
+
+
+def _block_layer(name: str) -> property:
+    """A curvature layer of BlockGeometry, one row per point, read once."""
+
+    def read(block: BlockGeometry) -> np.ndarray:
+        rows = block._layers.get(name)
+        if rows is None:
+            if len(block.geos) == 1:  # read as the point reads it alone; a copy, as a row keeps its layer alive
+                rows = np.array(getattr(block.geos[0], name))[None]
+            else:  # held at every point since block_geometries filled the store
+                rows = block.geos[0]._store.get(name, block._numbers)
+            rows.flags.writeable = False
+            block._layers[name] = rows
+        return rows
+
+    return property(read, doc=f"Layer {name!r} at each point of the block.")
+
+
+class BlockGeometry:
+    """Points of one store read together: each curvature layer, derivative and field quantity with a leading point axis.
+
+    The points are those ``block_geometries`` put on one store, where it
+    filled every layer at them, or one PointGeometry, read as it reads
+    alone: a lone point is a block of one.  A layer is one indexed read of
+    the store at the points, ``grad`` one ``Store.fill`` for all of them,
+    and a field quantity their rows of the depth-0 array of the field tree
+    they share (or, once a read of that tree has failed, of each point's
+    own tree: FieldGeometry).
+
+    The row functions of this module, ``spacetimes`` and ``solitons`` take a
+    block or a PointGeometry (``of``): each computes its row once over the
+    block, and returns a list with each point's result (``unpack``), or the
+    lone point's result.  Each layer is read once per block and kept.  Not
+    thread-safe.
+    """
+
+    __slots__ = ("geos", "metric", "numerics", "points", "_numbers", "_lone", "_layers", "_fields")
+
+    def __init__(self, geos: Sequence[PointGeometry]) -> None:
+        first = geos[0]
+        if len(geos) > 1 and any(geo._block is None or geo._block is not first._block for geo in geos):
+            raise ValueError("the points of a block must share one store and its field trees")
+        self.geos = tuple(geos)
+        self.metric, self.numerics = first.metric, first.numerics
+        self.points = [geo.point for geo in geos]
+        self._numbers = np.array([geo._number for geo in geos])  # in the store; a lone point's is -1 until known
+        self._lone = False
+        self._layers: dict[str, np.ndarray] = {}
+        self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
+
+    @classmethod
+    def of(cls, geo: PointGeometry | BlockGeometry) -> BlockGeometry:
+        """``geo`` if a block, else the block of one whose ``unpack`` gives the point's result alone."""
+        if isinstance(geo, BlockGeometry):
+            return geo
+        block = cls([geo])
+        block._lone = True
+        return block
+
+    def __len__(self) -> int:
+        return len(self.geos)
+
+    def unpack(self, results: list) -> Any:
+        """``results``, one per point; the one result when the block stands for a lone PointGeometry."""
+        return results[0] if self._lone else results
+
+    def residuals(self, a: np.ndarray, rank: int) -> Any:
+        """max |a| over its last ``rank`` axes at each point, unpacked: the residual norm of a row."""
+        return self.unpack(np.abs(a).max(axis=tuple(range(-rank, 0))).tolist())
+
+    def grad(self, name: str) -> np.ndarray:
+        """``PointGeometry.grad`` at every point: ``[point, derivative index, ...]``."""
+        return _grad(self.geos[0]._store, np.array(self.points), self._numbers, name)
+
+    def field(self, spec: VectorFieldSpec) -> FieldGeometry:
+        """The vector field ``spec`` at every point: a FieldGeometry over their rows of its tree."""
+        field = self._fields.get(spec)
+        if field is None:
+            tree = self.geos[0].field(spec)._tree  # a lone point's tree is made at its first field read
+            rows = [geo._row for geo in self.geos]
+            if rows == list(range(len(tree.points))):
+                rows = slice(None)  # all of the tree: its arrays, not copies
+            field = self._fields[spec] = FieldGeometry(tree, rows)
+        return field
+
+    g = _block_layer("g")
+    g_inv = _block_layer("g_inv")
+    dg = _block_layer("dg")
+    gamma = _block_layer("gamma")
+    riemann = _block_layer("riemann")
+    ricci = _block_layer("ricci")
+    ricci_asymmetry = _block_layer("ricci_asymmetry")
+    scalar = _block_layer("scalar")
+    einstein = _block_layer("einstein")
 
 
 def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsConfig]]) -> list[PointGeometry]:
@@ -568,12 +679,14 @@ class FieldGeometry:
     the point alone.  Should a read of the shared tree meet a numerical
     failure, at this point or another, each point of the block goes on with
     a tree of its own, built afresh, so a point's values, and the failure it
-    records, are those it gets alone.  Not thread-safe.
+    records, are those it gets alone.  Over several rows of the tree (a
+    BlockGeometry's field), each quantity has a leading point axis.  Not
+    thread-safe.
     """
 
     __slots__ = ("spec", "_tree", "_row")
 
-    def __init__(self, tree: _FieldTree, row: int) -> None:
+    def __init__(self, tree: _FieldTree, row: int | slice | list[int]) -> None:
         self.spec, self._tree, self._row = tree.spec, tree, row
 
     potential = _at_point("potential", "f, for a gradient field.")
@@ -591,19 +704,8 @@ class FieldGeometry:
     hessian = _at_point("hessian", "(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, for a gradient field; symmetrised.")
 
     def _at(self, name: str) -> np.ndarray:
-        """Quantity ``name`` at this point: its row of the tree's depth-0 array."""
-        tree = self._tree
-        if tree.alone is None:
-            try:
-                return tree._at(name, 0)[self._row]
-            except _FAILURES:
-                if len(tree.points) == 1:
-                    raise
-                tree.alone = [
-                    _FieldTree(tree.spec, tree.store, tree.points[i : i + 1], tree.numbers[i : i + 1])
-                    for i in range(len(tree.points))
-                ]
-        return tree.alone[self._row]._at(name, 0)[0]
+        """Quantity ``name`` at this point: its row of the tree's depth-0 array (its rows, over several)."""
+        return self._tree.read(name, self._row)
 
 
 class _Block:
@@ -662,6 +764,29 @@ class _FieldTree:
     @property
     def points(self) -> np.ndarray:
         return self._depths[0]
+
+    def read(self, name: str, rows: int | slice | list[int]) -> np.ndarray:
+        """Quantity ``name`` at the points ``rows``: their rows of the depth-0 array.
+
+        Should that read meet a numerical failure, at these points or another,
+        each point goes on with a tree of its own, built afresh (``alone``),
+        so a point's values, and the failure it records, are those it gets
+        alone.
+        """
+        if self.alone is None:
+            try:
+                return self._at(name, 0)[rows]
+            except _FAILURES:
+                if len(self.points) == 1:
+                    raise
+                self.alone = [
+                    _FieldTree(self.spec, self.store, self.points[i : i + 1], self.numbers[i : i + 1])
+                    for i in range(len(self.points))
+                ]
+        if isinstance(rows, int):
+            return self.alone[rows]._at(name, 0)[0]
+        trees = self.alone[rows] if isinstance(rows, slice) else [self.alone[r] for r in rows]
+        return np.stack([tree._at(name, 0)[0] for tree in trees])
 
     def _at(self, name: str, depth: int) -> np.ndarray:
         """Quantity ``name`` at every node of ``depth``, computed on first read."""
@@ -806,17 +931,19 @@ def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
     return TensorSample("tensor02", geo.field(spec).hessian, geo.point, symmetric=True)
 
 
-def divergence_vector(geo: PointGeometry, v: VectorFieldSpec) -> float:
+def divergence_vector(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
     """div V = (nabla_k V)^k."""
-    return float(np.trace(geo.field(v).nabla))
+    block = BlockGeometry.of(geo)
+    return block.unpack(np.trace(block.field(v).nabla, axis1=-2, axis2=-1).tolist())
 
 
-def laplacian_routes(geo: PointGeometry, f: Expr) -> tuple[float, float]:
+def laplacian_routes(geo: PointGeometry | BlockGeometry, f: Expr) -> tuple[float, float] | list[tuple[float, float]]:
     """(div grad f, trace of Hess f) -- two independent Laplacian routes."""
-    grad_field = VectorFieldSpec.gradient_of(f, geo.metric.coords)
-    div_route = divergence_vector(geo, grad_field)
-    trace_route = float(np.einsum("ij,ij->", geo.g_inv, hessian_scalar(geo, f).components))
-    return div_route, trace_route
+    block = BlockGeometry.of(geo)
+    field = block.field(VectorFieldSpec.gradient_of(f, block.metric.coords))
+    div_route = np.trace(field.nabla, axis1=-2, axis2=-1).tolist()
+    trace_route = np.einsum("...ij,...ij->...", block.g_inv, field.hessian).tolist()
+    return block.unpack(list(zip(div_route, trace_route)))
 
 
 # -- frames ----------------------------------------------------------------
@@ -831,72 +958,92 @@ def frame_from_matrix(
 
     The candidate list is seeded with ``timelike_hint`` when given.  The
     result is reordered to signs (-1, +1, ..., +1); any other sign pattern
-    raises SignatureError.
+    raises SignatureError.  A leading axis of ``g`` and the hint is a block
+    of points: each point's frame is built from its own candidates, as alone,
+    the vectors stacked, and the first point whose frame fails raises.
     """
-    n = g.shape[0]
-    candidates: list[np.ndarray] = []
-    if timelike_hint is not None:
-        candidates.append(np.asarray(timelike_hint, dtype=float))
-    candidates.extend(np.eye(n))
-    scale = max_abs(g)
-    vectors: list[np.ndarray] = []
-    signs: list[int] = []
+    g = np.asarray(g, dtype=float)
+    stacked = g if g.ndim == 3 else g[None]
+    size, n = stacked.shape[0], stacked.shape[-1]
+    candidates = [] if timelike_hint is None else [np.asarray(timelike_hint, dtype=float).reshape(-1, n)]
+    candidates.extend(np.eye(n)[:, None])
+    threshold = 1e-10 * np.abs(stacked).max(axis=(1, 2))
+    vectors, signs, count = np.zeros((size, n, n)), np.zeros((size, n)), np.zeros(size, dtype=int)
+    low = high = 0  # the fewest and the most vectors a point has
     for cand in candidates:
-        if len(vectors) == n:
+        if low == n:
             break
-        b = cand.astype(float)
-        for e, s in zip(vectors, signs):
-            b = b - s * float(b @ g @ e) * e
-        norm2 = float(b @ g @ b)
-        if abs(norm2) < 1e-10 * scale * max(1.0, float(b @ b)):
-            continue  # candidate is (numerically) dependent or null
-        vectors.append(b / math.sqrt(abs(norm2)))
-        signs.append(1 if norm2 > 0 else -1)
-    if len(vectors) != n:
-        raise SignatureError("could not complete an orthonormal frame (degenerate directions)")
-    if signs.count(-1) != 1:
-        raise SignatureError(f"expected exactly one timelike direction, found signs {tuple(signs)}")
-    order = sorted(range(n), key=lambda i: (signs[i], i))  # timelike first, stable
-    return FramePack(np.array([vectors[i] for i in order]), tuple(signs[i] for i in order), tuple(point))
+        b = cand
+        for j in range(high):  # each point's vectors in order; b @ g @ e as a stacked @
+            e = vectors[:, j]
+            step = b - (signs[:, j] * (b[:, None, :] @ stacked @ e[:, :, None])[:, 0, 0])[:, None] * e
+            b = step if j < low else np.where((count > j)[:, None], step, b)
+        norm2 = (b[:, None, :] @ stacked @ b[:, :, None])[:, 0, 0]
+        # a (numerically) dependent or null candidate is skipped
+        keep = ~(np.abs(norm2) < threshold * np.maximum(1.0, (b[:, None, :] @ b[:, :, None])[:, 0, 0]))
+        if low == high and keep.all():  # every point takes it
+            vectors[:, low] = b / np.sqrt(np.abs(norm2))[:, None]
+            signs[:, low] = np.where(norm2 > 0, 1.0, -1.0)
+            count += 1
+        else:
+            rows = (keep & (count < n)).nonzero()[0]
+            vectors[rows, count[rows]] = b[rows] / np.sqrt(np.abs(norm2[rows]))[:, None]
+            signs[rows, count[rows]] = np.where(norm2[rows] > 0, 1.0, -1.0)
+            count[rows] += 1
+        low, high = int(count.min()), int(count.max())
+    for k in range(size):
+        if count[k] != n:
+            raise SignatureError("could not complete an orthonormal frame (degenerate directions)")
+        if (signs[k] == -1).sum() != 1:
+            found = tuple(signs[k].astype(int).tolist())
+            raise SignatureError(f"expected exactly one timelike direction, found signs {found}")
+    order = np.argsort(signs, axis=1, kind="stable")  # timelike first, stable
+    vectors = np.take_along_axis(vectors, order[:, :, None], axis=1)
+    ordered = tuple(signs[0, order[0]].astype(int).tolist())
+    return FramePack(vectors if g.ndim == 3 else vectors[0], ordered, tuple(point))
 
 
 # -- health checks -----------------------------------------------------------
 
 
-def riemann_antisymmetry_residual(geo: PointGeometry) -> float:
+def riemann_antisymmetry_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
     """max |R^l_kij + R^l_kji|."""
-    r = geo.riemann
-    return max_abs(r + np.einsum("lkij->lkji", r))
+    block = BlockGeometry.of(geo)
+    r = block.riemann
+    return block.residuals(r + np.swapaxes(r, -1, -2), 4)
 
 
-def bianchi_first_residual(geo: PointGeometry) -> float:
+def bianchi_first_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
     """Cyclic sum over the lowered last three slots of the curvature."""
-    low = np.einsum("lm,mkij->lkij", geo.g, geo.riemann)
-    cyc = low + np.einsum("lkij->lijk", low) + np.einsum("lkij->ljki", low)
-    return max_abs(cyc)
+    block = BlockGeometry.of(geo)
+    low = np.einsum("...lm,...mkij->...lkij", block.g, block.riemann)
+    cyc = low + np.einsum("...lkij->...lijk", low) + np.einsum("...lkij->...ljki", low)
+    return block.residuals(cyc, 4)
 
 
-def contracted_bianchi_residual(geo: PointGeometry) -> float:
+def contracted_bianchi_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
     """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity."""
-    dg_field = geo.grad("einstein")  # [k,i,j] = d_k G_ij
-    gamma = geo.gamma
-    g0 = geo.einstein
+    block = BlockGeometry.of(geo)
+    dg_field = block.grad("einstein")  # [n,k,i,j] = d_k G_ij
+    gamma = block.gamma
+    g0 = block.einstein
     cov = (
         dg_field
-        - np.einsum("mki,mj->kij", gamma, g0)
-        - np.einsum("mkj,im->kij", gamma, g0)
+        - np.einsum("...mki,...mj->...kij", gamma, g0)
+        - np.einsum("...mkj,...im->...kij", gamma, g0)
     )
-    div = np.einsum("ki,kij->j", geo.g_inv, cov)
-    return max_abs(div)
+    div = np.einsum("...ki,...kij->...j", block.g_inv, cov)
+    return block.residuals(div, 1)
 
 
-def metric_compatibility_residual(geo: PointGeometry) -> float:
+def metric_compatibility_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
     """max |nabla_k g_ij| with the same stencils that built Gamma."""
-    dg = geo.dg
-    gamma = geo.gamma
-    g0 = geo.g
-    cov = dg - np.einsum("mki,mj->kij", gamma, g0) - np.einsum("mkj,im->kij", gamma, g0)
-    return max_abs(cov)
+    block = BlockGeometry.of(geo)
+    dg = block.dg
+    gamma = block.gamma
+    g0 = block.g
+    cov = dg - np.einsum("...mki,...mj->...kij", gamma, g0) - np.einsum("...mkj,...im->...kij", gamma, g0)
+    return block.residuals(cov, 3)
 
 
 def christoffel_exact(geo: PointGeometry) -> np.ndarray:

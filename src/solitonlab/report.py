@@ -13,11 +13,14 @@ needs.  It walks the plan point-outer: at each plan index, the scenarios
 that agree on the metric, the numerics and the point share one
 PointGeometry, so that point's geometry is evaluated once for all of them,
 and those that also agree on every input but the soliton constants share
-the point's rows that read none of those constants.  It takes the plan a block of indices at a time: the block's points that
-agree on the metric and the numerics share one store, filled in one batch,
-and the block's stores are dropped before the next block, so memory is
-bounded by a block, not by the plan.  Each report equals the one run_suite
-gives for its scenario alone; run_suite is run_suites of one scenario.
+the point's rows that read none of those constants.  It takes the plan a
+block of indices at a time: the block's points that agree on the metric
+and the numerics share one store, filled in one batch, the rows that read
+no soliton constant are one call each over those points
+(``geometry.BlockGeometry``), and the block's stores are dropped before
+the next block, so memory is bounded by a block, not by the plan.  Each
+report equals the one run_suite gives for its scenario alone; run_suite is
+run_suites of one scenario.
 
 The JSON document is stable: identical scenarios yield byte-identical
 reports when the timestamp is suppressed.  One emitter writes it, and the
@@ -40,6 +43,7 @@ import numpy as np
 from . import __version__
 from .expressions import EvalDomainError
 from .geometry import (
+    BlockGeometry,
     GeometryError,
     PointGeometry,
     bianchi_first_residual,
@@ -66,6 +70,7 @@ from .solitons import (
     nabla_decomposition_check,
     phi_closed_form,
     potential_field_identities,
+    potential_field_terms,
     rotation_skew_residual,
     soliton_residual,
     torse_consequence_residuals,
@@ -342,98 +347,165 @@ class _SharedRows:
     torse_res: float | None
     div_route: float | None
     trace_route: float | None
+    lie_xi_xi: float | None
+    _potential: tuple | Exception | None = None
+
+    def potential(self, geo: PointGeometry, v) -> tuple:
+        """The potential identities' terms and the fluid gap at ``geo``, computed at their first use by a run.
+
+        Neither reads a soliton constant, so the runs of a key share them;
+        a numerical failure is kept, and met by each run that reads them.
+        """
+        if self._potential is None:
+            try:
+                terms = potential_field_terms(geo, v)
+                fluid = self.fluid_values
+                self._potential = terms, max_abs(geo.ricci - ricci_from_fluid(fluid, geo.g, geo.field(v).omega))
+            except _NUMERICAL as exc:
+                self._potential = exc
+        if isinstance(self._potential, Exception):
+            raise self._potential
+        return self._potential
 
 
-def _shared_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float], solve: bool) -> _SharedRows:
-    """Every row of one plan point before the soliton block, and its samples when solving with a field.
+def _add(recs: list[_PointRecord], name: str, residuals: list, asserted, applicable=True) -> None:
+    """Row ``name`` on each record; ``asserted`` and ``applicable`` are one flag for all, or one per record."""
+    asserted = asserted if isinstance(asserted, list) else [asserted] * len(recs)
+    applicable = applicable if isinstance(applicable, list) else [applicable] * len(recs)
+    for rec, residual, flag, applies in zip(recs, residuals, asserted, applicable):
+        rec.add(name, residual, flag, applies)
 
-    Of the scenario it reads the vector field, the fluid, the fluid-fit and
-    field-equation flags and the assertions, besides ``tols`` and ``solve``
-    and the coordinates the metric fixes; never a soliton constant, so the
-    runs of a sweep over one share it (run_suites).
-    Every hypothesis of a conditional identity is decided here or in
-    ``_soliton_rows``, once, from the resolved tolerances; the identity
-    functions only compute residuals.
+
+def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float], solve: bool) -> list[_SharedRows]:
+    """Every row before the soliton block at each point of ``block``, and its samples when solving with a field.
+
+    Each row is one call over the block.  Of the scenario it reads the
+    vector field, the fluid, the fluid-fit and field-equation flags and the
+    assertions, besides ``tols`` and ``solve`` and the coordinates the
+    metric fixes; never a soliton constant, so the runs of a sweep over one
+    share it (run_suites).  Every hypothesis of a conditional identity is
+    decided here or in ``_soliton_rows``, once, from the resolved
+    tolerances; the identity functions only compute residuals.
     """
-    point = geo.point
-    rec = _PointRecord(point, tols)
+    points = block.points
+    size = len(points)
+    recs = [_PointRecord(point, tols) for point in points]
     coords = scenario.coords
     v = scenario.vector_field
 
-    g = geo.g
-    g_inv = geo.g_inv
-    s = geo.ricci
-    r = geo.scalar
-    rec.derived["scalar_curvature"] = r
-    rec.derived["ricci_asymmetry"] = geo.ricci_asymmetry
+    g = block.g
+    g_inv = block.g_inv
+    s = block.ricci
+    r = block.scalar.tolist()
+    for rec, scalar, asymmetry in zip(recs, r, block.ricci_asymmetry.tolist()):
+        rec.derived["scalar_curvature"] = scalar
+        rec.derived["ricci_asymmetry"] = asymmetry
 
-    rec.add("riemann_antisymmetry", riemann_antisymmetry_residual(geo), True)
-    rec.add("bianchi_first", bianchi_first_residual(geo), True)
-    rec.add("bianchi_contracted", contracted_bianchi_residual(geo), True)
-    rec.add("metric_compatibility", metric_compatibility_residual(geo), True)
+    _add(recs, "riemann_antisymmetry", riemann_antisymmetry_residual(block), True)
+    _add(recs, "bianchi_first", bianchi_first_residual(block), True)
+    _add(recs, "bianchi_contracted", contracted_bianchi_residual(block), True)
+    _add(recs, "metric_compatibility", metric_compatibility_residual(block), True)
 
-    v_val = v.value(geo) if v is not None else None
-    unit_timelike = v is not None and abs(geo.field(v).norm_sq + 1.0) <= tols["unit_timelike"]
+    v_val = None
+    unit_timelike = [False] * size
+    if v is not None:
+        field = block.field(v)
+        v_val = field.value
+        unit_timelike = [abs(norm + 1.0) <= tols["unit_timelike"] for norm in field.norm_sq.tolist()]
 
     # fluid block
-    fluid_values: FluidValues | None = None
-    efe_ok = False
+    fluid_values: list[FluidValues | None] = [None] * size
+    efe_ok = [False] * size
     if scenario.fluid is not None:
-        base = scenario.fluid.at(point, coords)
-        if unit_timelike:
-            fitted, fit = fluid_from_ricci(s, g, v_val, base.kappa, base.lam, tols["perfect_fluid_fit"])
-            rec.derived["sigma_fit"] = fitted.sigma
-            rec.derived["rho_fit"] = fitted.rho
-            fit_residual = max(fit.residual, fit.isotropy_spread)
-            rec.add("perfect_fluid_fit", fit_residual, scenario.fluid_fit_requested)
-            fluid_values = fitted if scenario.fluid_fit_requested else base
-        else:
-            rec.add("perfect_fluid_fit", None, False, applicable=False)
-            fluid_values = None if scenario.fluid_fit_requested else base
-
-        if fluid_values is not None:
-            rec.add(
-                "scalar_curvature_relation",
-                abs(
-                    r
-                    - (4.0 * fluid_values.lam + fluid_values.kappa * (fluid_values.sigma - 3.0 * fluid_values.rho))
-                ),
-                scenario.assert_field_equation,
+        bases = [scenario.fluid.at(point, coords) for point in points]
+        fitted = [k for k in range(size) if unit_timelike[k]]
+        fits = iter(
+            fluid_from_ricci(
+                s[fitted],
+                g[fitted],
+                v_val[fitted],
+                [bases[k].kappa for k in fitted],
+                [bases[k].lam for k in fitted],
+                tols["perfect_fluid_fit"],
             )
-            rec.add("ricci_operator_bilinear", max_abs(g @ (g_inv @ s) - s), True)
-        if fluid_values is not None and unit_timelike:
-            efe_norm = max_abs(efe_residual(geo, fluid_values, v).components)
-            efe_ok = efe_norm <= tols["applicability"]
-            rec.add("efe_residual", efe_norm, scenario.assert_field_equation)
-            eig = einstein_eigen_check(geo, fluid_values)
-            rec.add("einstein_eigen_multiset", eig.max_deviation, efe_ok, applicable=efe_ok)
+            if fitted
+            else ()
+        )
+        for k, (rec, base) in enumerate(zip(recs, bases)):
+            if unit_timelike[k]:
+                values, fit = next(fits)
+                rec.derived["sigma_fit"] = values.sigma
+                rec.derived["rho_fit"] = values.rho
+                rec.add("perfect_fluid_fit", max(fit.residual, fit.isotropy_spread), scenario.fluid_fit_requested)
+                fluid_values[k] = values if scenario.fluid_fit_requested else base
+            else:
+                rec.add("perfect_fluid_fit", None, False, applicable=False)
+                fluid_values[k] = None if scenario.fluid_fit_requested else base
+
+        fluid_rows = [k for k in range(size) if fluid_values[k] is not None]
+        if fluid_rows:
+            bilinear = block.residuals(g @ (g_inv @ s) - s, 2)
+            for k in fluid_rows:
+                values = fluid_values[k]
+                relation = abs(r[k] - (4.0 * values.lam + values.kappa * (values.sigma - 3.0 * values.rho)))
+                recs[k].add("scalar_curvature_relation", relation, scenario.assert_field_equation)
+                recs[k].add("ricci_operator_bilinear", bilinear[k], True)
+        efe_rows = [k for k in fluid_rows if unit_timelike[k]]
+        if efe_rows:
+            sub = block if len(efe_rows) == size else BlockGeometry([block.geos[k] for k in efe_rows])
+            values = [fluid_values[k] for k in efe_rows]
+            efe_norms = [max_abs(res.components) for res in efe_residual(sub, values, v)]
+            eigs = einstein_eigen_check(sub, values)
+            for k, efe_norm, eig in zip(efe_rows, efe_norms, eigs):
+                efe_ok[k] = efe_norm <= tols["applicability"]
+                recs[k].add("efe_residual", efe_norm, scenario.assert_field_equation)
+                recs[k].add("einstein_eigen_multiset", eig.max_deviation, efe_ok[k], applicable=efe_ok[k])
 
     # vector-field block: unconditional decomposition and skewness
-    torse_res = div_route = trace_route = None
+    torse_res = div_route = trace_route = lie_xi_xi = [None] * size
+    samples: list[PointSamples | None] = [None] * size
     if v is not None:
-        rec.add("nabla_decomposition", nabla_decomposition_check(geo, v), True)
-        rec.add("f_skew_adjoint", rotation_skew_residual(geo, v), True)
+        _add(recs, "nabla_decomposition", nabla_decomposition_check(block, v), True)
+        _add(recs, "f_skew_adjoint", rotation_skew_residual(block, v), True)
 
-        torse_asserted = "torse" in scenario.assertions and unit_timelike
-        torse_res = torse_forming_residual(geo, v)
-        tc = torse_consequence_residuals(geo, v)
-        for name, residual in (
+        torse = "torse" in scenario.assertions
+        asserted = [torse and unit for unit in unit_timelike]
+        torse_res = torse_forming_residual(block, v)
+        tc = torse_consequence_residuals(block, v)
+        for name, residuals in (
             ("torse_forming", torse_res),
-            ("torse_geodesic_flow", tc.geodesic_flow),
-            ("torse_eta_derivative", tc.eta_derivative),
-            ("torse_curvature_action", tc.curvature_action),
-            ("torse_eta_curvature", tc.eta_curvature),
-            ("torse_lie_form", torse_lie_residual(geo, v)),
+            ("torse_geodesic_flow", [c.geodesic_flow for c in tc]),
+            ("torse_eta_derivative", [c.eta_derivative for c in tc]),
+            ("torse_curvature_action", [c.curvature_action for c in tc]),
+            ("torse_eta_curvature", [c.eta_curvature for c in tc]),
+            ("torse_lie_form", torse_lie_residual(block, v)),
         ):
-            rec.add(name, residual, torse_asserted, applicable=unit_timelike)
+            _add(recs, name, residuals, asserted, unit_timelike)
 
         if v.is_gradient:
-            div_route, trace_route = laplacian_routes(geo, v.potential)
-            rec.derived["laplacian"] = trace_route
-            rec.add("laplacian_two_route", abs(div_route - trace_route), True)
+            div_route, trace_route = map(list, zip(*laplacian_routes(block, v.potential)))
+            for rec, div, trace in zip(recs, div_route, trace_route):
+                rec.derived["laplacian"] = trace
+                rec.add("laplacian_two_route", abs(div - trace), True)
 
-    samples = PointSamples.from_geometry(geo, v) if solve and v is not None else None
-    return _SharedRows(rec, samples, v_val, unit_timelike, fluid_values, efe_ok, torse_res, div_route, trace_route)
+        if solve:
+            samples = PointSamples.from_geometry(block, v)
+            lie_xi_xi = np.abs((v_val[:, None, :] @ field.lie @ v_val[:, :, None])[:, 0, 0]).tolist()
+    return [
+        _SharedRows(
+            recs[k],
+            samples[k],
+            None if v_val is None else v_val[k],
+            unit_timelike[k],
+            fluid_values[k],
+            efe_ok[k],
+            torse_res[k],
+            div_route[k],
+            trace_route[k],
+            lie_xi_xi[k],
+        )
+        for k in range(size)
+    ]
 
 
 def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float], shared: _SharedRows) -> _PointRecord:
@@ -451,7 +523,7 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
     fluid_values = shared.fluid_values
     efe_ok = shared.efe_ok
 
-    lie_xi_xi = abs(float(v_val @ samples.lie_vg @ v_val)) if v_val is not None else None
+    lie_xi_xi = shared.lie_xi_xi
     projection_valid = unit_timelike and lie_xi_xi is not None and lie_xi_xi <= tols["applicability"]
 
     if params.family in ETA_FAMILIES:
@@ -506,12 +578,12 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
         # (non-eta) soliton equation; the vertical term changes the
         # covariant-derivative split, so they do not carry over
         if fluid_values is not None and params.family not in ETA_FAMILIES:
-            ident = potential_field_identities(geo, v, fluid_values, eff)
+            terms, fluid_gap = shared.potential(geo, v)
+            ident = potential_field_identities(terms, fluid_values, eff)
             # hypotheses: the full soliton equation holds, the fluid
             # describes the Ricci tensor, and a nonzero matter coefficient
             # needs a unit timelike torse-forming flow
             coeff = params.alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho)
-            fluid_gap = max_abs(geo.ricci - ricci_from_fluid(fluid_values, geo.g, geo.field(v).omega))
             applicable = (
                 res_norm <= tols["applicability"]
                 and fluid_gap <= tols["applicability"] * (1.0 + abs(fluid_values.lam) + abs(coeff))
@@ -537,8 +609,8 @@ class _SuiteRun:
     """One scenario's report while run_suites walks the plan.
 
     ``shared`` numbers the run's key of the inputs ``_shared_rows`` reads:
-    runs with equal keys, at a plan point whose geometry they share, share
-    its shared rows.
+    runs with equal keys, at the plan points of a block whose geometry they
+    share, share those points' shared rows.
     """
 
     scenario: Scenario
@@ -561,14 +633,15 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
     ``_shared_rows`` (vector field, fluid, fluid-fit and field-equation
     flags, assertions and resolved tolerances; ``solve`` is one per call),
     share its rows too: the curvature, fluid, vector-field, torse and
-    Laplacian rows and the point's samples.  Only the soliton part,
+    Laplacian rows, the point's samples, and the terms of the potential
+    identities that read no soliton constant.  Only the soliton part,
     ``_soliton_rows``, runs once per scenario, so a sweep over a soliton
     constant evaluates the rest once per point.
     The indices go a block of ``_BLOCK`` at a time: the block's points that
     agree on (metric, numerics) share one store, its curvature filled in one
-    batch (``geometry.block_geometries``), and the block's stores are
-    dropped before the next block, so only one block's lattices are ever
-    live.
+    batch (``geometry.block_geometries``), the shared part runs once per key
+    over them (``_run_block``), and the block's stores are dropped before
+    the next block, so only one block's lattices are ever live.
     """
     keys: dict[tuple, int] = {}
     runs = []
@@ -608,39 +681,80 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
 
 
 def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> None:
-    """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns."""
-    for (i, _, group), geo in zip(block, block_geometries([key for _, key, _ in block])):
-        _run_point(group, i, geo, solve)
+    """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns.
+
+    The shared rows run once per shared key (``_SuiteRun.shared``) over the
+    block's points of each store that a run of that key reads; then each
+    point's runs take their records from them, in plan order.
+    """
+    geos = block_geometries([key for _, key, _ in block])
+    failed: dict[int, Exception] = {}
+    for n, geo in enumerate(geos):
+        try:
+            geo.g
+        except (EvalDomainError, GeometryError) as exc:
+            failed[n] = exc
+    parts: dict[tuple[int, int], list[int]] = {}  # (shared key, store) -> the entries a run of the key reads there
+    readers: dict[int, _SuiteRun] = {}  # shared key -> a run of it
+    for n, (_, _, group) in enumerate(block):
+        if n not in failed:
+            for run in group:
+                entries = parts.setdefault((run.shared, id(geos[n]._store)), [])
+                if n not in entries:
+                    entries.append(n)
+                readers.setdefault(run.shared, run)
+    shared: dict[tuple[int, int], _SharedRows | Exception] = {}  # (entry, shared key) -> its rows
+    for (key, _), entries in parts.items():
+        run = readers[key]
+        rows = _shared_block(run.scenario, [geos[n] for n in entries], run.tols, solve)
+        shared.update(((n, key), row) for n, row in zip(entries, rows))
+    for n, ((i, _, group), geo) in enumerate(zip(block, geos)):
+        _run_point(group, i, geo, failed.get(n), {run.shared: shared.get((n, run.shared)) for run in group}, solve)
 
 
 _NUMERICAL = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
 
 
-def _run_point(group: list[_SuiteRun], i: int, geo: PointGeometry, solve: bool) -> None:
-    """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``.
+def _shared_block(
+    scenario: Scenario, geos: list[PointGeometry], tols: dict[str, float], solve: bool
+) -> list[_SharedRows | Exception]:
+    """The shared rows of ``geos``, points of one store, as one block.
 
-    ``_shared_rows`` runs once per shared key (``_SuiteRun.shared``) among
-    the group, ``_soliton_rows`` once per run.  A numerical failure of the
-    shared rows is recorded on every run of their key, as each would record
-    it alone; one of the soliton block only on its own run.
+    Should the block meet a numerical failure, each point runs the same
+    rows alone, a block of one, so its values and its failure are those of
+    a run of its own.
     """
     try:
-        geo.g
-    except (EvalDomainError, GeometryError) as exc:
+        return _shared_rows(scenario, BlockGeometry(geos), tols, solve)
+    except _NUMERICAL as exc:
+        if len(geos) == 1:
+            return [exc]
+    return [_shared_block(scenario, [geo], tols, solve)[0] for geo in geos]
+
+
+def _run_point(
+    group: list[_SuiteRun],
+    i: int,
+    geo: PointGeometry,
+    error: Exception | None,
+    shared: dict[int, _SharedRows | Exception | None],
+    solve: bool,
+) -> None:
+    """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``.
+
+    ``error`` is the point's metric failure, if any; ``shared`` the shared
+    rows of each key among the group.  A numerical failure of the shared
+    rows is recorded on every run of their key, as each would record it
+    alone; one of the soliton block, run once per run, only on its own run.
+    """
+    if error is not None:
         for run in group:
-            run.warnings.append(f"plan point {i} {list(geo.point)}: metric not evaluable there ({exc})")
-            run.records.append(_PointRecord(geo.point, error=str(exc)))
+            run.warnings.append(f"plan point {i} {list(geo.point)}: metric not evaluable there ({error})")
+            run.records.append(_PointRecord(geo.point, error=str(error)))
         return
-    shared: dict[int, _SharedRows | Exception] = {}
     first_good = []
     for run in group:
-        rows = shared.get(run.shared)
-        if rows is None:
-            try:
-                rows = _shared_rows(run.scenario, geo, run.tols, solve)
-            except _NUMERICAL as exc:
-                rows = exc
-            shared[run.shared] = rows
+        rows = shared[run.shared]
         if isinstance(rows, Exception):
             run.records.append(_PointRecord(geo.point, error=str(rows)))
             continue

@@ -23,11 +23,11 @@ import numpy as np
 
 from .expressions import Expr, evaluate
 from .geometry import (
+    BlockGeometry,
     GeometryError,
     PointGeometry,
     TensorSample,
     VectorFieldSpec,
-    divergence_vector,
     hessian_scalar,
     max_abs,
 )
@@ -43,6 +43,7 @@ __all__ = [
     "CKVAnalysis",
     "EtaSolitonSolve",
     "TorseResiduals",
+    "PotentialTerms",
     "PotentialIdentityResult",
     "soliton_residual",
     "gradient_soliton_residual",
@@ -55,6 +56,7 @@ __all__ = [
     "einstein_conformal_factor",
     "nabla_decomposition_check",
     "rotation_skew_residual",
+    "potential_field_terms",
     "potential_field_identities",
     "eta_projection_solve",
     "eta_closed_forms",
@@ -135,25 +137,27 @@ class PointSamples:
     coords: tuple[str, ...] | None = None
 
     @classmethod
-    def from_geometry(cls, geo: PointGeometry, v: VectorFieldSpec) -> "PointSamples":
+    def from_geometry(
+        cls, geo: PointGeometry | BlockGeometry, v: VectorFieldSpec
+    ) -> "PointSamples | list[PointSamples]":
         """Samples from the chart: Lie derivative along ``v``, curvature of the metric.
 
         ``v`` is also the reference timelike field of the projections: the
-        potential field is the fluid velocity.  The curvature rows are
-        copied: a row of the store is a view that keeps its whole layer alive.
+        potential field is the fluid velocity.  Over a block, one per point;
+        each sample's curvature rows are rows of the block's arrays, which
+        are copies, never views of the store.
         """
-        field = geo.field(v)
-        return cls(
-            g=geo.g.copy(),
-            g_inv=geo.g_inv.copy(),
-            lie_vg=field.lie,
-            ricci=geo.ricci.copy(),
-            scalar=geo.scalar,
-            xi=field.value,
-            eta=field.omega,
-            div_xi=divergence_vector(geo, v),
-            point=geo.point,
-            coords=geo.metric.coords,
+        block = BlockGeometry.of(geo)
+        field = block.field(v)
+        g, g_inv, lie, ricci, scalar = block.g, block.g_inv, field.lie, block.ricci, block.scalar.tolist()
+        xi, eta = field.value, field.omega
+        div_xi = np.trace(field.nabla, axis1=-2, axis2=-1).tolist()
+        coords = block.metric.coords
+        return block.unpack(
+            [
+                cls(g[k], g_inv[k], lie[k], ricci[k], scalar[k], xi[k], eta[k], div_xi[k], point, coords)
+                for k, point in enumerate(block.points)
+            ]
         )
 
     @classmethod
@@ -379,23 +383,45 @@ def einstein_conformal_factor(theta: float, r: float, alpha: float, beta: float,
 # skew self-adjoint; geo.field(v) holds omega, d_omega and f_mixed = F.
 
 
-def rotation_skew_residual(geo: PointGeometry, v: VectorFieldSpec) -> float:
+def rotation_skew_residual(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
     """max |g F + (g F)^T|, the violation of F's skew self-adjointness."""
-    gf = geo.g @ geo.field(v).f_mixed
-    return max_abs(gf + gf.T)
+    block = BlockGeometry.of(geo)
+    gf = block.g @ block.field(v).f_mixed
+    return block.residuals(gf + np.swapaxes(gf, -1, -2), 2)
 
 
-def nabla_decomposition_check(geo: PointGeometry, v: VectorFieldSpec) -> float:
+def nabla_decomposition_check(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
     """Residual of g(nabla_X V, Y) = (Lie_V g)(X,Y)/2 - g(FX, Y).
 
     This split into symmetric and antisymmetric parts is unconditional; the
     residual is pure stencil noise for every field.
     """
-    g = geo.g
-    field = geo.field(v)
-    a = (g @ field.nabla).T  # a[i,j] = (nabla_i V)_j
+    block = BlockGeometry.of(geo)
+    g = block.g
+    field = block.field(v)
+    a = np.swapaxes(g @ field.nabla, -1, -2)  # a[n,i,j] = (nabla_i V)_j
     gf = g @ field.f_mixed
-    return max_abs(a - 0.5 * field.lie + gf.T)
+    return block.residuals(a - 0.5 * field.lie + np.swapaxes(gf, -1, -2), 2)
+
+
+@dataclass(frozen=True)
+class PotentialTerms:
+    """The parts of the potential-field identities at one point that read no soliton constant.
+
+    The curvature identity compares R(., .)V (``curvature_lhs``) with the
+    antisymmetrised nabla F (``curvature_field``) plus the matter
+    coefficient times the eye (x) eta difference (``curvature_matter``);
+    the divergence identity compares div F with fluid terms in eta and
+    eta(V); the norm identity reads no constant at all.
+    """
+
+    curvature_lhs: np.ndarray
+    curvature_field: np.ndarray
+    curvature_matter: np.ndarray
+    div_f: np.ndarray
+    eta: np.ndarray
+    eta_v: float
+    norm_gradient_identity: float
 
 
 @dataclass(frozen=True)
@@ -407,53 +433,61 @@ class PotentialIdentityResult:
     norm_gradient_identity: float
 
 
+def potential_field_terms(
+    geo: PointGeometry | BlockGeometry, v: VectorFieldSpec
+) -> PotentialTerms | list[PotentialTerms]:
+    """The terms of potential_field_identities that read no soliton constant, V being also the reference flow."""
+    block = BlockGeometry.of(geo)
+    riem = block.riemann
+    field = block.field(v)
+    vv = field.value
+    eta = field.omega
+    cov_f = field.nabla_f  # [n,a,k,j] = (nabla_a F)^k_j
+    eye = np.eye(block.metric.dim)
+    lhs = np.einsum("...lkij,...k->...lij", riem, vv)
+    antisym = np.einsum("...jli->...lij", cov_f) - np.einsum("...ilj->...lij", cov_f)
+    matter = np.einsum("lj,...i->...lij", eye, eta) - np.einsum("li,...j->...lij", eye, eta)
+    div_f = np.einsum("...kkj->...j", cov_f)
+    eta_v = (eta[:, None, :] @ vv[:, :, None])[:, 0, 0].tolist()
+    # gradient of |V|^2 against the Lie derivative and rotation terms
+    norm = field.d_norm_sq + 2.0 * (np.swapaxes(field.f_mixed, -1, -2) @ eta[:, :, None])[:, :, 0]
+    norm = norm - (field.lie @ vv[:, :, None])[:, :, 0]
+    norm_res = np.abs(norm).max(axis=1).tolist()
+    return block.unpack(
+        [
+            PotentialTerms(lhs[k], antisym[k], matter[k], div_f[k], eta[k], eta_v[k], norm_res[k])
+            for k in range(len(block))
+        ]
+    )
+
+
 def potential_field_identities(
-    geo: PointGeometry,
-    v: VectorFieldSpec,
+    terms: PotentialTerms,
     values: FluidValues,
     params: SolitonParams,
 ) -> PotentialIdentityResult:
     """Check the consequences the soliton equation forces on V and its dual.
 
-    The three identities are derived under hypotheses the caller decides:
-    the full soliton equation holds at the point, the fluid parameters
-    describe the Ricci tensor there, and -- whenever the matter coefficient
-    alpha kappa (sigma + rho) is nonzero -- V is unit timelike and
-    torse-forming (its derivative structure enters the curvature identity).
-    Here the residuals are only computed.
+    ``terms`` are potential_field_terms at the point; only the matter
+    coefficient alpha kappa (sigma + rho) and the fluid terms are computed
+    here.  The three identities are derived under hypotheses the caller
+    decides: the full soliton equation holds at the point, the fluid
+    parameters describe the Ricci tensor there, and -- whenever the matter
+    coefficient is nonzero -- V is unit timelike and torse-forming (its
+    derivative structure enters the curvature identity).  Here the residuals
+    are only computed.
     """
-    n = geo.metric.dim
-    riem = geo.riemann
-    field = geo.field(v)
-    vv = field.value
-    omega = field.omega
-    eta = omega  # V is also the reference flow
     coeff = params.alpha * values.kappa * (values.sigma + values.rho)
-    cov_f = field.nabla_f  # [a,k,j] = (nabla_a F)^k_j
-    eye = np.eye(n)
-
     # curvature acting on V vs the antisymmetrised derivative of F
-    lhs = np.einsum("lkij,k->lij", riem, vv)
-    rhs = (
-        np.einsum("jli->lij", cov_f)
-        - np.einsum("ilj->lij", cov_f)
-        + coeff * (np.einsum("lj,i->lij", eye, eta) - np.einsum("li,j->lij", eye, eta))
-    )
-    curvature_res = max_abs(lhs - rhs)
-
+    curvature_res = max_abs(terms.curvature_lhs - (terms.curvature_field + coeff * terms.curvature_matter))
     # divergence of F, (nabla_k F)^k_j, against the fluid terms
-    div_f = np.einsum("kkj->j", cov_f)
-    eta_v = float(eta @ vv)
+    eta = terms.eta
     rhs_div = (
-        -values.kappa * (values.sigma + values.rho) * (3.0 * params.alpha + eta_v) * eta
-        - (values.lam + values.kappa * (values.sigma - values.rho) / 2.0) * omega
+        -values.kappa * (values.sigma + values.rho) * (3.0 * params.alpha + terms.eta_v) * eta
+        - (values.lam + values.kappa * (values.sigma - values.rho) / 2.0) * eta
     )
-    divergence_res = max_abs(div_f - rhs_div)
-
-    # gradient of |V|^2 against the Lie derivative and rotation terms
-    dnorm = field.d_norm_sq
-    norm_res = max_abs(dnorm + 2.0 * (field.f_mixed.T @ omega) - field.lie @ vv)
-    return PotentialIdentityResult(curvature_res, divergence_res, norm_res)
+    divergence_res = max_abs(terms.div_f - rhs_div)
+    return PotentialIdentityResult(curvature_res, divergence_res, terms.norm_gradient_identity)
 
 
 # -- eta-family projection system -------------------------------------------------
@@ -572,40 +606,51 @@ class TorseResiduals:
     eta_curvature: float  # eta(R(X,Y)Z) = eta(X) g(Y,Z) - eta(Y) g(X,Z)
 
 
-def torse_forming_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
+def torse_forming_residual(geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec) -> float | list[float]:
     """Worst-direction residual of nabla_X xi = X + eta(X) xi."""
-    field = geo.field(xi)
-    expected = np.eye(geo.metric.dim) + np.outer(field.value, field.omega)  # [k,j] = delta^k_j + eta_j xi^k
-    return max_abs(field.nabla - expected)
+    block = BlockGeometry.of(geo)
+    field = block.field(xi)
+    # [n,k,j] = delta^k_j + eta_j xi^k
+    expected = np.eye(block.metric.dim) + field.value[:, :, None] * field.omega[:, None, :]
+    return block.residuals(field.nabla - expected, 2)
 
 
-def torse_consequence_residuals(geo: PointGeometry, xi: VectorFieldSpec) -> TorseResiduals:
+def torse_consequence_residuals(
+    geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec
+) -> TorseResiduals | list[TorseResiduals]:
     """The four consequences, which follow for a unit timelike torse-forming ``xi``."""
-    g = geo.g
-    field = geo.field(xi)
+    block = BlockGeometry.of(geo)
+    g = block.g
+    field = block.field(xi)
     xi_val = field.value
     eta = field.omega
-    geodesic = max_abs(field.nabla @ xi_val)
+    geodesic = np.abs((field.nabla @ xi_val[:, :, None])[:, :, 0]).max(axis=1)
 
-    cov_eta = field.omega_grad - np.einsum("kij,k->ij", geo.gamma, eta)  # [i,j] = (nabla_i eta)_j
-    eta_res = max_abs(cov_eta - g - np.outer(eta, eta))
+    cov_eta = field.omega_grad - np.einsum("...kij,...k->...ij", block.gamma, eta)  # [n,i,j] = (nabla_i eta)_j
+    eta_res = np.abs(cov_eta - g - eta[:, :, None] * eta[:, None, :]).max(axis=(1, 2))
 
-    riem = geo.riemann
-    eye = np.eye(geo.metric.dim)
-    curv = np.einsum("lkij,k->lij", riem, xi_val) - (
-        np.einsum("j,li->lij", eta, eye) - np.einsum("i,lj->lij", eta, eye)
+    riem = block.riemann
+    eye = np.eye(block.metric.dim)
+    curv = np.einsum("...lkij,...k->...lij", riem, xi_val) - (
+        np.einsum("...j,li->...lij", eta, eye) - np.einsum("...i,lj->...lij", eta, eye)
     )
-    curv_res = max_abs(curv)
+    curv_res = np.abs(curv).max(axis=(1, 2, 3))
 
-    eta_curv = np.einsum("lkij,l->kij", riem, eta) - (
-        np.einsum("i,jk->kij", eta, g) - np.einsum("j,ik->kij", eta, g)
+    eta_curv = np.einsum("...lkij,...l->...kij", riem, eta) - (
+        np.einsum("...i,...jk->...kij", eta, g) - np.einsum("...j,...ik->...kij", eta, g)
     )
-    eta_curv_res = max_abs(eta_curv)
-    return TorseResiduals(geodesic, eta_res, curv_res, eta_curv_res)
+    eta_curv_res = np.abs(eta_curv).max(axis=(1, 2, 3))
+    return block.unpack(
+        [
+            TorseResiduals(*row)
+            for row in zip(geodesic.tolist(), eta_res.tolist(), curv_res.tolist(), eta_curv_res.tolist())
+        ]
+    )
 
 
-def torse_lie_residual(geo: PointGeometry, xi: VectorFieldSpec) -> float:
+def torse_lie_residual(geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec) -> float | list[float]:
     """Residual of (Lie_xi g) = 2 [g + eta (x) eta], the torse-forming Lie form."""
-    field = geo.field(xi)
+    block = BlockGeometry.of(geo)
+    field = block.field(xi)
     eta = field.omega
-    return max_abs(field.lie - 2.0 * (geo.g + np.outer(eta, eta)))
+    return block.residuals(field.lie - 2.0 * (block.g + eta[:, :, None] * eta[:, None, :]), 2)

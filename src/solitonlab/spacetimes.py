@@ -20,13 +20,13 @@ import numpy as np
 
 from .expressions import Binary, Const, Expr, Unary, Var, coerce_expr, evaluate, variables
 from .geometry import (
+    BlockGeometry,
     GeometryError,
     MetricSpec,
     PointGeometry,
     TensorSample,
     VectorFieldSpec,
     frame_from_matrix,
-    max_abs,
 )
 
 __all__ = [
@@ -168,11 +168,22 @@ def catalog_entries() -> list[dict]:
 # -- pointwise fluid algebra -------------------------------------------------
 
 
+def _outer(eta: np.ndarray) -> np.ndarray:
+    """eta_i eta_j, at each point of any leading axes."""
+    return eta[..., :, None] * eta[..., None, :]
+
+
+def _stacked(values: FluidValues | Sequence[FluidValues]) -> FluidValues:
+    """The fluid values of a block's points (or of one), each field an array that broadcasts over its (n, 4, 4) rows."""
+    rows = [values] if isinstance(values, FluidValues) else values
+    return FluidValues(*np.array([[v.sigma, v.rho, v.kappa, v.lam] for v in rows]).T[:, :, None, None])
+
+
 def energy_momentum(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """T_ij = rho g_ij + (sigma + rho) eta_i eta_j; the fluid form for a unit timelike eta."""
     g = np.asarray(g, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    return values.rho * g + (values.sigma + values.rho) * np.outer(eta, eta)
+    return values.rho * g + (values.sigma + values.rho) * _outer(eta)
 
 
 def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -180,77 +191,91 @@ def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.
     g = np.asarray(g, dtype=float)
     eta = np.asarray(eta, dtype=float)
     coeff = values.lam + values.kappa * (values.sigma - values.rho) / 2.0
-    return coeff * g + values.kappa * (values.sigma + values.rho) * np.outer(eta, eta)
+    return coeff * g + values.kappa * (values.sigma + values.rho) * _outer(eta)
 
 
-def efe_residual(geo: PointGeometry, values: FluidValues, xi: VectorFieldSpec) -> TensorSample:
+def efe_residual(
+    geo: PointGeometry | BlockGeometry, values: FluidValues | Sequence[FluidValues], xi: VectorFieldSpec
+) -> TensorSample | list[TensorSample]:
     """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation.
 
     T is the fluid form along the flow ``xi``, which means something only
-    when ``xi`` is unit timelike; the caller decides that.
+    when ``xi`` is unit timelike; the caller decides that.  Over a block,
+    ``values`` holds each point's fluid values.
     """
-    g = geo.g
-    t = energy_momentum(values, g, geo.field(xi).omega)
-    res = geo.ricci + (values.lam - geo.scalar / 2.0) * g - values.kappa * t
-    return TensorSample("tensor02", res, geo.point, symmetric=True)
+    block = BlockGeometry.of(geo)
+    fluid = _stacked(values)
+    g = block.g
+    t = energy_momentum(fluid, g, block.field(xi).omega)
+    res = block.ricci + (fluid.lam - block.scalar[:, None, None] / 2.0) * g - fluid.kappa * t
+    return block.unpack([TensorSample("tensor02", r, p, symmetric=True) for r, p in zip(res, block.points)])
 
 
 def fluid_from_ricci(
     s: np.ndarray,
     g: np.ndarray,
     xi: np.ndarray,
-    kappa: float,
-    lam: float,
+    kappa: float | Sequence[float],
+    lam: float | Sequence[float],
     tolerance: float = 1e-5,
-) -> tuple[FluidValues, FluidFormFit]:
+) -> tuple[FluidValues, FluidFormFit] | list[tuple[FluidValues, FluidFormFit]]:
     """Invert the fluid form of the Ricci tensor from one sample.
 
     A is the average of S(e,e) over the three spatial frame directions (their
     spread measures isotropy violation), B = S(xi,xi) + A; a large residual is
     data, not an error -- the sample simply is not of perfect-fluid form.
     The inversion assumes a unit timelike ``xi``; the caller decides that.
+    A leading axis of ``s``, ``g`` and ``xi`` (and of ``kappa`` and ``lam``,
+    or one value for all) is a block of points: one fit each, in a list.
     """
     s = np.asarray(s, dtype=float)
-    g = np.asarray(g, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    lone = s.ndim == 2
+    s = s.reshape((-1,) + s.shape[-2:])
+    g = np.asarray(g, dtype=float).reshape(s.shape)
+    xi = np.asarray(xi, dtype=float).reshape(s.shape[:2])
+    kappa, lam = (np.full(len(s), float(c)) if np.ndim(c) == 0 else np.asarray(c, dtype=float) for c in (kappa, lam))
     frame = frame_from_matrix(g, timelike_hint=xi)
-    spatial = [frame.vectors[i] for i in range(1, 4)]
-    a_vals = [float(e @ s @ e) for e in spatial]
-    a = float(np.mean(a_vals))
-    spread = max(a_vals) - min(a_vals)
-    b = float(xi @ s @ xi) + a
-    eta = g @ xi
-    residual = max_abs(s - a * g - b * np.outer(eta, eta))
+    spatial = frame.vectors[:, 1:4]
+    a_vals = (spatial[:, :, None, :] @ s[:, None] @ spatial[:, :, :, None])[:, :, 0, 0]
+    a = a_vals.mean(axis=1)
+    spread = a_vals.max(axis=1) - a_vals.min(axis=1)
+    b = (xi[:, None, :] @ s @ xi[:, :, None])[:, 0, 0] + a
+    eta = (g @ xi[:, :, None])[:, :, 0]
+    residual = np.abs(s - a[:, None, None] * g - b[:, None, None] * _outer(eta)).max(axis=(1, 2))
     sigma = (b + 2.0 * (a - lam)) / (2.0 * kappa)
     rho = (b - 2.0 * (a - lam)) / (2.0 * kappa)
-    fit = FluidFormFit(
-        a=a,
-        b=b,
-        residual=residual,
-        isotropy_spread=spread,
-        perfect_fluid=bool(residual < tolerance and spread < tolerance),
-        tolerance=tolerance,
-    )
-    return FluidValues(sigma, rho, float(kappa), float(lam)), fit
+    fits = [
+        (
+            FluidValues(sig, rh, k, lm),
+            FluidFormFit(ak, bk, res, spr, perfect_fluid=res < tolerance and spr < tolerance, tolerance=tolerance),
+        )
+        for sig, rh, k, lm, ak, bk, res, spr in zip(
+            *(col.tolist() for col in (sigma, rho, kappa, lam, a, b, residual, spread))
+        )
+    ]
+    return fits[0] if lone else fits
 
 
-def einstein_eigen_check(geo: PointGeometry, values: FluidValues) -> EigenCheckResult:
+def einstein_eigen_check(
+    geo: PointGeometry | BlockGeometry, values: FluidValues | Sequence[FluidValues]
+) -> EigenCheckResult | list[EigenCheckResult]:
     """Eigenvalues of the mixed (S - r/2 g + lam g)^i_j against {-k sigma, k rho x3}.
 
     The multiset comparison only means something when the fluid actually
     solves the field equation at the point; the caller decides that from
-    efe_residual.
+    efe_residual.  Over a block, ``values`` holds each point's fluid values.
     """
-    g = geo.g
-    mixed = geo.g_inv @ (geo.ricci - 0.5 * geo.scalar * g + values.lam * g)
-    eig = np.linalg.eigvals(mixed)
-    eig_sorted = np.sort_complex(eig)
-    expected = np.sort(
-        np.array([-values.kappa * values.sigma] + [values.kappa * values.rho] * 3)
-    )
-    deviation = float(np.max(np.abs(eig_sorted - expected)))
-    return EigenCheckResult(
-        eigenvalues=tuple(float(v.real) for v in eig_sorted),
-        expected=tuple(float(v) for v in expected),
-        max_deviation=deviation,
+    block = BlockGeometry.of(geo)
+    fluid = _stacked(values)
+    g = block.g
+    mixed = block.g_inv @ (block.ricci - 0.5 * block.scalar[:, None, None] * g + fluid.lam * g)
+    eig_sorted = np.sort_complex(np.linalg.eigvals(mixed))
+    kappa, sigma, rho = fluid.kappa[:, 0, 0], fluid.sigma[:, 0, 0], fluid.rho[:, 0, 0]
+    expected = np.sort(np.stack([-kappa * sigma] + [kappa * rho] * 3, axis=1), axis=1)
+    deviation = np.abs(eig_sorted - expected).max(axis=1)
+    return block.unpack(
+        [
+            EigenCheckResult(eigenvalues=tuple(eig), expected=tuple(exp), max_deviation=dev)
+            for eig, exp, dev in zip(eig_sorted.real.tolist(), expected.tolist(), deviation.tolist())
+        ]
     )

@@ -37,6 +37,7 @@ from solitonlab.solitons import (
     nabla_decomposition_check,
     phi_closed_form,
     potential_field_identities,
+    potential_field_terms,
     rotation_skew_residual,
     soliton_residual,
     torse_consequence_residuals,
@@ -254,7 +255,7 @@ def test_criterion_08_potential_identity_suite(minkowski, catalog, fields):
         geo = PointGeometry(minkowski, p)
         samples = PointSamples.from_geometry(geo, fields["euler"])
         worst_soliton = max(worst_soliton, max_abs(soliton_residual(samples, params).components))
-        res = potential_field_identities(geo, fields["euler"], VACUUM, params)
+        res = potential_field_identities(potential_field_terms(geo, fields["euler"]), VACUUM, params)
         worst_identity = max(
             worst_identity, res.curvature_identity, res.divergence_identity, res.norm_gradient_identity
         )

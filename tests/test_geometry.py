@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from solitonlab.expressions import Binary, Const, EvalDomainError, compile_expr, differentiate, parse, variables
 from solitonlab.geometry import (
     DEFAULT_NUMERICS,
+    BlockGeometry,
     ChristoffelSample,
     GeometryError,
     MetricSpec,
@@ -715,7 +716,7 @@ class TestPointGeometry:
             for run in runs:
                 reports = run()
                 stores = [weakref.ref(geo._store) for geo in geos]
-                trees = [weakref.ref(field._tree) for geo in geos for field in geo._fields.values()]
+                trees = [weakref.ref(tree) for geo in geos if geo._block for tree in geo._block.trees.values()]
                 assert stores and trees
                 geos.clear()
                 assert all(ref() is None for ref in stores + trees), reports
@@ -783,7 +784,9 @@ class TestPointGeometry:
     def test_sweep_values_share_each_plan_point(self, monkeypatch, tmp_path):
         # a soliton constant never touches the geometry: four values cost
         # the metric and field evaluations of one run, and the rows that read
-        # no soliton constant are evaluated once per plan point; only the
+        # no soliton constant are evaluated once per block of plan points (the
+        # three points of the scenario share one store), the constant-free
+        # terms of the potential identities once per plan point; only the
         # soliton block runs once per point and value
         from solitonlab import report
         from solitonlab.cli import main
@@ -804,7 +807,15 @@ class TestPointGeometry:
 
             return wrapper
 
-        for name in ("fluid_from_ricci", "contracted_bianchi_residual", "torse_consequence_residuals", "soliton_residual"):
+        names = (
+            "fluid_from_ricci",
+            "contracted_bianchi_residual",
+            "torse_consequence_residuals",
+            "soliton_residual",
+            "potential_field_terms",
+            "potential_field_identities",
+        )
+        for name in names:
             monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
         from_geometry = counted("from_geometry", PointSamples.from_geometry.__func__)
         monkeypatch.setattr(PointSamples, "from_geometry", classmethod(from_geometry))
@@ -817,11 +828,13 @@ class TestPointGeometry:
         assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 0
         assert (len(metric_seen), len(field_seen)) == one_run
         assert calls == {
-            "fluid_from_ricci": 3,
-            "contracted_bianchi_residual": 3,
-            "torse_consequence_residuals": 3,
-            "from_geometry": 3,
+            "fluid_from_ricci": 1,
+            "contracted_bianchi_residual": 1,
+            "torse_consequence_residuals": 1,
+            "from_geometry": 1,
+            "potential_field_terms": 3,
             "soliton_residual": 12,
+            "potential_field_identities": 12,
         }
 
     def test_equal_specs_hash_equal_and_share_one_field_tree(self, monkeypatch):
@@ -842,7 +855,7 @@ class TestPointGeometry:
                 geos = _recorded_geometries(patch)
                 run_suites(scenarios)
             assert len(geos) == len(scenarios[0].points) > 1
-            assert all(len(geo._fields) == 1 for geo in geos)
+            assert all(geo._block is geos[0]._block for geo in geos)
             assert len({id(tree) for geo in geos for tree in geo._block.trees.values()}) == 1
 
     @pytest.mark.parametrize(
@@ -904,29 +917,152 @@ class TestPointGeometry:
         assert errors == [[None, None, None], [None, message, None], [None, None, None]]
 
     def test_a_shared_failure_is_recorded_on_every_value(self, monkeypatch):
-        # a vector field undefined at t = 0 fails the shared rows there, once
-        # for the point, and each value records the error a run alone records
+        # a vector field undefined at t = 0 fails the shared rows of the
+        # block of the three plan points, once for all the values; each point
+        # then runs them alone, once, and each value records the error a run
+        # alone records
         from solitonlab import report
 
         from conftest import SCENARIO_DIR
 
         shared_rows, entered = report._shared_rows, []
 
-        def counted(scenario, geo, tols, solve):
-            entered.append(geo.point)
-            return shared_rows(scenario, geo, tols, solve)
+        def counted(scenario, block, tols, solve):
+            entered.append(block.points)
+            return shared_rows(scenario, block, tols, solve)
 
         field = {"vector_field": {"components": [1, "1/t", 0, 0]}}
         scenarios = _swept_scenarios(SCENARIO_DIR / "de-sitter-soliton.json", "soliton.alpha", [0.0, 1.0, 2.0], field)
         with monkeypatch.context() as patch:
             patch.setattr(report, "_shared_rows", counted)
             reports = _report_docs(report.run_suites(scenarios))
-        assert entered == [(-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+        points = [(-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+        assert entered == [points] + [[point] for point in points]
         assert reports == _report_docs(map(run_suite, scenarios))
         message = "vector field components undefined at (0.0, 0.0, 0.0, 0.0): 1.0/t: float division by zero"
         for doc in reports:
             assert [point["error"] for point in doc["points"]] == [None, message, None]
             assert doc["summary"]["errors"] == [{"point": 1, "message": message}]
+
+
+# the plan points of the grid workload at seed 1: vacuum-infall-custom.json at
+# seeded points of the box of INFALL_POINTS
+GRID_SEED1 = [
+    [-1.745994, 4.276839, 1.99456, 2.530848],
+    [-0.077526, 6.323302, 2.446294, 1.021269],
+    [0.543642, 7.872776, 2.572146, 2.87817],
+    [0.356876, 3.346006, 0.828578, 4.866346],
+    [0.245159, 6.985314, 1.247045, 2.059151],
+    [1.54503, 6.537261, 1.341617, 3.089274],
+    [1.519359, 6.278086, 2.288709, 0.311174],
+    [-1.714356, 7.131754, 2.1353, 3.681347],
+    [0.408543, 5.645425, 1.704936, 2.671762],
+    [-0.330748, 7.748434, 2.510017, 3.042158],
+]
+
+
+def _plan_sources() -> list[tuple[dict, list]]:
+    """(scenario document, plan points) of each shipped fixture, and of the grid workload at seed 1."""
+    from solitonlab.scenario import load_scenario
+
+    from conftest import SCENARIO_DIR
+
+    sources = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scenario = load_scenario(path)
+        sources.append((scenario.to_dict(), [list(point) for point in scenario.points]))
+    sources.append((load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json").to_dict(), GRID_SEED1))
+    return sources
+
+
+class TestBlockRows:
+    """The rows of a block of plan points are one call each, and each point's record is the one it gets alone."""
+
+    SOURCES = _plan_sources()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_record_of_a_block_is_the_record_of_its_point_alone(self, data):
+        # a random subset (1 to 4 points), in random order, of one source's
+        # plan; with a field 1/t, one more point at t = 0 where the field
+        # read fails, in a random place of the block
+        doc, plan = data.draw(st.sampled_from(self.SOURCES))
+        order = data.draw(st.permutations(plan))
+        points = order[: data.draw(st.integers(1, min(4, len(order))))]
+        if data.draw(st.booleans()):
+            doc = {**doc, "vector_field": {"components": ["1", "1/t", "0", "0"]}}
+            place = data.draw(st.integers(0, len(points)))
+            points = points[:place] + [[0.0, *points[0][1:]]] + points[place:]
+
+        def records(plan):
+            return run_suite(scenario_from_dict({**doc, "points": plan})).to_dict(include_timestamp=False)["points"]
+
+        block = records(points)
+        assert [json.dumps(rec) for rec in block] == [json.dumps(records([point])[0]) for point in points]
+
+    def test_a_block_row_equals_each_point_alone(self):
+        # each row function over the block of the grid points on one store
+        # gives, point by point, bit for bit, what it gives a PointGeometry
+        # alone, a block of one
+        from solitonlab.scenario import load_scenario
+        from solitonlab.solitons import (
+            PointSamples,
+            nabla_decomposition_check,
+            potential_field_terms,
+            rotation_skew_residual,
+            torse_consequence_residuals,
+            torse_forming_residual,
+            torse_lie_residual,
+        )
+        from solitonlab.spacetimes import FluidValues, efe_residual, einstein_eigen_check, fluid_from_ricci
+
+        from conftest import SCENARIO_DIR
+
+        scenario = load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json")
+        v, gradient = scenario.vector_field, VectorFieldSpec.gradient_of("t*r + sin(a)", scenario.coords)
+        keys = [(scenario.metric, tuple(point), scenario.numerics) for point in GRID_SEED1[:4]]
+        block = BlockGeometry(block_geometries(keys))
+        fluids = [FluidValues(0.1 * k, 0.2, 1.0, -0.3 * k) for k in range(4)]
+        rows = {
+            "riemann_antisymmetry": lambda geo: riemann_antisymmetry_residual(geo),
+            "bianchi_first": lambda geo: bianchi_first_residual(geo),
+            "bianchi_contracted": lambda geo: contracted_bianchi_residual(geo),
+            "metric_compatibility": lambda geo: metric_compatibility_residual(geo),
+            "divergence": lambda geo: divergence_vector(geo, v),
+            "laplacian_routes": lambda geo: laplacian_routes(geo, gradient.potential),
+            "nabla_decomposition": lambda geo: nabla_decomposition_check(geo, v),
+            "f_skew_adjoint": lambda geo: rotation_skew_residual(geo, v),
+            "torse_forming": lambda geo: torse_forming_residual(geo, v),
+            "torse_consequences": lambda geo: torse_consequence_residuals(geo, v),
+            "torse_lie_form": lambda geo: torse_lie_residual(geo, v),
+        }
+
+        def bits(value):
+            if isinstance(value, (list, tuple)):
+                return [bits(item) for item in value]
+            if hasattr(value, "__dataclass_fields__"):
+                return [bits(getattr(value, name)) for name in value.__dataclass_fields__]
+            if value is None or isinstance(value, (str, bool)):
+                return value
+            return np.asarray(value, dtype=float).tobytes()
+
+        for name, row in rows.items():
+            alone = [row(PointGeometry(*key)) for key in keys]
+            assert bits(row(block)) == bits(alone), name
+        for name, row in {
+            "efe_residual": lambda geo, fluid: efe_residual(geo, fluid, v),
+            "einstein_eigen_multiset": einstein_eigen_check,
+        }.items():
+            alone = [row(PointGeometry(*key), fluid) for key, fluid in zip(keys, fluids)]
+            assert bits(row(block, fluids)) == bits(alone), name
+        for row in (PointSamples.from_geometry, potential_field_terms):
+            assert bits(row(block, v)) == bits([row(PointGeometry(*key), v) for key in keys]), row.__name__
+        fits = fluid_from_ricci(block.ricci, block.g, block.field(v).value, 1.0, [fluid.lam for fluid in fluids])
+        geos = [PointGeometry(*key) for key in keys]
+        alone = [
+            fluid_from_ricci(geo.ricci, geo.g, geo.field(v).value, 1.0, fluid.lam) for geo, fluid in zip(geos, fluids)
+        ]
+        assert bits(fits) == bits(alone)
 
 
 class _PerKey:
@@ -1693,13 +1829,14 @@ class TestFieldErrorAttribution:
     @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
     def test_potential_identities_on_a_fresh_geometry(self, case):
         # nabla F reads the neighbours' F, so two steps out before one
-        from solitonlab.solitons import SolitonParams, potential_field_identities
+        from solitonlab.solitons import SolitonParams, potential_field_identities, potential_field_terms
         from solitonlab.spacetimes import FluidValues
 
         components, field, _, points, _, expected = FIELD_ERROR_CASES[case]
         geo = PointGeometry(MetricSpec.from_grid(components, COORDS), points[0])
         with pytest.raises(EvalDomainError) as caught:
-            potential_field_identities(geo, self.spec(field), FluidValues(0.0, 0.0, 1.0, 0.0), SolitonParams("ricci", lam=0.0))
+            terms = potential_field_terms(geo, self.spec(field))
+            potential_field_identities(terms, FluidValues(0.0, 0.0, 1.0, 0.0), SolitonParams("ricci", lam=0.0))
         assert str(caught.value) == expected
 
     def test_the_hessian_reads_no_second_step_along_one_axis(self, monkeypatch):

@@ -1,5 +1,7 @@
 """The scripts under scripts/ still import and run against the package."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +35,29 @@ def test_bench_counts_field_evaluations():
     done = run(str(ROOT / "scripts" / "bench.py"), "--count-field-evals", "grid", "1")
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.split()[-1]) > 0
+
+
+def test_constant_surface_fails_on_a_closed_form_mismatch(monkeypatch, capsys):
+    # the cross-check against the closed form is an explicit check, kept
+    # under python -O: a closed form off by 1e-6 names the first node and
+    # makes the script exit 1
+    spec = importlib.util.spec_from_file_location("constant_surface", ROOT / "scripts" / "constant_surface.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    closed = script.lambda_closed_form
+    monkeypatch.setattr(script, "lambda_closed_form", lambda *args: closed(*args) + 1e-6)
+    assert script.main() == 1
+    assert "alpha=-1.0, beta=-1.0: solved constant" in capsys.readouterr().err
+
+
+def test_no_assert_statement_in_the_package_or_scripts():
+    # a runtime check must not vanish under python -O
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for folder in ("src/solitonlab", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -15,6 +15,7 @@ from solitonlab.solitons import (
     SolitonParams,
     ckv_fit,
     classify,
+    einstein_conformal_factor,
     einstein_fit_point,
     eta_closed_forms,
     eta_projection_solve,
@@ -25,11 +26,13 @@ from solitonlab.solitons import (
     nabla_decomposition_check,
     phi_closed_form,
     potential_field_identities,
+    potential_field_terms,
     rotation_skew_residual,
     soliton_residual,
     torse_consequence_residuals,
     torse_forming_residual,
     torse_lie_residual,
+    _residual_matrix,
 )
 from solitonlab.spacetimes import FluidValues, catalog_metric
 
@@ -318,6 +321,34 @@ class TestEinsteinFit:
         assert residual > 0.1
 
 
+_NONZERO = st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+
+
+class TestEinsteinConformalFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=_NONZERO,
+        beta=_NONZERO,
+        p=st.floats(-2.0, 2.0),
+        lam=st.floats(-5.0, 5.0),
+        theta=_NONZERO,
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_factor_zeroes_the_conformal_residual(self, alpha, beta, p, lam, theta, seed):
+        # an Einstein space, S = theta g and r = 4 theta, with Lie_V g =
+        # 2 psi g: the conformal Ricci-Yamabe residual, encoded on its own in
+        # _residual_matrix, vanishes at the psi einstein_conformal_factor
+        # gives; theta != 0 and alpha, beta != 0 put the signs of its
+        # alpha theta and beta r terms to the test
+        g, _ = random_lorentzian(np.random.default_rng(seed))
+        psi = einstein_conformal_factor(theta, 4.0 * theta, alpha, beta, p, lam)
+        samples = PointSamples(g, np.linalg.inv(g), 2.0 * psi * g, theta * g, 4.0 * theta)
+        params = SolitonParams("conformal_ricci_yamabe", alpha=alpha, beta=beta, lam=lam, p=p)
+        residual = _residual_matrix(samples, params, lam, None)
+        scale = 1.0 + abs(lam) + abs(alpha * theta) + abs(beta * theta) + abs(p) + abs(psi)
+        assert max_abs(residual) <= 1e-12 * scale * max_abs(g)
+
+
 class TestPhiClosedForm:
     @given(
         sig=st.floats(-5, 5),
@@ -389,7 +420,7 @@ class TestPotentialIdentities:
         params = _params(alpha=1.4, beta=0.0, p=-0.5, lam=-1.0)
         for p in random_points(3, seed=71):
             geo = PointGeometry(minkowski, p)
-            res = potential_field_identities(geo, euler_field, VACUUM, params)
+            res = potential_field_identities(potential_field_terms(geo, euler_field), VACUUM, params)
             assert max_abs(soliton_residual(PointSamples.from_geometry(geo, euler_field), params).components) < 1e-9
             assert res.curvature_identity < 1e-5
             assert res.divergence_identity < 1e-5
@@ -398,7 +429,8 @@ class TestPotentialIdentities:
     def test_zero_field_trivial(self, minkowski):
         zero = VectorFieldSpec.from_components([0, 0, 0, 0], COORDS)
         params = _params(alpha=1.0, beta=0.0, p=-0.5, lam=0.0)
-        res = potential_field_identities(PointGeometry(minkowski, (0.3, 1, 2, 3)), zero, VACUUM, params)
+        terms = potential_field_terms(PointGeometry(minkowski, (0.3, 1, 2, 3)), zero)
+        res = potential_field_identities(terms, VACUUM, params)
         assert res.curvature_identity == 0.0
         assert res.divergence_identity == 0.0
         assert res.norm_gradient_identity == 0.0
@@ -417,7 +449,7 @@ class TestPotentialIdentities:
         for m in (de_sitter, frw_sqrt):
             for v in (coordinate_time, euler_field):
                 for p in random_points(2, seed=72):
-                    res = potential_field_identities(PointGeometry(m, p), v, VACUUM, params)
+                    res = potential_field_identities(potential_field_terms(PointGeometry(m, p), v), VACUUM, params)
                     assert res.norm_gradient_identity < 1e-5
 
 
