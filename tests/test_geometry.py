@@ -1024,10 +1024,10 @@ class TestBlockRows:
         block = BlockGeometry(block_geometries(keys))
         fluids = [FluidValues(0.1 * k, 0.2, 1.0, -0.3 * k) for k in range(4)]
         rows = {
-            "riemann_antisymmetry": lambda geo: riemann_antisymmetry_residual(geo),
-            "bianchi_first": lambda geo: bianchi_first_residual(geo),
-            "bianchi_contracted": lambda geo: contracted_bianchi_residual(geo),
-            "metric_compatibility": lambda geo: metric_compatibility_residual(geo),
+            "riemann_antisymmetry": riemann_antisymmetry_residual,
+            "bianchi_first": bianchi_first_residual,
+            "bianchi_contracted": contracted_bianchi_residual,
+            "metric_compatibility": metric_compatibility_residual,
             "divergence": lambda geo: divergence_vector(geo, v),
             "laplacian_routes": lambda geo: laplacian_routes(geo, gradient.potential),
             "nabla_decomposition": lambda geo: nabla_decomposition_check(geo, v),
