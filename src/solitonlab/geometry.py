@@ -12,54 +12,60 @@ the constant-curvature anchors in the test suite hold:
 
 See docs/conventions.md for the full sign table.
 
-Every quantity is read from a PointGeometry, one per (metric, point,
-numerics), whose point has canonical zeros: a -0.0 is read as +0.0, which
-no expression of the grammar tells apart but by the sign of a zero result.
-Its curvature layers (the metric, its inverse and derivatives, the
-connection, the curvature and its contractions) live in one
-``lattice.Store``: each stencil coordinate is numbered once, and each layer
-is one row array indexed by number.  The lattice spans only the coordinates
-the metric reads: every layer is constant along the others.  Reading a
-layer at a point computes it, and each layer below it, at every coordinate
-the read needs and lacks, one numpy call per layer; reading a layer held
-there is an index, with no numpy call.  ``block_geometries`` gives a block
-of points one store, filled in one batch, each reading it by its number
-there.  The metric components are evaluated by ``MetricSpec.matrix`` once
+A batch of points of one metric and numerics is a BlockGeometry.  It owns
+their ``lattice.Store``, the points' numbers there, a field tree per vector
+field and each layer it has read, with a leading point axis.  A
+PointGeometry is one point of a block, a (block, row) handle: its layers
+and field quantities are its row of the block's.  ``PointGeometry(metric,
+point)`` is a block of one; ``block_geometries`` puts the points of one
+(metric, numerics) in one block, whose store one batch fills; and
+``block.take(rows)`` is a block of some of those points on the same store
+and field trees.  A point has canonical zeros: a -0.0 is read as +0.0,
+which no expression of the grammar tells apart but by the sign of a zero
+result.
+
+The curvature layers (the metric, its inverse and derivatives, the
+connection, the curvature and its contractions) live in the store: each
+stencil coordinate is numbered once, and each layer is one row array
+indexed by number.  The lattice spans only the coordinates the metric
+reads: every layer is constant along the others.  A block's read of a
+layer the store holds at each of its points is an index, with no numpy
+call but the take; else ``Store.fill`` first computes it, and each layer
+below it, at every coordinate the read needs and lacks, one numpy call per
+layer.  The metric components are evaluated by ``MetricSpec.matrix`` once
 per store for each distinct value of the coordinates the grid reads,
 however many reads need it, and a failure names the first failing
 coordinate of the store's walk (docs/conventions.md).
 
 A vector field may read coordinates the metric does not, so its quantities
-live on stencil trees at true coordinates instead.  ``geo.field(spec)`` is
-the one FieldGeometry of the VectorFieldSpec at the point (specs compare
-by value): the point's row of one field tree, which ``block_geometries``
-has the points on one store share.  The tree holds each quantity (V, the
-dual one-form gV and its derivatives, nabla V, Lie_V g, the rotation map
-F = g^-1 d(gV) and nabla F, |V|^2 and its derivative, and for a gradient
-the potential, its derivatives and Hessian) as one array over one depth of
-the trees of all its points, one numpy call per quantity and depth, the
-metric layers there read from the store.  The components, or the potential,
-are evaluated once per coordinate, the components of a field in one
-compiled call.  Should a read of a shared tree meet a numerical failure,
-each of its points goes on with a tree of its own, so every point gets the
-values and the failure it gets alone.
+live on stencil trees at true coordinates instead, one per spec (specs
+compare by value) over the points of a block.  The tree holds each
+quantity (V, the dual one-form gV and its derivatives, nabla V, Lie_V g,
+the rotation map F = g^-1 d(gV) and nabla F, |V|^2 and its derivative, and
+for a gradient the potential, its derivatives and Hessian) as one array
+over one depth of the trees of all its points, one numpy call per quantity
+and depth, the metric layers there read from the store.  The components,
+or the potential, are evaluated once per coordinate, the components of a
+field in one compiled call.  Should a read of a shared tree meet a
+numerical failure, each of its points goes on with a tree of its own, so
+every point gets the values and the failure it gets alone.
 
-The identity rows read the points of one store together: a BlockGeometry
-over them holds each layer and field quantity with a leading point axis,
-and each row function of this module, ``spacetimes`` and ``solitons`` is
-one computation over it, which a lone PointGeometry runs as a block of one
-(docs/conventions.md, "Rows over a block").
+Each row function of this module, ``spacetimes`` and ``solitons`` is one
+computation over a block, returning each point's result; ``over_block``
+lets it take a PointGeometry, run as its block of one, and return the one
+result (docs/conventions.md, "Rows over a block").
 
-A FieldGeometry and its tree live as long as the PointGeometry objects that
-read them, and a store as long as the PointGeometry objects on it.  None is
-locked: each belongs to one thread.  Nothing is cached at module level.
+A store and its field trees live as long as the blocks, and the
+PointGeometry objects, that read them; a take holds the block it was taken
+from, and no block holds itself.  None is locked: each belongs to one
+thread.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -98,7 +104,9 @@ __all__ = [
     "PointGeometry",
     "BlockGeometry",
     "FieldGeometry",
+    "NUMERICAL_FAILURES",
     "block_geometries",
+    "over_block",
     "metric_at",
     "christoffel",
     "riemann",
@@ -199,7 +207,6 @@ class FramePack:
 
     vectors: np.ndarray  # vectors[i] = components of e_i
     signs: tuple[int, ...]
-    point: tuple[float, ...]
 
 
 def _compiled(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., tuple]:
@@ -318,184 +325,124 @@ class MetricSpec:
         return np.array(vals, dtype=float).reshape((len(point),) * 3)
 
 
-# -- the per-point geometry ------------------------------------------------
+# -- the geometry of a block of points ------------------------------------------
 
 # the numerical failures a point records; any other exception is a programming error
-_FAILURES = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
+NUMERICAL_FAILURES = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
 
 
-def _layer_property(name: str, doc: str) -> property:
-    """A curvature layer of PointGeometry, read from its store; the point's number is kept once known."""
-
-    def read(geo: PointGeometry) -> Any:
-        geo._number, value = geo._store.at(name, geo.point, geo._number)
-        return value
-
-    return property(read, doc=doc)
-
-
-class PointGeometry:
-    """Geometry of one metric at one point, evaluated on demand on a stencil lattice.
-
-    ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
-    ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are the
-    curvature layers.  Reading one computes it, and each layer below it, at
-    every lattice coordinate the read needs and lacks, one numpy call per
-    layer, so each is computed at most once per coordinate.  ``grad``
-    differentiates a layer and ``field`` gives the quantities of a vector
-    field here.  Not thread-safe: one object, one thread.
-
-    ``point`` is the point given, with every -0.0 made +0.0.  Its lattice
-    lives in a store of its own, unless ``block_geometries`` moves it onto
-    one shared with other points, and its fields live on field trees of its
-    own unless ``block_geometries`` has it share those of the other points
-    on that store.
-    """
-
-    __slots__ = ("metric", "point", "numerics", "_store", "_number", "_block", "_row", "_fields")
-
-    def __init__(
-        self,
-        metric: MetricSpec,
-        point: Sequence[float],
-        numerics: NumericsConfig = DEFAULT_NUMERICS,
-    ) -> None:
-        p = tuple(float(v) + 0.0 for v in point)  # -0.0 + 0.0 is +0.0
-        if len(p) != metric.dim:
-            raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
-        self.metric, self.numerics, self.point = metric, numerics, p
-        self._store, self._number = Store(metric, numerics, p), -1  # the point's number in the store; -1 until known
-        # the points whose field trees this point shares, itself row ``_row`` there; made at its first field read if alone
-        self._block: _Block | None = None
-        self._row = 0
-        self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
-
-    def grad(self, name: str) -> np.ndarray:
-        """Central first derivatives of the curvature layer ``name``, Richardson-extrapolated.
-
-        The layer is computed at all the neighbours, and at this point, in
-        one batch.  The leading axis of the result is the derivative index.
-        """
-        return _grad(self._store, np.array([self.point]), np.array([self._number]), name)[0]
-
-    def field(self, spec: "VectorFieldSpec") -> "FieldGeometry":
-        """The quantities of the vector field ``spec`` at this point; one FieldGeometry per spec."""
-        field = self._fields.get(spec)
-        if field is None:
-            if self._block is None:  # a point alone: a block of one
-                self._block = _Block(self._store, np.array([self.point]), np.array([self._number]))
-            field = self._fields[spec] = FieldGeometry(self._block.tree(spec), self._row)
-        return field
-
-    g = _layer_property("g", "Symmetric matrix g_ij; errors if the matrix is not finite or degenerate.")
-    g_inv = _layer_property("g_inv", "Contravariant inverse; g . g^-1 stays within 1e-12 of identity.")
-    dg = _layer_property("dg", "dg[k,i,j] = d_k g_ij by central differences.")
-    gamma = _layer_property("gamma", "Levi-Civita gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction.")
-    riemann = _layer_property("riemann", "Curvature components R[l,k,i,j] = R^l_kij (see module docstring).")
-    ricci = _layer_property("ricci", "Ricci tensor, symmetrised.")
-    ricci_asymmetry = _layer_property("ricci_asymmetry", "Largest asymmetry of the raw Ricci contraction.")
-    scalar = _layer_property("scalar", "r = g^ij S_ij.")
-    einstein = _layer_property("einstein", "G_ij = S_ij - (r/2) g_ij.")
-
-
-def _grad(store: Store, points: np.ndarray, numbers: np.ndarray, name: str) -> np.ndarray:
-    """Central first derivatives of layer ``name`` at ``points`` (numbers ``numbers``; -1: unknown), one batch.
-
-    The layer is computed at all their neighbours, and at the points, in
-    one ``Store.fill``; the result is ``[point, derivative index, ...]``.
-    """
-    dim = points.shape[1]
-    around = neighbours(points, store.steps).reshape(-1, dim)
-    # the points last, as a caller reading them after would; once walked round, their kids number the neighbours
-    known = np.concatenate([store.kids[numbers].reshape(-1), numbers])
-    numbers = store.fill(name, np.concatenate([around, points]), known)
-    values = store.get(name, numbers[: len(around)])
-    return stencil_derivative(values.reshape((len(points), dim, -1) + values.shape[1:]), store.numerics.h)
+def _canonical(metric: MetricSpec, point: Sequence[float]) -> tuple[float, ...]:
+    """``point`` as a tuple of floats, every -0.0 made +0.0, with as many coordinates as the metric."""
+    p = tuple(float(v) + 0.0 for v in point)  # -0.0 + 0.0 is +0.0
+    if len(p) != metric.dim:
+        raise ValueError(f"point has {len(p)} coordinates, metric has {metric.dim}")
+    return p
 
 
 def _block_layer(name: str) -> property:
-    """A curvature layer of BlockGeometry, one row per point, read once."""
+    """A curvature layer of BlockGeometry, one row per point, read once; an index where the store holds it at each."""
 
     def read(block: BlockGeometry) -> np.ndarray:
         rows = block._layers.get(name)
         if rows is None:
-            if len(block.geos) == 1:  # read as the point reads it alone; a copy, as a row keeps its layer alive
-                rows = np.array(getattr(block.geos[0], name))[None]
-            else:  # held at every point since block_geometries filled the store
-                rows = block.geos[0]._store.get(name, block._numbers)
+            store = block.store
+            if not store.held(name, block.numbers).all():
+                block.numbers = store.fill(name, np.array(block.points), block.numbers)
+            rows = block._layers[name] = store.get(name, block.numbers)
             rows.flags.writeable = False
-            block._layers[name] = rows
         return rows
 
     return property(read, doc=f"Layer {name!r} at each point of the block.")
 
 
 class BlockGeometry:
-    """Points of one store read together: each curvature layer, derivative and field quantity with a leading point axis.
+    """Points of one metric and numerics on one store, read together: each quantity with a leading point axis.
 
-    The points are those ``block_geometries`` put on one store, where it
-    filled every layer at them, or one PointGeometry, read as it reads
-    alone: a lone point is a block of one.  A layer is one indexed read of
-    the store at the points, ``grad`` one ``Store.fill`` for all of them,
-    and a field quantity their rows of the depth-0 array of the field tree
-    they share (or, once a read of that tree has failed, of each point's
-    own tree: FieldGeometry).
+    The block owns the batch: the ``lattice.Store`` its points share, their
+    ``numbers`` there (-1 until known), a field tree per vector field
+    (``trees``) and each layer it has read.  A layer is read once: an index
+    where the store holds it at every point, as ``block_geometries`` leaves
+    it, else one ``Store.fill`` for all the points.  ``grad`` is one
+    ``Store.fill`` for all of them, and a field quantity their rows of the
+    depth-0 array of their field tree (or, once a read of that tree has
+    failed, of each point's own tree: FieldGeometry).  ``points`` are tuples
+    of floats with canonical zeros.
 
-    The row functions of this module, ``spacetimes`` and ``solitons`` take a
-    block or a PointGeometry (``of``): each computes its row once over the
-    block, and returns a list with each point's result (``unpack``), or the
-    lone point's result.  Each layer is read once per block and kept.  Not
-    thread-safe.
+    ``take`` gives some of the points, in any order, as a block on the same
+    store and field trees, which holds the block it was taken from;
+    ``block[row]`` is the PointGeometry of one point.  The row functions of
+    this module, ``spacetimes`` and ``solitons`` compute their row once over
+    a block and return a list with each point's result (``over_block``).
+    Not thread-safe.
     """
 
-    __slots__ = ("geos", "metric", "numerics", "points", "_numbers", "_lone", "_layers", "_fields")
+    __slots__ = ("metric", "numerics", "store", "points", "numbers", "trees", "_base", "_rows", "_layers", "_fields")
 
-    def __init__(self, geos: Sequence[PointGeometry]) -> None:
-        first = geos[0]
-        if len(geos) > 1 and any(geo._block is None or geo._block is not first._block for geo in geos):
-            raise ValueError("the points of a block must share one store and its field trees")
-        self.geos = tuple(geos)
-        self.metric, self.numerics = first.metric, first.numerics
-        self.points = [geo.point for geo in geos]
-        self._numbers = np.array([geo._number for geo in geos])  # in the store; a lone point's is -1 until known
-        self._lone = False
+    def __init__(self, store: Store, points: Sequence[tuple[float, ...]], numbers: np.ndarray | None = None) -> None:
+        self.metric, self.numerics, self.store = store.metric, store.numerics, store
+        self.points = list(points)
+        self.numbers = np.full(len(self.points), -1) if numbers is None else numbers
+        self.trees: dict[VectorFieldSpec, _FieldTree] = {}
+        # for a take: the block taken from, whose points the trees are built over, and the points' rows there
+        self._base: BlockGeometry | None = None
+        self._rows: list[int] | None = None
         self._layers: dict[str, np.ndarray] = {}
         self._fields: dict[VectorFieldSpec, FieldGeometry] = {}
 
-    @classmethod
-    def of(cls, geo: PointGeometry | BlockGeometry) -> BlockGeometry:
-        """``geo`` if a block, else the block of one whose ``unpack`` gives the point's result alone."""
-        if isinstance(geo, BlockGeometry):
-            return geo
-        block = cls([geo])
-        block._lone = True
-        return block
-
     def __len__(self) -> int:
-        return len(self.geos)
+        return len(self.points)
 
-    def unpack(self, results: list) -> Any:
-        """``results``, one per point; the one result when the block stands for a lone PointGeometry."""
-        return results[0] if self._lone else results
+    def __getitem__(self, row: int) -> PointGeometry:
+        """The PointGeometry of point ``row``: its row of each layer and field quantity of the block."""
+        geo = object.__new__(PointGeometry)
+        geo.metric, geo.point, geo.numerics = self.metric, self.points[row], self.numerics
+        geo.block, geo.row = self, row
+        return geo
 
-    def residuals(self, a: np.ndarray, rank: int) -> Any:
-        """max |a| over its last ``rank`` axes at each point, unpacked: the residual norm of a row."""
-        return self.unpack(np.abs(a).max(axis=tuple(range(-rank, 0))).tolist())
+    def take(self, rows: Sequence[int]) -> BlockGeometry:
+        """The points ``rows``, in order, as a block on the same store and field trees; all of them is this block."""
+        rows = list(rows)
+        if rows == list(range(len(self.points))):
+            return self
+        sub = BlockGeometry(self.store, [self.points[r] for r in rows], self.numbers[rows])
+        sub.trees, sub._base = self.trees, self if self._base is None else self._base
+        sub._rows = rows if self._rows is None else [self._rows[r] for r in rows]
+        return sub
+
+    def residuals(self, a: np.ndarray, rank: int) -> list[float]:
+        """max |a| over its last ``rank`` axes at each point: the residual norm of a row."""
+        return np.abs(a).max(axis=tuple(range(-rank, 0))).tolist()
 
     def grad(self, name: str) -> np.ndarray:
-        """``PointGeometry.grad`` at every point: ``[point, derivative index, ...]``."""
-        return _grad(self.geos[0]._store, np.array(self.points), self._numbers, name)
+        """Central first derivatives of the curvature layer ``name`` at every point, Richardson-extrapolated.
+
+        The layer is computed at all their neighbours, and at the points, in
+        one ``Store.fill``; the result is ``[point, derivative index, ...]``.
+        """
+        store, points = self.store, np.array(self.points)
+        dim = points.shape[1]
+        around = neighbours(points, store.steps).reshape(-1, dim)
+        # the points last, as a caller reading them after would; once walked round, their kids number the neighbours
+        known = np.concatenate([store.kids[self.numbers].reshape(-1), self.numbers])
+        numbers = store.fill(name, np.concatenate([around, points]), known)
+        values = store.get(name, numbers[: len(around)])
+        return stencil_derivative(values.reshape((len(points), dim, -1) + values.shape[1:]), store.numerics.h)
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
         """The vector field ``spec`` at every point: a FieldGeometry over their rows of its tree."""
         field = self._fields.get(spec)
         if field is None:
-            tree = self.geos[0].field(spec)._tree  # a lone point's tree is made at its first field read
-            rows = [geo._row for geo in self.geos]
-            if rows == list(range(len(tree.points))):
-                rows = slice(None)  # all of the tree: its arrays, not copies
-            field = self._fields[spec] = FieldGeometry(tree, rows)
+            rows = slice(None) if self._rows is None else self._rows
+            field = self._fields[spec] = FieldGeometry(self._tree(spec), rows)
         return field
+
+    def _tree(self, spec: VectorFieldSpec) -> _FieldTree:
+        """The field tree of ``spec`` over the points of the block taken from (this one, if none), made once."""
+        tree = self.trees.get(spec)
+        if tree is None:
+            base = self if self._base is None else self._base
+            tree = self.trees[spec] = _FieldTree(spec, self.store, np.array(base.points), base.numbers)
+        return tree
 
     g = _block_layer("g")
     g_inv = _block_layer("g_inv")
@@ -508,47 +455,123 @@ class BlockGeometry:
     einstein = _block_layer("einstein")
 
 
-def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsConfig]]) -> list[PointGeometry]:
-    """A PointGeometry for each (metric, point, numerics) of ``keys``, those of one (metric, numerics) on one store.
+def _point_layer(name: str, doc: str) -> property:
+    """A curvature layer of PointGeometry: its row of the block's layer (a float for a scalar)."""
 
-    Before any identity reads them, one batch fills the shared store with
+    def read(geo: PointGeometry) -> Any:
+        row = getattr(geo.block, name)[geo.row]
+        return row if row.ndim else float(row)
+
+    return property(read, doc=doc)
+
+
+class PointGeometry:
+    """Geometry of one metric at one point: row ``row`` of a BlockGeometry, evaluated on demand on a stencil lattice.
+
+    ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
+    ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are the
+    curvature layers, each the point's row of the block's layer.  ``grad``
+    differentiates a layer and ``field`` gives the quantities of a vector
+    field here.  ``PointGeometry(metric, point)`` is a block of one, whose
+    store computes a layer on first read, and each layer below it, at every
+    lattice coordinate the read needs and lacks, one numpy call per layer,
+    so each is computed at most once per coordinate; ``block_geometries``
+    gives the points of a block that one batch filled.  ``point`` is the
+    point given, with every -0.0 made +0.0.  Not thread-safe: one object,
+    one thread.
+    """
+
+    __slots__ = ("metric", "point", "numerics", "block", "row")
+
+    def __init__(
+        self,
+        metric: MetricSpec,
+        point: Sequence[float],
+        numerics: NumericsConfig = DEFAULT_NUMERICS,
+    ) -> None:
+        p = _canonical(metric, point)
+        self.metric, self.point, self.numerics = metric, p, numerics
+        self.block, self.row = BlockGeometry(Store(metric, numerics, p), [p]), 0
+
+    def grad(self, name: str) -> np.ndarray:
+        """Central first derivatives of the layer ``name`` here: ``BlockGeometry.grad`` over its block of one."""
+        return self.block.take([self.row]).grad(name)[0]
+
+    def field(self, spec: VectorFieldSpec) -> FieldGeometry:
+        """The quantities of the vector field ``spec`` at this point: its row of the block's field tree."""
+        block = self.block
+        return FieldGeometry(block._tree(spec), self.row if block._rows is None else block._rows[self.row])
+
+    g = _point_layer("g", "Symmetric matrix g_ij; errors if the matrix is not finite or degenerate.")
+    g_inv = _point_layer("g_inv", "Contravariant inverse; g . g^-1 stays within 1e-12 of identity.")
+    dg = _point_layer("dg", "dg[k,i,j] = d_k g_ij by central differences.")
+    gamma = _point_layer("gamma", "Levi-Civita gamma[k,i,j] = Gamma^k_ij; symmetric in (i,j) by construction.")
+    riemann = _point_layer("riemann", "Curvature components R[l,k,i,j] = R^l_kij (see module docstring).")
+    ricci = _point_layer("ricci", "Ricci tensor, symmetrised.")
+    ricci_asymmetry = _point_layer("ricci_asymmetry", "Largest asymmetry of the raw Ricci contraction.")
+    scalar = _point_layer("scalar", "r = g^ij S_ij.")
+    einstein = _point_layer("einstein", "G_ij = S_ij - (r/2) g_ij.")
+
+
+def over_block(rows: Callable[..., list]) -> Callable[..., Any]:
+    """A row function of a BlockGeometry that also takes a PointGeometry: over its block of one, the one result.
+
+    The geometry is the function's first argument, or the one after the
+    class for a classmethod.  Given a block, the function returns its list
+    of each point's result.
+    """
+
+    @wraps(rows)
+    def run(*args: Any, **kwargs: Any) -> Any:
+        at = int(isinstance(args[0], type))
+        geo = args[at]
+        if isinstance(geo, PointGeometry):
+            return rows(*args[:at], geo.block.take([geo.row]), *args[at + 1 :], **kwargs)[0]
+        return rows(*args, **kwargs)
+
+    return run
+
+
+def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsConfig]]) -> list[PointGeometry]:
+    """A PointGeometry for each (metric, point, numerics) of ``keys``, those of one (metric, numerics) in one block.
+
+    Before any identity reads them, one batch fills the block's store with
     what a suite reads: the Einstein tensor, and each layer below it, at the
     points and their stencil neighbours (so the metric over S^3 around each
     point), and the Ricci asymmetry at the points.  Each point takes its
-    number from the batch, so its reads are indexes, and a suite read there
-    meets no metric failure.  The first point whose walk meets a numerical
-    failure keeps a store of its own, where its reads meet it as they would
-    alone (docs/conventions.md), and the batch is made again without it.
-    The points left on one store share a field tree per vector field
-    (FieldGeometry).
+    number from the batch, so the block's reads are indexes, and a suite
+    read there meets no metric failure.  The first point whose walk meets a
+    numerical failure is a block of one of its own, untouched, where its
+    reads meet it as they would alone (docs/conventions.md), and the batch
+    is made again without it.  The points of one block share a field tree
+    per vector field (FieldGeometry).
     """
-    geos = [PointGeometry(*key) for key in keys]
-    shared: dict[tuple, list[PointGeometry]] = {}
-    for geo in geos:
-        shared.setdefault((geo.metric, geo.numerics), []).append(geo)
-    for members in shared.values():
-        _fill_block(members)
+    geos: list[PointGeometry | None] = [None] * len(keys)
+    members: dict[tuple, list[int]] = {}
+    for n, (metric, _, numerics) in enumerate(keys):
+        members.setdefault((metric, numerics), []).append(n)
+    for (metric, numerics), ns in members.items():
+        points = [_canonical(metric, keys[n][1]) for n in ns]
+        store = Store(metric, numerics, points[0])
+        while ns:
+            batch = np.array(points)
+            ring = neighbours(batch, store.steps, store.axes).reshape(len(batch), -1, batch.shape[1])
+            # each point, then its neighbours: the walk, and its metric evaluation, go point by point
+            rows = np.concatenate([batch[:, None], ring], axis=1).reshape(-1, batch.shape[1])
+            try:
+                numbers = store.fill("einstein", rows)[:: 1 + ring.shape[1]]
+            except (EvalDomainError, SingularMetricError) as exc:
+                row = exc.root // (1 + ring.shape[1])  # the point whose walk met the failure
+                points.pop(row)
+                n = ns.pop(row)
+                geos[n] = PointGeometry(*keys[n])
+                continue
+            store.get("ricci_asymmetry", numbers)
+            block = BlockGeometry(store, points, numbers)
+            for row, n in enumerate(ns):
+                geos[n] = block[row]
+            break
     return geos
-
-
-def _fill_block(members: list[PointGeometry]) -> None:
-    """Move ``members`` onto one store, filled in one batch, and one block, all but those whose walk fails there."""
-    store = Store(members[0].metric, members[0].numerics, members[0].point)
-    while members:
-        points = np.array([geo.point for geo in members])
-        ring = neighbours(points, store.steps, store.axes).reshape(len(points), -1, points.shape[1])
-        # each point, then its neighbours: the walk, and its metric evaluation, go point by point
-        rows = np.concatenate([points[:, None], ring], axis=1).reshape(-1, points.shape[1])
-        try:
-            numbers = store.fill("einstein", rows)[:: 1 + ring.shape[1]]
-        except (EvalDomainError, SingularMetricError) as exc:
-            members.pop(exc.root // (1 + ring.shape[1]))  # the point whose walk met the failure
-            continue
-        store.get("ricci_asymmetry", numbers)
-        block = _Block(store, points, numbers)
-        for row, (geo, u) in enumerate(zip(members, numbers.tolist())):
-            geo._store, geo._number, geo._block, geo._row = store, u, block, row
-        return
 
 
 # -- views for callers holding (metric, point, numerics) ----------------------
@@ -656,10 +679,6 @@ class VectorFieldSpec:
         except EvalDomainError as exc:
             raise EvalDomainError(f"gradient potential undefined at {point}: {exc}") from None
 
-    def value(self, geo: PointGeometry) -> np.ndarray:
-        """Contravariant components at one point (raised df for gradients)."""
-        return geo.field(self).value
-
 
 def _at_point(name: str, doc: str) -> property:
     """A FieldGeometry quantity at its point: the point's row of the tree's depth-0 array (a float for a scalar)."""
@@ -672,16 +691,15 @@ def _at_point(name: str, doc: str) -> property:
 
 
 class FieldGeometry:
-    """One vector field at one point: the point's row of the field tree its block shares.
+    """One vector field at the points of a block, or at one point: their rows of the field tree the block shares.
 
-    Each quantity is read from a ``_FieldTree`` over the point and the other
-    points of its block on the same store (``block_geometries``), or over
-    the point alone.  Should a read of the shared tree meet a numerical
-    failure, at this point or another, each point of the block goes on with
-    a tree of its own, built afresh, so a point's values, and the failure it
-    records, are those it gets alone.  Over several rows of the tree (a
-    BlockGeometry's field), each quantity has a leading point axis.  Not
-    thread-safe.
+    Each quantity is read from a ``_FieldTree`` over the points of the block
+    (``BlockGeometry._tree``).  Should a read of the shared tree meet a
+    numerical failure, at these points or another, each point of the tree
+    goes on with a tree of its own, built afresh, so a point's values, and
+    the failure it records, are those it gets alone.  Over several rows of
+    the tree (a BlockGeometry's field), each quantity has a leading point
+    axis.  Not thread-safe.
     """
 
     __slots__ = ("spec", "_tree", "_row")
@@ -706,22 +724,6 @@ class FieldGeometry:
     def _at(self, name: str) -> np.ndarray:
         """Quantity ``name`` at this point: its row of the tree's depth-0 array (its rows, over several)."""
         return self._tree.read(name, self._row)
-
-
-class _Block:
-    """Points of one store that share their field trees: their coordinates and numbers there, and a tree per spec."""
-
-    __slots__ = ("store", "points", "numbers", "trees")
-
-    def __init__(self, store: Store, points: np.ndarray, numbers: np.ndarray) -> None:
-        self.store, self.points, self.numbers = store, points, numbers
-        self.trees: dict[VectorFieldSpec, _FieldTree] = {}
-
-    def tree(self, spec: VectorFieldSpec) -> _FieldTree:
-        tree = self.trees.get(spec)
-        if tree is None:
-            tree = self.trees[spec] = _FieldTree(spec, self.store, self.points, self.numbers)
-        return tree
 
 
 # quantities that are the stencil derivative of another
@@ -776,7 +778,7 @@ class _FieldTree:
         if self.alone is None:
             try:
                 return self._at(name, 0)[rows]
-            except _FAILURES:
+            except NUMERICAL_FAILURES:
                 if len(self.points) == 1:
                     raise
                 self.alone = [
@@ -931,29 +933,25 @@ def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
     return TensorSample("tensor02", geo.field(spec).hessian, geo.point, symmetric=True)
 
 
-def divergence_vector(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
+@over_block
+def divergence_vector(block: BlockGeometry, v: VectorFieldSpec) -> list[float]:
     """div V = (nabla_k V)^k."""
-    block = BlockGeometry.of(geo)
-    return block.unpack(np.trace(block.field(v).nabla, axis1=-2, axis2=-1).tolist())
+    return np.trace(block.field(v).nabla, axis1=-2, axis2=-1).tolist()
 
 
-def laplacian_routes(geo: PointGeometry | BlockGeometry, f: Expr) -> tuple[float, float] | list[tuple[float, float]]:
+@over_block
+def laplacian_routes(block: BlockGeometry, f: Expr) -> list[tuple[float, float]]:
     """(div grad f, trace of Hess f) -- two independent Laplacian routes."""
-    block = BlockGeometry.of(geo)
     field = block.field(VectorFieldSpec.gradient_of(f, block.metric.coords))
     div_route = np.trace(field.nabla, axis1=-2, axis2=-1).tolist()
     trace_route = np.einsum("...ij,...ij->...", block.g_inv, field.hessian).tolist()
-    return block.unpack(list(zip(div_route, trace_route)))
+    return list(zip(div_route, trace_route))
 
 
 # -- frames ----------------------------------------------------------------
 
 
-def frame_from_matrix(
-    g: np.ndarray,
-    timelike_hint: np.ndarray | None = None,
-    point: tuple[float, ...] = (),
-) -> FramePack:
+def frame_from_matrix(g: np.ndarray, timelike_hint: np.ndarray | None = None) -> FramePack:
     """Gram-Schmidt an orthonormal frame out of the coordinate basis.
 
     The candidate list is seeded with ``timelike_hint`` when given.  The
@@ -1000,30 +998,30 @@ def frame_from_matrix(
     order = np.argsort(signs, axis=1, kind="stable")  # timelike first, stable
     vectors = np.take_along_axis(vectors, order[:, :, None], axis=1)
     ordered = tuple(signs[0, order[0]].astype(int).tolist())
-    return FramePack(vectors if g.ndim == 3 else vectors[0], ordered, tuple(point))
+    return FramePack(vectors if g.ndim == 3 else vectors[0], ordered)
 
 
 # -- health checks -----------------------------------------------------------
 
 
-def riemann_antisymmetry_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
+@over_block
+def riemann_antisymmetry_residual(block: BlockGeometry) -> list[float]:
     """max |R^l_kij + R^l_kji|."""
-    block = BlockGeometry.of(geo)
     r = block.riemann
     return block.residuals(r + np.swapaxes(r, -1, -2), 4)
 
 
-def bianchi_first_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
+@over_block
+def bianchi_first_residual(block: BlockGeometry) -> list[float]:
     """Cyclic sum over the lowered last three slots of the curvature."""
-    block = BlockGeometry.of(geo)
     low = np.einsum("...lm,...mkij->...lkij", block.g, block.riemann)
     cyc = low + np.einsum("...lkij->...lijk", low) + np.einsum("...lkij->...ljki", low)
     return block.residuals(cyc, 4)
 
 
-def contracted_bianchi_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
+@over_block
+def contracted_bianchi_residual(block: BlockGeometry) -> list[float]:
     """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity."""
-    block = BlockGeometry.of(geo)
     dg_field = block.grad("einstein")  # [n,k,i,j] = d_k G_ij
     gamma = block.gamma
     g0 = block.einstein
@@ -1036,9 +1034,9 @@ def contracted_bianchi_residual(geo: PointGeometry | BlockGeometry) -> float | l
     return block.residuals(div, 1)
 
 
-def metric_compatibility_residual(geo: PointGeometry | BlockGeometry) -> float | list[float]:
+@over_block
+def metric_compatibility_residual(block: BlockGeometry) -> list[float]:
     """max |nabla_k g_ij| with the same stencils that built Gamma."""
-    block = BlockGeometry.of(geo)
     dg = block.dg
     gamma = block.gamma
     g0 = block.g
@@ -1066,11 +1064,11 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     read the metric at the same +-h and +-h/2 neighbours as ``geo.grad``, in
     one indexed read of the store: the +-h pairs axis by axis, then the +-h/2.
     """
-    exact, store, dim = christoffel_exact(geo), geo._store, len(geo.point)
+    exact, store, dim = christoffel_exact(geo), geo.block.store, len(geo.point)
     halvings = (geo.numerics.h, geo.numerics.h / 2)
     around = np.concatenate([neighbours(np.array([geo.point]), (h, -h)).reshape(-1, dim) for h in halvings])
     known = np.full((2, dim, 2), -1)  # [halving, axis, sign]; no walk reaches +-h/2 without Richardson
-    known[: len(store.steps) // 2] = store.kids[geo._number].reshape(dim, -1, 2).transpose(1, 0, 2)
+    known[: len(store.steps) // 2] = store.kids[geo.block.numbers[geo.row]].reshape(dim, -1, 2).transpose(1, 0, 2)
     g = store.get("g", store.fill("g", around, known.ravel())).reshape(2, dim, 2, *geo.g.shape)
     errs = [max_abs(christoffel_from_dg(geo.g_inv, (s[:, 0] - s[:, 1]) / (2 * h)) - exact) for h, s in zip(halvings, g)]
     if errs[1] < 1e-11 * max(1.0, max_abs(exact)):

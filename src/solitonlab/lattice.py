@@ -1,32 +1,34 @@
-"""The store of stencil-lattice rows behind ``geometry.PointGeometry``.
+"""The store of stencil-lattice rows behind ``geometry.BlockGeometry``.
 
-A PointGeometry and its stencil neighbours share one ``Store``.  It numbers
-each coordinate once, in the order a walk point by point first reaches it
-(``Store._walk``), keeping the floats first built for it.  No coordinate is
-``-0.0``: a PointGeometry's point has canonical zeros, a stencil sum with a
-nonzero step is never ``-0.0``, and every other coordinate is a copy.  The
-walk goes only along the axes the metric reads (``MetricSpec.read_axes``):
-along any other axis, a Killing direction of the chart, every coordinate
-keeps the root point's float and its stencil neighbour is itself, so the
-lattice has one coordinate per read pattern, and a difference across such an
-axis is an exact +0.0, as the per-coordinate stencil gives it (both its
-neighbours share the point's read pattern).  Points of one metric and
-numerics may share one store (``geometry.block_geometries``), each reading
-its rows there by number.  Each curvature layer is one row array, grown by
-capacity doubling, with a slot array over the numbers, so a read is an index.
-``Store.fill`` computes a layer at a set of points, with each layer below it
-where the request needs and lacks it, one numpy call per layer.  The metric
-is evaluated by ``MetricSpec.matrix`` once per store for each distinct value
-of the coordinates it reads, at the first coordinate in walk order with that
-value, and a failure names the first failing coordinate of that walk.  Every
-batched contraction is the per-coordinate ``np.einsum`` with a leading batch
-axis, so each row is bitwise the per-coordinate result.
+A BlockGeometry owns one ``Store``: its points, of one metric and numerics,
+and their stencil neighbours share it, each point reading its rows by its
+number there.  A lone PointGeometry is a block of one, with a store of its
+own.  The store numbers each coordinate once, in the order a walk point by
+point first reaches it (``Store._walk``), keeping the floats first built
+for it.  No coordinate is ``-0.0``: a block's points have canonical zeros, a
+stencil sum with a nonzero step is never ``-0.0``, and every other
+coordinate is a copy.  The walk goes only along the axes the metric reads
+(``MetricSpec.read_axes``): along any other axis, a Killing direction of the
+chart, every coordinate keeps the root point's float and its stencil
+neighbour is itself, so the lattice has one coordinate per read pattern,
+and a difference across such an axis is an exact +0.0, as the
+per-coordinate stencil gives it (both its neighbours share the point's read
+pattern).  Each curvature layer is one row array, grown by capacity
+doubling, with a slot array over the numbers, so a read of held rows
+(``Store.get``) is an index.  ``Store.fill`` computes a layer at a set of
+points, with each layer below it where the request needs and lacks it, one
+numpy call per layer.  The metric is evaluated by ``MetricSpec.matrix`` once
+per store for each distinct value of the coordinates it reads, at the first
+coordinate in walk order with that value, and a failure names the first
+failing coordinate of that walk.  Every batched contraction is the
+per-coordinate ``np.einsum`` with a leading batch axis, so each row is
+bitwise the per-coordinate result.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -239,21 +241,6 @@ class Store:
     def held(self, name: str, numbers: np.ndarray) -> np.ndarray:
         """Which of ``numbers`` (-1: a coordinate not numbered) hold layer ``name``."""
         return (numbers >= 0) & (self.layer(name).slot.take(numbers) >= 0)
-
-    def at(self, name: str, point: tuple[float, ...], u: int) -> tuple[int, Any]:
-        """Layer ``name`` at ``point`` (number ``u``; -1: unknown), computed if not held: (number, view or float)."""
-        layer = self.layer(name)
-        if u < 0 or layer.slot[u] < 0:
-            below = self.layers.get(_POINTWISE.get(name, ""))
-            if u >= 0 and below is not None and below.slot[u] >= 0:
-                self.get(name, np.array([u]))  # point by point, from the rows held there
-            else:
-                u = int(self.fill(name, np.array([point]), np.array([u]))[0])
-        row = layer.rows[layer.slot[u]]
-        if not row.ndim:
-            return u, float(row)
-        row.flags.writeable = False
-        return u, row
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """``points`` on the lattice: the root's float along every axis not walked."""

@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .expressions import EvalDomainError
 from .geometry import (
+    NUMERICAL_FAILURES,
     BlockGeometry,
     GeometryError,
     PointGeometry,
@@ -361,7 +362,7 @@ class _SharedRows:
                 terms = potential_field_terms(geo, v)
                 fluid = self.fluid_values
                 self._potential = terms, max_abs(geo.ricci - ricci_from_fluid(fluid, geo.g, geo.field(v).omega))
-            except _NUMERICAL as exc:
+            except NUMERICAL_FAILURES as exc:
                 self._potential = exc
         if isinstance(self._potential, Exception):
             raise self._potential
@@ -452,7 +453,7 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
                 recs[k].add("ricci_operator_bilinear", bilinear[k], True)
         efe_rows = [k for k in fluid_rows if unit_timelike[k]]
         if efe_rows:
-            sub = block if len(efe_rows) == size else BlockGeometry([block.geos[k] for k in efe_rows])
+            sub = block.take(efe_rows)
             values = [fluid_values[k] for k in efe_rows]
             efe_norms = [max_abs(res.components) for res in efe_residual(sub, values, v)]
             eigs = einstein_eigen_check(sub, values)
@@ -684,8 +685,8 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
     """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns.
 
     The shared rows run once per shared key (``_SuiteRun.shared``) over the
-    block's points of each store that a run of that key reads; then each
-    point's runs take their records from them, in plan order.
+    points of each BlockGeometry that a run of that key reads (``take``);
+    then each point's runs take their records from them, in plan order.
     """
     geos = block_geometries([key for _, key, _ in block])
     failed: dict[int, Exception] = {}
@@ -694,42 +695,39 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
             geo.g
         except (EvalDomainError, GeometryError) as exc:
             failed[n] = exc
-    parts: dict[tuple[int, int], list[int]] = {}  # (shared key, store) -> the entries a run of the key reads there
+    parts: dict[tuple[int, BlockGeometry], list[int]] = {}  # (shared key, block) -> the entries a run reads there
     readers: dict[int, _SuiteRun] = {}  # shared key -> a run of it
     for n, (_, _, group) in enumerate(block):
         if n not in failed:
             for run in group:
-                entries = parts.setdefault((run.shared, id(geos[n]._store)), [])
+                entries = parts.setdefault((run.shared, geos[n].block), [])
                 if n not in entries:
                     entries.append(n)
                 readers.setdefault(run.shared, run)
     shared: dict[tuple[int, int], _SharedRows | Exception] = {}  # (entry, shared key) -> its rows
-    for (key, _), entries in parts.items():
+    for (key, owner), entries in parts.items():
         run = readers[key]
-        rows = _shared_block(run.scenario, [geos[n] for n in entries], run.tols, solve)
+        rows = _shared_block(run.scenario, owner.take([geos[n].row for n in entries]), run.tols, solve)
         shared.update(((n, key), row) for n, row in zip(entries, rows))
     for n, ((i, _, group), geo) in enumerate(zip(block, geos)):
         _run_point(group, i, geo, failed.get(n), {run.shared: shared.get((n, run.shared)) for run in group}, solve)
 
 
-_NUMERICAL = (EvalDomainError, GeometryError, np.linalg.LinAlgError)
-
-
 def _shared_block(
-    scenario: Scenario, geos: list[PointGeometry], tols: dict[str, float], solve: bool
+    scenario: Scenario, block: BlockGeometry, tols: dict[str, float], solve: bool
 ) -> list[_SharedRows | Exception]:
-    """The shared rows of ``geos``, points of one store, as one block.
+    """The shared rows of the points of ``block``, in one call.
 
     Should the block meet a numerical failure, each point runs the same
-    rows alone, a block of one, so its values and its failure are those of
-    a run of its own.
+    rows alone, a block of one (``take``), so its values and its failure
+    are those of a run of its own.
     """
     try:
-        return _shared_rows(scenario, BlockGeometry(geos), tols, solve)
-    except _NUMERICAL as exc:
-        if len(geos) == 1:
+        return _shared_rows(scenario, block, tols, solve)
+    except NUMERICAL_FAILURES as exc:
+        if len(block) == 1:
             return [exc]
-    return [_shared_block(scenario, [geo], tols, solve)[0] for geo in geos]
+    return [_shared_block(scenario, block.take([k]), tols, solve)[0] for k in range(len(block))]
 
 
 def _run_point(
@@ -760,7 +758,7 @@ def _run_point(
             continue
         try:
             rec = _soliton_rows(run.scenario, geo, run.tols, rows)
-        except _NUMERICAL as exc:
+        except NUMERICAL_FAILURES as exc:
             run.records.append(_PointRecord(geo.point, error=str(exc)))
             continue
         run.records.append(rec)

@@ -30,6 +30,7 @@ from .geometry import (
     VectorFieldSpec,
     hessian_scalar,
     max_abs,
+    over_block,
 )
 from .spacetimes import FluidValues, UnitNormError, ricci_from_fluid
 
@@ -137,9 +138,8 @@ class PointSamples:
     coords: tuple[str, ...] | None = None
 
     @classmethod
-    def from_geometry(
-        cls, geo: PointGeometry | BlockGeometry, v: VectorFieldSpec
-    ) -> "PointSamples | list[PointSamples]":
+    @over_block
+    def from_geometry(cls, block: BlockGeometry, v: VectorFieldSpec) -> list[PointSamples]:
         """Samples from the chart: Lie derivative along ``v``, curvature of the metric.
 
         ``v`` is also the reference timelike field of the projections: the
@@ -147,18 +147,15 @@ class PointSamples:
         each sample's curvature rows are rows of the block's arrays, which
         are copies, never views of the store.
         """
-        block = BlockGeometry.of(geo)
         field = block.field(v)
         g, g_inv, lie, ricci, scalar = block.g, block.g_inv, field.lie, block.ricci, block.scalar.tolist()
         xi, eta = field.value, field.omega
         div_xi = np.trace(field.nabla, axis1=-2, axis2=-1).tolist()
         coords = block.metric.coords
-        return block.unpack(
-            [
-                cls(g[k], g_inv[k], lie[k], ricci[k], scalar[k], xi[k], eta[k], div_xi[k], point, coords)
-                for k, point in enumerate(block.points)
-            ]
-        )
+        return [
+            cls(g[k], g_inv[k], lie[k], ricci[k], scalar[k], xi[k], eta[k], div_xi[k], point, coords)
+            for k, point in enumerate(block.points)
+        ]
 
     @classmethod
     def from_fluid(cls, values: FluidValues, g: np.ndarray, xi: np.ndarray) -> "PointSamples":
@@ -383,20 +380,20 @@ def einstein_conformal_factor(theta: float, r: float, alpha: float, beta: float,
 # skew self-adjoint; geo.field(v) holds omega, d_omega and f_mixed = F.
 
 
-def rotation_skew_residual(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
+@over_block
+def rotation_skew_residual(block: BlockGeometry, v: VectorFieldSpec) -> list[float]:
     """max |g F + (g F)^T|, the violation of F's skew self-adjointness."""
-    block = BlockGeometry.of(geo)
     gf = block.g @ block.field(v).f_mixed
     return block.residuals(gf + np.swapaxes(gf, -1, -2), 2)
 
 
-def nabla_decomposition_check(geo: PointGeometry | BlockGeometry, v: VectorFieldSpec) -> float | list[float]:
+@over_block
+def nabla_decomposition_check(block: BlockGeometry, v: VectorFieldSpec) -> list[float]:
     """Residual of g(nabla_X V, Y) = (Lie_V g)(X,Y)/2 - g(FX, Y).
 
     This split into symmetric and antisymmetric parts is unconditional; the
     residual is pure stencil noise for every field.
     """
-    block = BlockGeometry.of(geo)
     g = block.g
     field = block.field(v)
     a = np.swapaxes(g @ field.nabla, -1, -2)  # a[n,i,j] = (nabla_i V)_j
@@ -433,11 +430,9 @@ class PotentialIdentityResult:
     norm_gradient_identity: float
 
 
-def potential_field_terms(
-    geo: PointGeometry | BlockGeometry, v: VectorFieldSpec
-) -> PotentialTerms | list[PotentialTerms]:
+@over_block
+def potential_field_terms(block: BlockGeometry, v: VectorFieldSpec) -> list[PotentialTerms]:
     """The terms of potential_field_identities that read no soliton constant, V being also the reference flow."""
-    block = BlockGeometry.of(geo)
     riem = block.riemann
     field = block.field(v)
     vv = field.value
@@ -453,12 +448,10 @@ def potential_field_terms(
     norm = field.d_norm_sq + 2.0 * (np.swapaxes(field.f_mixed, -1, -2) @ eta[:, :, None])[:, :, 0]
     norm = norm - (field.lie @ vv[:, :, None])[:, :, 0]
     norm_res = np.abs(norm).max(axis=1).tolist()
-    return block.unpack(
-        [
-            PotentialTerms(lhs[k], antisym[k], matter[k], div_f[k], eta[k], eta_v[k], norm_res[k])
-            for k in range(len(block))
-        ]
-    )
+    return [
+        PotentialTerms(lhs[k], antisym[k], matter[k], div_f[k], eta[k], eta_v[k], norm_res[k])
+        for k in range(len(block))
+    ]
 
 
 def potential_field_identities(
@@ -606,20 +599,18 @@ class TorseResiduals:
     eta_curvature: float  # eta(R(X,Y)Z) = eta(X) g(Y,Z) - eta(Y) g(X,Z)
 
 
-def torse_forming_residual(geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec) -> float | list[float]:
+@over_block
+def torse_forming_residual(block: BlockGeometry, xi: VectorFieldSpec) -> list[float]:
     """Worst-direction residual of nabla_X xi = X + eta(X) xi."""
-    block = BlockGeometry.of(geo)
     field = block.field(xi)
     # [n,k,j] = delta^k_j + eta_j xi^k
     expected = np.eye(block.metric.dim) + field.value[:, :, None] * field.omega[:, None, :]
     return block.residuals(field.nabla - expected, 2)
 
 
-def torse_consequence_residuals(
-    geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec
-) -> TorseResiduals | list[TorseResiduals]:
+@over_block
+def torse_consequence_residuals(block: BlockGeometry, xi: VectorFieldSpec) -> list[TorseResiduals]:
     """The four consequences, which follow for a unit timelike torse-forming ``xi``."""
-    block = BlockGeometry.of(geo)
     g = block.g
     field = block.field(xi)
     xi_val = field.value
@@ -640,17 +631,13 @@ def torse_consequence_residuals(
         np.einsum("...i,...jk->...kij", eta, g) - np.einsum("...j,...ik->...kij", eta, g)
     )
     eta_curv_res = np.abs(eta_curv).max(axis=(1, 2, 3))
-    return block.unpack(
-        [
-            TorseResiduals(*row)
-            for row in zip(geodesic.tolist(), eta_res.tolist(), curv_res.tolist(), eta_curv_res.tolist())
-        ]
-    )
+    rows = zip(geodesic.tolist(), eta_res.tolist(), curv_res.tolist(), eta_curv_res.tolist())
+    return [TorseResiduals(*row) for row in rows]
 
 
-def torse_lie_residual(geo: PointGeometry | BlockGeometry, xi: VectorFieldSpec) -> float | list[float]:
+@over_block
+def torse_lie_residual(block: BlockGeometry, xi: VectorFieldSpec) -> list[float]:
     """Residual of (Lie_xi g) = 2 [g + eta (x) eta], the torse-forming Lie form."""
-    block = BlockGeometry.of(geo)
     field = block.field(xi)
     eta = field.omega
     return block.residuals(field.lie - 2.0 * (block.g + eta[:, :, None] * eta[:, None, :]), 2)

@@ -23,10 +23,10 @@ from .geometry import (
     BlockGeometry,
     GeometryError,
     MetricSpec,
-    PointGeometry,
     TensorSample,
     VectorFieldSpec,
     frame_from_matrix,
+    over_block,
 )
 
 __all__ = [
@@ -194,21 +194,21 @@ def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.
     return coeff * g + values.kappa * (values.sigma + values.rho) * _outer(eta)
 
 
+@over_block
 def efe_residual(
-    geo: PointGeometry | BlockGeometry, values: FluidValues | Sequence[FluidValues], xi: VectorFieldSpec
-) -> TensorSample | list[TensorSample]:
+    block: BlockGeometry, values: FluidValues | Sequence[FluidValues], xi: VectorFieldSpec
+) -> list[TensorSample]:
     """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation.
 
     T is the fluid form along the flow ``xi``, which means something only
     when ``xi`` is unit timelike; the caller decides that.  Over a block,
     ``values`` holds each point's fluid values.
     """
-    block = BlockGeometry.of(geo)
     fluid = _stacked(values)
     g = block.g
     t = energy_momentum(fluid, g, block.field(xi).omega)
     res = block.ricci + (fluid.lam - block.scalar[:, None, None] / 2.0) * g - fluid.kappa * t
-    return block.unpack([TensorSample("tensor02", r, p, symmetric=True) for r, p in zip(res, block.points)])
+    return [TensorSample("tensor02", r, p, symmetric=True) for r, p in zip(res, block.points)]
 
 
 def fluid_from_ricci(
@@ -256,16 +256,14 @@ def fluid_from_ricci(
     return fits[0] if lone else fits
 
 
-def einstein_eigen_check(
-    geo: PointGeometry | BlockGeometry, values: FluidValues | Sequence[FluidValues]
-) -> EigenCheckResult | list[EigenCheckResult]:
+@over_block
+def einstein_eigen_check(block: BlockGeometry, values: FluidValues | Sequence[FluidValues]) -> list[EigenCheckResult]:
     """Eigenvalues of the mixed (S - r/2 g + lam g)^i_j against {-k sigma, k rho x3}.
 
     The multiset comparison only means something when the fluid actually
     solves the field equation at the point; the caller decides that from
     efe_residual.  Over a block, ``values`` holds each point's fluid values.
     """
-    block = BlockGeometry.of(geo)
     fluid = _stacked(values)
     g = block.g
     mixed = block.g_inv @ (block.ricci - 0.5 * block.scalar[:, None, None] * g + fluid.lam * g)
@@ -273,9 +271,7 @@ def einstein_eigen_check(
     kappa, sigma, rho = fluid.kappa[:, 0, 0], fluid.sigma[:, 0, 0], fluid.rho[:, 0, 0]
     expected = np.sort(np.stack([-kappa * sigma] + [kappa * rho] * 3, axis=1), axis=1)
     deviation = np.abs(eig_sorted - expected).max(axis=1)
-    return block.unpack(
-        [
-            EigenCheckResult(eigenvalues=tuple(eig), expected=tuple(exp), max_deviation=dev)
-            for eig, exp, dev in zip(eig_sorted.real.tolist(), expected.tolist(), deviation.tolist())
-        ]
-    )
+    return [
+        EigenCheckResult(eigenvalues=tuple(eig), expected=tuple(exp), max_deviation=dev)
+        for eig, exp, dev in zip(eig_sorted.real.tolist(), expected.tolist(), deviation.tolist())
+    ]

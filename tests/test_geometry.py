@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from solitonlab.expressions import Binary, Const, EvalDomainError, compile_expr, differentiate, parse, variables
 from solitonlab.geometry import (
     DEFAULT_NUMERICS,
+    NUMERICAL_FAILURES,
     BlockGeometry,
     ChristoffelSample,
     GeometryError,
@@ -45,7 +46,7 @@ from solitonlab import lattice
 from solitonlab.lattice import _distinct, christoffel_from_dg
 from solitonlab.report import DEFAULT_TOLERANCES, run_suite
 from solitonlab.scenario import scenario_from_dict
-from solitonlab.spacetimes import catalog_metric
+from solitonlab.spacetimes import FluidValues, catalog_metric
 
 from conftest import COORDS, random_points
 
@@ -274,11 +275,11 @@ class TestDerivativeOperators:
         f_t = parse("t", COORDS)
         for m in (minkowski, de_sitter):
             p = (0.6, 0.1, 0.2, 0.3)
-            grad = VectorFieldSpec.gradient_of(f_t, COORDS).value(PointGeometry(m, p))
+            grad = PointGeometry(m, p).field(VectorFieldSpec.gradient_of(f_t, COORDS)).value
             assert np.allclose(grad, [-1.0, 0, 0, 0], atol=1e-10)
             g = metric_at(m, p).components
             assert grad @ g @ grad == pytest.approx(-1.0, abs=1e-10)
-        grad_x = VectorFieldSpec.gradient_of(parse("x", COORDS), COORDS).value(PointGeometry(minkowski, p))
+        grad_x = PointGeometry(minkowski, p).field(VectorFieldSpec.gradient_of(parse("x", COORDS), COORDS)).value
         assert np.allclose(grad_x, [0, 1, 0, 0], atol=1e-12)
 
     def test_hessian(self, minkowski, de_sitter):
@@ -627,11 +628,11 @@ class TestPointGeometry:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         contracted_bianchi_residual(geo)
-        store = geo._store
+        store = geo.block.store
         for name, layer in store.layers.items():
             for u in np.flatnonzero(layer.slot[: store.size] >= 0):
-                arr = store.at(name, tuple(store.coords[u].tolist()), u)[1]
-                if isinstance(arr, np.ndarray):
+                if hasattr(BlockGeometry, name):  # a layer is handed out by a block: one of this coordinate
+                    arr = getattr(BlockGeometry(store, [tuple(store.coords[u].tolist())], np.array([u])), name)
                     with pytest.raises(ValueError):
                         arr[(0,) * arr.ndim] = 1.0
 
@@ -715,8 +716,8 @@ class TestPointGeometry:
         try:
             for run in runs:
                 reports = run()
-                stores = [weakref.ref(geo._store) for geo in geos]
-                trees = [weakref.ref(tree) for geo in geos if geo._block for tree in geo._block.trees.values()]
+                stores = [weakref.ref(geo.block.store) for geo in geos]
+                trees = [weakref.ref(tree) for geo in geos for tree in geo.block.trees.values()]
                 assert stores and trees
                 geos.clear()
                 assert all(ref() is None for ref in stores + trees), reports
@@ -855,8 +856,8 @@ class TestPointGeometry:
                 geos = _recorded_geometries(patch)
                 run_suites(scenarios)
             assert len(geos) == len(scenarios[0].points) > 1
-            assert all(geo._block is geos[0]._block for geo in geos)
-            assert len({id(tree) for geo in geos for tree in geo._block.trees.values()}) == 1
+            assert all(geo.block is geos[0].block for geo in geos)
+            assert len({id(tree) for geo in geos for tree in geo.block.trees.values()}) == 1
 
     @pytest.mark.parametrize(
         "name, param, values",
@@ -975,6 +976,60 @@ def _plan_sources() -> list[tuple[dict, list]]:
     return sources
 
 
+def _bits(value):
+    """``value`` as nested lists of the bytes of its floats: equal only when equal bit for bit."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return [_bits(getattr(value, name)) for name in value.__dataclass_fields__]
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _row_outcomes(geo, v, potential, fluids) -> dict:
+    """Each row function's result on ``geo`` (``_bits``), or the numerical failure it meets, as a string.
+
+    ``geo`` is a block or a PointGeometry, ``v`` a vector field, ``potential``
+    a gradient potential and ``fluids`` the fluid values (a list over a block).
+    """
+    from solitonlab.solitons import (
+        PointSamples,
+        nabla_decomposition_check,
+        potential_field_terms,
+        rotation_skew_residual,
+        torse_consequence_residuals,
+        torse_forming_residual,
+        torse_lie_residual,
+    )
+    from solitonlab.spacetimes import efe_residual, einstein_eigen_check
+
+    rows = {
+        "riemann_antisymmetry": riemann_antisymmetry_residual,
+        "bianchi_first": bianchi_first_residual,
+        "bianchi_contracted": contracted_bianchi_residual,
+        "metric_compatibility": metric_compatibility_residual,
+        "divergence": lambda geo: divergence_vector(geo, v),
+        "laplacian_routes": lambda geo: laplacian_routes(geo, potential),
+        "nabla_decomposition": lambda geo: nabla_decomposition_check(geo, v),
+        "f_skew_adjoint": lambda geo: rotation_skew_residual(geo, v),
+        "torse_forming": lambda geo: torse_forming_residual(geo, v),
+        "torse_consequences": lambda geo: torse_consequence_residuals(geo, v),
+        "torse_lie_form": lambda geo: torse_lie_residual(geo, v),
+        "efe_residual": lambda geo: efe_residual(geo, fluids, v),
+        "einstein_eigen_multiset": lambda geo: einstein_eigen_check(geo, fluids),
+        "samples": lambda geo: PointSamples.from_geometry(geo, v),
+        "potential_terms": lambda geo: potential_field_terms(geo, v),
+    }
+    outcomes = {}
+    for name, row in rows.items():
+        try:
+            outcomes[name] = _bits(row(geo))
+        except NUMERICAL_FAILURES as exc:
+            outcomes[name] = f"{type(exc).__name__}: {exc}"
+    return outcomes
+
+
 class TestBlockRows:
     """The rows of a block of plan points are one call each, and each point's record is the one it gets alone."""
 
@@ -1000,6 +1055,65 @@ class TestBlockRows:
         block = records(points)
         assert [json.dumps(rec) for rec in block] == [json.dumps(records([point])[0]) for point in points]
 
+        # the same points as a take of a take of the block of the whole plan,
+        # as _shared_rows takes efe_rows from a key's points: each row over
+        # it is, bit for bit, each point's row alone, or a numerical failure
+        # where a point alone meets one
+        full = plan + [point for point in points if point not in plan]
+        scenario = scenario_from_dict({**doc, "points": full})
+        keys = [(scenario.metric, tuple(point), scenario.numerics) for point in full]
+        geos = block_geometries(keys)
+        base = geos[full.index(points[0])].block
+        rows = [full.index(point) for point in points if geos[full.index(point)].block is base]
+        positions = [geos[r].row for r in rows]
+        others = [r for r in range(len(base)) if r not in positions]
+        middle = data.draw(st.permutations(positions + others[: data.draw(st.integers(0, len(others)))]))
+        sub = base.take(middle).take([middle.index(r) for r in positions])
+        assert sub.points == [geos[r].point for r in rows]
+        coords = scenario.coords
+        v = scenario.vector_field or VectorFieldSpec.from_components(["1", "0", "0", "0"], coords)
+        potential = parse(f"{coords[0]}*{coords[1]} + sin({coords[2]})", coords)
+        fluids = [FluidValues(0.1 * r, 0.2, 1.0, -0.3 * r) for r in rows]
+        taken = _row_outcomes(sub, v, potential, fluids)
+        alone = [_row_outcomes(PointGeometry(*keys[r]), v, potential, fluid) for r, fluid in zip(rows, fluids)]
+        for name, outcome in taken.items():
+            each = [point[name] for point in alone]
+            if any(isinstance(result, str) for result in each):
+                assert isinstance(outcome, str), name
+            else:
+                assert outcome == each, name
+
+    def test_a_lone_point_reads_as_the_point_of_a_block_of_one(self):
+        # PointGeometry(metric, point) is a block of one whose store fills
+        # each layer at its first read; block_geometries([key])[0] one whose
+        # store one batch filled: each layer, derivative, field quantity and
+        # row is the same, bit for bit
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        infall = load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json")
+        keys = [(infall.metric, tuple(point), infall.numerics) for point in GRID_SEED1[:2]]
+        keys += [(*REFERENCE_CASES[case], DEFAULT_NUMERICS) for case in sorted(REFERENCE_CASES)]
+        for key in keys:
+            lone, batched = PointGeometry(*key), block_geometries([key])[0]
+            assert len(batched.block) == 1 and lone.point == batched.point
+            for name in LAYERS:
+                assert _bits(getattr(lone, name)) == _bits(getattr(batched, name)), (key, name)
+            assert _bits(lone.grad("einstein")) == _bits(batched.grad("einstein")), key
+            specs = _field_specs(lone.metric.coords)
+            for kind, spec in specs.items():
+                for name in FIELD_QUANTITIES:
+                    if spec.is_gradient or name not in GRADIENT_ONLY:
+                        expected = getattr(batched.field(spec), name)
+                        assert _bits(getattr(lone.field(spec), name)) == _bits(expected), (key, kind, name)
+            v, potential = specs["mixed"], specs["gradient"].potential
+            fluid = FluidValues(0.1, 0.2, 1.0, -0.3)
+            fresh = PointGeometry(*key)  # the rows read first, on a lattice holding nothing else
+            expected = _row_outcomes(batched, v, potential, fluid)
+            assert _row_outcomes(fresh, v, potential, fluid) == expected, key
+            assert _row_outcomes(lone, v, potential, fluid) == expected, key
+
     def test_a_block_row_equals_each_point_alone(self):
         # each row function over the block of the grid points on one store
         # gives, point by point, bit for bit, what it gives a PointGeometry
@@ -1021,7 +1135,7 @@ class TestBlockRows:
         scenario = load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json")
         v, gradient = scenario.vector_field, VectorFieldSpec.gradient_of("t*r + sin(a)", scenario.coords)
         keys = [(scenario.metric, tuple(point), scenario.numerics) for point in GRID_SEED1[:4]]
-        block = BlockGeometry(block_geometries(keys))
+        block = block_geometries(keys)[0].block
         fluids = [FluidValues(0.1 * k, 0.2, 1.0, -0.3 * k) for k in range(4)]
         rows = {
             "riemann_antisymmetry": riemann_antisymmetry_residual,
@@ -1362,7 +1476,7 @@ def _read_as_the_reference(metric, point, richardson, first):
     reference.ricci, reference.scalar, reference.ricci_asymmetry
     reference.dg, reference.gamma, reference.g
     checked = Counter()
-    store = geo._store
+    store = geo.block.store
     keys = list(reference.lattice)
     numbers = store.number(store.project(np.array(keys)), add=False)[0]
     assert sorted(set(numbers.tolist())) == list(range(store.size))
@@ -1383,7 +1497,7 @@ class TestBatchedLayers:
     def check_against_the_reference(case, richardson, first):
         metric, point = REFERENCE_CASES[case]
         geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
-        assert geo._store.axes == metric.read_axes
+        assert geo.block.store.axes == metric.read_axes
         steps = 4 if richardson else 2
         assert checked["einstein"] == 1 + 4 * steps
         assert checked["gamma"] > checked["einstein"]
@@ -1427,8 +1541,8 @@ class TestBatchedLayers:
         metric = MetricSpec.from_grid(grid, COORDS)
         assert metric.read_axes == tuple(sorted(read))
         geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
-        coords = geo._store.coords[: geo._store.size]
-        assert geo._store.axes == metric.read_axes
+        coords = geo.block.store.coords[: geo.block.store.size]
+        assert geo.block.store.axes == metric.read_axes
         assert not np.signbit(coords[coords == 0.0]).any()  # canonical zeros
         assert set(checked) == set(LAYERS)
 
@@ -1446,7 +1560,7 @@ class TestBatchedLayers:
             run_suite(load_scenario(path))
         assert len(points) == 19 + 6
         for geo in points:
-            store, read = geo._store, list(geo.metric.read_axes)
+            store, read = geo.block.store, list(geo.metric.read_axes)
             patterns = {row.tobytes() for row in store.coords[: store.size, read]}
             assert len(patterns) == store.size, geo.point
             if not read:
@@ -1918,7 +2032,7 @@ class TestPlanBlocks:
         with pytest.MonkeyPatch.context() as patch:
             geos = _recorded_geometries(patch)
             report = run_suite(scenario, solve=solve).to_dict(include_timestamp=False)
-        assert len({id(geo._block) for geo in geos}) == 1
+        assert len({id(geo.block) for geo in geos}) == 1
         assert report["points"][0]["error"] is None and any(rec["error"] for rec in report["points"])
         for i, point in enumerate(plan):
             alone = run_suite(_case_run(case, [point])[0], solve=solve).to_dict(include_timestamp=False)
@@ -1932,7 +2046,7 @@ class TestPlanBlocks:
 
         geos = _recorded_geometries(monkeypatch)
         run_suite(load_scenario(INFALL_GRID))
-        stores = {id(geo._store): geo._store for geo in geos}
+        stores = {id(geo.block.store): geo.block.store for geo in geos}
         assert len(geos) == 6 and len(stores) < len(geos)
         checked = Counter()
         for store in stores.values():
@@ -1967,8 +2081,8 @@ class TestPlanBlocks:
             geos = _recorded_geometries(patch)
             report = run_suite(scenario_from_dict(doc)).to_dict(include_timestamp=False)
         assert geos[0].metric.read_axes == (0, 1) and geos[0].point == geos[1].point == tuple(twin)
-        assert geos[0]._store is geos[1]._store and geos[0]._block is geos[1]._block
-        (field,), (twin_field,) = geos[0]._fields.values(), geos[1]._fields.values()
+        assert geos[0].block.store is geos[1].block.store and geos[0].block is geos[1].block
+        (field,), (twin_field,) = geos[0].block._fields.values(), geos[1].block._fields.values()
         assert field._tree is twin_field._tree and field._tree.alone is None
         assert json.dumps(report["points"][0]) == json.dumps(report["points"][1])
         assert json.dumps(report["scenario"]["points"][0]) == json.dumps(signed)
@@ -1993,10 +2107,10 @@ class TestPlanBlocks:
             for place in range(4):
                 geos = block_geometries(good[:place] + [(grid.metric, bad, grid.numerics)] + good[place:])
                 left.append(geos.pop(place))
-                store = geos[0]._store
-                assert all(geo._store is store for geo in geos) and left[-1]._store.size == 0
+                store = geos[0].block.store
+                assert all(geo.block.store is store for geo in geos) and left[-1].block.store.size == 0
                 for geo in geos:
-                    assert store.held("einstein", store.kids[geo._number].ravel()).all()
+                    assert store.held("einstein", store.kids[geo.block.numbers[geo.row]].ravel()).all()
         for geo in left:
             with pytest.raises(EvalDomainError) as raised:
                 geo.einstein
@@ -2076,7 +2190,7 @@ class TestDistinct:
             geo = PointGeometry(*REFERENCE_CASES[case])
             geo.g
             contracted_bianchi_residual(geo)
-            store = geo._store
+            store = geo.block.store
             every = np.arange(store.size)
             return store.coords[: store.size].tobytes(), {
                 name: store.get(name, every[store.held(name, every)]).tobytes()

@@ -61,3 +61,24 @@ def test_no_assert_statement_in_the_package_or_scripts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # geometry and lattice keep their underscore names to themselves: no other
+    # module of the package, and no script, imports one from them, and none
+    # reads an underscore attribute of any object but self or cls
+    owners = ("geometry.py", "lattice.py")
+    package = [path for path in sorted((ROOT / "src/solitonlab").glob("*.py")) if path.name not in owners]
+    found = []
+    for path in package + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in ("geometry", "lattice"):
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                dunder = node.attr.startswith("__") and node.attr.endswith("__")
+                own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                names = [] if dunder or own else [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names]
+    assert found == []
