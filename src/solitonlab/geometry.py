@@ -78,6 +78,7 @@ from .expressions import (
     coerce_expr,
     compile_expr,
     differentiate,
+    evaluate,
     variables,
 )
 from .lattice import (
@@ -286,19 +287,6 @@ class MetricSpec:
         return _compiled((e for row in self.components for e in row), self.coords)
 
     @cached_property
-    def _derivative_fn(self) -> Callable[..., tuple]:
-        # every d_k g_ij, k-major, in one compiled call; each component is
-        # differentiated once, for (i,j) and (j,i) alike
-        n = self.dim
-        upper = {
-            (k, i, j): differentiate(self.components[i][j], self.coords[k])
-            for k in range(n)
-            for i in range(n)
-            for j in range(i, n)
-        }
-        return _compiled((upper[k, min(i, j), max(i, j)] for k in range(n) for i in range(n) for j in range(n)), self.coords)
-
-    @cached_property
     def read_axes(self) -> tuple[int, ...]:
         """The axes of the coordinates some component reads, in coordinate order.
 
@@ -317,12 +305,21 @@ class MetricSpec:
         return np.array(vals, dtype=float).reshape(len(point), -1)
 
     def derivatives(self, point: tuple[float, ...]) -> np.ndarray:
-        """Exact dg[k,i,j] = d_k g_ij at a tuple of ``dim`` floats, from the symbolic derivatives."""
+        """Exact dg[k,i,j] = d_k g_ij at a tuple of ``dim`` floats, from the symbolic derivatives.
+
+        Each component's derivative tree is evaluated at the point once, for
+        (i,j) and (j,i) alike.
+        """
+        n, at = self.dim, dict(zip(self.coords, point, strict=True))
+        dg = np.empty((n, n, n))
         try:
-            vals = self._derivative_fn(*point)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            for k, name in enumerate(self.coords):
+                for i in range(n):
+                    for j in range(i, n):
+                        dg[k, i, j] = dg[k, j, i] = evaluate(differentiate(self.components[i][j], name), at)
+        except EvalDomainError as exc:
             raise EvalDomainError(f"metric derivatives undefined at {tuple(point)}: {exc}") from None
-        return np.array(vals, dtype=float).reshape((len(point),) * 3)
+        return dg
 
 
 # -- the geometry of a block of points ------------------------------------------
@@ -1047,9 +1044,9 @@ def metric_compatibility_residual(block: BlockGeometry) -> list[float]:
 def christoffel_exact(geo: PointGeometry) -> np.ndarray:
     """Gamma from symbolic component derivatives; oracle for the stencils.
 
-    Only g itself comes from the lattice; every derivative is the compiled
-    symbolic derivative of a metric component, so it shares no stencil with
-    the engine it checks.
+    Only g itself comes from the lattice; every derivative is the symbolic
+    derivative of a metric component evaluated at the point, so it shares no
+    stencil with the engine it checks.
     """
     dg = geo.metric.derivatives(geo.point)
     return christoffel_from_dg(geo.g_inv, dg)

@@ -102,8 +102,10 @@ TOLERANCE_ENV_VAR = "SOLITONLAB_TOL"
 
 _GENERIC_DEFAULT = 1e-5
 
-# plan indices walked together, their points sharing a store per (metric, numerics)
-_BLOCK = 4
+# plan indices walked together, their points sharing a store per (metric, numerics);
+# each identity row is one numpy call per block, so a larger block pays that
+# call less often, and 16 keeps the live lattices of a block to a few MB
+_BLOCK = 16
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "default": _GENERIC_DEFAULT,
@@ -638,11 +640,13 @@ def run_suites(scenarios: Sequence[Scenario], solve: bool = True) -> list[Identi
     identities that read no soliton constant.  Only the soliton part,
     ``_soliton_rows``, runs once per scenario, so a sweep over a soliton
     constant evaluates the rest once per point.
-    The indices go a block of ``_BLOCK`` at a time: the block's points that
-    agree on (metric, numerics) share one store, its curvature filled in one
-    batch (``geometry.block_geometries``), the shared part runs once per key
-    over them (``_run_block``), and the block's stores are dropped before
-    the next block, so only one block's lattices are ever live.
+    The indices go ``_BLOCK`` (16) at a time: the block's points that agree
+    on (metric, numerics) share one store, its curvature filled in one batch
+    (``geometry.block_geometries``), and the shared part runs once per key
+    over them, each row one numpy call (``_run_block``).  So a plan of up to
+    16 points of one (metric, numerics) is one store, one batch and one call
+    per row.  The block's stores are dropped before the next block, so only
+    one block's lattices are ever live.
     """
     keys: dict[tuple, int] = {}
     runs = []

@@ -467,8 +467,8 @@ class TestInvariants:
 
     @pytest.mark.parametrize("case", ["de_sitter", "grw_flat", "infall", "shear"])
     def test_exact_derivatives_equal_the_per_component_derivatives(self, case):
-        # the oracle's derivative grid is one compiled call; every entry is
-        # bitwise the compiled symbolic derivative of its component
+        # the oracle evaluates each component's derivative tree at the point;
+        # every entry is bitwise the compiled symbolic derivative of its component
         metric, point = REFERENCE_CASES[case]
         n = metric.dim
         dg = metric.derivatives(point)
@@ -1038,12 +1038,14 @@ class TestBlockRows:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_every_record_of_a_block_is_the_record_of_its_point_alone(self, data):
-        # a random subset (1 to 4 points), in random order, of one source's
-        # plan; with a field 1/t, one more point at t = 0 where the field
-        # read fails, in a random place of the block
+        # a random subset (1 to a block of points), in random order, of one
+        # source's plan; with a field 1/t, one more point at t = 0 where the
+        # field read fails, in a random place of the block
+        from solitonlab.report import _BLOCK
+
         doc, plan = data.draw(st.sampled_from(self.SOURCES))
         order = data.draw(st.permutations(plan))
-        points = order[: data.draw(st.integers(1, min(4, len(order))))]
+        points = order[: data.draw(st.integers(1, min(_BLOCK, len(order))))]
         if data.draw(st.booleans()):
             doc = {**doc, "vector_field": {"components": ["1", "1/t", "0", "0"]}}
             place = data.draw(st.integers(0, len(points)))
@@ -1115,68 +1117,29 @@ class TestBlockRows:
             assert _row_outcomes(lone, v, potential, fluid) == expected, key
 
     def test_a_block_row_equals_each_point_alone(self):
-        # each row function over the block of the grid points on one store
-        # gives, point by point, bit for bit, what it gives a PointGeometry
-        # alone, a block of one
+        # each row function over the block of the ten seed-1 grid points on one
+        # store gives, point by point, bit for bit, what it gives a
+        # PointGeometry alone, a block of one
         from solitonlab.scenario import load_scenario
-        from solitonlab.solitons import (
-            PointSamples,
-            nabla_decomposition_check,
-            potential_field_terms,
-            rotation_skew_residual,
-            torse_consequence_residuals,
-            torse_forming_residual,
-            torse_lie_residual,
-        )
-        from solitonlab.spacetimes import FluidValues, efe_residual, einstein_eigen_check, fluid_from_ricci
+        from solitonlab.spacetimes import fluid_from_ricci
 
         from conftest import SCENARIO_DIR
 
         scenario = load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json")
-        v, gradient = scenario.vector_field, VectorFieldSpec.gradient_of("t*r + sin(a)", scenario.coords)
-        keys = [(scenario.metric, tuple(point), scenario.numerics) for point in GRID_SEED1[:4]]
+        v, potential = scenario.vector_field, parse("t*r + sin(a)", scenario.coords)
+        keys = [(scenario.metric, tuple(point), scenario.numerics) for point in GRID_SEED1]
         block = block_geometries(keys)[0].block
-        fluids = [FluidValues(0.1 * k, 0.2, 1.0, -0.3 * k) for k in range(4)]
-        rows = {
-            "riemann_antisymmetry": riemann_antisymmetry_residual,
-            "bianchi_first": bianchi_first_residual,
-            "bianchi_contracted": contracted_bianchi_residual,
-            "metric_compatibility": metric_compatibility_residual,
-            "divergence": lambda geo: divergence_vector(geo, v),
-            "laplacian_routes": lambda geo: laplacian_routes(geo, gradient.potential),
-            "nabla_decomposition": lambda geo: nabla_decomposition_check(geo, v),
-            "f_skew_adjoint": lambda geo: rotation_skew_residual(geo, v),
-            "torse_forming": lambda geo: torse_forming_residual(geo, v),
-            "torse_consequences": lambda geo: torse_consequence_residuals(geo, v),
-            "torse_lie_form": lambda geo: torse_lie_residual(geo, v),
-        }
-
-        def bits(value):
-            if isinstance(value, (list, tuple)):
-                return [bits(item) for item in value]
-            if hasattr(value, "__dataclass_fields__"):
-                return [bits(getattr(value, name)) for name in value.__dataclass_fields__]
-            if value is None or isinstance(value, (str, bool)):
-                return value
-            return np.asarray(value, dtype=float).tobytes()
-
-        for name, row in rows.items():
-            alone = [row(PointGeometry(*key)) for key in keys]
-            assert bits(row(block)) == bits(alone), name
-        for name, row in {
-            "efe_residual": lambda geo, fluid: efe_residual(geo, fluid, v),
-            "einstein_eigen_multiset": einstein_eigen_check,
-        }.items():
-            alone = [row(PointGeometry(*key), fluid) for key, fluid in zip(keys, fluids)]
-            assert bits(row(block, fluids)) == bits(alone), name
-        for row in (PointSamples.from_geometry, potential_field_terms):
-            assert bits(row(block, v)) == bits([row(PointGeometry(*key), v) for key in keys]), row.__name__
+        assert len(block) == len(keys)
+        fluids = [FluidValues(0.1 * k, 0.2, 1.0, -0.3 * k) for k in range(len(keys))]
+        alone = [_row_outcomes(PointGeometry(*key), v, potential, fluid) for key, fluid in zip(keys, fluids)]
+        for name, outcome in _row_outcomes(block, v, potential, fluids).items():
+            assert outcome == [point[name] for point in alone], name
         fits = fluid_from_ricci(block.ricci, block.g, block.field(v).value, 1.0, [fluid.lam for fluid in fluids])
         geos = [PointGeometry(*key) for key in keys]
         alone = [
             fluid_from_ricci(geo.ricci, geo.g, geo.field(v).value, 1.0, fluid.lam) for geo, fluid in zip(geos, fluids)
         ]
-        assert bits(fits) == bits(alone)
+        assert _bits(fits) == _bits(alone)
 
 
 class _PerKey:
@@ -2008,18 +1971,25 @@ class TestPlanBlocks:
     def test_each_point_gets_the_record_it_gets_alone(self, case, good, data):
         # good infall points, read as coordinates of the case's chart, and the
         # case's own points, failing ones among them, in a random order after a
-        # good one: 8 to 13 points, more than two blocks of four.  Each point's
-        # record, byte for byte, and its warning are those of a run of it alone
+        # good one: 8 to 13 points, one block, and more than two blocks of four
+        # when the block is four.  At either size, each point's record, byte
+        # for byte, and its warning are those of a run of it alone
+        from solitonlab import report as report_module
+
         points = ERROR_CASES[case][1] if case in ERROR_CASES else FIELD_ERROR_CASES[case][3]
         plan = [INFALL_POINTS[0], *data.draw(st.permutations(INFALL_POINTS[1:good] + points))]
         scenario, solve = _case_run(case, plan)
-        report = run_suite(scenario, solve=solve).to_dict(include_timestamp=False)
-        warnings = []
+        records, warnings = [], []
         for i, point in enumerate(plan):
             alone = run_suite(_case_run(case, [point])[0], solve=solve).to_dict(include_timestamp=False)
-            assert json.dumps(report["points"][i]) == json.dumps(alone["points"][0]), (i, point)
+            records.append(json.dumps(alone["points"][0]))
             warnings += [w.replace("plan point 0 ", f"plan point {i} ", 1) for w in alone["warnings"]]
-        assert report["warnings"] == warnings
+        for block in (report_module._BLOCK, 4):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(report_module, "_BLOCK", block)
+                report = run_suite(scenario, solve=solve).to_dict(include_timestamp=False)
+            assert [json.dumps(rec) for rec in report["points"]] == records, block
+            assert report["warnings"] == warnings, block
 
     @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
     def test_a_field_failure_in_a_block_tree_leaves_each_point_its_record(self, case):
@@ -2116,6 +2086,33 @@ class TestPlanBlocks:
                 geo.einstein
             assert str(raised.value) == errors[geo.point]
 
+    def test_a_block_is_one_store_and_the_next_block_another(self, monkeypatch):
+        # verify of the seed-1 grid (run_suite without the solve): its ten
+        # points are one block, one call of block_geometries, all on one store;
+        # a plan of seventeen points is two blocks, of sixteen and of one
+        from solitonlab import report
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        calls = []
+
+        def recorded(keys):
+            made = block_geometries(keys)
+            calls.append(made)
+            return made
+
+        monkeypatch.setattr(report, "block_geometries", recorded)
+        doc = load_scenario(SCENARIO_DIR / "vacuum-infall-custom.json").to_dict()
+        run_suite(scenario_from_dict({**doc, "points": GRID_SEED1}), solve=False)
+        assert [len(geos) for geos in calls] == [len(GRID_SEED1)]
+        assert len({id(geo.block.store) for geo in calls[0]}) == 1
+        calls.clear()
+        plan = GRID_SEED1 + [[t, r + 0.25, a, b] for t, r, a, b in GRID_SEED1[:7]]
+        run_suite(scenario_from_dict({**doc, "points": plan}), solve=False)
+        assert [len(geos) for geos in calls] == [16, 1]
+        assert [len({id(geo.block.store) for geo in geos}) for geos in calls] == [1, 1]
+
     def test_memory_is_bounded_by_a_block_not_by_the_plan(self):
         # a block's stores are dropped before the next block: four blocks of
         # infall points peak at most a quarter above one block
@@ -2158,9 +2155,10 @@ class TestPlanBlocks:
             return riemann(store, u)
 
         monkeypatch.setattr(lattice.Store, "_riemann", broken)
+        scenario = load_scenario(INFALL_GRID)
         with pytest.raises(ValueError, match="broadcast"):
-            run_suite(load_scenario(INFALL_GRID))
-        assert computed == [_BLOCK * (1 + 2 * 4)]
+            run_suite(scenario)
+        assert computed == [min(_BLOCK, len(scenario.points)) * (1 + 2 * 4)]
 
 
 class TestDistinct:
