@@ -42,7 +42,6 @@ from .solitons import (  # noqa: F401
     eta_projection_solve,
     lambda_closed_form,
     lambda_from_projection,
-    phi_closed_form,
 )
 from .spacetimes import (  # noqa: F401
     FluidState,

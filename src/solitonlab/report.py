@@ -67,9 +67,7 @@ from .solitons import (
     gradient_soliton_residual,
     lambda_closed_form,
     lambda_from_projection,
-    laplacian_identity_check,
     nabla_decomposition_check,
-    phi_closed_form,
     potential_field_identities,
     potential_field_terms,
     rotation_skew_residual,
@@ -107,8 +105,8 @@ _GENERIC_DEFAULT = 1e-5
 # call less often, and 16 keeps the live lattices of a block to a few MB
 _BLOCK = 16
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "default": _GENERIC_DEFAULT,
+# every identity row and its built-in tolerance, in the report's emission order
+_ROWS: dict[str, float] = {
     "riemann_antisymmetry": 1e-6,
     "bianchi_first": 1e-5,
     "bianchi_contracted": 1e-4,
@@ -132,46 +130,19 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "potential_norm_identity": 1e-5,
     "eta_backsubstitution": 1e-9,
     "eta_vs_closed_form": 1e-5,
-    "phi_lambda_consistency": 1e-12,
     "lambda_projection_vs_closed_form": 1e-5,
     "laplacian_two_route": 1e-6,
-    "laplacian_identity": 1e-5,
+}
+
+# the rows, plus the generic default and the tolerances of the hypotheses and the summary
+DEFAULT_TOLERANCES: dict[str, float] = {
+    "default": _GENERIC_DEFAULT,
+    **_ROWS,
     "applicability": 1e-6,
     "unit_timelike": 1e-6,
     "steady_classification": 1e-9,
     "ckv_fit": 1e-6,
 }
-
-# canonical emission order for identities; keeps reports byte-stable
-_IDENTITY_ORDER = [
-    "riemann_antisymmetry",
-    "bianchi_first",
-    "bianchi_contracted",
-    "metric_compatibility",
-    "efe_residual",
-    "scalar_curvature_relation",
-    "perfect_fluid_fit",
-    "einstein_eigen_multiset",
-    "ricci_operator_bilinear",
-    "nabla_decomposition",
-    "f_skew_adjoint",
-    "torse_forming",
-    "torse_geodesic_flow",
-    "torse_eta_derivative",
-    "torse_curvature_action",
-    "torse_eta_curvature",
-    "torse_lie_form",
-    "soliton_residual",
-    "potential_curvature_identity",
-    "rotation_divergence_identity",
-    "potential_norm_identity",
-    "eta_backsubstitution",
-    "eta_vs_closed_form",
-    "phi_lambda_consistency",
-    "lambda_projection_vs_closed_form",
-    "laplacian_two_route",
-    "laplacian_identity",
-]
 
 
 def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
@@ -180,7 +151,9 @@ def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, f
     Setting SOLITONLAB_TOL replaces the generic default tolerance; identities
     whose built-in tolerance equals that generic value follow it.  Scenario
     overrides always win.  A SOLITONLAB_TOL that is not a finite positive
-    number is unusable input: SchemaError, located at the variable's name.
+    number is unusable input: SchemaError, located at the variable's name;
+    so is an override of a name that is not a built-in tolerance, located at
+    ``/tolerances/<name>``.
     """
     tols = dict(DEFAULT_TOLERANCES)
     env = os.environ.get(TOLERANCE_ENV_VAR)
@@ -196,6 +169,9 @@ def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, f
                 tols[key] = value
         tols["default"] = value
     if overrides:
+        for key in overrides:
+            if key not in DEFAULT_TOLERANCES:
+                raise SchemaError("unknown tolerance name", f"/tolerances/{key}")
         tols.update(overrides)
     return tols
 
@@ -258,7 +234,7 @@ class IdentityReport:
                 "error": rec.error,
                 "identities": {
                     name: rec.identities[name]
-                    for name in _IDENTITY_ORDER
+                    for name in _ROWS
                     if name in rec.identities
                 },
                 "derived": {k: rec.derived[k] for k in sorted(rec.derived)},
@@ -281,7 +257,7 @@ class IdentityReport:
                     worst[name] = info
         if worst:
             lines.append("identities (worst over points):")
-            for name in _IDENTITY_ORDER:
+            for name in _ROWS:
                 if name not in worst:
                     continue
                 info = worst[name]
@@ -348,8 +324,6 @@ class _SharedRows:
     fluid_values: FluidValues | None
     efe_ok: bool
     torse_res: float | None
-    div_route: float | None
-    trace_route: float | None
     lie_xi_xi: float | None
     _potential: tuple | Exception | None = None
 
@@ -465,7 +439,7 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
                 recs[k].add("einstein_eigen_multiset", eig.max_deviation, efe_ok[k], applicable=efe_ok[k])
 
     # vector-field block: unconditional decomposition and skewness
-    torse_res = div_route = trace_route = lie_xi_xi = [None] * size
+    torse_res = lie_xi_xi = [None] * size
     samples: list[PointSamples | None] = [None] * size
     if v is not None:
         _add(recs, "nabla_decomposition", nabla_decomposition_check(block, v), True)
@@ -486,8 +460,7 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
             _add(recs, name, residuals, asserted, unit_timelike)
 
         if v.is_gradient:
-            div_route, trace_route = map(list, zip(*laplacian_routes(block, v.potential)))
-            for rec, div, trace in zip(recs, div_route, trace_route):
+            for rec, (div, trace) in zip(recs, laplacian_routes(block, v.potential)):
                 rec.derived["laplacian"] = trace
                 rec.add("laplacian_two_route", abs(div - trace), True)
 
@@ -503,8 +476,6 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
             fluid_values[k],
             efe_ok[k],
             torse_res[k],
-            div_route[k],
-            trace_route[k],
             lie_xi_xi[k],
         )
         for k in range(size)
@@ -556,18 +527,6 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
                 applicable = efe_ok and projection_valid
                 rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
 
-    if fluid_values is not None:
-        lam_any = params.lam if params.lam is not None else rec.derived.get(
-            "eta_lambda" if params.family in ETA_FAMILIES else "lambda_projection", 0.0
-        )
-        p_val = params.p_at(point, coords)
-        consistency = abs(
-            phi_closed_form(fluid_values, params.alpha, params.beta, p_val, lam_any)
-            + lam_any
-            - lambda_closed_form(fluid_values, params.alpha, params.beta, p_val)
-        )
-        rec.add("phi_lambda_consistency", consistency, True)
-
     lam_eff, mu_eff = _effective_constants(scenario, rec)
     if params.family == "gradient_ricci_yamabe":
         if v.is_gradient and lam_eff is not None:
@@ -595,15 +554,6 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
             rec.add("potential_curvature_identity", ident.curvature_identity, applicable, applicable=applicable)
             rec.add("rotation_divergence_identity", ident.divergence_identity, applicable, applicable=applicable)
             rec.add("potential_norm_identity", ident.norm_gradient_identity, applicable, applicable=applicable)
-
-    if params.family in ETA_FAMILIES and v.is_gradient and fluid_values is not None:
-        if unit_timelike:
-            lap_res = laplacian_identity_check(
-                shared.div_route, shared.trace_route, fluid_values, params.alpha, params.beta
-            )
-            rec.add("laplacian_identity", abs(lap_res), True)
-        else:
-            rec.add("laplacian_identity", None, False, applicable=False)
     return rec
 
 
@@ -811,7 +761,7 @@ def _summarize(
 
     failures = []
     for i, rec in enumerate(records):
-        for name in _IDENTITY_ORDER:
+        for name in _ROWS:
             info = rec.identities.get(name)
             if info and info["asserted"] and info["applicable"] and info["passed"] is False:
                 failures.append(

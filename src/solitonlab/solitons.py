@@ -50,7 +50,6 @@ __all__ = [
     "gradient_soliton_residual",
     "lambda_from_projection",
     "lambda_closed_form",
-    "phi_closed_form",
     "classify",
     "ckv_fit",
     "einstein_fit_point",
@@ -61,7 +60,6 @@ __all__ = [
     "potential_field_identities",
     "eta_projection_solve",
     "eta_closed_forms",
-    "laplacian_identity_check",
     "torse_forming_residual",
     "torse_consequence_residuals",
     "torse_lie_residual",
@@ -271,12 +269,6 @@ def lambda_closed_form(values: FluidValues, alpha: float, beta: float, p: float)
         + (2.0 * beta - alpha) * values.lam
         + 0.5 * (p + 0.5)
     )
-
-
-def phi_closed_form(values: FluidValues, alpha: float, beta: float, p: float, lam: float) -> float:
-    """Conformal factor of the potential field when the spacetime is Einstein;
-    equals lambda_closed_form(...) - lam identically."""
-    return lambda_closed_form(values, alpha, beta, p) - lam
 
 
 @dataclass(frozen=True)
@@ -565,25 +557,6 @@ def eta_closed_forms(
     )
     mu = -alpha * k * (sig + rho) - div_xi / 3.0
     return lam, mu
-
-
-def laplacian_identity_check(
-    div_xi: float,
-    laplacian: float,
-    fluid_values: FluidValues,
-    alpha: float,
-    beta: float,
-) -> float:
-    """Laplacian of the potential f against the closed-form prediction.
-
-    ``div_xi`` and ``laplacian`` are the two routes of laplacian_routes, the
-    divergence of xi = grad f and the trace of Hess f; mu comes from the
-    closed forms with that divergence.  The identity assumes grad f unit
-    timelike; the caller decides that.
-    """
-    _, mu = eta_closed_forms(fluid_values, alpha, beta, 0.0, div_xi)  # p cancels out of mu
-    rhs = -3.0 * (mu + alpha * fluid_values.kappa * (fluid_values.sigma + fluid_values.rho))
-    return laplacian - rhs
 
 
 # -- torse-forming diagnostics -----------------------------------------------------

@@ -33,9 +33,7 @@ from solitonlab.solitons import (
     eta_projection_solve,
     lambda_closed_form,
     lambda_from_projection,
-    laplacian_identity_check,
     nabla_decomposition_check,
-    phi_closed_form,
     potential_field_identities,
     potential_field_terms,
     rotation_skew_residual,
@@ -157,21 +155,25 @@ def test_criterion_03_closed_form_equivalence_sweep():
 
 
 def test_criterion_04_laplacian_identity(de_sitter):
-    p = (0.5, 0.1, -0.2, 0.3)
+    # the paper's Laplace equation for f = t, Delta f = -3(mu + alpha kappa (sigma + rho)),
+    # with Delta f the trace of Hess f and mu solved from the projections, at a
+    # generic point and the three plan points of de-sitter-eta-gradient
     f = parse("t", COORDS)
-    geo = PointGeometry(de_sitter, p)
-    div_route, trace_route = laplacian_routes(geo, f)
-    identity = abs(laplacian_identity_check(div_route, trace_route, DS_FLUID, 1.0, 0.0))
-    ok = (
-        abs(trace_route + 3.0) <= 1e-5
-        and identity <= 1e-5
-        and abs(div_route - trace_route) <= 1e-6
-    )
+    grad_t = VectorFieldSpec.gradient_of("t", COORDS)
+    coeff = DS_FLUID.kappa * (DS_FLUID.sigma + DS_FLUID.rho)  # alpha = 1
+    value = identity = gap = 0.0
+    for p in ((0.5, 0.1, -0.2, 0.3), (-0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        geo = PointGeometry(de_sitter, p)
+        div_route, trace_route = laplacian_routes(geo, f)
+        mu = eta_projection_solve(PointSamples.from_geometry(geo, grad_t), 1.0, 0.0, -0.5).mu
+        value = max(value, abs(trace_route + 3.0))
+        identity = max(identity, abs(trace_route + 3.0 * (mu + coeff)))
+        gap = max(gap, abs(div_route - trace_route))
+    ok = value <= 1e-5 and identity <= 1e-5 and gap <= 1e-6
     _report(
         4,
         ok,
-        f"laplacian identity (value={trace_route:.9f}, residual={identity:.2e}, "
-        f"route gap={abs(div_route - trace_route):.2e})",
+        f"laplace equation (|value + 3|={value:.2e}, residual={identity:.2e}, route gap={gap:.2e})",
     )
 
 
@@ -229,22 +231,17 @@ def test_criterion_07_ckv_einstein_logic(minkowski, de_sitter, fields):
     euler = ckv_fit(field_samples(minkowski, fields["euler"], pts))
     einstein_residual = max(einstein_fit_point(geo.ricci, geo.g)[1] for geo in (PointGeometry(minkowski, p) for p in pts))
     ds = ckv_fit(field_samples(de_sitter, fields["time"], pts))
-    consistency = abs(
-        phi_closed_form(VACUUM, 1.0, 0.0, -0.5, -1.0) + (-1.0) - lambda_closed_form(VACUUM, 1.0, 0.0, -0.5)
-    )
     ok = (
         euler.category == "homothetic"
         and all(abs(phi - 1.0) <= 1e-6 for phi in euler.phis)
         and einstein_residual <= 1e-10
         and ds.category == "not_ckv"
-        and consistency <= 1e-12
     )
     _report(
         7,
         ok,
         f"conformal/einstein logic (euler={euler.category}, phi spread={max(euler.phis) - min(euler.phis):.1e}, "
-        f"einstein residual={einstein_residual:.1e}, expansion flow={ds.category}, "
-        f"factor consistency={consistency:.1e})",
+        f"einstein residual={einstein_residual:.1e}, expansion flow={ds.category})",
     )
 
 

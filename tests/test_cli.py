@@ -97,7 +97,14 @@ class TestAnalyzeCommand:
         assert "cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tolerances", [{"steady_classification": -1.0}, {"efe_residual": 0.0}, {"efe_residual": float("inf")}]
+        "tolerances",
+        [
+            {"steady_classification": -1.0},
+            {"efe_residual": 0.0},
+            {"efe_residual": float("inf")},
+            {"laplacain_identity": 1e-3},
+            {"laplacian_identity": 1e-5},
+        ],
     )
     def test_unusable_tolerance_exits_two(self, tmp_path, capsys, tolerances):
         doc = json.loads(Path(fixture("de-sitter-soliton.json")).read_text())
@@ -258,6 +265,17 @@ class TestToleranceEnvironment:
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "10.0")
         assert resolve_tolerances({"efe_residual": 1e-7})["efe_residual"] == 1e-7
 
+    def test_unknown_override_name_rejected(self, monkeypatch):
+        # a misspelt or retired row name is unusable input, not a silent no-op
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, "10.0")
+        with pytest.raises(SchemaError) as err:
+            resolve_tolerances({"efe_residual": 1e-7, "laplacain_identity": 1e-3})
+        assert err.value.location == "/tolerances/laplacain_identity"
+
+    def test_every_built_in_name_can_be_overridden(self):
+        overrides = {name: 0.5 for name in report.DEFAULT_TOLERANCES}
+        assert resolve_tolerances(overrides) == overrides
+
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "not-a-number")
         with pytest.raises(SchemaError, match=TOLERANCE_ENV_VAR):
@@ -282,6 +300,19 @@ class TestReportShape:
         assert summary["ckv"]["category"] == "not_ckv"
         assert 3.5 <= summary["numerics_health"]["fd_convergence_ratio"] <= 4.5
         assert doc["scenario"] == load_scenario(fixture("de-sitter-soliton.json")).to_dict()
+
+    @pytest.mark.parametrize("name", ["de-sitter-eta-gradient.json", "minkowski-euler-soliton.json"])
+    def test_every_recorded_row_is_emitted_in_table_order(self, name):
+        # the emitted identities and the verdict only see rows of the table:
+        # a row recorded at a point but missing from it would vanish unreported
+        suite = run_suite(load_scenario(fixture(name)))
+        doc = suite.to_dict(include_timestamp=False)
+        order = list(report._ROWS)
+        for rec, point in zip(suite.points, doc["points"]):
+            assert rec.identities
+            assert set(point["identities"]) == set(rec.identities)
+            emitted = [order.index(row) for row in point["identities"]]
+            assert emitted == sorted(emitted)
 
     def test_eta_fixture_constants(self, tmp_path):
         out = tmp_path / "r.json"

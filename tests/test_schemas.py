@@ -11,12 +11,13 @@ jsonschema = pytest.importorskip("jsonschema")
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 from solitonlab.cli import main  # noqa: E402
-from solitonlab.report import emit_report, run_suite  # noqa: E402
+from solitonlab.report import _ROWS, emit_report, run_suite  # noqa: E402
 from solitonlab.scenario import load_scenario  # noqa: E402
 
 from conftest import SCENARIO_DIR  # noqa: E402
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+DOCS_DIR = SCHEMA_DIR.parent / "docs"
 
 
 def _validator(name):
@@ -77,3 +78,11 @@ def test_sweep_document_holds_the_analyze_report_of_each_value(param, values, tm
         codes.append(main(["analyze", str(scenario), "--no-timestamp", "--out", str(alone)]))
         assert entry["report"] == json.loads(alone.read_text())
     assert code == max(codes)
+
+
+def test_verdict_rules_name_every_row():
+    # the "Verdict rules" section of the scenario format says when each row
+    # of the report counts toward the verdict; a row missing there has no rule
+    text = (DOCS_DIR / "scenario-schema.md").read_text(encoding="utf-8")
+    section = text.split("## Verdict rules", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in _ROWS if f"`{name}`" not in section] == []
