@@ -46,9 +46,9 @@ for a gradient the potential, its derivatives and Hessian) as one array
 over one depth of the trees of all its points, one numpy call per quantity
 and depth, the metric layers there read from the store.  The components,
 or the potential, are evaluated once per coordinate, the components of a
-field in one compiled call.  Should a read of a shared tree meet a
-numerical failure, each of its points goes on with a tree of its own, so
-every point gets the values and the failure it gets alone.
+field in one compiled call.  A read of a shared tree evaluates every
+point's nodes, so it meets a numerical failure at any point of the tree;
+the report reruns such a block's points each on a block of its own.
 
 Each row function of this module, ``spacetimes`` and ``solitons`` is one
 computation over a block, returning each point's result; ``over_block``
@@ -113,8 +113,6 @@ __all__ = [
     "riemann",
     "ricci",
     "einstein_tensor",
-    "hessian_scalar",
-    "divergence_vector",
     "laplacian_routes",
     "frame_from_matrix",
     "riemann_antisymmetry_residual",
@@ -361,9 +359,8 @@ class BlockGeometry:
     where the store holds it at every point, as ``block_geometries`` leaves
     it, else one ``Store.fill`` for all the points.  ``grad`` is one
     ``Store.fill`` for all of them, and a field quantity their rows of the
-    depth-0 array of their field tree (or, once a read of that tree has
-    failed, of each point's own tree: FieldGeometry).  ``points`` are tuples
-    of floats with canonical zeros.
+    depth-0 array of their field tree.  ``points`` are tuples of floats with
+    canonical zeros.
 
     ``take`` gives some of the points, in any order, as a block on the same
     store and field trees, which holds the block it was taken from;
@@ -495,7 +492,11 @@ class PointGeometry:
         return self.block.take([self.row]).grad(name)[0]
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
-        """The quantities of the vector field ``spec`` at this point: its row of the block's field tree."""
+        """The quantities of the vector field ``spec`` at this point: its row of the block's field tree.
+
+        The tree spans every point of the block, so in a block of several a
+        read meets a numerical failure at any of them.
+        """
         block = self.block
         return FieldGeometry(block._tree(spec), self.row if block._rows is None else block._rows[self.row])
 
@@ -691,12 +692,10 @@ class FieldGeometry:
     """One vector field at the points of a block, or at one point: their rows of the field tree the block shares.
 
     Each quantity is read from a ``_FieldTree`` over the points of the block
-    (``BlockGeometry._tree``).  Should a read of the shared tree meet a
-    numerical failure, at these points or another, each point of the tree
-    goes on with a tree of its own, built afresh, so a point's values, and
-    the failure it records, are those it gets alone.  Over several rows of
-    the tree (a BlockGeometry's field), each quantity has a leading point
-    axis.  Not thread-safe.
+    (``BlockGeometry._tree``), so a read meets a numerical failure at any
+    point of the tree, not only at these.  Over several rows of the tree (a
+    BlockGeometry's field), each quantity has a leading point axis.  Not
+    thread-safe.
     """
 
     __slots__ = ("spec", "_tree", "_row")
@@ -720,7 +719,7 @@ class FieldGeometry:
 
     def _at(self, name: str) -> np.ndarray:
         """Quantity ``name`` at this point: its row of the tree's depth-0 array (its rows, over several)."""
-        return self._tree.read(name, self._row)
+        return self._tree._at(name, 0)[self._row]
 
 
 # quantities that are the stencil derivative of another
@@ -742,17 +741,17 @@ class _FieldTree:
     are evaluated on a node's Python floats once per coordinate, in tree
     order and only at the nodes a quantity reads, the floats first evaluated
     kept, so a domain violation raises EvalDomainError naming the
-    coordinate.  The tree holds the store, not the points' PointGeometry
-    objects: no cycle keeps a lattice alive.
+    coordinate, at whichever point of the tree holds it.  The tree holds
+    the store, not the points' PointGeometry objects: no cycle keeps a
+    lattice alive.
     """
 
     # weakly referable, so a caller can see it dropped with its block
-    __slots__ = ("spec", "store", "numbers", "alone", "_depths", "_arrays", "_keys", "_ids", "_raw", "_done", "__weakref__")
+    __slots__ = ("spec", "store", "numbers", "_depths", "_arrays", "_keys", "_ids", "_raw", "_done", "__weakref__")
 
     def __init__(self, spec: VectorFieldSpec, store: Store, points: np.ndarray, numbers: np.ndarray) -> None:
         dim = points.shape[1]
         self.spec, self.store, self.numbers = spec, store, numbers.copy()  # the points' numbers; -1 until known
-        self.alone: list[_FieldTree] | None = None  # a tree per point, once a read of this one has failed
         self._depths = [points]  # the nodes of each depth built so far
         self._arrays: dict[tuple[str, int], np.ndarray] = {}  # (quantity, depth) -> one row per node
         self._keys = np.empty((0, dim))  # a row of each coordinate numbered, in number order
@@ -763,29 +762,6 @@ class _FieldTree:
     @property
     def points(self) -> np.ndarray:
         return self._depths[0]
-
-    def read(self, name: str, rows: int | slice | list[int]) -> np.ndarray:
-        """Quantity ``name`` at the points ``rows``: their rows of the depth-0 array.
-
-        Should that read meet a numerical failure, at these points or another,
-        each point goes on with a tree of its own, built afresh (``alone``),
-        so a point's values, and the failure it records, are those it gets
-        alone.
-        """
-        if self.alone is None:
-            try:
-                return self._at(name, 0)[rows]
-            except NUMERICAL_FAILURES:
-                if len(self.points) == 1:
-                    raise
-                self.alone = [
-                    _FieldTree(self.spec, self.store, self.points[i : i + 1], self.numbers[i : i + 1])
-                    for i in range(len(self.points))
-                ]
-        if isinstance(rows, int):
-            return self.alone[rows]._at(name, 0)[0]
-        trees = self.alone[rows] if isinstance(rows, slice) else [self.alone[r] for r in rows]
-        return np.stack([tree._at(name, 0)[0] for tree in trees])
 
     def _at(self, name: str, depth: int) -> np.ndarray:
         """Quantity ``name`` at every node of ``depth``, computed on first read."""
@@ -922,18 +898,6 @@ class _FieldTree:
         d2[:, range(dim), range(dim)] = diagonal
         hess = d2 - np.einsum("nkij,nk->nij", self._layer("gamma", depth), self._at("dpotential", depth))
         return 0.5 * (hess + hess.transpose(0, 2, 1))
-
-
-def hessian_scalar(geo: PointGeometry, f: Expr) -> TensorSample:
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    spec = VectorFieldSpec.gradient_of(f, geo.metric.coords)
-    return TensorSample("tensor02", geo.field(spec).hessian, geo.point, symmetric=True)
-
-
-@over_block
-def divergence_vector(block: BlockGeometry, v: VectorFieldSpec) -> list[float]:
-    """div V = (nabla_k V)^k."""
-    return np.trace(block.field(v).nabla, axis1=-2, axis2=-1).tolist()
 
 
 @over_block

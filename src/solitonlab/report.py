@@ -36,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -313,36 +313,42 @@ def _effective_constants(scenario: Scenario, rec: _PointRecord) -> tuple[float |
     return lam, mu
 
 
+class _Deferred:
+    """A row over a block, run at its first read, as ``_each_point`` runs it: each point's result or failure."""
+
+    def __init__(self, row: Callable[[BlockGeometry], list], block: BlockGeometry) -> None:
+        self.row, self.block = row, block
+        self.results: list | None = None
+
+    def at(self, k: int) -> Any:
+        """Point ``k``'s result; its numerical failure is raised."""
+        if self.results is None:
+            self.results = _each_point(self.row, self.block)
+        result = self.results[k]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
 @dataclass
 class _SharedRows:
-    """The rows of one plan point that read no soliton constant, and what the soliton block reads of them."""
+    """The rows of one plan point that read no soliton constant, and what the soliton block reads of them.
+
+    ``potential`` holds the constant-free terms of the potential identities
+    over the block the rows ran on, computed at their first use by a run;
+    ``row`` is the point's row there.
+    """
 
     rec: _PointRecord
     samples: PointSamples | None
-    v_val: np.ndarray | None
     unit_timelike: bool
     fluid_values: FluidValues | None
     efe_ok: bool
     torse_res: float | None
     lie_xi_xi: float | None
-    _potential: tuple | Exception | None = None
-
-    def potential(self, geo: PointGeometry, v) -> tuple:
-        """The potential identities' terms and the fluid gap at ``geo``, computed at their first use by a run.
-
-        Neither reads a soliton constant, so the runs of a key share them;
-        a numerical failure is kept, and met by each run that reads them.
-        """
-        if self._potential is None:
-            try:
-                terms = potential_field_terms(geo, v)
-                fluid = self.fluid_values
-                self._potential = terms, max_abs(geo.ricci - ricci_from_fluid(fluid, geo.g, geo.field(v).omega))
-            except NUMERICAL_FAILURES as exc:
-                self._potential = exc
-        if isinstance(self._potential, Exception):
-            raise self._potential
-        return self._potential
+    hessian: np.ndarray | None
+    potential: _Deferred | None
+    row: int
 
 
 def _add(recs: list[_PointRecord], name: str, residuals: list, asserted, applicable=True) -> None:
@@ -354,9 +360,11 @@ def _add(recs: list[_PointRecord], name: str, residuals: list, asserted, applica
 
 
 def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float], solve: bool) -> list[_SharedRows]:
-    """Every row before the soliton block at each point of ``block``, and its samples when solving with a field.
+    """Every row before the soliton block at each point of ``block``, and what the soliton block reads of the geometry.
 
-    Each row is one call over the block.  Of the scenario it reads the
+    When solving with a field, that is the point's samples, Hess f for a
+    gradient field, and the potential terms, deferred.  Each row is one
+    call over the block.  Of the scenario it reads the
     vector field, the fluid, the fluid-fit and field-equation flags and the
     assertions, besides ``tols`` and ``solve`` and the coordinates the
     metric fixes; never a soliton constant, so the runs of a sweep over one
@@ -431,7 +439,7 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
         if efe_rows:
             sub = block.take(efe_rows)
             values = [fluid_values[k] for k in efe_rows]
-            efe_norms = [max_abs(res.components) for res in efe_residual(sub, values, v)]
+            efe_norms = sub.residuals(efe_residual(sub, values, v), 2)
             eigs = einstein_eigen_check(sub, values)
             for k, efe_norm, eig in zip(efe_rows, efe_norms, eigs):
                 efe_ok[k] = efe_norm <= tols["applicability"]
@@ -439,8 +447,9 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
                 recs[k].add("einstein_eigen_multiset", eig.max_deviation, efe_ok[k], applicable=efe_ok[k])
 
     # vector-field block: unconditional decomposition and skewness
-    torse_res = lie_xi_xi = [None] * size
+    torse_res = lie_xi_xi = hessians = [None] * size
     samples: list[PointSamples | None] = [None] * size
+    potential = None
     if v is not None:
         _add(recs, "nabla_decomposition", nabla_decomposition_check(block, v), True)
         _add(recs, "f_skew_adjoint", rotation_skew_residual(block, v), True)
@@ -467,32 +476,39 @@ def _shared_rows(scenario: Scenario, block: BlockGeometry, tols: dict[str, float
         if solve:
             samples = PointSamples.from_geometry(block, v)
             lie_xi_xi = np.abs((v_val[:, None, :] @ field.lie @ v_val[:, :, None])[:, 0, 0]).tolist()
+            if v.is_gradient:
+                hessians = field.hessian
+            potential = _Deferred(lambda block: potential_field_terms(block, v), block)
     return [
         _SharedRows(
             recs[k],
             samples[k],
-            None if v_val is None else v_val[k],
             unit_timelike[k],
             fluid_values[k],
             efe_ok[k],
             torse_res[k],
             lie_xi_xi[k],
+            hessians[k],
+            potential,
+            k,
         )
         for k in range(size)
     ]
 
 
-def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float], shared: _SharedRows) -> _PointRecord:
-    """The record of one plan point: a copy of the shared rows' record, with the scenario's soliton block added."""
-    rec = _PointRecord(geo.point, tols, dict(shared.rec.identities), dict(shared.rec.derived))
+def _soliton_rows(scenario: Scenario, tols: dict[str, float], shared: _SharedRows) -> _PointRecord:
+    """The record of one plan point: a copy of the shared rows' record, with the scenario's soliton block added.
+
+    It reads no geometry: only the shared rows' samples, Hessian and
+    potential terms, the soliton constants and the tolerances.
+    """
+    point = shared.rec.coordinates
+    rec = _PointRecord(point, tols, dict(shared.rec.identities), dict(shared.rec.derived))
     samples = shared.samples
     params = scenario.soliton
     if samples is None or params is None:
         return rec
-    point = geo.point
     coords = scenario.coords
-    v = scenario.vector_field
-    v_val = shared.v_val
     unit_timelike = shared.unit_timelike
     fluid_values = shared.fluid_values
     efe_ok = shared.efe_ok
@@ -517,20 +533,17 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
                 applicable = efe_ok and projection_valid
                 rec.add("eta_vs_closed_form", deviation, applicable, applicable=applicable)
     elif params.family != "gradient_ricci_yamabe":
-        if v_val is not None:
-            lam_proj = lambda_from_projection(samples, params)
-            rec.derived["lambda_projection"] = lam_proj
-            if fluid_values is not None:
-                closed = lambda_closed_form(
-                    fluid_values, params.alpha, params.beta, params.p_at(point, coords)
-                )
-                applicable = efe_ok and projection_valid
-                rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
+        lam_proj = lambda_from_projection(samples, params)
+        rec.derived["lambda_projection"] = lam_proj
+        if fluid_values is not None:
+            closed = lambda_closed_form(fluid_values, params.alpha, params.beta, params.p_at(point, coords))
+            applicable = efe_ok and projection_valid
+            rec.add("lambda_projection_vs_closed_form", abs(lam_proj - closed), applicable, applicable=applicable)
 
     lam_eff, mu_eff = _effective_constants(scenario, rec)
     if params.family == "gradient_ricci_yamabe":
-        if v.is_gradient and lam_eff is not None:
-            res = gradient_soliton_residual(geo, v.potential, dataclasses.replace(params, lam=lam_eff))
+        if shared.hessian is not None and lam_eff is not None:
+            res = gradient_soliton_residual(samples, shared.hessian, dataclasses.replace(params, lam=lam_eff))
             rec.add("soliton_residual", max_abs(res.components), scenario.assert_soliton_residual)
     elif lam_eff is not None and (params.family not in ETA_FAMILIES or mu_eff is not None):
         eff = dataclasses.replace(params, lam=float(lam_eff), mu=None if mu_eff is None else float(mu_eff))
@@ -540,7 +553,8 @@ def _soliton_rows(scenario: Scenario, geo: PointGeometry, tols: dict[str, float]
         # (non-eta) soliton equation; the vertical term changes the
         # covariant-derivative split, so they do not carry over
         if fluid_values is not None and params.family not in ETA_FAMILIES:
-            terms, fluid_gap = shared.potential(geo, v)
+            terms = shared.potential.at(shared.row)
+            fluid_gap = max_abs(samples.ricci - ricci_from_fluid(fluid_values, samples.g, samples.eta))
             ident = potential_field_identities(terms, fluid_values, eff)
             # hypotheses: the full soliton equation holds, the fluid
             # describes the Ricci tensor, and a nonzero matter coefficient
@@ -639,8 +653,9 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
     """Each (plan index, (metric, point, numerics), runs) of ``block``; its stores live until this returns.
 
     The shared rows run once per shared key (``_SuiteRun.shared``) over the
-    points of each BlockGeometry that a run of that key reads (``take``);
-    then each point's runs take their records from them, in plan order.
+    points of each BlockGeometry that a run of that key reads (``take``),
+    through ``_each_point``; then each point's runs take their records from
+    them, in plan order.
     """
     geos = block_geometries([key for _, key, _ in block])
     failed: dict[int, Exception] = {}
@@ -661,27 +676,32 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
     shared: dict[tuple[int, int], _SharedRows | Exception] = {}  # (entry, shared key) -> its rows
     for (key, owner), entries in parts.items():
         run = readers[key]
-        rows = _shared_block(run.scenario, owner.take([geos[n].row for n in entries]), run.tols, solve)
+        sub = owner.take([geos[n].row for n in entries])
+        rows = _each_point(lambda block: _shared_rows(run.scenario, block, run.tols, solve), sub)
         shared.update(((n, key), row) for n, row in zip(entries, rows))
     for n, ((i, _, group), geo) in enumerate(zip(block, geos)):
         _run_point(group, i, geo, failed.get(n), {run.shared: shared.get((n, run.shared)) for run in group}, solve)
 
 
-def _shared_block(
-    scenario: Scenario, block: BlockGeometry, tols: dict[str, float], solve: bool
-) -> list[_SharedRows | Exception]:
-    """The shared rows of the points of ``block``, in one call.
+def _each_point(row: Callable[[BlockGeometry], list], block: BlockGeometry) -> list:
+    """``row(block)``, the list of each point's result, or, should it meet a numerical failure, each point's alone.
 
-    Should the block meet a numerical failure, each point runs the same
-    rows alone, a block of one (``take``), so its values and its failure
-    are those of a run of its own.
+    On a failure, each point runs ``row`` again on a block of one of its
+    own, on the same store with fresh field trees, so its result, or the
+    failure it records in the list, is that of a run of its own.  This is
+    the report's one per-point fallback.
     """
     try:
-        return _shared_rows(scenario, block, tols, solve)
-    except NUMERICAL_FAILURES as exc:
-        if len(block) == 1:
-            return [exc]
-    return [_shared_block(scenario, block.take([k]), tols, solve)[0] for k in range(len(block))]
+        return row(block)
+    except NUMERICAL_FAILURES:
+        pass
+    results = []
+    for k in range(len(block)):
+        try:
+            results.append(row(BlockGeometry(block.store, block.points[k : k + 1], block.numbers[k : k + 1]))[0])
+        except NUMERICAL_FAILURES as exc:
+            results.append(exc)
+    return results
 
 
 def _run_point(
@@ -711,7 +731,7 @@ def _run_point(
             run.records.append(_PointRecord(geo.point, error=str(rows)))
             continue
         try:
-            rec = _soliton_rows(run.scenario, geo, run.tols, rows)
+            rec = _soliton_rows(run.scenario, run.tols, rows)
         except NUMERICAL_FAILURES as exc:
             run.records.append(_PointRecord(geo.point, error=str(exc)))
             continue

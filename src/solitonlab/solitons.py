@@ -25,10 +25,8 @@ from .expressions import Expr, evaluate
 from .geometry import (
     BlockGeometry,
     GeometryError,
-    PointGeometry,
     TensorSample,
     VectorFieldSpec,
-    hessian_scalar,
     max_abs,
     over_block,
 )
@@ -226,15 +224,12 @@ def soliton_residual(samples: PointSamples, params: SolitonParams) -> TensorSamp
     return TensorSample("tensor02", res, samples.point or (), symmetric=True)
 
 
-def gradient_soliton_residual(geo: PointGeometry, f: Expr, params: SolitonParams) -> TensorSample:
-    """Hess f + alpha S - [lam - beta r / 2] g for the gradient family."""
+def gradient_soliton_residual(samples: PointSamples, hessian: np.ndarray, params: SolitonParams) -> TensorSample:
+    """Hess f + alpha S - [lam - beta r / 2] g for the gradient family; ``hessian`` is Hess f at the samples' point."""
     if params.lam is None:
         raise ValueError("gradient soliton residual needs lam")
-    hess = hessian_scalar(geo, f).components
-    g = geo.g
-    s = geo.ricci
-    res = hess + params.alpha * s - (params.lam - 0.5 * params.beta * geo.scalar) * g
-    return TensorSample("tensor02", res, geo.point, symmetric=True)
+    res = hessian + params.alpha * samples.ricci - (params.lam - 0.5 * params.beta * samples.scalar) * samples.g
+    return TensorSample("tensor02", res, samples.point or (), symmetric=True)
 
 
 # -- projections and closed forms ---------------------------------------------

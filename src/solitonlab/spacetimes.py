@@ -7,8 +7,9 @@ of an isotropic fluid, the field-equation residual, the fit of a Ricci
 sample to the A g + B eta (x) eta form, and the eigenvalue check of the
 mixed field-equation operator.
 
-Pointwise algebra here works on plain ndarrays; field-level operations that
-walk the chart live in :mod:`solitonlab.geometry` and return TensorSample.
+Pointwise algebra here works on plain ndarrays; the rows that read the
+chart (``efe_residual``, ``einstein_eigen_check``) are row functions over a
+``geometry.BlockGeometry``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import (
     BlockGeometry,
     GeometryError,
     MetricSpec,
-    TensorSample,
     VectorFieldSpec,
     frame_from_matrix,
     over_block,
@@ -195,20 +195,18 @@ def ricci_from_fluid(values: FluidValues, g: np.ndarray, eta: np.ndarray) -> np.
 
 
 @over_block
-def efe_residual(
-    block: BlockGeometry, values: FluidValues | Sequence[FluidValues], xi: VectorFieldSpec
-) -> list[TensorSample]:
+def efe_residual(block: BlockGeometry, values: FluidValues | Sequence[FluidValues], xi: VectorFieldSpec) -> np.ndarray:
     """S_ij + (lam - r/2) g_ij - kappa T_ij; zero iff the fluid solves the field equation.
 
     T is the fluid form along the flow ``xi``, which means something only
     when ``xi`` is unit timelike; the caller decides that.  Over a block,
-    ``values`` holds each point's fluid values.
+    ``values`` holds each point's fluid values, and the result is one
+    ``[point, i, j]`` array.
     """
     fluid = _stacked(values)
     g = block.g
     t = energy_momentum(fluid, g, block.field(xi).omega)
-    res = block.ricci + (fluid.lam - block.scalar[:, None, None] / 2.0) * g - fluid.kappa * t
-    return [TensorSample("tensor02", r, p, symmetric=True) for r, p in zip(res, block.points)]
+    return block.ricci + (fluid.lam - block.scalar[:, None, None] / 2.0) * g - fluid.kappa * t
 
 
 def fluid_from_ricci(

@@ -11,7 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 from solitonlab.cli import main  # noqa: E402
-from solitonlab.report import _ROWS, emit_report, run_suite  # noqa: E402
+from solitonlab.report import _ROWS, DEFAULT_TOLERANCES, emit_report, run_suite  # noqa: E402
 from solitonlab.scenario import load_scenario  # noqa: E402
 
 from conftest import SCENARIO_DIR  # noqa: E402
@@ -38,6 +38,17 @@ def test_fixture_scenarios_match_schema(path):
 def test_normalised_scenarios_match_schema(path):
     validator = _validator("scenario.schema.json")
     validator.validate(load_scenario(path).to_dict())
+
+
+def test_tolerance_names_are_the_built_in_tolerances():
+    # the schema names the tolerances a scenario may override, as
+    # resolve_tolerances does: a misspelt name fails validation
+    schema = json.loads((SCHEMA_DIR / "scenario.schema.json").read_text())
+    assert schema["properties"]["tolerances"]["propertyNames"]["enum"] == sorted(DEFAULT_TOLERANCES)
+    validator = _validator("scenario.schema.json")
+    doc = json.loads((SCENARIO_DIR / "de-sitter-soliton.json").read_text())
+    validator.validate(doc)
+    assert not validator.is_valid({**doc, "tolerances": {"laplacain_identity": 1e-3}})
 
 
 def test_reports_match_schema():

@@ -155,22 +155,29 @@ class TestSolitonResidual:
         assert max_abs(res(family="conformal_eta_ricci_yamabe", alpha=1.0, beta=7.0, lam=-1.0, mu=-1.0, p=-0.5)) < 1e-14
 
 
+def _gradient_residual(metric, point, f, params):
+    """gradient_soliton_residual at ``point``, with the samples and Hess f of the gradient of ``f`` there."""
+    geo = PointGeometry(metric, point)
+    spec = VectorFieldSpec.gradient_of(f, COORDS)
+    return gradient_soliton_residual(PointSamples.from_geometry(geo, spec), geo.field(spec).hessian, params)
+
+
 class TestGradientSoliton:
     def test_flat_quadratic_potential(self, minkowski):
         f = parse("(x^2+y^2+z^2-t^2)/2", COORDS)
         for alpha, beta in [(0.5, 0.0), (3.0, 1.0)]:
             params = SolitonParams("gradient_ricci_yamabe", alpha=alpha, beta=beta, lam=1.0)
-            res = gradient_soliton_residual(PointGeometry(minkowski, (0.5, 0.1, -0.7, 0.2)), f, params)
+            res = _gradient_residual(minkowski, (0.5, 0.1, -0.7, 0.2), f, params)
             assert max_abs(res.components) < 1e-8
 
     def test_zero_potential(self, minkowski):
         params = SolitonParams("gradient_ricci_yamabe", lam=0.0, beta=0.0)
-        res = gradient_soliton_residual(PointGeometry(minkowski, (0, 0, 0, 0)), parse("0", COORDS), params)
+        res = _gradient_residual(minkowski, (0, 0, 0, 0), parse("0", COORDS), params)
         assert max_abs(res.components) == 0.0
 
     def test_nontrivial_hessian_remains(self, de_sitter):
         params = SolitonParams("gradient_ricci_yamabe", alpha=0.0, beta=0.0, lam=0.0)
-        res = gradient_soliton_residual(PointGeometry(de_sitter, (0.5, 0, 0, 0)), parse("t", COORDS), params)
+        res = _gradient_residual(de_sitter, (0.5, 0, 0, 0), parse("t", COORDS), params)
         assert res.components[1, 1] == pytest.approx(-math.exp(1.0), rel=1e-7)
 
 
