@@ -35,7 +35,10 @@ below it, at every coordinate the read needs and lacks, one numpy call per
 layer.  The metric components are evaluated by ``MetricSpec.matrix`` once
 per store for each distinct value of the coordinates the grid reads,
 however many reads need it, and a failure names the first failing
-coordinate of the store's walk (docs/conventions.md).
+coordinate of the store's walk (docs/conventions.md).  ``matrix`` returns
+the compiled grid's flat tuple, and the store builds one array of g per
+batch, so the per-coordinate call that the benchmark and the tests count
+is the compiled grid alone.
 
 A vector field may read coordinates the metric does not, so its quantities
 live on stencil trees at true coordinates instead, one per spec (specs
@@ -46,9 +49,11 @@ for a gradient the potential, its derivatives and Hessian) as one array
 over one depth of the trees of all its points, one numpy call per quantity
 and depth, the metric layers there read from the store.  The components,
 or the potential, are evaluated once per coordinate, the components of a
-field in one compiled call.  A read of a shared tree evaluates every
-point's nodes, so it meets a numerical failure at any point of the tree;
-the report reruns such a block's points each on a block of its own.
+field in one compiled call, whose tuple the tree stores with those of the
+read's other coordinates in one assignment.  A read of a shared tree
+evaluates every point's nodes, so it meets a numerical failure at any
+point of the tree; the report reruns such a block's points each on a
+block of its own.
 
 Each row function of this module, ``spacetimes`` and ``solitons`` is one
 computation over a block, returning each point's result; ``over_block``
@@ -294,13 +299,16 @@ class MetricSpec:
         read = set().union(*(variables(e) for row in self.components for e in row))
         return tuple(i for i, c in enumerate(self.coords) if c in read)
 
-    def matrix(self, point: tuple[float, ...]) -> np.ndarray:
-        """Raw component matrix g_ij(P) at a tuple of ``dim`` floats; no degeneracy check."""
+    def matrix(self, point: tuple[float, ...]) -> tuple[float, ...]:
+        """Raw components g_ij(P) at a tuple of ``dim`` floats, the ``dim**2`` values row by row; no degeneracy check.
+
+        The compiled grid's own tuple: ``lattice.Store`` stacks a batch of
+        them into one array.
+        """
         try:
-            vals = self._matrix_fn(*point)
+            return self._matrix_fn(*point)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvalDomainError(f"metric components undefined at {tuple(point)}: {exc}") from None
-        return np.array(vals, dtype=float).reshape(len(point), -1)
 
     def derivatives(self, point: tuple[float, ...]) -> np.ndarray:
         """Exact dg[k,i,j] = d_k g_ij at a tuple of ``dim`` floats, from the symbolic derivatives.
@@ -657,10 +665,10 @@ class VectorFieldSpec:
             return None
         return compile_expr(self.potential, self.coords)
 
-    def components_at(self, point: tuple[float, ...]) -> np.ndarray:
-        """Raw contravariant components at a tuple of ``dim`` floats; component fields only."""
+    def components_at(self, point: tuple[float, ...]) -> tuple[float, ...]:
+        """Raw contravariant components at a tuple of ``dim`` floats, the compiled tuple; component fields only."""
         try:
-            return np.array(self._components_fn(*point))
+            return self._components_fn(*point)
         except (ZeroDivisionError, ValueError, OverflowError):
             # evaluated one by one, in order, the first component that fails names its source
             for e in self.components:

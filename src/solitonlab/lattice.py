@@ -20,7 +20,10 @@ points, with each layer below it where the request needs and lacks it, one
 numpy call per layer.  The metric is evaluated by ``MetricSpec.matrix`` once
 per store for each distinct value of the coordinates it reads, at the first
 coordinate in walk order with that value, and a failure names the first
-failing coordinate of that walk.  Every batched contraction is the
+failing coordinate of that walk.  Each call returns the compiled grid's
+flat tuple; ``Store._evaluate`` stacks a batch's tuples into one array of
+g, so the per-coordinate call, which the benchmark and the tests count, is
+the compiled grid alone.  Every batched contraction is the
 per-coordinate ``np.einsum`` with a leading batch axis, so each row is
 bitwise the per-coordinate result.
 """
@@ -385,10 +388,11 @@ class Store:
                 except EvalDomainError as exc:
                     failure = exc
                     break
-            done, ids, values = len(values), np.full(len(points), -1), np.array(values)
+            done, ids, dim = len(values), np.full(len(points), -1), coords.shape[1]
             if done:
-                good, fault = _metric_faults(values, points[:done], self.numerics.degeneracy_threshold)
-                ids[:done][good] = self.layer("g").append(values[good])  # one row of g per pattern
+                g = np.array(values, dtype=float).reshape(done, dim, dim)
+                good, fault = _metric_faults(g, points[:done], self.numerics.degeneracy_threshold)
+                ids[:done][good] = self.layer("g").append(g[good])  # one row of g per pattern
                 self.patterns = np.concatenate([self.patterns, pattern[first[:done][good]]])
             new = row >= known
             row[new] = ids[row[new] - known]

@@ -419,7 +419,8 @@ class TestInvariants:
         exact = christoffel_exact(geo)
 
         def g(axis, step):
-            return metric.matrix(tuple(x + step if a == axis else x for a, x in enumerate(point)))
+            shifted = tuple(x + step if a == axis else x for a, x in enumerate(point))
+            return np.array(metric.matrix(shifted), dtype=float).reshape(metric.dim, metric.dim)
 
         errs = []
         for h in (cfg.h, cfg.h / 2):
@@ -1206,7 +1207,7 @@ class ReferenceGeometry:
 
     @_PerKey
     def g(self):
-        return self.metric.matrix(self.point)
+        return np.array(self.metric.matrix(self.point), dtype=float).reshape(self.metric.dim, self.metric.dim)
 
     @_PerKey
     def g_inv(self):
@@ -1300,7 +1301,7 @@ class _ReferenceField:
     def value(self):
         if self.spec.is_gradient:
             return self.geo.g_inv @ self.dpotential
-        return self.spec.components_at(self.geo.point)
+        return np.array(self.spec.components_at(self.geo.point))
 
     @_PerKeyField
     def omega(self):
@@ -1791,7 +1792,7 @@ class TestErrorAttribution:
 def _fails_alone(metric, point):
     """How ``metric`` fails evaluated at ``point`` alone: "undefined", "degenerate", or None."""
     try:
-        g = metric.matrix(point)
+        g = np.array(metric.matrix(point), dtype=float).reshape(metric.dim, metric.dim)
     except EvalDomainError:
         return "undefined"
     if not np.isfinite(g).all():
@@ -1969,6 +1970,93 @@ def _case_run(case, points):
         **(_SOLITON if soliton else {}),
     }
     return scenario_from_dict(doc), field is not None
+
+
+def _metric_rows(metric, coords) -> np.ndarray:
+    """``MetricSpec.matrix`` at each row of ``coords``, one coordinate at a time, as [n, i, j] arrays."""
+    return np.array([np.array(metric.matrix(tuple(q)), dtype=float).reshape(metric.dim, metric.dim) for q in coords.tolist()])
+
+
+def _held_g(store) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of ``store`` that hold a row of g, and those rows."""
+    held = np.flatnonzero(store.layer("g").slot[: store.size] >= 0)
+    return store.coords[held], store.get("g", held)
+
+
+def _field_rows(spec, keys) -> np.ndarray:
+    """The field's components, or potential, at each row of ``keys``, one coordinate at a time."""
+    raw = spec.potential_at if spec.is_gradient else spec.components_at
+    return np.array([raw(tuple(q)) for q in keys.tolist()], dtype=float)
+
+
+class TestBatchEvaluation:
+    """The store stacks the per-coordinate metric tuples into its rows of g, and a field tree its raw rows, bit for bit."""
+
+    def test_every_row_is_the_per_coordinate_evaluation(self, monkeypatch):
+        # every store and field tree a run of each shipped scenario and of the
+        # infall grid fills, including a failing point's block of its own
+        from solitonlab.scenario import load_scenario
+
+        from conftest import SCENARIO_DIR
+
+        for path in [*sorted(SCENARIO_DIR.glob("*.json")), INFALL_GRID]:
+            geos = _recorded_geometries(monkeypatch)
+            run_suite(load_scenario(path))
+            blocks = {id(geo.block): geo.block for geo in geos}.values()
+            assert blocks, path.name
+            for block in blocks:
+                coords, rows = _held_g(block.store)
+                assert len(coords), path.name
+                expected = _metric_rows(block.metric, coords)
+                assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64)), path.name
+                for spec, tree in block.trees.items():
+                    expected = _field_rows(spec, tree._keys[tree._done])
+                    assert np.array_equal(tree._raw[tree._done].view(np.uint64), expected.view(np.uint64)), path.name
+
+    @pytest.mark.parametrize(
+        "case", sorted(c for c, entry in ERROR_CASES.items() if entry[3].startswith("metric components undefined"))
+    )
+    def test_a_failing_walk_keeps_the_rows_before_it(self, case, monkeypatch):
+        # a component raises partway through the walk: the store holds g at
+        # exactly the coordinates the walk reaches before the failing one,
+        # each the per-coordinate tuple, and the message names that coordinate
+        components, points, _, message = ERROR_CASES[case]
+        metric = MetricSpec.from_grid(components, COORDS)
+        metric_seen, _ = _count_evaluations(monkeypatch)
+        geo = PointGeometry(metric, points[0])
+        with pytest.raises(EvalDomainError) as caught:
+            contracted_bianchi_residual(geo)
+        assert str(caught.value) == message
+        named = tuple(float(v) for v in re.search(r" at \(([^)]*)\)", message).group(1).split(", "))
+        assert metric_seen[-1] == named
+        coords, rows = _held_g(geo.block.store)
+        walk = _documented_walk(metric, geo.point, None)
+        assert set(map(tuple, coords.tolist())) == set(walk[: walk.index(named)])
+        assert np.array_equal(rows.view(np.uint64), _metric_rows(metric, coords).view(np.uint64))
+
+    @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
+    def test_a_failing_field_read_keeps_the_rows_before_it(self, case, monkeypatch):
+        # a component or the potential raises partway through a read: the
+        # tree holds rows only for coordinates evaluated before the failing
+        # one, each the per-coordinate evaluation, and none for it
+        from solitonlab.solitons import SolitonParams, potential_field_identities, potential_field_terms
+
+        components, field, _, points, _, message = FIELD_ERROR_CASES[case]
+        spec = TestFieldErrorAttribution.spec(field)
+        _, field_seen = _count_evaluations(monkeypatch)
+        geo = PointGeometry(MetricSpec.from_grid(components, COORDS), points[0])
+        with pytest.raises(EvalDomainError) as caught:
+            terms = potential_field_terms(geo, spec)
+            potential_field_identities(terms, FluidValues(0.0, 0.0, 1.0, 0.0), SolitonParams("ricci", lam=0.0))
+        assert str(caught.value) == message
+        named = tuple(float(v) for v in re.search(r" at \(([^)]*)\)", message).group(1).split(", "))
+        assert field_seen[-1][1] == named
+        tree = geo.field(spec)._tree
+        keys = tree._keys[tree._done]
+        done = set(map(tuple, keys.tolist()))
+        assert len(keys) and named not in done
+        assert done <= {q for _, q in field_seen[:-1]}
+        assert np.array_equal(tree._raw[tree._done].view(np.uint64), _field_rows(spec, keys).view(np.uint64))
 
 
 class TestPlanBlocks:
