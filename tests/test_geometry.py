@@ -59,6 +59,11 @@ def catalog_all():
     ]
 
 
+def _matrix(metric, point) -> np.ndarray:
+    """``MetricSpec.matrix`` at ``point``, one coordinate's values, as its dim x dim array."""
+    return np.array(metric.matrix(tuple(point)), dtype=float).reshape(metric.dim, metric.dim)
+
+
 class TestMetric:
     def test_minkowski_everywhere(self, minkowski):
         for p in random_points(3, seed=1):
@@ -419,8 +424,7 @@ class TestInvariants:
         exact = christoffel_exact(geo)
 
         def g(axis, step):
-            shifted = tuple(x + step if a == axis else x for a, x in enumerate(point))
-            return np.array(metric.matrix(shifted), dtype=float).reshape(metric.dim, metric.dim)
+            return _matrix(metric, (x + step if a == axis else x for a, x in enumerate(point)))
 
         errs = []
         for h in (cfg.h, cfg.h / 2):
@@ -1207,7 +1211,7 @@ class ReferenceGeometry:
 
     @_PerKey
     def g(self):
-        return np.array(self.metric.matrix(self.point), dtype=float).reshape(self.metric.dim, self.metric.dim)
+        return _matrix(self.metric, self.point)
 
     @_PerKey
     def g_inv(self):
@@ -1792,7 +1796,7 @@ class TestErrorAttribution:
 def _fails_alone(metric, point):
     """How ``metric`` fails evaluated at ``point`` alone: "undefined", "degenerate", or None."""
     try:
-        g = np.array(metric.matrix(point), dtype=float).reshape(metric.dim, metric.dim)
+        g = _matrix(metric, point)
     except EvalDomainError:
         return "undefined"
     if not np.isfinite(g).all():
@@ -1974,7 +1978,7 @@ def _case_run(case, points):
 
 def _metric_rows(metric, coords) -> np.ndarray:
     """``MetricSpec.matrix`` at each row of ``coords``, one coordinate at a time, as [n, i, j] arrays."""
-    return np.array([np.array(metric.matrix(tuple(q)), dtype=float).reshape(metric.dim, metric.dim) for q in coords.tolist()])
+    return np.array([_matrix(metric, q) for q in coords.tolist()])
 
 
 def _held_g(store) -> tuple[np.ndarray, np.ndarray]:
