@@ -92,6 +92,7 @@ from .lattice import (
     Store,
     _distinct,
     christoffel_from_dg,
+    einstein_gradient,
     neighbours,
     stencil_derivative,
 )
@@ -365,13 +366,13 @@ class BlockGeometry:
     ``numbers`` there (-1 until known), a field tree per vector field
     (``trees``) and each layer it has read.  A layer is read once: an index
     where the store holds it at every point, as ``block_geometries`` leaves
-    it, else one ``Store.fill`` for all the points.  ``grad`` is one
-    ``Store.fill`` for all of them, and a field quantity their rows of the
-    depth-0 array of their field tree.  ``points`` are tuples of floats with
-    canonical zeros.
+    it, else one ``Store.fill`` for all the points, and a field quantity is
+    their rows of the depth-0 array of their field tree.  ``points`` are
+    tuples of floats with canonical zeros.
 
     ``take`` gives some of the points, in any order, as a block on the same
-    store and field trees, which holds the block it was taken from;
+    store and field trees, which holds the block it was taken from
+    (``is_take``);
     ``block[row]`` is the PointGeometry of one point.  The row functions of
     this module, ``spacetimes`` and ``solitons`` compute their row once over
     a block and return a list with each point's result (``over_block``).
@@ -415,20 +416,10 @@ class BlockGeometry:
         """max |a| over its last ``rank`` axes at each point: the residual norm of a row."""
         return np.abs(a).max(axis=tuple(range(-rank, 0))).tolist()
 
-    def grad(self, name: str) -> np.ndarray:
-        """Central first derivatives of the curvature layer ``name`` at every point, Richardson-extrapolated.
-
-        The layer is computed at all their neighbours, and at the points, in
-        one ``Store.fill``; the result is ``[point, derivative index, ...]``.
-        """
-        store, points = self.store, np.array(self.points)
-        dim = points.shape[1]
-        around = neighbours(points, store.steps).reshape(-1, dim)
-        # the points last, as a caller reading them after would; once walked round, their kids number the neighbours
-        known = np.concatenate([store.kids[self.numbers].reshape(-1), self.numbers])
-        numbers = store.fill(name, np.concatenate([around, points]), known)
-        values = store.get(name, numbers[: len(around)])
-        return stencil_derivative(values.reshape((len(points), dim, -1) + values.shape[1:]), store.numerics.h)
+    @property
+    def is_take(self) -> bool:
+        """Whether the block was taken from another (``take``), so that its field trees span that block's points."""
+        return self._base is not None
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
         """The vector field ``spec`` at every point: a FieldGeometry over their rows of its tree."""
@@ -472,10 +463,10 @@ class PointGeometry:
 
     ``g`` (degeneracy-checked), ``g_inv``, ``dg``, ``gamma``, ``riemann``,
     ``ricci``, ``ricci_asymmetry``, ``scalar`` and ``einstein`` are the
-    curvature layers, each the point's row of the block's layer.  ``grad``
-    differentiates a layer and ``field`` gives the quantities of a vector
-    field here.  ``PointGeometry(metric, point)`` is a block of one, whose
-    store computes a layer on first read, and each layer below it, at every
+    curvature layers, each the point's row of the block's layer, and
+    ``field`` gives the quantities of a vector field here.
+    ``PointGeometry(metric, point)`` is a block of one, whose store computes
+    a layer on first read, and each layer below it, at every
     lattice coordinate the read needs and lacks, one numpy call per layer,
     so each is computed at most once per coordinate; ``block_geometries``
     gives the points of a block that one batch filled.  ``point`` is the
@@ -494,10 +485,6 @@ class PointGeometry:
         p = _canonical(metric, point)
         self.metric, self.point, self.numerics = metric, p, numerics
         self.block, self.row = BlockGeometry(Store(metric, numerics, p), [p]), 0
-
-    def grad(self, name: str) -> np.ndarray:
-        """Central first derivatives of the layer ``name`` here: ``BlockGeometry.grad`` over its block of one."""
-        return self.block.take([self.row]).grad(name)[0]
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
         """The quantities of the vector field ``spec`` at this point: its row of the block's field tree.
@@ -543,14 +530,16 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
 
     Before any identity reads them, one batch fills the block's store with
     what a suite reads: the Einstein tensor, and each layer below it, at the
-    points and their stencil neighbours (so the metric over S^3 around each
-    point), and the Ricci asymmetry at the points.  Each point takes its
-    number from the batch, so the block's reads are indexes, and a suite
-    read there meets no metric failure.  The first point whose walk meets a
-    numerical failure is a block of one of its own, untouched, where its
-    reads meet it as they would alone (docs/conventions.md), and the batch
-    is made again without it.  The points of one block share a field tree
-    per vector field (FieldGeometry).
+    points only (so the metric over S^2 around each point, and dg over S^1,
+    which the contracted Bianchi identity's 3-jet reads), and the Ricci
+    asymmetry at the points.  Each point takes its number from the batch,
+    so the block's reads are indexes, and a suite read there meets no metric
+    failure, but for the corners of the 3-jet, which only a metric reading
+    three axes needs and the row fills itself.  The first point whose walk
+    meets a numerical failure is a block of one of its own, untouched, where
+    its reads meet it as they would alone (docs/conventions.md), and the
+    batch is made again without it.  The points of one block share a field
+    tree per vector field (FieldGeometry).
     """
     geos: list[PointGeometry | None] = [None] * len(keys)
     members: dict[tuple, list[int]] = {}
@@ -560,16 +549,11 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
         points = [_canonical(metric, keys[n][1]) for n in ns]
         store = Store(metric, numerics, points[0])
         while ns:
-            batch = np.array(points)
-            ring = neighbours(batch, store.steps, store.axes).reshape(len(batch), -1, batch.shape[1])
-            # each point, then its neighbours: the walk, and its metric evaluation, go point by point
-            rows = np.concatenate([batch[:, None], ring], axis=1).reshape(-1, batch.shape[1])
             try:
-                numbers = store.fill("einstein", rows)[:: 1 + ring.shape[1]]
+                numbers = store.fill("einstein", np.array(points))
             except (EvalDomainError, SingularMetricError) as exc:
-                row = exc.root // (1 + ring.shape[1])  # the point whose walk met the failure
-                points.pop(row)
-                n = ns.pop(row)
+                points.pop(exc.root)  # the point whose walk met the failure
+                n = ns.pop(exc.root)
                 geos[n] = PointGeometry(*keys[n])
                 continue
             store.get("ricci_asymmetry", numbers)
@@ -990,12 +974,23 @@ def bianchi_first_residual(block: BlockGeometry) -> list[float]:
 
 @over_block
 def contracted_bianchi_residual(block: BlockGeometry) -> list[float]:
-    """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity."""
-    dg_field = block.grad("einstein")  # [n,k,i,j] = d_k G_ij
-    gamma = block.gamma
+    """max |nabla^i G_ij|; vanishes for exact geometry by the Bianchi identity.
+
+    d_k G_ij is assembled from the 3-jet of g at each point
+    (``lattice.einstein_gradient`` of ``Store.jet``), read off the lattice
+    that the point's own Riemann tensor walks; Gamma, G and g^-1 are the
+    store's layers, so the row checks the engine's curvature against an
+    independent assembly from the metric.  Along an axis the metric does not
+    read, d_k G is an exact 0.
+    """
     g0 = block.einstein
+    store, axes = block.store, list(block.store.axes)
+    d_einstein = np.zeros((len(block), block.metric.dim) + g0.shape[1:])  # [n,k,i,j] = d_k G_ij
+    if axes:
+        d_einstein[:, axes] = einstein_gradient(*store.jet(block.numbers), axes)
+    gamma = block.gamma
     cov = (
-        dg_field
+        d_einstein
         - np.einsum("...mki,...mj->...kij", gamma, g0)
         - np.einsum("...mkj,...im->...kij", gamma, g0)
     )
@@ -1030,8 +1025,9 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     Measured on the connection coefficients against the symbolic-derivative
     oracle with Richardson off; ~4 for healthy second-order stencils.  None
     when the error is at roundoff level (flat metrics).  The plain stencils
-    read the metric at the same +-h and +-h/2 neighbours as ``geo.grad``, in
-    one indexed read of the store: the +-h pairs axis by axis, then the +-h/2.
+    read the metric at the point's +-h and +-h/2 neighbours, the stencil ring
+    its curvature walks, in one indexed read of the store: the +-h pairs axis
+    by axis, then the +-h/2.
     """
     exact, store, dim = christoffel_exact(geo), geo.block.store, len(geo.point)
     halvings = (geo.numerics.h, geo.numerics.h / 2)

@@ -26,10 +26,19 @@ g, so the per-coordinate call, which the benchmark and the tests count, is
 the compiled grid alone.  Every batched contraction is the
 per-coordinate ``np.einsum`` with a leading batch axis, so each row is
 bitwise the per-coordinate result.
+
+No layer is differentiated past the Riemann tensor, so no point walks a
+third stencil ring.  ``Store.jet`` reads the 3-jet of g at points holding
+the Riemann tensor: its second and third derivatives come from dg at the
+point and its ring, which the Riemann tensor's walk already holds, and for
+a metric reading three axes or more from g at the corners of each point,
+one step along each of three axes.  ``einstein_gradient`` assembles d G
+from that jet alone, for the contracted Bianchi identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -51,8 +60,63 @@ class SingularMetricError(GeometryError):
 
 def christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^k_ij from g^-1 and dg[k,i,j] = d_k g_ij; any leading axes are a batch."""
-    lowered = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", g_inv, lowered)
+    return np.einsum("...kl,...lij->...kij", g_inv, _lowered(dg))
+
+
+def _lowered(dg: np.ndarray) -> np.ndarray:
+    """Gamma_lij = (d_i g_lj + d_j g_li - d_l g_ij) / 2 from dg[..., k, i, j] = d_k g_ij."""
+    return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+
+
+def einstein_gradient(
+    g: np.ndarray, dg: np.ndarray, d2g: np.ndarray, d3g: np.ndarray, axes: Sequence[int]
+) -> np.ndarray:
+    """d_a G_ij along each of ``axes`` from the 3-jet of g at a batch of points: ``[n, a, i, j]``.
+
+    ``g`` is ``[n, i, j]``, ``dg[n, k, i, j] = d_k g_ij``, ``d2g[n, a, k, i, j]
+    = d_a d_k g_ij`` and ``d3g[n, a, b, k, i, j] = d_a d_b d_k g_ij``, with a
+    and b running over ``axes`` and k over every coordinate (0 off ``axes``).
+    The chain is Gamma, d Gamma, dd Gamma, then the Ricci tensor of the
+    engine's convention (S_ij = R^l_jli, symmetrised) and its derivative, r
+    and d r, and d G = d S - (d r g + r d g) / 2; a derivative index off
+    ``axes`` contributes 0.
+    """
+    n, m, dim = len(g), len(axes), g.shape[-1]
+    axes = list(axes)
+    g_inv = np.linalg.inv(g)
+    # Gamma_lij and its first and second derivatives, lowered and raised in one call each, as [.., l, (i, j)]
+    low = _lowered(np.concatenate([dg[:, None], d2g, d3g.reshape(n, m * m, dim, dim, dim)], axis=1))
+    low = low.reshape(n, 1 + m + m * m, dim, dim * dim)
+    raised = g_inv[:, None] @ low
+    # d_a g^-1 = -g^-1 d_a g g^-1, and its derivative
+    p = g_inv[:, None] @ dg[:, axes]  # g^-1 d_a g
+    d_inv = -p @ g_inv[:, None]
+    pp = p[:, :, None] @ p[:, None]  # g^-1 d_a g g^-1 d_b g
+    dd_inv = (pp + pp.transpose(0, 2, 1, 3, 4) - g_inv[:, None, None] @ d2g[:, :, axes]) @ g_inv[:, None, None]
+    cross = d_inv[:, :, None] @ low[:, None, 1 : 1 + m]  # d_a g^-1 d_b Gamma_l
+    shape = (dim, dim, dim)
+    gamma = raised[:, 0].reshape((n,) + shape)
+    d_gamma = (d_inv @ low[:, :1] + raised[:, 1 : 1 + m]).reshape((n, m) + shape)
+    dd_gamma = dd_inv @ low[:, None, :1] + cross + cross.transpose(0, 2, 1, 3, 4)
+    dd_gamma = (dd_gamma + raised[:, 1 + m :].reshape(n, m, m, dim, dim * dim)).reshape((n, m, m) + shape)
+    # S_ij = d_l Gamma^l_ij - d_i Gamma^l_lj + Gamma^l_lm Gamma^m_ij - Gamma^l_im Gamma^m_lj, and d_c S_ij, stacked
+    # along x: x = 0 is S, x = 1 + c is d_c S
+    every = np.arange(m)
+    linear = np.concatenate([d_gamma[:, None], dd_gamma], axis=1)  # [n, x, l, ...] = d_l Gamma, d_c d_l Gamma
+    ricci = linear[:, :, every, axes].sum(axis=2)
+    ricci[:, :, axes] -= np.einsum("nxallj->nxaj", linear)
+    value = np.concatenate([gamma[:, None], d_gamma], axis=1)  # Gamma, d_c Gamma
+    traced = np.einsum("nxllm->nxm", value)[:, :, None]  # Gamma^l_lm, d_c Gamma^l_lm
+    # value^l_im Gamma^m_lj; Gamma^l_im d_c Gamma^m_lj is its transpose in (i, j), Gamma being symmetric below
+    right = gamma.transpose(0, 2, 1, 3).reshape(n, 1, dim * dim, dim)  # [(l, m), j] = Gamma^m_lj
+    crossed = value.transpose(0, 1, 3, 2, 4).reshape(n, 1 + m, dim, dim * dim) @ right
+    ricci += (traced @ gamma.reshape(n, 1, dim, dim * dim)).reshape(n, 1 + m, dim, dim) - crossed
+    ricci[:, 1:] += (traced[:, :1] @ d_gamma.reshape(n, m, dim, dim * dim)).reshape(n, m, dim, dim)
+    ricci[:, 1:] -= crossed[:, 1:].transpose(0, 1, 3, 2)
+    ricci = 0.5 * (ricci + ricci.transpose(0, 1, 3, 2))
+    traces = np.einsum("nij,nxij->nx", g_inv, ricci)  # r, g^-1 d_c S
+    scalar, d_scalar = traces[:, 0], traces[:, 1:] + np.einsum("ncij,nij->nc", d_inv, ricci[:, 0])
+    return ricci[:, 1:] - 0.5 * (d_scalar[:, :, None, None] * g[:, None] + scalar[:, None, None, None] * dg[:, axes])
 
 
 def stencil_steps(numerics: NumericsConfig) -> tuple[float, ...]:
@@ -421,6 +485,63 @@ class Store:
         if (kids < 0).any():
             raise RuntimeError("stencil neighbours outside the walk")
         return stencil_derivative(self.get(name, kids), self.numerics.h)
+
+    def jet(self, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """g, dg, d2g and d3g at ``numbers``, points holding the Riemann tensor, as ``einstein_gradient`` takes them.
+
+        The derivative indices a, b run over ``axes``.  d2g[n, a] = d_a dg is
+        ``derivative("dg")`` along them, and d3g[n, a, a] the second
+        difference of dg along a, Richardson-extrapolated as d2g is; both
+        read dg at the point and its stencil ring, which the point's Riemann
+        tensor already holds, and d_a d_a d_b g fills d3g[n, a, b] too.  For
+        three distinct axes, d_a d_b d_c g is the sum of g at the corners
+        p + s (+-e_a +-e_b +-e_c) weighted by the signs' product over 8 s^3,
+        s = h and, extrapolated, h/2; the corners are filled in one batch,
+        point by point, triple by triple, s, then the signs in lexical order.
+        """
+        axes, h, dim = np.array(self.axes, dtype=int), self.numerics.h, self.metric.dim
+        m, n = len(axes), len(numbers)
+        kids = self.kids.take(numbers, axis=0)[:, axes]
+        if (kids < 0).any():
+            raise RuntimeError("stencil neighbours outside the walk")
+        dg, ring = self.get("dg", numbers), self.get("dg", kids)  # ring[n, a, step, k, i, j]
+
+        def same(p: int, q: int, step: float) -> np.ndarray:
+            return (ring[:, :, p] - 2.0 * dg[:, None] + ring[:, :, q]) / (step * step)
+
+        second = same(0, 1, h)  # second[n, a, k] = d_a d_a d_k g
+        if len(self.steps) == 4:
+            second = (4.0 * same(2, 3, h / 2) - second) / 3.0
+        d3g = np.zeros((n, m, m, dim, dim, dim))
+        every = np.arange(m)
+        d3g[:, every, every] = second
+        a, b = (every[:, None] != every).nonzero()  # d_a d_b d_a g = d_b d_a d_a g = d_a d_a d_b g
+        d3g[:, a, b, axes[a]] = second[:, a, axes[b]]
+        d3g[:, b, a, axes[a]] = second[:, a, axes[b]]
+        if m >= 3:
+            self._corners(numbers, d3g)
+        return self.get("g", numbers), dg, stencil_derivative(ring, h), d3g
+
+    def _corners(self, numbers: np.ndarray, d3g: np.ndarray) -> None:
+        """Fill d3g[n, a, b, c] for every three distinct axes from g at the corners of each point (``jet``)."""
+        axes, h, dim = self.axes, self.numerics.h, self.metric.dim
+        triples = list(itertools.combinations(range(len(axes)), 3))
+        sizes = (h, h / 2) if len(self.steps) == 4 else (h,)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        points = self.coords.take(numbers, axis=0)
+        corners = np.empty((len(numbers), len(triples), len(sizes), len(signs), dim))
+        corners[...] = points[:, None, None, None]
+        for t, triple in enumerate(triples):
+            for s, size in enumerate(sizes):
+                for c, a in enumerate(triple):
+                    corners[:, t, s, :, axes[a]] = points[:, axes[a], None] + signs[:, c] * size
+        g = self.get("g", self.fill("g", corners.reshape(-1, dim))).reshape(corners.shape[:-1] + (dim, dim))
+        weights = signs.prod(axis=1)
+        cubes = [np.einsum("c,ntcij->ntij", weights, g[:, :, s]) / (8.0 * size**3) for s, size in enumerate(sizes)]
+        third = cubes[0] if len(cubes) == 1 else (4.0 * cubes[1] - cubes[0]) / 3.0
+        for t, triple in enumerate(triples):
+            for a, b, c in itertools.permutations(triple):
+                d3g[:, a, b, axes[c]] = third[:, t]
 
     def _g_inv(self, u: np.ndarray) -> np.ndarray:
         return np.linalg.inv(self.get("g", u))

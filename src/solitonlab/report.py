@@ -688,13 +688,15 @@ def _each_point(row: Callable[[BlockGeometry], list], block: BlockGeometry) -> l
 
     On a failure, each point runs ``row`` again on a block of one of its
     own, on the same store with fresh field trees, so its result, or the
-    failure it records in the list, is that of a run of its own.  This is
-    the report's one per-point fallback.
+    failure it records in the list, is that of a run of its own.  A block of
+    one that is not a take already is that run: its failure is its record.
+    This is the report's one per-point fallback.
     """
     try:
         return row(block)
-    except NUMERICAL_FAILURES:
-        pass
+    except NUMERICAL_FAILURES as exc:
+        if len(block) == 1 and not block.is_take:
+            return [exc]
     results = []
     for k in range(len(block)):
         try:

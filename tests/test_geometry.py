@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab.expressions import Binary, Const, EvalDomainError, compile_expr, differentiate, parse, variables
+from solitonlab.expressions import (
+    Binary,
+    Const,
+    EvalDomainError,
+    compile_expr,
+    differentiate,
+    evaluate,
+    parse,
+    variables,
+)
 from solitonlab.geometry import (
     DEFAULT_NUMERICS,
     NUMERICAL_FAILURES,
@@ -41,12 +51,12 @@ from solitonlab.geometry import (
     riemann_antisymmetry_residual,
 )
 from solitonlab import lattice
-from solitonlab.lattice import _distinct, christoffel_from_dg
+from solitonlab.lattice import _distinct, christoffel_from_dg, einstein_gradient
 from solitonlab.report import DEFAULT_TOLERANCES, run_suite
 from solitonlab.scenario import scenario_from_dict
 from solitonlab.spacetimes import FluidValues, catalog_metric
 
-from conftest import COORDS, random_points
+from conftest import COORDS, CURVATURE_INPUTS, plan_blocks, random_points, ring_grad
 
 MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -536,6 +546,72 @@ class TestInvariants:
         assert err_rich < err_plain / 10
 
 
+def _exact_derivatives(metric: MetricSpec, point, order: int) -> np.ndarray:
+    """d_a d_b ... g_ij at ``point`` from the symbolic derivatives, ``order`` derivative indices first."""
+    at, dim = dict(zip(metric.coords, point)), metric.dim
+    out = np.empty((dim,) * (order + 2))
+    for index in itertools.product(range(dim), repeat=order + 2):
+        e = metric.components[index[-2]][index[-1]]
+        for k in index[:-2]:
+            e = differentiate(e, metric.coords[k])
+        out[index] = evaluate(e, at)
+    return out
+
+
+class TestEinsteinJet:
+    """The contracted Bianchi row's d_k G_ij, from the 3-jet of g at each point, against independent routes."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("path", CURVATURE_INPUTS, ids=lambda path: path.stem)
+    def test_the_jet_is_the_symbolic_3_jet_within_the_fd_error_model(self, path):
+        # the second and third derivatives read off the lattice against the
+        # symbolic ones: rounding of g (eps |g|) divided by h^2 or h^3, times
+        # the Richardson half-step stencil's 4/3 (h/2)^-3 and a margin, and a
+        # truncation of h^2 relative, far above the h^4 of the stencils
+        for block in plan_blocks(path):
+            axes, h = list(block.store.axes), block.numerics.h
+            if not axes:
+                continue
+            block.einstein
+            g, dg, d2g, d3g = block.store.jet(block.numbers)
+            assert np.array_equal(g, block.g) and np.array_equal(dg, block.dg)
+            for k, point in enumerate(block.points):
+                rounding = 32 * self.EPS * max_abs(g[k])
+                second = _exact_derivatives(block.metric, point, 2)[axes]
+                third = _exact_derivatives(block.metric, point, 3)[axes][:, axes]
+                assert max_abs(d2g[k] - second) <= rounding / h**2 + h**2 * max_abs(second), (path.name, k)
+                assert max_abs(d3g[k] - third) <= rounding / h**3 + h**2 * max_abs(third), (path.name, k)
+
+    @pytest.mark.parametrize("path", CURVATURE_INPUTS, ids=lambda path: path.stem)
+    def test_the_jet_route_equals_the_ring_route_within_the_fd_error_model(self, path):
+        # d_k G_ij from the 3-jet against the ring route it replaced, G
+        # differenced over each point's stencil ring: both are O(h^4) in
+        # truncation, and rounding, eps |g| |g^-1| over h^3 through the
+        # h/2 stencils, dominates; 64 is the (4/3) (h/2)^-3 of those stencils
+        # and a margin of six.  Off the axes the metric reads, both are 0
+        for block in plan_blocks(path):
+            axes, h = list(block.store.axes), block.numerics.h
+            block.einstein
+            jet = np.zeros((len(block), block.metric.dim) + block.einstein.shape[1:])
+            if axes:
+                jet[:, axes] = einstein_gradient(*block.store.jet(block.numbers), axes)
+            ring = ring_grad(block, "einstein")
+            unread = [k for k in range(block.metric.dim) if k not in axes]
+            assert not ring[:, unread].any()
+            for k in range(len(block)):
+                bound = 64 * self.EPS * max_abs(block.g[k]) * max_abs(block.g_inv[k]) / h**3
+                assert max_abs(jet[k] - ring[k]) <= bound, (path.name, k)
+
+    def test_a_chart_that_reads_no_axis_assembles_no_jet(self, minkowski, monkeypatch):
+        def refused(store, numbers):
+            raise AssertionError("jet read on a chart with no read axes")
+
+        monkeypatch.setattr(lattice.Store, "jet", refused)
+        geos = block_geometries([(minkowski, point, DEFAULT_NUMERICS) for point in random_points(3, seed=21)])
+        assert contracted_bianchi_residual(geos[0].block) == [0.0, 0.0, 0.0]
+
+
 class TestTensorSample:
     def test_symmetric_flag_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -611,8 +687,9 @@ class TestPointGeometry:
             PointGeometry(minkowski, (0.0, 0.0, 0.0))
 
     def test_grad_equals_the_per_axis_stencil(self, frw_sqrt):
-        # grad differences all axes at once; the arithmetic is the per-axis
-        # central/Richardson formula's, so the result must be bitwise equal
+        # the reference ring route differences all axes at once; the
+        # arithmetic is the per-axis central/Richardson formula's, so the
+        # result must be bitwise equal
         h, point = 1.3e-3, (0.8, 0.1, 0.2, 0.3)
         for richardson in (True, False):
             cfg = NumericsConfig(h=h, richardson=richardson)
@@ -630,7 +707,7 @@ class TestPointGeometry:
                         d2 = (at(name, axis, h / 2) - at(name, axis, -h / 2)) / h
                         d = (4.0 * d2 - d) / 3.0
                     rows.append(d)
-                assert np.array_equal(geo.grad(name), np.stack(rows))
+                assert np.array_equal(ring_grad(geo.block, name)[0], np.stack(rows))
 
     def test_lattice_arrays_are_read_only(self, de_sitter):
         # the store is shared by every scenario of a sweep: a write would leak
@@ -1118,7 +1195,7 @@ class TestBlockRows:
             assert len(batched.block) == 1 and lone.point == batched.point
             for name in LAYERS:
                 assert _bits(getattr(lone, name)) == _bits(getattr(batched, name)), (key, name)
-            assert _bits(lone.grad("einstein")) == _bits(batched.grad("einstein")), key
+            assert _bits(ring_grad(lone.block, "einstein")) == _bits(ring_grad(batched.block, "einstein")), key
             specs = _field_specs(lone.metric.coords)
             for kind, spec in specs.items():
                 for name in FIELD_QUANTITIES:
@@ -1208,6 +1285,17 @@ class ReferenceGeometry:
         if half:
             d = (4.0 * ((half[0] - half[1]) / h) - d) / 3.0
         return d
+
+    def corners(self):
+        """g at the corners the 3-jet reads: one step of size s along each of three distinct axes the metric reads."""
+        h = self.numerics.h
+        for triple in itertools.combinations(self.metric.read_axes, 3):
+            for size in (h, h / 2) if self.numerics.richardson else (h,):
+                for signs in itertools.product((1.0, -1.0), repeat=3):
+                    corner = self
+                    for axis, sign in zip(triple, signs):
+                        corner = corner.shifted(axis, sign * size)
+                    corner.g
 
     @_PerKey
     def g(self):
@@ -1442,7 +1530,8 @@ def _read_as_the_reference(metric, point, richardson, first):
     geometry's point, whose zeros are canonical.
     """
     # one layer at the point, then the contracted Bianchi identity (Riemann
-    # over S^1, Gamma over S^2, g over S^3) and the rest
+    # at the point, Gamma and dg over S^1, g over S^2 and, for three read
+    # axes, at the corners of the 3-jet) and the rest
     cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
     geo = PointGeometry(metric, point, cfg)
     getattr(geo, first)
@@ -1451,7 +1540,7 @@ def _read_as_the_reference(metric, point, richardson, first):
     metric_compatibility_residual(geo)
     reference = ReferenceGeometry(metric, geo.point, cfg)
     getattr(reference, first)
-    reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
+    reference.einstein, reference.gamma, reference.g_inv, reference.corners()
     reference.ricci, reference.scalar, reference.ricci_asymmetry
     reference.dg, reference.gamma, reference.g
     checked = Counter()
@@ -1478,7 +1567,8 @@ class TestBatchedLayers:
         geo, _, checked = _read_as_the_reference(metric, point, richardson, first)
         assert geo.block.store.axes == metric.read_axes
         steps = 4 if richardson else 2
-        assert checked["einstein"] == 1 + 4 * steps
+        assert checked["einstein"] == 1
+        assert checked["dg"] == 1 + 4 * steps
         assert checked["gamma"] > checked["einstein"]
         assert checked["g"] > checked["gamma"]
         assert set(checked) == set(LAYERS)
@@ -1587,7 +1677,7 @@ class TestFieldTree:
                 for g in (geo, reference):
                     g.g, g.ricci, g.scalar, g.ricci_asymmetry
                 contracted_bianchi_residual(geo)
-                reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv
+                reference.einstein, reference.gamma, reference.g_inv
                 metric_compatibility_residual(geo)
                 reference.dg
             for name in names:
@@ -1614,7 +1704,7 @@ class TestFieldTree:
                 contracted_bianchi_residual(geo)
                 metric_compatibility_residual(geo)
             for reference in references:
-                reference.grad("einstein"), reference.gamma, reference.einstein, reference.g_inv, reference.dg
+                reference.einstein, reference.gamma, reference.g_inv, reference.dg
         for kind in ("constant", "euler", "mixed", "gradient"):
             for i, (geo, lone, reference) in enumerate(zip(geos, alone, references)):
                 spec = _field_specs(geo.metric.coords)[kind]  # a new object at each point
@@ -1641,9 +1731,10 @@ def _grid(tt="-1", xx="1", yy="1"):
 
 
 # metric, plan points, the point errors of a run, and the error of the
-# contracted Bianchi identity alone on a fresh geometry at the first point;
-# each string names the first failing coordinate of the store's own walk,
-# with canonical zeros and the point's own floats on the axes not read
+# contracted Bianchi identity alone on a fresh geometry at the first point
+# (None: it evaluates); each string names the first failing coordinate of
+# the store's own walk, with canonical zeros and the point's own floats on
+# the axes not read
 ERROR_CASES = {
     # g_xx vanishes two steps below x = 1
     "degenerate_neighbour": (
@@ -1659,12 +1750,21 @@ ERROR_CASES = {
         ["metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error", None],
         "metric components undefined at (0.5, 0.998, 0.0, 0.0): math domain error",
     ),
-    # undefined only three steps below x = 1 (S^3), which only the contracted Bianchi identity reaches
+    # undefined only three steps below x = 1 (S^3), which no read reaches:
+    # the contracted Bianchi identity reads the 3-jet of g, over S^2
     "domain_error_s3": (
         _grid(xx="1 + (x - 0.9973)^(1/2)"),
         [[0.5, 1.0, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]],
-        ["metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error", None],
-        "metric components undefined at (0.5, 0.997, 0.0, 0.0): math domain error",
+        [None, None],
+        None,
+    ),
+    # reads t, x and y: undefined only at the corner one step below along
+    # all three, which the 3-jet alone reads, after the walk of the curvature
+    "domain_error_corner": (
+        _grid(xx="1 + (t + x + y - 0.9975)^(1/2)"),
+        [[0.2, 0.5, 0.3, 0.0], [0.5, 0.5, 0.5, 0.0]],
+        ["metric components undefined at (0.199, 0.499, 0.299, 0.0): math domain error", None],
+        "metric components undefined at (0.199, 0.499, 0.299, 0.0): math domain error",
     ),
     # reads x and z only: undefined two steps below x = 1, the plan point's
     # -0.0 in z read as 0.0
@@ -1742,10 +1842,12 @@ class TestErrorAttribution:
 
     @pytest.mark.parametrize("case", sorted(ERROR_CASES))
     def test_contracted_bianchi_on_a_fresh_geometry(self, case):
-        # the neighbours' curvature is walked neighbour by neighbour, so a
-        # coordinate three steps out can fail before one two steps out
+        # the row reads the walk of the point's own curvature, two rounds out
         components, points, _, expected = ERROR_CASES[case]
         geo = PointGeometry(MetricSpec.from_grid(components, COORDS), points[0])
+        if expected is None:
+            assert contracted_bianchi_residual(geo) <= DEFAULT_TOLERANCES["bianchi_contracted"]
+            return
         with pytest.raises((EvalDomainError, GeometryError)) as caught:
             contracted_bianchi_residual(geo)
         assert str(caught.value) == expected
@@ -1770,7 +1872,7 @@ class TestErrorAttribution:
         metric = MetricSpec.from_grid(_grid(tt=f"-1 - (({a} - {lo})*({hi} - {a}))^(1/2)", xx=xx), COORDS)
         geo = PointGeometry(metric, point)
         failure = None
-        for layer, rounds in ([(first, {"g": 0, "dg": 1}[first])] if first else []) + [(None, 3)]:
+        for layer, rounds in ([(first, {"g": 0, "dg": 1}[first])] if first else []) + [(None, 2)]:
             try:
                 getattr(geo, layer) if layer else contracted_bianchi_residual(geo)
             except (EvalDomainError, GeometryError) as exc:
@@ -1824,19 +1926,18 @@ def _documented_walk(metric, point, first):
         walk.append(point)
     elif first == "dg":  # one round, the point itself only when it is some neighbour of its own
         walk += ([point] if len(read) < dim else []) + ring(point, read)
-    # the Einstein tensor at the neighbours along every axis, then at the point, two rounds each: each
-    # point asked for, its ring, then the ring of each ring coordinate at its first visit
-    asked = [q for axis in range(dim) for q in (ring(point, [axis]) if axis in read else [point] * len(steps))]
-    blocks = [[root, *ring(root, read)] for root in dict.fromkeys(asked + [point])]
-    visits = {}
-    for i, block in enumerate(blocks):
-        for j, q in enumerate(block):
-            visits.setdefault(q, (i, j))
-    for i, block in enumerate(blocks):
-        walk += block
-        for j, q in enumerate(block[1:], 1):
-            if visits[q] == (i, j):
-                walk += ring(q, read)
+    # the Einstein tensor at the point, two rounds: the point, its ring, then the ring of each ring
+    # coordinate; the 3-jet then reads dg there, and g at the corners for three axes read
+    walk += [point, *ring(point, read)]
+    for q in ring(point, read):
+        walk += ring(q, read)
+    for triple in itertools.combinations(read, 3):
+        for size in steps[::2]:
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                corner = list(point)
+                for axis, sign in zip(triple, signs):
+                    corner[axis] += sign * size
+                walk.append(tuple(corner))
     return walk
 
 
@@ -2018,7 +2119,7 @@ class TestBatchEvaluation:
                     assert np.array_equal(tree._raw[tree._done].view(np.uint64), expected.view(np.uint64)), path.name
 
     @pytest.mark.parametrize(
-        "case", sorted(c for c, entry in ERROR_CASES.items() if entry[3].startswith("metric components undefined"))
+        "case", sorted(c for c, entry in ERROR_CASES.items() if (entry[3] or "").startswith("metric components undefined"))
     )
     def test_a_failing_walk_keeps_the_rows_before_it(self, case, monkeypatch):
         # a component raises partway through the walk: the store holds g at
@@ -2183,8 +2284,9 @@ class TestPlanBlocks:
                 left.append(geos.pop(place))
                 store = geos[0].block.store
                 assert all(geo.block.store is store for geo in geos) and left[-1].block.store.size == 0
-                for geo in geos:
-                    assert store.held("einstein", store.kids[geo.block.numbers[geo.row]].ravel()).all()
+                for geo in geos:  # the row's reads are indexes: G at the point, dg over its ring
+                    number = geo.block.numbers[geo.row : geo.row + 1]
+                    assert store.held("einstein", number).all() and store.held("dg", store.kids[number].ravel()).all()
         for geo in left:
             with pytest.raises(EvalDomainError) as raised:
                 geo.einstein
@@ -2217,9 +2319,32 @@ class TestPlanBlocks:
         assert [len(geos) for geos in calls] == [16, 1]
         assert [len({id(geo.block.store) for geo in geos}) for geos in calls] == [1, 1]
 
+    def test_a_lone_failing_point_runs_its_shared_rows_once(self, monkeypatch):
+        # a one-point plan whose field read fails: its block of one owns its
+        # field trees, so the failure is the record it gets, with no rerun
+        from solitonlab import report as report_module
+
+        from conftest import SCENARIO_DIR
+
+        calls, shared_rows = [], report_module._shared_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return shared_rows(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "_shared_rows", counted)
+        from solitonlab.scenario import load_scenario
+
+        doc = load_scenario(SCENARIO_DIR / "de-sitter-soliton.json").to_dict()
+        doc = {**doc, "vector_field": {"components": ["1", "1/t", "0", "0"]}, "points": [[0.0, 0.0, 0.0, 0.0]]}
+        report = run_suite(scenario_from_dict(doc))
+        assert len(calls) == 1 and not calls[0].is_take
+        assert report.points[0].error == "vector field components undefined at (0.0, 0.0, 0.0, 0.0): 1.0/t: float division by zero"
+
     def test_memory_is_bounded_by_a_block_not_by_the_plan(self):
-        # a block's stores are dropped before the next block: four blocks of
-        # infall points peak at most a quarter above one block
+        # a block's stores are dropped before the next block: over what the
+        # run keeps, its report, whose records grow with the plan, four
+        # blocks of infall points peak at most a quarter above one block
         import tracemalloc
 
         from solitonlab.report import _BLOCK
@@ -2235,8 +2360,10 @@ class TestPlanBlocks:
             run_suite(scenario)  # compiles the grids outside the trace
             tracemalloc.start()
             try:
-                run_suite(scenario)
-                return tracemalloc.get_traced_memory()[1]
+                report = run_suite(scenario)
+                kept, peak = tracemalloc.get_traced_memory()
+                assert report.points
+                return peak - kept
             finally:
                 tracemalloc.stop()
 
@@ -2244,9 +2371,8 @@ class TestPlanBlocks:
 
     def test_a_programming_error_in_the_batched_fill_propagates(self, monkeypatch):
         # a ValueError in the block's batch, the first Riemann computed (at
-        # each point and its stencil neighbours along the two axes the infall
-        # metric reads), is not taken for a numerical failure that only ends
-        # the batch: the run stops
+        # each point of the block), is not taken for a numerical failure that
+        # only ends the batch: the run stops
         from solitonlab.report import _BLOCK
         from solitonlab.scenario import load_scenario
 
@@ -2262,7 +2388,7 @@ class TestPlanBlocks:
         scenario = load_scenario(INFALL_GRID)
         with pytest.raises(ValueError, match="broadcast"):
             run_suite(scenario)
-        assert computed == [min(_BLOCK, len(scenario.points)) * (1 + 2 * 4)]
+        assert computed == [min(_BLOCK, len(scenario.points))]
 
 
 class TestDistinct:

@@ -5,8 +5,10 @@ Every shipped scenario is run through ``analyze`` and ``verify`` with
 metric parameter and an eta-family ``p``) and ``verify`` of
 ``tests/data/infall-grid.json`` (six generic points of the off-diagonal
 infall chart, the benchmark's ``grid`` kind of report; kept out of
-``scenarios/``, which the benchmark's ``fixtures`` workload runs whole), and
-each report's digest is compared with ``tests/data/report_digests.json``.  A
+``scenarios/``, which the benchmark's ``fixtures`` workload runs whole) and
+of ``tests/data/exp-closed-slices.json`` (the k = 1 chart, whose metric
+reads three coordinates), and each report's digest is compared with
+``tests/data/report_digests.json``.  A
 refactor that leaves the numbers alone keeps every digest; a change that
 moves a residual must regenerate the file and say which residuals moved.
 
@@ -40,7 +42,8 @@ def _runs() -> dict[str, list[str]]:
             runs[f"{command} {path.name}"] = [command, str(path)]
     for name, param, values in SWEEPS:
         runs[f"sweep {name} {param} {values}"] = ["sweep", str(SCENARIO_DIR / name), "--param", param, f"--values={values}"]
-    runs["verify data/infall-grid.json"] = ["verify", str(DATA / "infall-grid.json")]
+    for name in ("infall-grid.json", "exp-closed-slices.json"):
+        runs[f"verify data/{name}"] = ["verify", str(DATA / name)]
     return runs
 
 

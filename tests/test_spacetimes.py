@@ -173,6 +173,24 @@ class TestFluidFromRicci:
         assert vals.sigma == pytest.approx(3 * vals.rho, abs=1e-7)
         assert fit.perfect_fluid
 
+    def test_closed_exponential_slices_match_the_closed_forms(self):
+        # g = -dt^2 + e^{2t} (dr^2 / (1 - r^2) + r^2 dOmega^2), k = 1, with
+        # xi = d/dt, kappa = 1 and Lambda = 0: r = 12 + 6 e^{-2t},
+        # sigma = 3 + 3 e^{-2t} and rho = -(3 + e^{-2t}), an oracle
+        # independent of the engine; 1e-7 is far above the stencils' rounding
+        # (about 1e-8 here, eps |g| / h^2 through the Richardson stencils)
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent / "data" / "exp-closed-slices.json"
+        report = run_suite(load_scenario(path), solve=False)
+        assert len(report.points) == 4
+        for rec in report.points:
+            decay = math.exp(-2.0 * rec.coordinates[0])
+            assert rec.error is None
+            assert rec.derived["scalar_curvature"] == pytest.approx(12.0 + 6.0 * decay, rel=1e-7)
+            assert rec.derived["sigma_fit"] == pytest.approx(3.0 + 3.0 * decay, rel=1e-7)
+            assert rec.derived["rho_fit"] == pytest.approx(-(3.0 + decay), rel=1e-7)
+
     def test_off_diagonal_breaks_the_form(self, de_sitter):
         p = (0.7, 0.1, 0.2, 0.3)
         s = ricci(de_sitter, p).components.copy()
