@@ -531,14 +531,14 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
     Before any identity reads them, one batch fills the block's store with
     what a suite reads: the Einstein tensor, and each layer below it, at the
     points only (so the metric over S^2 around each point, and dg over S^1,
-    which the contracted Bianchi identity's 3-jet reads), and the Ricci
-    asymmetry at the points.  Each point takes its number from the batch,
-    so the block's reads are indexes, and a suite read there meets no metric
-    failure, but for the corners of the 3-jet, which only a metric reading
-    three axes needs and the row fills itself.  The first point whose walk
-    meets a numerical failure is a block of one of its own, untouched, where
-    its reads meet it as they would alone (docs/conventions.md), and the
-    batch is made again without it.  The points of one block share a field
+    which the contracted Bianchi identity's 3-jet reads), the metric at the
+    corners of the 3-jet, which only a metric reading three axes has
+    (``Store.fill_corners``), and the Ricci asymmetry at the points.  Each
+    point takes its number from the batch, so the block's reads are
+    indexes, and a suite read there meets no metric failure.  The first
+    point whose walk or corners meet a numerical failure is a block of one
+    of its own, untouched, where its reads meet it as they would alone
+    (docs/conventions.md), and the batch is made again without it.  The points of one block share a field
     tree per vector field (FieldGeometry).
     """
     geos: list[PointGeometry | None] = [None] * len(keys)
@@ -551,6 +551,8 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
         while ns:
             try:
                 numbers = store.fill("einstein", np.array(points))
+                if len(store.axes) >= 3:
+                    store.fill_corners(numbers)
             except (EvalDomainError, SingularMetricError) as exc:
                 points.pop(exc.root)  # the point whose walk met the failure
                 n = ns.pop(exc.root)

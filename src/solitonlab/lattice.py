@@ -81,42 +81,42 @@ def einstein_gradient(
     and d r, and d G = d S - (d r g + r d g) / 2; a derivative index off
     ``axes`` contributes 0.
     """
-    n, m, dim = len(g), len(axes), g.shape[-1]
     axes = list(axes)
     g_inv = np.linalg.inv(g)
-    # Gamma_lij and its first and second derivatives, lowered and raised in one call each, as [.., l, (i, j)]
-    low = _lowered(np.concatenate([dg[:, None], d2g, d3g.reshape(n, m * m, dim, dim, dim)], axis=1))
-    low = low.reshape(n, 1 + m + m * m, dim, dim * dim)
-    raised = g_inv[:, None] @ low
-    # d_a g^-1 = -g^-1 d_a g g^-1, and its derivative
-    p = g_inv[:, None] @ dg[:, axes]  # g^-1 d_a g
-    d_inv = -p @ g_inv[:, None]
-    pp = p[:, :, None] @ p[:, None]  # g^-1 d_a g g^-1 d_b g
-    dd_inv = (pp + pp.transpose(0, 2, 1, 3, 4) - g_inv[:, None, None] @ d2g[:, :, axes]) @ g_inv[:, None, None]
-    cross = d_inv[:, :, None] @ low[:, None, 1 : 1 + m]  # d_a g^-1 d_b Gamma_l
-    shape = (dim, dim, dim)
-    gamma = raised[:, 0].reshape((n,) + shape)
-    d_gamma = (d_inv @ low[:, :1] + raised[:, 1 : 1 + m]).reshape((n, m) + shape)
-    dd_gamma = dd_inv @ low[:, None, :1] + cross + cross.transpose(0, 2, 1, 3, 4)
-    dd_gamma = (dd_gamma + raised[:, 1 + m :].reshape(n, m, m, dim, dim * dim)).reshape((n, m, m) + shape)
-    # S_ij = d_l Gamma^l_ij - d_i Gamma^l_lj + Gamma^l_lm Gamma^m_ij - Gamma^l_im Gamma^m_lj, and d_c S_ij, stacked
-    # along x: x = 0 is S, x = 1 + c is d_c S
-    every = np.arange(m)
-    linear = np.concatenate([d_gamma[:, None], dd_gamma], axis=1)  # [n, x, l, ...] = d_l Gamma, d_c d_l Gamma
-    ricci = linear[:, :, every, axes].sum(axis=2)
-    ricci[:, :, axes] -= np.einsum("nxallj->nxaj", linear)
-    value = np.concatenate([gamma[:, None], d_gamma], axis=1)  # Gamma, d_c Gamma
-    traced = np.einsum("nxllm->nxm", value)[:, :, None]  # Gamma^l_lm, d_c Gamma^l_lm
-    # value^l_im Gamma^m_lj; Gamma^l_im d_c Gamma^m_lj is its transpose in (i, j), Gamma being symmetric below
-    right = gamma.transpose(0, 2, 1, 3).reshape(n, 1, dim * dim, dim)  # [(l, m), j] = Gamma^m_lj
-    crossed = value.transpose(0, 1, 3, 2, 4).reshape(n, 1 + m, dim, dim * dim) @ right
-    ricci += (traced @ gamma.reshape(n, 1, dim, dim * dim)).reshape(n, 1 + m, dim, dim) - crossed
-    ricci[:, 1:] += (traced[:, :1] @ d_gamma.reshape(n, m, dim, dim * dim)).reshape(n, m, dim, dim)
-    ricci[:, 1:] -= crossed[:, 1:].transpose(0, 1, 3, 2)
-    ricci = 0.5 * (ricci + ricci.transpose(0, 1, 3, 2))
-    traces = np.einsum("nij,nxij->nx", g_inv, ricci)  # r, g^-1 d_c S
-    scalar, d_scalar = traces[:, 0], traces[:, 1:] + np.einsum("ncij,nij->nc", d_inv, ricci[:, 0])
-    return ricci[:, 1:] - 0.5 * (d_scalar[:, :, None, None] * g[:, None] + scalar[:, None, None, None] * dg[:, axes])
+    # Gamma_lij, d_a Gamma_lij and d_a d_b Gamma_lij; d_a g^-1 = -g^-1 d_a g g^-1 and its derivative d_a d_b g^-1
+    low, d_low, dd_low = _lowered(dg), _lowered(d2g), _lowered(d3g)
+    dg_a, d2g_ab = dg[:, axes], d2g[:, :, axes]
+    d_inv = -np.einsum("nkp,napq,nql->nakl", g_inv, dg_a, g_inv)
+    dd_inv = -(
+        np.einsum("nbkp,napq,nql->nabkl", d_inv, dg_a, g_inv)
+        + np.einsum("nkp,nabpq,nql->nabkl", g_inv, d2g_ab, g_inv)
+        + np.einsum("nkp,napq,nbql->nabkl", g_inv, dg_a, d_inv)
+    )
+    # Gamma^k_ij = g^kl Gamma_lij, and its first and second derivatives by the product rule
+    gamma = np.einsum("nkl,nlij->nkij", g_inv, low)
+    d_gamma = np.einsum("nakl,nlij->nakij", d_inv, low) + np.einsum("nkl,nalij->nakij", g_inv, d_low)
+    dd_gamma = (
+        np.einsum("nabkl,nlij->nabkij", dd_inv, low)
+        + np.einsum("nakl,nblij->nabkij", d_inv, d_low)
+        + np.einsum("nbkl,nalij->nabkij", d_inv, d_low)
+        + np.einsum("nkl,nablij->nabkij", g_inv, dd_low)
+    )
+    # S_ij = d_l Gamma^l_ij - d_i Gamma^l_lj + Gamma^l_lm Gamma^m_ij - Gamma^l_im Gamma^m_lj, with l of the
+    # derivative and i of d_i on axes only
+    ricci = np.einsum("naaij->nij", d_gamma[:, :, axes])
+    ricci[:, axes] -= np.einsum("nallj->naj", d_gamma)
+    ricci += np.einsum("nllm,nmij->nij", gamma, gamma) - np.einsum("nlim,nmlj->nij", gamma, gamma)
+    # d_c S_ij, term by term
+    d_ricci = np.einsum("ncaaij->ncij", dd_gamma[:, :, :, axes])
+    d_ricci[:, :, axes] -= np.einsum("ncallj->ncaj", dd_gamma)
+    d_ricci += np.einsum("ncllm,nmij->ncij", d_gamma, gamma) + np.einsum("nllm,ncmij->ncij", gamma, d_gamma)
+    d_ricci -= np.einsum("nclim,nmlj->ncij", d_gamma, gamma) + np.einsum("nlim,ncmlj->ncij", gamma, d_gamma)
+    ricci = 0.5 * (ricci + ricci.transpose(0, 2, 1))
+    d_ricci = 0.5 * (d_ricci + d_ricci.transpose(0, 1, 3, 2))
+    # r = g^ij S_ij and d_c r, then d_c G_ij = d_c S_ij - (d_c r g_ij + r d_c g_ij) / 2
+    scalar = np.einsum("nij,nij->n", g_inv, ricci)
+    d_scalar = np.einsum("ncij,nij->nc", d_inv, ricci) + np.einsum("nij,ncij->nc", g_inv, d_ricci)
+    return d_ricci - 0.5 * (d_scalar[:, :, None, None] * g[:, None] + scalar[:, None, None, None] * dg_a)
 
 
 def stencil_steps(numerics: NumericsConfig) -> tuple[float, ...]:
@@ -256,6 +256,8 @@ def _metric_faults(
 # stencil rounds a layer reads beyond its point: none for the metric and its
 # inverse, one for dg and Gamma, two (Gamma at the neighbours) for the rest
 _ROUNDS = {"g": 0, "g_inv": 0, "dg": 1, "gamma": 1}
+# the signs of the three steps to each corner of the 3-jet, in lexical order
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 # the layer whose row at a coordinate gives a layer there point by point
 _POINTWISE = {"g_inv": "g", **dict.fromkeys(("ricci_raw", "ricci", "ricci_asymmetry", "scalar", "einstein"), "riemann")}
 
@@ -522,21 +524,36 @@ class Store:
             self._corners(numbers, d3g)
         return self.get("g", numbers), dg, stencil_derivative(ring, h), d3g
 
-    def _corners(self, numbers: np.ndarray, d3g: np.ndarray) -> None:
-        """Fill d3g[n, a, b, c] for every three distinct axes from g at the corners of each point (``jet``)."""
+    def fill_corners(self, numbers: np.ndarray) -> np.ndarray:
+        """Fill g at the 3-jet corners of each of ``numbers`` (``jet``); their numbers, ``[n, triple, s, signs]``.
+
+        Only a metric reading three axes or more has corners.  A metric
+        failure carries ``root``: the index in ``numbers`` of the point whose
+        corner met it.
+        """
         axes, h, dim = self.axes, self.numerics.h, self.metric.dim
         triples = list(itertools.combinations(range(len(axes)), 3))
         sizes = (h, h / 2) if len(self.steps) == 4 else (h,)
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
         points = self.coords.take(numbers, axis=0)
-        corners = np.empty((len(numbers), len(triples), len(sizes), len(signs), dim))
+        corners = np.empty((len(numbers), len(triples), len(sizes), len(_SIGNS), dim))
         corners[...] = points[:, None, None, None]
         for t, triple in enumerate(triples):
             for s, size in enumerate(sizes):
                 for c, a in enumerate(triple):
-                    corners[:, t, s, :, axes[a]] = points[:, axes[a], None] + signs[:, c] * size
-        g = self.get("g", self.fill("g", corners.reshape(-1, dim))).reshape(corners.shape[:-1] + (dim, dim))
-        weights = signs.prod(axis=1)
+                    corners[:, t, s, :, axes[a]] = points[:, axes[a], None] + _SIGNS[:, c] * size
+        try:
+            return self.fill("g", corners.reshape(-1, dim)).reshape(corners.shape[:-1])
+        except (EvalDomainError, SingularMetricError) as exc:
+            exc.root //= len(triples) * len(sizes) * len(_SIGNS)
+            raise
+
+    def _corners(self, numbers: np.ndarray, d3g: np.ndarray) -> None:
+        """Fill d3g[n, a, b, c] for every three distinct axes from g at the corners of each point (``jet``)."""
+        axes, h = self.axes, self.numerics.h
+        triples = list(itertools.combinations(range(len(axes)), 3))
+        sizes = (h, h / 2) if len(self.steps) == 4 else (h,)
+        g = self.get("g", self.fill_corners(numbers))
+        weights = _SIGNS.prod(axis=1)
         cubes = [np.einsum("c,ntcij->ntij", weights, g[:, :, s]) / (8.0 * size**3) for s, size in enumerate(sizes)]
         third = cubes[0] if len(cubes) == 1 else (4.0 * cubes[1] - cubes[0]) / 3.0
         for t, triple in enumerate(triples):

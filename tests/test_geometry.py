@@ -2341,11 +2341,35 @@ class TestPlanBlocks:
         assert len(calls) == 1 and not calls[0].is_take
         assert report.points[0].error == "vector field components undefined at (0.0, 0.0, 0.0, 0.0): 1.0/t: float division by zero"
 
-    def test_memory_is_bounded_by_a_block_not_by_the_plan(self):
+    def test_a_failing_corner_leaves_the_batch_to_the_others(self, monkeypatch):
+        # a good point first, so the store's root has z = 0.4, then the
+        # domain_error_corner point, whose 3-jet alone meets a failure, and
+        # six more good ones: the failing point leaves the batch, as a failing
+        # walk does, and names its corner with its own z; the others stay one
+        # block, so the shared rows run twice, not once per point
+        from solitonlab import report as report_module
+
+        calls, shared_rows = [], report_module._shared_rows
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return shared_rows(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "_shared_rows", counted)
+        failing = ERROR_CASES["domain_error_corner"][1][0]
+        plan = [[0.5, 0.5, 0.5, 0.4], failing, *([0.5, 0.5, 0.5 + 0.1 * k, 0.0] for k in range(1, 7))]
+        scenario, solve = _case_run("domain_error_corner", plan)
+        report = run_suite(scenario, solve=solve)
+        assert sorted(calls) == [1, 7]
+        assert [rec.error for rec in report.points] == [None, ERROR_CASES["domain_error_corner"][2][0]] + [None] * 6
+
+    def test_memory_is_bounded_by_a_block_not_by_the_plan(self, monkeypatch):
         # a block's stores are dropped before the next block: over what the
         # run keeps, its report, whose records grow with the plan, four
-        # blocks of infall points peak at most a quarter above one block
+        # blocks of infall points peak at most a quarter above one block;
+        # and no store is kept by the report, whose size the peak discounts
         import tracemalloc
+        import weakref
 
         from solitonlab.report import _BLOCK
         from solitonlab.scenario import load_scenario
@@ -2354,19 +2378,27 @@ class TestPlanBlocks:
         box = np.array([(-2.0, 2.0), (3.0, 8.0), (0.5, math.pi - 0.5), (0.0, 2.0 * math.pi)])
         points = rng.uniform(box[:, 0], box[:, 1], size=(4 * _BLOCK, 4)).round(6).tolist()
         doc = load_scenario(INFALL_GRID).to_dict()
+        stores, init = [], lattice.Store.__init__
+
+        def tracked(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            stores.append(weakref.ref(store))
 
         def peak(plan):
             scenario = scenario_from_dict({**doc, "points": plan})
             run_suite(scenario)  # compiles the grids outside the trace
+            stores.clear()
             tracemalloc.start()
             try:
                 report = run_suite(scenario)
                 kept, peak = tracemalloc.get_traced_memory()
-                assert report.points
-                return peak - kept
             finally:
                 tracemalloc.stop()
+            assert report.points and len(stores) >= len(plan) // _BLOCK
+            assert [ref() for ref in stores if ref() is not None] == []
+            return peak - kept
 
+        monkeypatch.setattr(lattice.Store, "__init__", tracked)
         assert peak(points) <= 1.25 * peak(points[:_BLOCK])
 
     def test_a_programming_error_in_the_batched_fill_propagates(self, monkeypatch):
