@@ -83,15 +83,15 @@ def einstein_gradient(
     """
     axes = list(axes)
     g_inv = np.linalg.inv(g)
-    # Gamma_lij, d_a Gamma_lij and d_a d_b Gamma_lij; d_a g^-1 = -g^-1 d_a g g^-1 and its derivative d_a d_b g^-1
+    # Gamma_lij, d_a Gamma_lij and d_a d_b Gamma_lij
     low, d_low, dd_low = _lowered(dg), _lowered(d2g), _lowered(d3g)
+    # d_a g^-1 = -g^-1 d_a g g^-1, and d_b d_a g^-1 = -(d_b g^-1 d_a g g^-1 + (a <-> b) + g^-1 d_a d_b g g^-1)
     dg_a, d2g_ab = dg[:, axes], d2g[:, :, axes]
-    d_inv = -np.einsum("nkp,napq,nql->nakl", g_inv, dg_a, g_inv)
-    dd_inv = -(
-        np.einsum("nbkp,napq,nql->nabkl", d_inv, dg_a, g_inv)
-        + np.einsum("nkp,nabpq,nql->nabkl", g_inv, d2g_ab, g_inv)
-        + np.einsum("nkp,napq,nbql->nabkl", g_inv, dg_a, d_inv)
-    )
+    right = np.einsum("napq,nql->napl", dg_a, g_inv)  # d_a g g^-1
+    d_inv = -np.einsum("nkp,napl->nakl", g_inv, right)
+    once = np.einsum("nbkp,napl->nabkl", d_inv, right)
+    inner = np.einsum("nkp,nabpl->nabkl", g_inv, np.einsum("nabpq,nql->nabpl", d2g_ab, g_inv))
+    dd_inv = -(once + once.transpose(0, 2, 1, 3, 4) + inner)
     # Gamma^k_ij = g^kl Gamma_lij, and its first and second derivatives by the product rule
     gamma = np.einsum("nkl,nlij->nkij", g_inv, low)
     d_gamma = np.einsum("nakl,nlij->nakij", d_inv, low) + np.einsum("nkl,nalij->nakij", g_inv, d_low)
