@@ -30,12 +30,13 @@ stencil coordinate is numbered once, and each layer is one row array
 indexed by number.  The lattice spans only the coordinates the metric
 reads: every layer is constant along the others.  A block's read of a
 layer the store holds at each of its points is an index, with no numpy
-call but the take; else ``Store.fill`` first computes it, and each layer
-below it, at every coordinate the read needs and lacks, one numpy call per
-layer.  The metric components are evaluated by ``MetricSpec.matrix`` once
-per store for each distinct value of the coordinates the grid reads,
-however many reads need it, and a failure names the first failing
-coordinate of the store's walk (docs/conventions.md).  ``matrix`` returns
+call but the take; else ``Store.fill`` numbers the points, and the read
+pulls the layer, and each layer below it, at every coordinate it needs and
+lacks, one numpy call per layer.  The metric components are evaluated by
+``MetricSpec.matrix`` once per store for each distinct value of the
+coordinates the grid reads (one lattice coordinate), however many reads
+need it, and a failure names the first failing coordinate the reads pull
+(docs/conventions.md).  ``matrix`` returns
 the compiled grid's flat tuple, and the store builds one array of g per
 batch, so the per-coordinate call that the benchmark and the tests count
 is the compiled grid alone.
@@ -535,11 +536,13 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
     corners of the 3-jet, which only a metric reading three axes has
     (``Store.fill_corners``), and the Ricci asymmetry at the points.  Each
     point takes its number from the batch, so the block's reads are
-    indexes, and a suite read there meets no metric failure.  The first
-    point whose walk or corners meet a numerical failure is a block of one
-    of its own, untouched, where its reads meet it as they would alone
-    (docs/conventions.md), and the batch is made again without it.  The points of one block share a field
-    tree per vector field (FieldGeometry).
+    indexes, and a suite read there meets no metric failure.  A numerical
+    failure of the batch carries the point whose read first numbered the
+    failing coordinate (``Store.origin``): that point is a block of one of
+    its own, untouched, where its reads meet the failure as they would
+    alone (docs/conventions.md), and the batch is made again without it, on
+    a fresh store.  The points of one block share a field tree per vector
+    field (FieldGeometry).
     """
     geos: list[PointGeometry | None] = [None] * len(keys)
     members: dict[tuple, list[int]] = {}
@@ -547,14 +550,14 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
         members.setdefault((metric, numerics), []).append(n)
     for (metric, numerics), ns in members.items():
         points = [_canonical(metric, keys[n][1]) for n in ns]
-        store = Store(metric, numerics, points[0])
         while ns:
+            store = Store(metric, numerics, points[0])
             try:
                 numbers = store.fill("einstein", np.array(points))
                 if len(store.axes) >= 3:
                     store.fill_corners(numbers)
             except (EvalDomainError, SingularMetricError) as exc:
-                points.pop(exc.root)  # the point whose walk met the failure
+                points.pop(exc.root)  # the point whose read first numbered the failing coordinate
                 n = ns.pop(exc.root)
                 geos[n] = PointGeometry(*keys[n])
                 continue
@@ -729,7 +732,7 @@ class _FieldTree:
     quantity at a depth is computed for every point at once on first read
     and kept read-only; a derivative is ``stencil_derivative`` over the next
     depth.  The metric layers at a depth are the store's rows, numbered
-    through ``Store.kids`` where its walks linked them.  The nodes of a
+    through ``Store.kids`` where its derivatives linked them.  The nodes of a
     depth are numbered by coordinate in one ``lattice._distinct`` pass, with
     those of the depths numbered before.  The components, or the potential,
     are evaluated on a node's Python floats once per coordinate, in tree
@@ -784,7 +787,7 @@ class _FieldTree:
     def _layer(self, name: str, depth: int) -> np.ndarray:
         """The store's curvature layer ``name`` at the nodes of ``depth``."""
         store, known = self.store, self.numbers
-        for _ in range(depth):  # -1 where no walk linked the kids
+        for _ in range(depth):  # -1 where no derivative linked the kids
             kids = store.kids[np.maximum(known, 0)]
             kids[known < 0] = -1
             known = kids.reshape(-1)
@@ -980,7 +983,7 @@ def contracted_bianchi_residual(block: BlockGeometry) -> list[float]:
 
     d_k G_ij is assembled from the 3-jet of g at each point
     (``lattice.einstein_gradient`` of ``Store.jet``), read off the lattice
-    that the point's own Riemann tensor walks; Gamma, G and g^-1 are the
+    that the point's own Riemann tensor pulls; Gamma, G and g^-1 are the
     store's layers, so the row checks the engine's curvature against an
     independent assembly from the metric.  Along an axis the metric does not
     read, d_k G is an exact 0.
@@ -1028,13 +1031,13 @@ def fd_convergence_ratio(geo: PointGeometry) -> float | None:
     oracle with Richardson off; ~4 for healthy second-order stencils.  None
     when the error is at roundoff level (flat metrics).  The plain stencils
     read the metric at the point's +-h and +-h/2 neighbours, the stencil ring
-    its curvature walks, in one indexed read of the store: the +-h pairs axis
+    its curvature pulls, in one indexed read of the store: the +-h pairs axis
     by axis, then the +-h/2.
     """
     exact, store, dim = christoffel_exact(geo), geo.block.store, len(geo.point)
     halvings = (geo.numerics.h, geo.numerics.h / 2)
     around = np.concatenate([neighbours(np.array([geo.point]), (h, -h)).reshape(-1, dim) for h in halvings])
-    known = np.full((2, dim, 2), -1)  # [halving, axis, sign]; no walk reaches +-h/2 without Richardson
+    known = np.full((2, dim, 2), -1)  # [halving, axis, sign]; no read links +-h/2 without Richardson
     known[: len(store.steps) // 2] = store.kids[geo.block.numbers[geo.row]].reshape(dim, -1, 2).transpose(1, 0, 2)
     g = store.get("g", store.fill("g", around, known.ravel())).reshape(2, dim, 2, *geo.g.shape)
     errs = [max_abs(christoffel_from_dg(geo.g_inv, (s[:, 0] - s[:, 1]) / (2 * h)) - exact) for h, s in zip(halvings, g)]

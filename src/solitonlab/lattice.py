@@ -3,34 +3,34 @@
 A BlockGeometry owns one ``Store``: its points, of one metric and numerics,
 and their stencil neighbours share it, each point reading its rows by its
 number there.  A lone PointGeometry is a block of one, with a store of its
-own.  The store numbers each coordinate once, in the order a walk point by
-point first reaches it (``Store._walk``), keeping the floats first built
-for it.  No coordinate is ``-0.0``: a block's points have canonical zeros, a
-stencil sum with a nonzero step is never ``-0.0``, and every other
-coordinate is a copy.  The walk goes only along the axes the metric reads
-(``MetricSpec.read_axes``): along any other axis, a Killing direction of the
-chart, every coordinate keeps the root point's float and its stencil
-neighbour is itself, so the lattice has one coordinate per read pattern,
-and a difference across such an axis is an exact +0.0, as the
-per-coordinate stencil gives it (both its neighbours share the point's read
-pattern).  Each curvature layer is one row array, grown by capacity
-doubling, with a slot array over the numbers, so a read of held rows
-(``Store.get``) is an index.  ``Store.fill`` computes a layer at a set of
-points, with each layer below it where the request needs and lacks it, one
-numpy call per layer.  The metric is evaluated by ``MetricSpec.matrix`` once
-per store for each distinct value of the coordinates it reads, at the first
-coordinate in walk order with that value, and a failure names the first
-failing coordinate of that walk.  Each call returns the compiled grid's
-flat tuple; ``Store._evaluate`` stacks a batch's tuples into one array of
-g, so the per-coordinate call, which the benchmark and the tests count, is
-the compiled grid alone.  Every batched contraction is the
-per-coordinate ``np.einsum`` with a leading batch axis, so each row is
-bitwise the per-coordinate result.
+own.  Each layer is pulled on demand: ``Store.get`` computes the rows a
+read lacks from the layers below it, and a derivative numbers and links a
+coordinate's stencil ring the first time it reads it (``Store.link``).  So
+the store numbers each coordinate once, in the order the reads first reach
+it, keeping the floats first built for it.  No coordinate is ``-0.0``: a
+block's points have canonical zeros, a stencil sum with a nonzero step is
+never ``-0.0``, and every other coordinate is a copy.  The stencil spans
+only the axes the metric reads (``MetricSpec.read_axes``): along any other
+axis, a Killing direction of the chart, every coordinate keeps the root
+point's float and its stencil neighbour is itself, so the lattice has one
+coordinate per read pattern, and a difference across such an axis is an
+exact +0.0, as the per-coordinate stencil gives it (both its neighbours
+share the point's read pattern).  Each curvature layer is one row array,
+grown by capacity doubling, with a slot array over the numbers, so a read
+of held rows is an index.  ``Store.fill`` numbers a set of points, then
+reads a layer there, one numpy call per layer.  The metric is evaluated by
+``MetricSpec.matrix`` once per coordinate, in the order the reads pull
+them, and a failure names the first failing coordinate of that order.
+Each call returns the compiled grid's flat tuple; ``Store._metric`` stacks
+a batch's tuples into one array of g, so the per-coordinate call, which
+the benchmark and the tests count, is the compiled grid alone.  Every
+batched contraction is the per-coordinate ``np.einsum`` with a leading
+batch axis, so each row is bitwise the per-coordinate result.
 
-No layer is differentiated past the Riemann tensor, so no point walks a
+No layer is differentiated past the Riemann tensor, so no point pulls a
 third stencil ring.  ``Store.jet`` reads the 3-jet of g at points holding
 the Riemann tensor: its second and third derivatives come from dg at the
-point and its ring, which the Riemann tensor's walk already holds, and for
+point and its ring, which the Riemann tensor's reads already hold, and for
 a metric reading three axes or more from g at the corners of each point,
 one step along each of three axes.  ``einstein_gradient`` assembles d G
 from that jet alone, for the contracted Bianchi identity.
@@ -253,13 +253,8 @@ def _metric_faults(
     )
 
 
-# stencil rounds a layer reads beyond its point: none for the metric and its
-# inverse, one for dg and Gamma, two (Gamma at the neighbours) for the rest
-_ROUNDS = {"g": 0, "g_inv": 0, "dg": 1, "gamma": 1}
 # the signs of the three steps to each corner of the 3-jet, in lexical order
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
-# the layer whose row at a coordinate gives a layer there point by point
-_POINTWISE = {"g_inv": "g", **dict.fromkeys(("ricci_raw", "ricci", "ricci_asymmetry", "scalar", "einstein"), "riemann")}
 
 
 class _Layer:
@@ -286,8 +281,9 @@ class Store:
     The lattice spans the ``axes`` the metric reads.  Along any other axis a coordinate keeps the
     root's float, and its stencil neighbour is itself; any point projects onto the lattice
     (``project``), so points of one metric and numerics can share the store.  ``coords[u]`` holds the
-    floats of number ``u`` and ``kids[u, axis, s]`` its stencil neighbours' numbers once a walk has
-    gone round it.  Not thread-safe.
+    floats of number ``u``, ``kids[u, axis, s]`` its stencil neighbours' numbers once a derivative
+    has read them (``link``), and ``origin[u]`` the row of the fill whose read first numbered it.
+    Not thread-safe.
     """
 
     def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
@@ -298,8 +294,7 @@ class Store:
         # one placeholder row, so a -1 indexes: the first numbering past it sizes the arrays to what it numbers
         self.coords = np.empty((1, metric.dim))
         self.kids = np.full((1, metric.dim, len(self.steps)), -1)
-        self.read = np.array(self.axes, dtype=int)
-        self.patterns = np.empty((0, len(self.read)))  # the read coordinates of each row of g
+        self.origin = np.full(1, -1)
         self.layers: dict[str, _Layer] = {}
 
     def layer(self, name: str) -> _Layer:
@@ -312,18 +307,18 @@ class Store:
         return (numbers >= 0) & (self.layer(name).slot.take(numbers) >= 0)
 
     def project(self, points: np.ndarray) -> np.ndarray:
-        """``points`` on the lattice: the root's float along every axis not walked."""
+        """``points`` on the lattice: the root's float along every axis not read."""
         if not self.fixed:
             return points
         points = points.copy()
         points[:, self.fixed] = [self.root[axis] for axis in self.fixed]
         return points
 
-    def number(self, rows: np.ndarray, add: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The numbers of ``rows``; of the coordinates among them, in order of first appearance; and their first rows.
+    def number(self, rows: np.ndarray, add: bool = True, origin: np.ndarray | None = None) -> np.ndarray:
+        """The number of each of ``rows``; a coordinate the store lacks gets the next, in order of first appearance, when ``add``, else -1.
 
-        A coordinate the store lacks gets the next number when ``add``, else -1.  The rows go to
-        ``_distinct`` first, the store's own coordinates after them.
+        A coordinate numbered here records ``origin`` at its first row.  The rows go to ``_distinct``
+        first, the store's own coordinates after them.
         """
         first, group = _distinct(np.concatenate([rows, self.coords[: self.size]]))
         numbers, seen = np.full(len(first), -1), int((first < len(rows)).sum())
@@ -334,159 +329,92 @@ class Store:
             if end > len(self.coords):
                 self.coords = _room(self.coords, end)
                 self.kids = _room(self.kids, end, -1)
+                self.origin = _room(self.origin, end, -1)
                 for layer in self.layers.values():
                     layer.slot = _room(layer.slot, end, -1)
             self.coords[self.size : end] = rows.take(first[new], axis=0)
+            self.origin[self.size : end] = -1 if origin is None else origin.take(first[new])
             numbers[new] = np.arange(self.size, end)
             self.size = end
-        return numbers.take(group[: len(rows)]), numbers[:seen], first[:seen]
+        return numbers.take(group[: len(rows)])
 
     def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
-        """Compute layer ``name`` at each row of ``points`` lacking it; return their numbers (given, if all known).
+        """Number ``points``, then compute layer ``name`` where they lack it (``get``); return their numbers (given, if all known).
 
-        A row of ``points`` is a true coordinate and stands for its lattice coordinate (``project``).
-        A metric failure names the first failing coordinate of the walk, and carries ``root``: the
-        row of ``points`` whose walk met it.
+        A row of ``points`` is a true coordinate and stands for its lattice coordinate (``project``);
+        a coordinate it numbers records the row as its ``origin``.  A metric failure names the first
+        failing coordinate the reads pull, and carries ``root``: that coordinate's origin.
         """
-        lattice = self.project(points)
         if numbers is None or (numbers < 0).any():
-            numbers = self.number(lattice, add=False)[0] if self.size else np.full(len(points), -1)
-        lacking = (~self.held(name, numbers)).nonzero()[0]
-        if lacking.size:
-            first, group = _distinct(lattice[lacking])
-            roots = numbers[lacking[first]]
-            rounds = _ROUNDS.get(name, 2)
-            if name in _POINTWISE and self.held(_POINTWISE[name], roots).all():
-                rounds = 0  # derived point by point: no stencil to walk
-            # the points' own metric is read by dg there when some stencil neighbour is the point itself
-            at_points = name != "dg" or bool(self.fixed)
-            try:
-                roots = self._walk(lattice[lacking[first]], roots, rounds, at_points)
-            except (EvalDomainError, SingularMetricError) as exc:
-                exc.root = int(lacking[first[exc.root]])
-                raise
-            self.get(name, roots)
-            numbers[lacking] = roots[group]
+            numbers = self.number(self.project(points), origin=np.arange(len(points)))
+        self.get(name, numbers)
         return numbers
 
-    def _walk(self, points: np.ndarray, roots: np.ndarray, rounds: int, at_points: bool) -> np.ndarray:
-        """Number the walk of ``rounds`` rounds of neighbours around ``points``, evaluate its metric; their numbers.
+    def link(self, numbers: np.ndarray) -> np.ndarray:
+        """The stencil neighbours of ``numbers``, ``[n, axis, step]``, numbered and linked the first time one is read.
 
-        ``roots`` are the points' numbers, -1 where none.  Round 0 is the points, round 1 their
-        neighbours along the walked axes, round 2 those of the round-1 points lacking the connection,
-        visited root by root, round by round, as ``grad`` visits them.  Unless ``at_points`` (``dg``),
-        the points come last and their own metric is not evaluated.  A metric failure carries
-        ``root``: the index of the point whose walk met it.
+        Along the read axes they are numbered point by point, axis by axis, step by step
+        (``neighbours``), each recording its point's ``origin``; along any other axis a point is
+        its own neighbour.
         """
-        n, dim = points.shape
-        if rounds == 0:  # the points alone, already distinct: no stencil
-            roots = self.number(points)[0] if (roots < 0).any() else roots
-            walk, owner, todo = roots, np.arange(n), roots
-        else:
-            size = len(self.axes) * len(self.steps)
-            ring = neighbours(points, self.steps, self.axes).reshape(-1, dim)
-            outer = np.zeros(0, dtype=int)  # ring positions walked again
-            if rounds == 2:
-                # a ring point is walked again at its first visit, if it lacks the connection
-                blocks = np.concatenate([points[:, None], ring.reshape(n, size, dim)], axis=1).reshape(-1, dim)
-                _, known, visit = self.number(blocks, add=False)
-                visit = visit[(visit % (1 + size) != 0) & ~self.held("gamma", known)]
-                outer = (visit // (1 + size)) * size + visit % (1 + size) - 1
-            rows = np.concatenate([points, ring, neighbours(ring[outer], self.steps, self.axes).reshape(-1, dim)])
-            levels = np.repeat(np.arange(3), [n, n * size, len(outer) * size])  # round of each row
-            owner = np.concatenate([np.arange(n), np.arange(n * size) // size, np.repeat(outer // size, size)])
-            order = np.lexsort((levels, owner))  # root by root, round by round
-            if not at_points:
-                order = np.concatenate([order[levels[order] != 0], order[levels[order] == 0]])
-            walk, distinct, first = self.number(rows[order])
-            number = np.empty(len(order), dtype=int)
-            number[order] = walk
-            self._link(number[:n], number[n : n + n * size])
-            self._link(number[n + outer], number[n + n * size :])
-            owner, roots = owner[order], number[:n]
-            todo = distinct[first < len(order) - (0 if at_points else n)]
-        try:
-            self._metric(todo)
-        except (EvalDomainError, SingularMetricError) as exc:
-            # every coordinate the walk reaches before the failing one holds g
-            exc.root = int(owner[self.held("g", walk).argmin()])
-            raise
-        return roots
+        kids = self.kids.take(numbers, axis=0)
+        new = numbers[kids[:, 0, 0] < 0]
+        if new.size:
+            shape = (len(new), len(self.axes), len(self.steps))
+            ring = neighbours(self.coords.take(new, axis=0), self.steps, self.axes).reshape(-1, self.metric.dim)
+            ring = self.number(ring, origin=self.origin.take(new).repeat(shape[1] * shape[2]))
+            kids = np.empty((len(new),) + self.kids.shape[1:], dtype=int)
+            kids[...] = new[:, None, None]
+            kids[:, list(self.axes)] = ring.reshape(shape)
+            self.kids[new] = kids
+            kids = self.kids.take(numbers, axis=0)
+        return kids
 
-    def _link(self, numbers: np.ndarray, ring: np.ndarray) -> None:
-        """Set the stencil neighbours of ``numbers``: ``ring`` along the walked axes, itself along the others."""
-        kids = np.empty((len(numbers),) + self.kids.shape[1:], dtype=int)
-        kids[...] = numbers[:, None, None]
-        kids[:, list(self.axes)] = ring.reshape(len(numbers), len(self.axes), len(self.steps))
-        self.kids[numbers] = kids
+    def _metric(self, todo: np.ndarray) -> None:
+        """Evaluate g at ``todo``, coordinates lacking it, in order, keeping each good row; raise the first failure.
 
-    def _metric(self, walked: np.ndarray) -> None:
-        # the walk's coordinates lacking g take the row of their read pattern; a failure is
-        # raised once those before it have rows
-        g = self.layer("g")
-        todo = walked[g.slot.take(walked) < 0]
-        if not todo.size:
-            return
-        row, error = self._evaluate(self.coords.take(todo, axis=0))
-        todo = todo[: len(row)]
-        g.slot[todo[row >= 0]] = row[row >= 0]
-        if error:
-            raise error
-
-    def _evaluate(self, coords: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        """The row of g for the read pattern of each of ``coords``, and the first failure.
-
-        A pattern the store lacks is evaluated at its first coordinate, in order, and kept when good;
-        a degenerate one has row -1.  A domain error stops the evaluation, and the rows stop before
-        its coordinate.  The failure is the first degenerate coordinate evaluated, else the domain error.
+        A domain error stops the evaluation.  The failure is the first degenerate coordinate
+        evaluated, else the domain error, and carries ``root``: the ``origin`` of its coordinate.
         """
-        pattern = coords.take(self.read, axis=1)
-        known = len(self.patterns)
-        # the store's patterns are distinct and come first: group p < known is row p of g
-        first, row = _distinct(np.concatenate([self.patterns, pattern]))
-        first, row = first[known:] - known, row[known:]
-        failure = fault = None
-        if first.size:
-            points, values = list(map(tuple, coords.take(first, axis=0).tolist())), []
-            for point in points:
-                try:
-                    values.append(self.metric.matrix(point))
-                except EvalDomainError as exc:
-                    failure = exc
-                    break
-            done, ids, dim = len(values), np.full(len(points), -1), coords.shape[1]
-            if done:
-                g = np.array(values, dtype=float).reshape(done, dim, dim)
-                good, fault = _metric_faults(g, points[:done], self.numerics.degeneracy_threshold)
-                ids[:done][good] = self.layer("g").append(g[good])  # one row of g per pattern
-                self.patterns = np.concatenate([self.patterns, pattern[first[:done][good]]])
-            new = row >= known
-            row[new] = ids[row[new] - known]
-            if failure is not None:  # the failing coordinate starts its group
-                row = row[: first[done]]
-        return row, fault or failure
+        points, values = list(map(tuple, self.coords.take(todo, axis=0).tolist())), []
+        failure = None
+        for point in points:
+            try:
+                values.append(self.metric.matrix(point))
+            except EvalDomainError as exc:
+                failure = exc
+                break
+        at = done = len(values)
+        if done:
+            dim = self.metric.dim
+            g = np.array(values, dtype=float).reshape(done, dim, dim)
+            good, fault = _metric_faults(g, points[:done], self.numerics.degeneracy_threshold)
+            layer = self.layer("g")
+            layer.slot[todo[:done][good]] = layer.append(g[good])
+            if fault is not None:
+                failure, at = fault, int(np.argmin(good))
+        if failure is not None:
+            failure.root = int(self.origin[todo[at]])
+            raise failure
 
     def get(self, name: str, numbers: np.ndarray) -> np.ndarray:
-        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet."""
+        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet, in the order first read."""
         layer = self.layer(name)
         slot = layer.slot.take(numbers)
         missing = slot < 0
         if missing.any():
+            need = numbers[missing]
+            need = need[np.sort(np.unique(need, return_index=True)[1])]
             if name == "g":
-                raise RuntimeError("metric read outside the walk")
-            mark = np.zeros(self.size, dtype=bool)
-            mark[numbers[missing]] = True
-            need = mark.nonzero()[0]
-            layer.slot[need] = layer.append(getattr(self, "_" + name)(need))
+                self._metric(need)
+            else:
+                layer.slot[need] = layer.append(getattr(self, "_" + name)(need))
             slot = layer.slot.take(numbers)
         return layer.rows.take(slot, axis=0)
 
     def derivative(self, name: str, numbers: np.ndarray) -> np.ndarray:
-        """d_k of layer ``name`` at ``numbers``, from the layer at their stencil neighbours."""
-        kids = self.kids.take(numbers, axis=0)
-        if (kids < 0).any():
-            raise RuntimeError("stencil neighbours outside the walk")
-        return stencil_derivative(self.get(name, kids), self.numerics.h)
+        """d_k of layer ``name`` at ``numbers``, from the layer at their stencil neighbours (``link``)."""
+        return stencil_derivative(self.get(name, self.link(numbers)), self.numerics.h)
 
     def jet(self, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """g, dg, d2g and d3g at ``numbers``, points holding the Riemann tensor, as ``einstein_gradient`` takes them.
@@ -503,9 +431,7 @@ class Store:
         """
         axes, h, dim = np.array(self.axes, dtype=int), self.numerics.h, self.metric.dim
         m, n = len(axes), len(numbers)
-        kids = self.kids.take(numbers, axis=0)[:, axes]
-        if (kids < 0).any():
-            raise RuntimeError("stencil neighbours outside the walk")
+        kids = self.link(numbers)[:, axes]
         dg, ring = self.get("dg", numbers), self.get("dg", kids)  # ring[n, a, step, k, i, j]
 
         def same(p: int, q: int, step: float) -> np.ndarray:
@@ -564,6 +490,8 @@ class Store:
         return np.linalg.inv(self.get("g", u))
 
     def _dg(self, u: np.ndarray) -> np.ndarray:
+        if self.fixed:  # the point is its own neighbour along an unread axis: its g is read first
+            self.get("g", u)
         return self.derivative("g", u)
 
     def _gamma(self, u: np.ndarray) -> np.ndarray:

@@ -680,7 +680,7 @@ def _run_block(block: list[tuple[int, tuple, list[_SuiteRun]]], solve: bool) -> 
         rows = _each_point(lambda block: _shared_rows(run.scenario, block, run.tols, solve), sub)
         shared.update(((n, key), row) for n, row in zip(entries, rows))
     for n, ((i, _, group), geo) in enumerate(zip(block, geos)):
-        _run_point(group, i, geo, failed.get(n), {run.shared: shared.get((n, run.shared)) for run in group}, solve)
+        _run_point(group, i, geo, failed.get(n), {run.shared: shared.get((n, run.shared)) for run in group})
 
 
 def _each_point(row: Callable[[BlockGeometry], list], block: BlockGeometry) -> list:
@@ -712,7 +712,6 @@ def _run_point(
     geo: PointGeometry,
     error: Exception | None,
     shared: dict[int, _SharedRows | Exception | None],
-    solve: bool,
 ) -> None:
     """Plan point ``i`` of every run in ``group``, all on the one geometry ``geo``.
 

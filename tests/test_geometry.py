@@ -831,16 +831,16 @@ class TestPointGeometry:
 
         metric_seen, _ = _count_evaluations(monkeypatch)
         stores = {}  # each store that evaluated the metric, and the calls made for it
-        evaluate = lattice.Store._evaluate
+        evaluate = lattice.Store._metric
 
-        def recorded(store, coords):
+        def recorded(store, todo):
             start = len(metric_seen)
             try:
-                return evaluate(store, coords)
+                return evaluate(store, todo)
             finally:
                 stores.setdefault(store, []).extend(metric_seen[start:])
 
-        monkeypatch.setattr(lattice.Store, "_evaluate", recorded)
+        monkeypatch.setattr(lattice.Store, "_metric", recorded)
 
         def run():
             stores.clear()
@@ -1546,7 +1546,7 @@ def _read_as_the_reference(metric, point, richardson, first):
     checked = Counter()
     store = geo.block.store
     keys = list(reference.lattice)
-    numbers = store.number(store.project(np.array(keys)), add=False)[0]
+    numbers = store.number(store.project(np.array(keys)), add=False)
     assert sorted(set(numbers.tolist())) == list(range(store.size))
     for u, key in zip(numbers, keys):
         there = reference.lattice[key]
@@ -1909,7 +1909,7 @@ def _fails_alone(metric, point):
 
 
 def _documented_walk(metric, point, first):
-    """The coordinates whose metric a fresh geometry at ``point`` reads, in walk order (docs/conventions.md).
+    """The coordinates whose metric a fresh geometry at ``point`` reads, in the order its reads pull them (docs/conventions.md).
 
     The reads are ``first`` ("g", "dg" or None), then the contracted Bianchi
     identity.  A neighbour moves one step along an axis the metric reads;
@@ -2138,6 +2138,15 @@ class TestBatchEvaluation:
         walk = _documented_walk(metric, geo.point, None)
         assert set(map(tuple, coords.tolist())) == set(walk[: walk.index(named)])
         assert np.array_equal(rows.view(np.uint64), _metric_rows(metric, coords).view(np.uint64))
+
+    def test_a_point_failing_on_its_own_coordinate_numbers_no_stencil(self):
+        # the metric fails at the point itself, the first coordinate the
+        # Einstein tensor pulls: no stencil ring is numbered past it
+        geo = PointGeometry(INFALL, (0.7, 0.0, 1.1, 0.4))
+        with pytest.raises(EvalDomainError) as caught:
+            geo.einstein
+        assert str(caught.value) == "metric components undefined at (0.7, 0.0, 1.1, 0.4): float division by zero"
+        assert geo.block.store.size == 1
 
     @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
     def test_a_failing_field_read_keeps_the_rows_before_it(self, case, monkeypatch):
