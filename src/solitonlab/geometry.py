@@ -13,14 +13,14 @@ the constant-curvature anchors in the test suite hold:
 See docs/conventions.md for the full sign table.
 
 A batch of points of one metric and numerics is a BlockGeometry.  It owns
-their ``lattice.Store``, the points' numbers there, a field tree per vector
-field and each layer it has read, with a leading point axis.  A
+their ``lattice.Store``, the points' numbers there, a field lattice per
+vector field and each layer it has read, with a leading point axis.  A
 PointGeometry is one point of a block, a (block, row) handle: its layers
 and field quantities are its row of the block's.  ``PointGeometry(metric,
 point)`` is a block of one; ``block_geometries`` puts the points of one
 (metric, numerics) in one block, whose store one batch fills; and
 ``block.take(rows)`` is a block of some of those points on the same store
-and field trees.  A point has canonical zeros: a -0.0 is read as +0.0,
+and field lattices.  A point has canonical zeros: a -0.0 is read as +0.0,
 which no expression of the grammar tells apart but by the sign of a zero
 result.
 
@@ -42,26 +42,25 @@ batch, so the per-coordinate call that the benchmark and the tests count
 is the compiled grid alone.
 
 A vector field may read coordinates the metric does not, so its quantities
-live on stencil trees at true coordinates instead, one per spec (specs
-compare by value) over the points of a block.  The tree holds each
-quantity (V, the dual one-form gV and its derivatives, nabla V, Lie_V g,
-the rotation map F = g^-1 d(gV) and nabla F, |V|^2 and its derivative, and
-for a gradient the potential, its derivatives and Hessian) as one array
-over one depth of the trees of all its points, one numpy call per quantity
-and depth, the metric layers there read from the store.  The components,
-or the potential, are evaluated once per coordinate, the components of a
-field in one compiled call, whose tuple the tree stores with those of the
-read's other coordinates in one assignment.  A read of a shared tree
-evaluates every point's nodes, so it meets a numerical failure at any
-point of the tree; the report reruns such a block's points each on a
-block of its own.
+live on a second stencil lattice (``lattice.Lattice``) at true coordinates,
+one per spec (specs compare by value) over the points of a block, spanning
+the axes the metric or the field reads.  Each quantity (V, the dual
+one-form gV and its derivatives, nabla V, Lie_V g, the rotation map F =
+g^-1 d(gV) and nabla F, |V|^2 and its derivative, and for a gradient the
+potential, its derivatives and Hessian) is a layer, pulled on demand as
+the store's are; each metric layer is the store's row at the coordinate's
+number there.  The components, or the potential, are evaluated once per
+coordinate, the components of a field in one compiled call.  A read of a
+shared field lattice computes at every point of the block, so it meets a
+numerical failure at any of them; the report reruns such a block's points
+each on a block of its own.
 
 Each row function of this module, ``spacetimes`` and ``solitons`` is one
 computation over a block, returning each point's result; ``over_block``
 lets it take a PointGeometry, run as its block of one, and return the one
 result (docs/conventions.md, "Rows over a block").
 
-A store and its field trees live as long as the blocks, and the
+A store and its field lattices live as long as the blocks, and the
 PointGeometry objects, that read them; a take holds the block it was taken
 from, and no block holds itself.  None is locked: each belongs to one
 thread.  Nothing is cached at module level.
@@ -89,13 +88,13 @@ from .expressions import (
 )
 from .lattice import (
     GeometryError,
+    Lattice,
     SingularMetricError,
     Store,
-    _distinct,
+    _room,
     christoffel_from_dg,
     einstein_gradient,
     neighbours,
-    stencil_derivative,
 )
 
 __all__ = [
@@ -215,6 +214,12 @@ class FramePack:
     signs: tuple[int, ...]
 
 
+def _read_axes(coords: Sequence[str], exprs: Iterable[Expr]) -> tuple[int, ...]:
+    """The axes of the coordinates some of ``exprs`` reads, in coordinate order."""
+    read = set().union(*map(variables, exprs))
+    return tuple(i for i, c in enumerate(coords) if c in read)
+
+
 def _compiled(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., tuple]:
     """One callable of the coordinates' floats returning the value of each of ``exprs``, in order."""
     names = {c: f"c{i}" for i, c in enumerate(coords)}
@@ -298,8 +303,7 @@ class MetricSpec:
         A coordinate no component reads never changes a component, so two
         points that agree bit for bit on these axes have bitwise equal metrics.
         """
-        read = set().union(*(variables(e) for row in self.components for e in row))
-        return tuple(i for i, c in enumerate(self.coords) if c in read)
+        return _read_axes(self.coords, (e for row in self.components for e in row))
 
     def matrix(self, point: tuple[float, ...]) -> tuple[float, ...]:
         """Raw components g_ij(P) at a tuple of ``dim`` floats, the ``dim**2`` values row by row; no degeneracy check.
@@ -364,15 +368,15 @@ class BlockGeometry:
     """Points of one metric and numerics on one store, read together: each quantity with a leading point axis.
 
     The block owns the batch: the ``lattice.Store`` its points share, their
-    ``numbers`` there (-1 until known), a field tree per vector field
+    ``numbers`` there (-1 until known), a field lattice per vector field
     (``trees``) and each layer it has read.  A layer is read once: an index
     where the store holds it at every point, as ``block_geometries`` leaves
     it, else one ``Store.fill`` for all the points, and a field quantity is
-    their rows of the depth-0 array of their field tree.  ``points`` are
+    their rows of their field lattice's read at its points.  ``points`` are
     tuples of floats with canonical zeros.
 
     ``take`` gives some of the points, in any order, as a block on the same
-    store and field trees, which holds the block it was taken from
+    store and field lattices, which holds the block it was taken from
     (``is_take``);
     ``block[row]`` is the PointGeometry of one point.  The row functions of
     this module, ``spacetimes`` and ``solitons`` compute their row once over
@@ -386,8 +390,8 @@ class BlockGeometry:
         self.metric, self.numerics, self.store = store.metric, store.numerics, store
         self.points = list(points)
         self.numbers = np.full(len(self.points), -1) if numbers is None else numbers
-        self.trees: dict[VectorFieldSpec, _FieldTree] = {}
-        # for a take: the block taken from, whose points the trees are built over, and the points' rows there
+        self.trees: dict[VectorFieldSpec, _FieldLattice] = {}
+        # for a take: the block taken from, whose points the field lattices span, and the points' rows there
         self._base: BlockGeometry | None = None
         self._rows: list[int] | None = None
         self._layers: dict[str, np.ndarray] = {}
@@ -404,7 +408,7 @@ class BlockGeometry:
         return geo
 
     def take(self, rows: Sequence[int]) -> BlockGeometry:
-        """The points ``rows``, in order, as a block on the same store and field trees; all of them is this block."""
+        """The points ``rows``, in order, as a block on the same store and field lattices; all of them is this block."""
         rows = list(rows)
         if rows == list(range(len(self.points))):
             return self
@@ -419,23 +423,23 @@ class BlockGeometry:
 
     @property
     def is_take(self) -> bool:
-        """Whether the block was taken from another (``take``), so that its field trees span that block's points."""
+        """Whether the block was taken from another (``take``), so that its field lattices span that block's points."""
         return self._base is not None
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
-        """The vector field ``spec`` at every point: a FieldGeometry over their rows of its tree."""
+        """The vector field ``spec`` at every point: a FieldGeometry over their rows of its lattice."""
         field = self._fields.get(spec)
         if field is None:
             rows = slice(None) if self._rows is None else self._rows
             field = self._fields[spec] = FieldGeometry(self._tree(spec), rows)
         return field
 
-    def _tree(self, spec: VectorFieldSpec) -> _FieldTree:
-        """The field tree of ``spec`` over the points of the block taken from (this one, if none), made once."""
+    def _tree(self, spec: VectorFieldSpec) -> _FieldLattice:
+        """The field lattice of ``spec`` over the points of the block taken from (this one, if none), made once."""
         tree = self.trees.get(spec)
         if tree is None:
             base = self if self._base is None else self._base
-            tree = self.trees[spec] = _FieldTree(spec, self.store, np.array(base.points), base.numbers)
+            tree = self.trees[spec] = _FieldLattice(spec, self.store, np.array(base.points), base.numbers)
         return tree
 
     g = _block_layer("g")
@@ -488,10 +492,10 @@ class PointGeometry:
         self.block, self.row = BlockGeometry(Store(metric, numerics, p), [p]), 0
 
     def field(self, spec: VectorFieldSpec) -> FieldGeometry:
-        """The quantities of the vector field ``spec`` at this point: its row of the block's field tree.
+        """The quantities of the vector field ``spec`` at this point: its row of the block's field lattice.
 
-        The tree spans every point of the block, so in a block of several a
-        read meets a numerical failure at any of them.
+        The lattice spans every point of the block, so in a block of several
+        a read meets a numerical failure at any of them.
         """
         block = self.block
         return FieldGeometry(block._tree(spec), self.row if block._rows is None else block._rows[self.row])
@@ -541,8 +545,8 @@ def block_geometries(keys: Sequence[tuple[MetricSpec, Sequence[float], NumericsC
     failing coordinate (``Store.origin``): that point is a block of one of
     its own, untouched, where its reads meet the failure as they would
     alone (docs/conventions.md), and the batch is made again without it, on
-    a fresh store.  The points of one block share a field tree per vector
-    field (FieldGeometry).
+    a fresh store.  The points of one block share a field lattice per
+    vector field (FieldGeometry).
     """
     geos: list[PointGeometry | None] = [None] * len(keys)
     members: dict[tuple, list[int]] = {}
@@ -644,6 +648,11 @@ class VectorFieldSpec:
         return hash((self.coords, self.components, self.potential))
 
     @cached_property
+    def read_axes(self) -> tuple[int, ...]:
+        """The axes of the coordinates the components, or the potential, read, as ``MetricSpec.read_axes``."""
+        return _read_axes(self.coords, self.components or (self.potential,))
+
+    @cached_property
     def _components_fn(self) -> Callable[..., tuple]:
         # every component in one compiled call, like MetricSpec._matrix_fn
         return _compiled(self.components, self.coords)
@@ -676,28 +685,28 @@ class VectorFieldSpec:
 
 
 def _at_point(name: str, doc: str) -> property:
-    """A FieldGeometry quantity at its point: the point's row of the tree's depth-0 array (a float for a scalar)."""
+    """A FieldGeometry quantity at its point: the point's row of the lattice's read (a float for a scalar)."""
 
     def read(field: FieldGeometry) -> Any:
-        row = field._at(name)
+        row = field._tree.at(name)[field._row]  # its rows, over several
         return row if row.ndim else float(row)
 
     return property(read, doc=doc)
 
 
 class FieldGeometry:
-    """One vector field at the points of a block, or at one point: their rows of the field tree the block shares.
+    """One vector field at the points of a block, or at one point: their rows of the field lattice the block shares.
 
-    Each quantity is read from a ``_FieldTree`` over the points of the block
-    (``BlockGeometry._tree``), so a read meets a numerical failure at any
-    point of the tree, not only at these.  Over several rows of the tree (a
+    Each quantity is read from a ``_FieldLattice`` over the points of the
+    block (``BlockGeometry._tree``), so a read meets a numerical failure at
+    any point of the lattice, not only at these.  Over several rows (a
     BlockGeometry's field), each quantity has a leading point axis.  Not
     thread-safe.
     """
 
     __slots__ = ("spec", "_tree", "_row")
 
-    def __init__(self, tree: _FieldTree, row: int | slice | list[int]) -> None:
+    def __init__(self, tree: _FieldLattice, row: int | slice | list[int]) -> None:
         self.spec, self._tree, self._row = tree.spec, tree, row
 
     potential = _at_point("potential", "f, for a gradient field.")
@@ -714,171 +723,118 @@ class FieldGeometry:
     d_norm_sq = _at_point("d_norm_sq", "d_k g(V, V).")
     hessian = _at_point("hessian", "(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, for a gradient field; symmetrised.")
 
-    def _at(self, name: str) -> np.ndarray:
-        """Quantity ``name`` at this point: its row of the tree's depth-0 array (its rows, over several)."""
-        return self._tree._at(name, 0)[self._row]
 
+class _FieldLattice(Lattice):
+    """One vector field over the stencil lattice of a block's points, each quantity a layer.
 
-# quantities that are the stencil derivative of another
-_DERIVATIVES = {"dpotential": "potential", "omega_grad": "omega", "d_norm_sq": "norm_sq"}
-
-
-class _FieldTree:
-    """One vector field over the stencil trees of a block's points, each quantity one array over a depth.
-
-    Depth 0 is the points and depth d + 1 the stencil neighbours of each node
-    of depth d, parent by parent (``lattice.neighbours``), at their true
-    coordinates: a field may read coordinates the metric does not.  A
-    quantity at a depth is computed for every point at once on first read
-    and kept read-only; a derivative is ``stencil_derivative`` over the next
-    depth.  The metric layers at a depth are the store's rows, numbered
-    through ``Store.kids`` where its derivatives linked them.  The nodes of a
-    depth are numbered by coordinate in one ``lattice._distinct`` pass, with
-    those of the depths numbered before.  The components, or the potential,
-    are evaluated on a node's Python floats once per coordinate, in tree
-    order and only at the nodes a quantity reads, the floats first evaluated
-    kept, so a domain violation raises EvalDomainError naming the
-    coordinate, at whichever point of the tree holds it.  The tree holds
-    the store, not the points' PointGeometry objects: no cycle keeps a
-    lattice alive.
+    The lattice spans the axes the metric or the field reads, at true coordinates: a field may read
+    coordinates the metric does not.  ``numbers`` are the points' numbers, and ``under[u]`` the
+    store's number for coordinate ``u``, set for the points here and for each ring through the
+    store's own (``link``), so every metric layer is the store's row there.  The components, or the
+    potential, are evaluated on a coordinate's Python floats once, in the order the reads pull
+    them, so a domain violation raises EvalDomainError naming the coordinate, at whichever point
+    of the lattice holds it.  The lattice holds the store, not the points' PointGeometry objects:
+    no cycle keeps a lattice alive.
     """
 
-    # weakly referable, so a caller can see it dropped with its block
-    __slots__ = ("spec", "store", "numbers", "_depths", "_arrays", "_keys", "_ids", "_raw", "_done", "__weakref__")
-
     def __init__(self, spec: VectorFieldSpec, store: Store, points: np.ndarray, numbers: np.ndarray) -> None:
-        dim = points.shape[1]
-        self.spec, self.store, self.numbers = spec, store, numbers.copy()  # the points' numbers; -1 until known
-        self._depths = [points]  # the nodes of each depth built so far
-        self._arrays: dict[tuple[str, int], np.ndarray] = {}  # (quantity, depth) -> one row per node
-        self._keys = np.empty((0, dim))  # a row of each coordinate numbered, in number order
-        self._ids: list[np.ndarray] = []  # the coordinate number of each node, per depth numbered
-        self._raw = np.empty((0,) if spec.is_gradient else (0, dim))  # the value at each coordinate evaluated
-        self._done = np.zeros(0, dtype=bool)  # which coordinates are evaluated
+        super().__init__(points.shape[1], store.numerics, sorted({*store.axes, *spec.read_axes}))
+        self.spec, self.store, self.numbers = spec, store, self.number(points)
+        if (numbers < 0).any():
+            numbers = store.number(store.project(points), origin=np.arange(len(points)))
+        self.under = np.full(len(self.coords), -1)
+        self.under[self.numbers] = numbers
+        self._reads: dict[str, np.ndarray] = {}
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._depths[0]
-
-    def _at(self, name: str, depth: int) -> np.ndarray:
-        """Quantity ``name`` at every node of ``depth``, computed on first read."""
-        rows = self._arrays.get((name, depth))
+    def at(self, name: str) -> np.ndarray:
+        """Quantity ``name`` at every point, computed on first read and kept read-only."""
+        rows = self._reads.get(name)
         if rows is None:
-            if name in _DERIVATIVES:
-                rows = self._derivative(_DERIVATIVES[name], depth)
-            else:
-                rows = getattr(self, "_" + name)(depth)
+            rows = self._reads[name] = self.get(name, self.numbers)
             rows.flags.writeable = False
-            self._arrays[name, depth] = rows
         return rows
 
-    def _nodes(self, depth: int) -> np.ndarray:
-        while len(self._depths) <= depth:
-            around = neighbours(self._depths[-1], self.store.steps)
-            self._depths.append(around.reshape(-1, self.points.shape[1]))
-        return self._depths[depth]
+    def link(self, numbers: np.ndarray) -> np.ndarray:
+        """``Lattice.link``; a coordinate it numbers takes its ``under`` from its parent's store ring (``Store.link``)."""
+        start = self.size
+        kids = super().link(numbers)
+        fresh = kids >= start
+        if fresh.any():  # the store's numbers of the coordinates new here: their parents' store ring
+            rows = fresh.any(axis=(1, 2)).nonzero()[0]
+            fresh = fresh[rows]
+            self.under = _room(self.under, len(self.coords), -1)
+            self.under[kids[rows][fresh]] = self.store.link(self.under[numbers[rows]])[fresh]
+        return kids
 
-    def _derivative(self, name: str, depth: int) -> np.ndarray:
-        """d_k of quantity ``name`` at the nodes of ``depth``, from its rows at their children."""
-        rows = self._at(name, depth + 1)
-        shape = (len(self._nodes(depth)), self.points.shape[1], -1) + rows.shape[1:]
-        return stencil_derivative(rows.reshape(shape), self.store.numerics.h)
+    def _metric(self, name: str, u: np.ndarray) -> np.ndarray:
+        """The store's layer ``name`` at ``u``."""
+        return self.store.get(name, self.under.take(u))
 
-    def _layer(self, name: str, depth: int) -> np.ndarray:
-        """The store's curvature layer ``name`` at the nodes of ``depth``."""
-        store, known = self.store, self.numbers
-        for _ in range(depth):  # -1 where no derivative linked the kids
-            kids = store.kids[np.maximum(known, 0)]
-            kids[known < 0] = -1
-            known = kids.reshape(-1)
-        numbers = store.fill(name, self._nodes(depth), known)
-        if depth == 0:  # the points' numbers, known from now on
-            self.numbers = numbers
-        return store.get(name, numbers)
+    def _raw(self, u: np.ndarray) -> np.ndarray:
+        raw = self.spec.potential_at if self.spec.is_gradient else self.spec.components_at
+        return np.array([raw(point) for point in map(tuple, self.coords.take(u, axis=0).tolist())], dtype=float)
 
-    def _coordinates(self, depth: int) -> np.ndarray:
-        """The coordinate number of each node of ``depth``, numbering the depths up to it first."""
-        while len(self._ids) <= depth:
-            nodes, known = self._nodes(len(self._ids)), len(self._keys)
-            first, group = _distinct(np.concatenate([self._keys, nodes]))  # the keys are distinct, numbered in order
-            new = first[known:] - known
-            self._keys = np.concatenate([self._keys, nodes[new]])
-            self._raw = np.concatenate([self._raw, np.empty((len(new),) + self._raw.shape[1:])])
-            self._done = np.concatenate([self._done, np.zeros(len(new), dtype=bool)])
-            self._ids.append(group[known:])
-        return self._ids[depth]
+    def _potential(self, u: np.ndarray) -> np.ndarray:
+        return self._raw(u)
 
-    def _evaluate(self, depth: int, pick: np.ndarray | None = None) -> np.ndarray:
-        """The components, or the potential, at the nodes ``pick`` (all) of ``depth``.
+    def _dpotential(self, u: np.ndarray) -> np.ndarray:
+        return self.derivative("potential", u)
 
-        Each coordinate not evaluated before is evaluated at the first of
-        these nodes with it, in order.
-        """
-        nodes, ids = self._nodes(depth), self._coordinates(depth)
-        if pick is not None:
-            nodes, ids = nodes[pick], ids[pick]
-        lacking = np.flatnonzero(~self._done[ids])
-        if lacking.size:
-            first = lacking[np.sort(np.unique(ids[lacking], return_index=True)[1])]
-            raw = self.spec.potential_at if self.spec.is_gradient else self.spec.components_at
-            values = [raw(point) for point in map(tuple, nodes[first].tolist())]
-            new = ids[first]
-            self._raw[new] = values
-            self._done[new] = True
-        return self._raw[ids]
-
-    def _potential(self, depth: int) -> np.ndarray:
-        return self._evaluate(depth)
-
-    def _value(self, depth: int) -> np.ndarray:
+    def _value(self, u: np.ndarray) -> np.ndarray:
         if not self.spec.is_gradient:
-            return self._evaluate(depth)
-        g_inv = self._layer("g_inv", depth)
-        return (g_inv @ self._at("dpotential", depth)[:, :, None])[:, :, 0]
+            return self._raw(u)
+        g_inv = self._metric("g_inv", u)
+        return (g_inv @ self.get("dpotential", u)[:, :, None])[:, :, 0]
 
-    def _omega(self, depth: int) -> np.ndarray:
-        g = self._layer("g", depth)
-        return (g @ self._at("value", depth)[:, :, None])[:, :, 0]
+    def _omega(self, u: np.ndarray) -> np.ndarray:
+        g = self._metric("g", u)
+        return (g @ self.get("value", u)[:, :, None])[:, :, 0]
 
-    def _nabla(self, depth: int) -> np.ndarray:
-        dv = self._derivative("value", depth)  # dv[n,j,k] = d_j V^k
-        gamma = self._layer("gamma", depth)
-        return dv.transpose(0, 2, 1) + np.einsum("nkjm,nm->nkj", gamma, self._at("value", depth))
+    def _omega_grad(self, u: np.ndarray) -> np.ndarray:
+        return self.derivative("omega", u)
 
-    def _lie(self, depth: int) -> np.ndarray:
-        a = self._layer("g", depth) @ self._at("nabla", depth)  # a[n,i,j] = (nabla_j V)_i
+    def _nabla(self, u: np.ndarray) -> np.ndarray:
+        dv = self.derivative("value", u)  # dv[n,j,k] = d_j V^k
+        gamma = self._metric("gamma", u)
+        return dv.transpose(0, 2, 1) + np.einsum("nkjm,nm->nkj", gamma, self.get("value", u))
+
+    def _lie(self, u: np.ndarray) -> np.ndarray:
+        a = self._metric("g", u) @ self.get("nabla", u)  # a[n,i,j] = (nabla_j V)_i
         return a + a.transpose(0, 2, 1)
 
-    def _d_omega(self, depth: int) -> np.ndarray:
-        grad = self._at("omega_grad", depth)
+    def _d_omega(self, u: np.ndarray) -> np.ndarray:
+        grad = self.get("omega_grad", u)
         return 0.5 * (grad - grad.transpose(0, 2, 1))
 
-    def _f_mixed(self, depth: int) -> np.ndarray:
-        g_inv = self._layer("g_inv", depth)
-        return g_inv @ self._at("d_omega", depth)
+    def _f_mixed(self, u: np.ndarray) -> np.ndarray:
+        g_inv = self._metric("g_inv", u)
+        return g_inv @ self.get("d_omega", u)
 
-    def _nabla_f(self, depth: int) -> np.ndarray:
-        df = self._derivative("f_mixed", depth)  # df[n,i,k,j] = d_i F^k_j
-        gamma = self._layer("gamma", depth)
-        f = self._at("f_mixed", depth)
+    def _nabla_f(self, u: np.ndarray) -> np.ndarray:
+        df = self.derivative("f_mixed", u)  # df[n,i,k,j] = d_i F^k_j
+        gamma = self._metric("gamma", u)
+        f = self.get("f_mixed", u)
         return df + np.einsum("nkim,nmj->nikj", gamma, f) - np.einsum("nmij,nkm->nikj", gamma, f)
 
-    def _norm_sq(self, depth: int) -> np.ndarray:
-        v = self._at("value", depth)[:, None, :]
-        return (v @ self._layer("g", depth) @ v.transpose(0, 2, 1))[:, 0, 0]
+    def _norm_sq(self, u: np.ndarray) -> np.ndarray:
+        v = self.get("value", u)[:, None, :]
+        return (v @ self._metric("g", u) @ v.transpose(0, 2, 1))[:, 0, 0]
 
-    def _hessian(self, depth: int) -> np.ndarray:
+    def _d_norm_sq(self, u: np.ndarray) -> np.ndarray:
+        return self.derivative("norm_sq", u)
+
+    def _hessian(self, u: np.ndarray) -> np.ndarray:
         # second differences of f along each axis and across each pair of axes
         # a > b, at +-h and, with Richardson, +-h/2; f2[n, a, s, b, t] is f
-        # after step s along a, then t along b, evaluated only at those pairs
-        n, dim, size = len(self._nodes(depth)), self.points.shape[1], len(self.store.steps)
-        f0 = self._at("potential", depth)[:, None]
-        f1 = self._at("potential", depth + 1).reshape(n, dim, size)
+        # after step s along a, then t along b, read only at those pairs
+        n, dim, size = len(u), self.coords.shape[1], len(self.steps)
+        f0 = self.get("potential", u)[:, None]
+        ring = self.link(u)
+        f1 = self.get("potential", ring)
         a, s, b, t = np.ix_(range(dim), range(size), range(dim), range(size))
         pairs = (a > b) & (s // 2 == t // 2)
-        nodes = np.arange(n * (dim * size) ** 2).reshape(n, dim, size, dim, size)
         f2 = np.full((n, dim, size, dim, size), np.nan)
-        f2[:, pairs] = self._evaluate(depth + 2, nodes[:, pairs].ravel()).reshape(n, -1)
+        f2[:, pairs] = self.get("potential", self.link(ring.ravel()).reshape(f2.shape)[:, pairs])
 
         def same(p: int, m: int, step: float) -> np.ndarray:
             return (f1[:, :, p] - 2.0 * f0 + f1[:, :, m]) / (step * step)
@@ -886,14 +842,14 @@ class _FieldTree:
         def cross(p: int, m: int, step: float) -> np.ndarray:
             return (f2[:, :, p, :, p] - f2[:, :, p, :, m] - f2[:, :, m, :, p] + f2[:, :, m, :, m]) / (4.0 * step * step)
 
-        h = self.store.numerics.h
+        h = self.numerics.h
         diagonal, off = same(0, 1, h), cross(0, 1, h)
         if size == 4:
             diagonal = (4.0 * same(2, 3, h / 2) - diagonal) / 3.0
             off = (4.0 * cross(2, 3, h / 2) - off) / 3.0
         d2 = np.where(np.tri(dim, k=-1, dtype=bool), off, off.transpose(0, 2, 1))
         d2[:, range(dim), range(dim)] = diagonal
-        hess = d2 - np.einsum("nkij,nk->nij", self._layer("gamma", depth), self._at("dpotential", depth))
+        hess = d2 - np.einsum("nkij,nk->nij", self._metric("gamma", u), self.get("dpotential", u))
         return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 

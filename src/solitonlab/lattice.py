@@ -1,31 +1,33 @@
-"""The store of stencil-lattice rows behind ``geometry.BlockGeometry``.
+"""Stencil lattices: the store of metric rows behind ``geometry.BlockGeometry``, and its base class.
 
-A BlockGeometry owns one ``Store``: its points, of one metric and numerics,
-and their stencil neighbours share it, each point reading its rows by its
-number there.  A lone PointGeometry is a block of one, with a store of its
-own.  Each layer is pulled on demand: ``Store.get`` computes the rows a
-read lacks from the layers below it, and a derivative numbers and links a
-coordinate's stencil ring the first time it reads it (``Store.link``).  So
-the store numbers each coordinate once, in the order the reads first reach
-it, keeping the floats first built for it.  No coordinate is ``-0.0``: a
-block's points have canonical zeros, a stencil sum with a nonzero step is
-never ``-0.0``, and every other coordinate is a copy.  The stencil spans
-only the axes the metric reads (``MetricSpec.read_axes``): along any other
-axis, a Killing direction of the chart, every coordinate keeps the root
-point's float and its stencil neighbour is itself, so the lattice has one
-coordinate per read pattern, and a difference across such an axis is an
-exact +0.0, as the per-coordinate stencil gives it (both its neighbours
-share the point's read pattern).  Each curvature layer is one row array,
-grown by capacity doubling, with a slot array over the numbers, so a read
-of held rows is an index.  ``Store.fill`` numbers a set of points, then
-reads a layer there, one numpy call per layer.  The metric is evaluated by
-``MetricSpec.matrix`` once per coordinate, in the order the reads pull
-them, and a failure names the first failing coordinate of that order.
-Each call returns the compiled grid's flat tuple; ``Store._metric`` stacks
-a batch's tuples into one array of g, so the per-coordinate call, which
-the benchmark and the tests count, is the compiled grid alone.  Every
-batched contraction is the per-coordinate ``np.einsum`` with a leading
-batch axis, so each row is bitwise the per-coordinate result.
+A ``Lattice`` numbers stencil coordinates once, comparing them by value,
+and holds one row array per layer over the numbers, grown by capacity
+doubling, with a slot array over the numbers, so a read of held rows is an
+index.  Each layer is pulled on demand: ``Lattice.get`` computes the rows a
+read lacks by the layer's method, from the layers below it, and a
+derivative numbers and links a coordinate's stencil ring the first time it
+reads it (``Lattice.link``).  So a lattice numbers each coordinate once, in
+the order the reads first reach it, keeping the floats first built for it.
+No coordinate is ``-0.0``: a block's points have canonical zeros, a stencil
+sum with a nonzero step is never ``-0.0``, and every other coordinate is a
+copy.  A lattice spans some ``axes``: along any other axis a coordinate's
+stencil neighbour is itself, so a difference across it is an exact +0.0.
+
+The metric's lattice is a ``Store``.  A BlockGeometry owns one: its points,
+of one metric and numerics, and their stencil neighbours share it.  It
+spans only the axes the metric reads (``MetricSpec.read_axes``): along any
+other axis, a Killing direction of the chart, every coordinate keeps the
+root point's float, so the store has one coordinate per read pattern, and
+the per-coordinate stencil gives the same +0.0 across such an axis (both
+its neighbours share the point's read pattern).  ``Store.fill`` numbers a
+set of points, then reads a layer there, one numpy call per layer.  The
+metric is evaluated by ``MetricSpec.matrix`` once per coordinate, in the
+order the reads pull them (``Store._g``), and a failure names the first
+failing coordinate of that order.  Each call returns the compiled grid's
+flat tuple, stacked into one array of g per batch, so the per-coordinate
+call, which the benchmark and the tests count, is the compiled grid alone.
+Every batched contraction is the per-coordinate ``np.einsum`` with a
+leading batch axis, so each row is bitwise the per-coordinate result.
 
 No layer is differentiated past the Riemann tensor, so no point pulls a
 third stencil ring.  ``Store.jet`` reads the 3-jet of g at points holding
@@ -275,25 +277,22 @@ class _Layer:
         return np.arange(start, self.count)
 
 
-class Store:
-    """The stencil lattice of one or more points: its coordinates, numbered once, and a row array per layer.
+class Lattice:
+    """A stencil lattice: its coordinates, numbered once, and a row array per layer, pulled on demand.
 
-    The lattice spans the ``axes`` the metric reads.  Along any other axis a coordinate keeps the
-    root's float, and its stencil neighbour is itself; any point projects onto the lattice
-    (``project``), so points of one metric and numerics can share the store.  ``coords[u]`` holds the
-    floats of number ``u``, ``kids[u, axis, s]`` its stencil neighbours' numbers once a derivative
-    has read them (``link``), and ``origin[u]`` the row of the fill whose read first numbered it.
-    Not thread-safe.
+    The lattice spans ``axes``: along any other axis a coordinate's stencil neighbour is itself.
+    ``coords[u]`` holds the floats of number ``u``, ``kids[u, axis, s]`` its stencil neighbours'
+    numbers once a derivative has read them (``link``), and ``origin[u]`` the row of the fill whose
+    read first numbered it.  Layer ``name`` is computed by the method ``_<name>`` at the numbers that
+    lack it (``get``).  Not thread-safe.
     """
 
-    def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
-        self.metric, self.numerics = metric, numerics
+    def __init__(self, dim: int, numerics: NumericsConfig, axes: Sequence[int]) -> None:
+        self.numerics, self.axes = numerics, tuple(axes)
         self.steps, self.size = stencil_steps(numerics), 0
-        self.axes, self.root = metric.read_axes, root
-        self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
         # one placeholder row, so a -1 indexes: the first numbering past it sizes the arrays to what it numbers
-        self.coords = np.empty((1, metric.dim))
-        self.kids = np.full((1, metric.dim, len(self.steps)), -1)
+        self.coords = np.empty((1, dim))
+        self.kids = np.full((1, dim, len(self.steps)), -1)
         self.origin = np.full(1, -1)
         self.layers: dict[str, _Layer] = {}
 
@@ -306,19 +305,11 @@ class Store:
         """Which of ``numbers`` (-1: a coordinate not numbered) hold layer ``name``."""
         return (numbers >= 0) & (self.layer(name).slot.take(numbers) >= 0)
 
-    def project(self, points: np.ndarray) -> np.ndarray:
-        """``points`` on the lattice: the root's float along every axis not read."""
-        if not self.fixed:
-            return points
-        points = points.copy()
-        points[:, self.fixed] = [self.root[axis] for axis in self.fixed]
-        return points
-
     def number(self, rows: np.ndarray, add: bool = True, origin: np.ndarray | None = None) -> np.ndarray:
-        """The number of each of ``rows``; a coordinate the store lacks gets the next, in order of first appearance, when ``add``, else -1.
+        """The number of each of ``rows``; a coordinate the lattice lacks gets the next, in order of first appearance, when ``add``, else -1.
 
         A coordinate numbered here records ``origin`` at its first row.  The rows go to ``_distinct``
-        first, the store's own coordinates after them.
+        first, the lattice's own coordinates after them.
         """
         first, group = _distinct(np.concatenate([rows, self.coords[: self.size]]))
         numbers, seen = np.full(len(first), -1), int((first < len(rows)).sum())
@@ -338,6 +329,64 @@ class Store:
             self.size = end
         return numbers.take(group[: len(rows)])
 
+    def link(self, numbers: np.ndarray) -> np.ndarray:
+        """The stencil neighbours of ``numbers``, ``[n, axis, step]``, numbered and linked the first time one is read.
+
+        Along ``axes`` they are numbered point by point, axis by axis, step by step
+        (``neighbours``), each recording its point's ``origin``; along any other axis a point is
+        its own neighbour.
+        """
+        kids = self.kids.take(numbers, axis=0)
+        new = numbers[kids[:, 0, 0] < 0]
+        if new.size:
+            shape = (len(new), len(self.axes), len(self.steps))
+            ring = neighbours(self.coords.take(new, axis=0), self.steps, self.axes).reshape(-1, self.coords.shape[1])
+            ring = self.number(ring, origin=self.origin.take(new).repeat(shape[1] * shape[2]))
+            kids = np.empty((len(new),) + self.kids.shape[1:], dtype=int)
+            kids[...] = new[:, None, None]
+            kids[:, list(self.axes)] = ring.reshape(shape)
+            self.kids[new] = kids
+            kids = self.kids.take(numbers, axis=0)
+        return kids
+
+    def get(self, name: str, numbers: np.ndarray) -> np.ndarray:
+        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet, in the order first read."""
+        layer = self.layer(name)
+        slot = layer.slot.take(numbers)
+        missing = slot < 0
+        if missing.any():
+            need = numbers[missing]
+            need = need[np.sort(np.unique(need, return_index=True)[1])]
+            layer.slot[need] = layer.append(getattr(self, "_" + name)(need))
+            slot = layer.slot.take(numbers)
+        return layer.rows.take(slot, axis=0)
+
+    def derivative(self, name: str, numbers: np.ndarray) -> np.ndarray:
+        """d_k of layer ``name`` at ``numbers``, from the layer at their stencil neighbours (``link``)."""
+        return stencil_derivative(self.get(name, self.link(numbers)), self.numerics.h)
+
+
+class Store(Lattice):
+    """The stencil lattice of the metric at one or more points, with the curvature layers.
+
+    The lattice spans the ``axes`` the metric reads.  Along any other axis a coordinate keeps the
+    root's float, and its stencil neighbour is itself; any point projects onto the lattice
+    (``project``), so points of one metric and numerics can share the store.
+    """
+
+    def __init__(self, metric: MetricSpec, numerics: NumericsConfig, root: tuple[float, ...]) -> None:
+        super().__init__(metric.dim, numerics, metric.read_axes)
+        self.metric, self.root = metric, root
+        self.fixed = [axis for axis in range(metric.dim) if axis not in self.axes]
+
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """``points`` on the lattice: the root's float along every axis not read."""
+        if not self.fixed:
+            return points
+        points = points.copy()
+        points[:, self.fixed] = [self.root[axis] for axis in self.fixed]
+        return points
+
     def fill(self, name: str, points: np.ndarray, numbers: np.ndarray | None = None) -> np.ndarray:
         """Number ``points``, then compute layer ``name`` where they lack it (``get``); return their numbers (given, if all known).
 
@@ -350,28 +399,8 @@ class Store:
         self.get(name, numbers)
         return numbers
 
-    def link(self, numbers: np.ndarray) -> np.ndarray:
-        """The stencil neighbours of ``numbers``, ``[n, axis, step]``, numbered and linked the first time one is read.
-
-        Along the read axes they are numbered point by point, axis by axis, step by step
-        (``neighbours``), each recording its point's ``origin``; along any other axis a point is
-        its own neighbour.
-        """
-        kids = self.kids.take(numbers, axis=0)
-        new = numbers[kids[:, 0, 0] < 0]
-        if new.size:
-            shape = (len(new), len(self.axes), len(self.steps))
-            ring = neighbours(self.coords.take(new, axis=0), self.steps, self.axes).reshape(-1, self.metric.dim)
-            ring = self.number(ring, origin=self.origin.take(new).repeat(shape[1] * shape[2]))
-            kids = np.empty((len(new),) + self.kids.shape[1:], dtype=int)
-            kids[...] = new[:, None, None]
-            kids[:, list(self.axes)] = ring.reshape(shape)
-            self.kids[new] = kids
-            kids = self.kids.take(numbers, axis=0)
-        return kids
-
-    def _metric(self, todo: np.ndarray) -> None:
-        """Evaluate g at ``todo``, coordinates lacking it, in order, keeping each good row; raise the first failure.
+    def _g(self, todo: np.ndarray) -> np.ndarray:
+        """g at ``todo``, coordinates lacking it, evaluated in order; on a failure, keep each good row and raise the first.
 
         A domain error stops the evaluation.  The failure is the first degenerate coordinate
         evaluated, else the domain error, and carries ``root``: the ``origin`` of its coordinate.
@@ -385,36 +414,18 @@ class Store:
                 failure = exc
                 break
         at = done = len(values)
+        g = np.array(values, dtype=float).reshape(done, self.metric.dim, self.metric.dim)
+        good = np.ones(done, dtype=bool)
         if done:
-            dim = self.metric.dim
-            g = np.array(values, dtype=float).reshape(done, dim, dim)
             good, fault = _metric_faults(g, points[:done], self.numerics.degeneracy_threshold)
-            layer = self.layer("g")
-            layer.slot[todo[:done][good]] = layer.append(g[good])
             if fault is not None:
                 failure, at = fault, int(np.argmin(good))
-        if failure is not None:
-            failure.root = int(self.origin[todo[at]])
-            raise failure
-
-    def get(self, name: str, numbers: np.ndarray) -> np.ndarray:
-        """Layer ``name`` at ``numbers`` (any shape), computing in one batch the rows not held yet, in the order first read."""
-        layer = self.layer(name)
-        slot = layer.slot.take(numbers)
-        missing = slot < 0
-        if missing.any():
-            need = numbers[missing]
-            need = need[np.sort(np.unique(need, return_index=True)[1])]
-            if name == "g":
-                self._metric(need)
-            else:
-                layer.slot[need] = layer.append(getattr(self, "_" + name)(need))
-            slot = layer.slot.take(numbers)
-        return layer.rows.take(slot, axis=0)
-
-    def derivative(self, name: str, numbers: np.ndarray) -> np.ndarray:
-        """d_k of layer ``name`` at ``numbers``, from the layer at their stencil neighbours (``link``)."""
-        return stencil_derivative(self.get(name, self.link(numbers)), self.numerics.h)
+        if failure is None:
+            return g
+        layer = self.layer("g")
+        layer.slot[todo[:done][good]] = layer.append(g[good])
+        failure.root = int(self.origin[todo[at]])
+        raise failure
 
     def jet(self, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """g, dg, d2g and d3g at ``numbers``, points holding the Riemann tensor, as ``einstein_gradient`` takes them.

@@ -687,7 +687,7 @@ def _each_point(row: Callable[[BlockGeometry], list], block: BlockGeometry) -> l
     """``row(block)``, the list of each point's result, or, should it meet a numerical failure, each point's alone.
 
     On a failure, each point runs ``row`` again on a block of one of its
-    own, on the same store with fresh field trees, so its result, or the
+    own, on the same store with fresh field lattices, so its result, or the
     failure it records in the list, is that of a run of its own.  A block of
     one that is not a take already is that run: its failure is its record.
     This is the report's one per-point fallback.

@@ -757,8 +757,9 @@ class TestPointGeometry:
             assert len(field_seen) == len(set(field_seen)), path.name
             assert bool(field_seen) == (scenario.vector_field is not None), path.name
 
-    # the field evaluations of a run of each scenario with a field tree per
-    # point: the trees a block's points share may make fewer, never more
+    # the field evaluations of a run of each scenario with a stencil tree over
+    # every axis per point: the field lattice a block's points share, over the
+    # axes the metric or the field reads, may make fewer, never more
     FIELD_EVALUATIONS = {
         "de-sitter-eta-gradient.json": 394,
         "de-sitter-soliton.json": 393,
@@ -785,7 +786,7 @@ class TestPointGeometry:
 
     def test_no_lattice_outlives_its_run(self, monkeypatch):
         # once the geometries a run made are dropped, no store and no field
-        # tree is left, without the cycle collector: the reports keep none
+        # lattice is left, without the cycle collector: the reports keep none
         import gc
         import weakref
 
@@ -831,7 +832,7 @@ class TestPointGeometry:
 
         metric_seen, _ = _count_evaluations(monkeypatch)
         stores = {}  # each store that evaluated the metric, and the calls made for it
-        evaluate = lattice.Store._metric
+        evaluate = lattice.Store._g
 
         def recorded(store, todo):
             start = len(metric_seen)
@@ -840,7 +841,7 @@ class TestPointGeometry:
             finally:
                 stores.setdefault(store, []).extend(metric_seen[start:])
 
-        monkeypatch.setattr(lattice.Store, "_metric", recorded)
+        monkeypatch.setattr(lattice.Store, "_g", recorded)
 
         def run():
             stores.clear()
@@ -930,7 +931,7 @@ class TestPointGeometry:
     def test_equal_specs_hash_equal_and_share_one_field_tree(self, monkeypatch):
         # a spec's hash is computed once per object; specs equal by value, as
         # each scenario of a sweep gives them, hash equal, so the scenarios
-        # share each plan point's geometry and its block's one field tree
+        # share each plan point's geometry and its block's one field lattice
         from solitonlab.report import run_suites
         from solitonlab.scenario import load_scenario
 
@@ -1366,7 +1367,7 @@ class _PerKeyField:
 
 
 class _ReferenceField:
-    """The per-coordinate vector-field formulas the stencil tree replaced, kept as its reference.
+    """The per-coordinate vector-field formulas the field lattice replaced, kept as its reference.
 
     Each quantity at a coordinate is computed from the same quantity of the
     neighbours ReferenceGeometry.shifted builds, and kept in the coordinate's
@@ -1661,7 +1662,7 @@ class TestFieldTree:
     @pytest.mark.parametrize("richardson", [True, False])
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_every_field_quantity_equals_the_per_coordinate_reference(self, case, richardson, order):
-        # the field quantities over the stencil tree are bitwise the
+        # the field quantities over the field lattice are bitwise the
         # per-coordinate ones at the geometry's point, down to the sign of a
         # zero: read as a report reads them, after the curvature, or on a
         # fresh point deepest first
@@ -1690,7 +1691,7 @@ class TestFieldTree:
     def test_a_block_tree_equals_each_point_alone(self, richardson, order):
         # every reference point in one block, each field given as two objects
         # equal by value, as the scenarios of a sweep give it: the points on
-        # one store share one tree per field, and every quantity is bitwise
+        # one store share one lattice per field, and every quantity is bitwise
         # that of the point alone and of the per-coordinate reference, down
         # to the sign of a zero
         cfg = NumericsConfig(h=1.3e-3, richardson=richardson)
@@ -1716,13 +1717,13 @@ class TestFieldTree:
                     for expected in (getattr(lone.field(spec), name), getattr(reference.field(spec), name)):
                         assert np.array_equal(value, expected), (kind, i, name)
                         assert np.array_equal(np.signbit(value), np.signbit(expected)), (kind, i, name)
-            # the points of one metric share one tree: de Sitter at t = 0.6, 0
+            # the points of one metric share one lattice: de Sitter at t = 0.6, 0
             # and -h, and infall at b = 0.4 and b = -0.0
             sharing = Counter(geo.metric for geo in geos)
             assert sorted(sharing.values()) == [1] * 6 + [2, 3]
             for geo in geos:
                 tree = geo.field(spec)._tree
-                assert len(tree.points) == sharing[geo.metric], kind
+                assert len(tree.numbers) == sharing[geo.metric], kind
                 assert all(other.field(spec)._tree is tree for other in geos if other.metric == geo.metric), kind
 
 
@@ -1948,9 +1949,21 @@ _SOLITON = {
 # metric, vector field, whether the run checks the soliton identities, plan
 # points, the point errors of a run, and the error of
 # potential_field_identities alone on a fresh geometry at the first point.
-# Each field is undefined some stencil steps below x = 1; each string names
-# the first failing node in tree order, with canonical zeros
+# Each field is undefined at or some stencil steps below x = 1; each string
+# names the first failing coordinate in the order the reads pull the field
+# lattice, with canonical zeros
 FIELD_ERROR_CASES = {
+    # a gradient potential undefined at the point itself (S^0): the metric and
+    # the potential read x alone, so along t, y and z the point is its own
+    # neighbour and the first coordinate evaluated
+    "gradient_s0": (
+        _grid(xx="1 + 0.1*x^2"),
+        {"gradient": "(x - 1.0005)^(1/2)"},
+        False,
+        [[0.5, 1.0, 0.25, 0.0], [0.5, 1.5, 0.25, 0.0]],
+        ["gradient potential undefined at (0.5, 1.0, 0.25, 0.0): (x-1.0005)^(1.0/2.0): math domain error", None],
+        "gradient potential undefined at (0.5, 1.0, 0.25, 0.0): (x-1.0005)^(1.0/2.0): math domain error",
+    ),
     # a component undefined one step below x = 1 (S^1)
     "component_s1": (
         _grid(tt="-1 - 0.1*t^2"),
@@ -2043,7 +2056,7 @@ class TestFieldErrorAttribution:
         hess = PointGeometry(metric, (0.5, 1.0, 0.0, -0.0)).field(spec).hessian
         expected = [[0.0, 0.0, 1.000000000001, 0.0], [0.0, -4249.835070115005, 0.0, 0.0], [1.000000000001, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
         assert hess.tobytes() == np.array(expected).tobytes()
-        assert len(field_seen) == len(set(field_seen)) == 1 + 4 * 4 + 6 * 8
+        assert len(field_seen) == len(set(field_seen)) == 1 + 3 * 4 + 3 * 8
         assert min(q[1] for _, q in field_seen) > 0.9985
 
 
@@ -2088,6 +2101,13 @@ def _held_g(store) -> tuple[np.ndarray, np.ndarray]:
     return store.coords[held], store.get("g", held)
 
 
+def _held_raw(tree) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of a field lattice that hold the field's components (or potential), and those rows."""
+    name = "potential" if tree.spec.is_gradient else "value"
+    held = np.flatnonzero(tree.held(name, np.arange(tree.size)))
+    return tree.coords[held], tree.get(name, held) if held.size else np.empty(0)
+
+
 def _field_rows(spec, keys) -> np.ndarray:
     """The field's components, or potential, at each row of ``keys``, one coordinate at a time."""
     raw = spec.potential_at if spec.is_gradient else spec.components_at
@@ -2095,18 +2115,23 @@ def _field_rows(spec, keys) -> np.ndarray:
 
 
 class TestBatchEvaluation:
-    """The store stacks the per-coordinate metric tuples into its rows of g, and a field tree its raw rows, bit for bit."""
+    """The store stacks the per-coordinate metric tuples into its rows of g, and a field lattice its raw rows, bit for bit."""
 
     def test_every_row_is_the_per_coordinate_evaluation(self, monkeypatch):
-        # every store and field tree a run of each shipped scenario and of the
-        # infall grid fills, including a failing point's block of its own
+        # every store and field lattice a run of each shipped scenario and of
+        # the infall grid fills, including a failing point's block of its own;
+        # a field lattice moves off its points only along the axes the metric
+        # or the field reads, and evaluates the field once per row it holds
         from solitonlab.scenario import load_scenario
 
         from conftest import SCENARIO_DIR
 
+        _, field_seen = _count_evaluations(monkeypatch)
         for path in [*sorted(SCENARIO_DIR.glob("*.json")), INFALL_GRID]:
             geos = _recorded_geometries(monkeypatch)
+            field_seen.clear()
             run_suite(load_scenario(path))
+            calls, held = len(field_seen), 0
             blocks = {id(geo.block): geo.block for geo in geos}.values()
             assert blocks, path.name
             for block in blocks:
@@ -2115,8 +2140,14 @@ class TestBatchEvaluation:
                 expected = _metric_rows(block.metric, coords)
                 assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64)), path.name
                 for spec, tree in block.trees.items():
-                    expected = _field_rows(spec, tree._keys[tree._done])
-                    assert np.array_equal(tree._raw[tree._done].view(np.uint64), expected.view(np.uint64)), path.name
+                    coords, rows = _held_raw(tree)
+                    assert np.array_equal(rows.view(np.uint64), _field_rows(spec, coords).view(np.uint64)), path.name
+                    held += len(rows)
+                    other = [axis for axis in range(block.metric.dim) if axis not in tree.axes]
+                    points = tree.coords[tree.numbers][:, other]
+                    lattice = tree.coords[: tree.size, other]
+                    assert (lattice[:, None] == points[None]).all(axis=2).any(axis=1).all(), path.name
+            assert calls == held, path.name
 
     @pytest.mark.parametrize(
         "case", sorted(c for c, entry in ERROR_CASES.items() if (entry[3] or "").startswith("metric components undefined"))
@@ -2151,8 +2182,9 @@ class TestBatchEvaluation:
     @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
     def test_a_failing_field_read_keeps_the_rows_before_it(self, case, monkeypatch):
         # a component or the potential raises partway through a read: the
-        # tree holds rows only for coordinates evaluated before the failing
-        # one, each the per-coordinate evaluation, and none for it
+        # lattice holds rows only for coordinates evaluated before the failing
+        # one, each the per-coordinate evaluation, and none for it; a failure
+        # at the point itself is the first evaluation, with none before it
         from solitonlab.solitons import SolitonParams, potential_field_identities, potential_field_terms
 
         components, field, _, points, _, message = FIELD_ERROR_CASES[case]
@@ -2165,12 +2197,11 @@ class TestBatchEvaluation:
         assert str(caught.value) == message
         named = tuple(float(v) for v in re.search(r" at \(([^)]*)\)", message).group(1).split(", "))
         assert field_seen[-1][1] == named
-        tree = geo.field(spec)._tree
-        keys = tree._keys[tree._done]
+        keys, rows = _held_raw(geo.field(spec)._tree)
         done = set(map(tuple, keys.tolist()))
-        assert len(keys) and named not in done
+        assert bool(len(keys)) == (named != geo.point) and named not in done
         assert done <= {q for _, q in field_seen[:-1]}
-        assert np.array_equal(tree._raw[tree._done].view(np.uint64), _field_rows(spec, keys).view(np.uint64))
+        assert np.array_equal(rows.view(np.uint64), _field_rows(spec, keys).view(np.uint64))
 
 
 class TestPlanBlocks:
@@ -2208,7 +2239,7 @@ class TestPlanBlocks:
     @pytest.mark.parametrize("case", sorted(FIELD_ERROR_CASES))
     def test_a_field_failure_in_a_block_tree_leaves_each_point_its_record(self, case):
         # the case's points with +0.0 for each -0.0, so they share the block's
-        # field tree with a good point read first: a read of the tree fails at
+        # field lattice with a good point read first: a read of it fails at
         # a point of the case, and each point's record, byte for byte, is the
         # one it gets alone
         plan = [INFALL_POINTS[1], *([abs(x) for x in point] for point in FIELD_ERROR_CASES[case][3])]
@@ -2247,7 +2278,7 @@ class TestPlanBlocks:
     def test_a_minus_zero_point_and_its_twin_share_a_store_a_tree_and_a_record(self):
         # a plan point with -0.0 on an axis the metric reads (x) and on one it
         # does not (z), and its twin with +0.0: the geometry reads every -0.0
-        # as +0.0, so the two share one store and one field tree in a block,
+        # as +0.0, so the two share one store and one field lattice in a block,
         # and each gets the same record, byte for byte; the report's scenario
         # still echoes the plan as written
         signed, twin = [0.6, -0.0, 0.0, -0.0], [0.6, 0.0, 0.0, 0.0]
@@ -2330,7 +2361,7 @@ class TestPlanBlocks:
 
     def test_a_lone_failing_point_runs_its_shared_rows_once(self, monkeypatch):
         # a one-point plan whose field read fails: its block of one owns its
-        # field trees, so the failure is the record it gets, with no rerun
+        # field lattices, so the failure is the record it gets, with no rerun
         from solitonlab import report as report_module
 
         from conftest import SCENARIO_DIR
