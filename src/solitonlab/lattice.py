@@ -282,9 +282,9 @@ class Lattice:
 
     The lattice spans ``axes``: along any other axis a coordinate's stencil neighbour is itself.
     ``coords[u]`` holds the floats of number ``u``, ``kids[u, axis, s]`` its stencil neighbours'
-    numbers once a derivative has read them (``link``), and ``origin[u]`` the row of the fill whose
-    read first numbered it.  Layer ``name`` is computed by the method ``_<name>`` at the numbers that
-    lack it (``get``).  Not thread-safe.
+    numbers once a derivative has read them (``link``), and ``origin[u]`` the origin given where it
+    was first numbered (``number``; a ring takes its point's).  Layer ``name`` is computed by the
+    method ``_<name>`` at the numbers that lack it (``get``).  Not thread-safe.
     """
 
     def __init__(self, dim: int, numerics: NumericsConfig, axes: Sequence[int]) -> None:
